@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <future>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -56,6 +57,30 @@ Status ValidateRequest(const IngestRequest& request) {
         "only aggregate requests carry explicit inputs");
   }
   return Status::OK();
+}
+
+/// Runs `task(0)` .. `task(n - 1)` and returns their statuses by index.
+/// With a pool and more than one task they fan out across it and only
+/// this (calling) thread waits on the futures, since a pool task must
+/// never wait on its own pool; otherwise they run inline, in order.
+template <typename Fn>
+std::vector<Status> RunTasks(ThreadPool* pool, size_t n, const Fn& task) {
+  std::vector<Status> statuses(n, Status::OK());
+  if (pool == nullptr || n < 2) {
+    for (size_t i = 0; i < n; ++i) {
+      statuses[i] = task(i);
+    }
+    return statuses;
+  }
+  std::vector<std::future<Status>> futures;
+  futures.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    futures.push_back(pool->Submit([&task, i] { return task(i); }));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    statuses[i] = futures[i].get();
+  }
+  return statuses;
 }
 
 }  // namespace
@@ -387,7 +412,7 @@ Status IngestPipeline::Submit(const IngestRequest& request) {
        shard->since_flush.ElapsedSeconds() >=
            options_.flush_interval_seconds);
   if (threshold) {
-    Status s = FlushShardLocked(shard, &store_->shard(index));
+    Status s = FlushLocked({index});
     if (!s.ok()) {
       failed_ = s;
       return failed_;
@@ -396,128 +421,153 @@ Status IngestPipeline::Submit(const IngestRequest& request) {
   return Status::OK();
 }
 
-Status IngestPipeline::FlushShardLocked(Shard* shard,
-                                        ProvenanceStore* store) {
-  if (shard->pending.empty()) {
-    shard->since_flush.Restart();
+Status IngestPipeline::FlushLocked(const std::vector<size_t>& indices) {
+  // One shard's share of the round. Pool tasks reach the shard only
+  // through this struct, never through the guarded shards_ vector.
+  struct ShardFlush {
+    Shard* shard = nullptr;
+    ProvenanceStore* store = nullptr;
+    std::vector<IngestRequest> batch;
+    std::vector<ProvenanceRecord> records;
+    uint64_t bytes = 0;
+    Status status = Status::OK();
+  };
+  std::vector<ShardFlush> flushes;
+  flushes.reserve(indices.size());
+  for (size_t index : indices) {
+    Shard* shard = shards_[index].get();
+    if (shard->pending.empty()) {
+      shard->since_flush.Restart();
+      continue;
+    }
+    ShardFlush flush;
+    flush.shard = shard;
+    flush.store = &store_->shard(index);
+    flush.batch = std::move(shard->pending);
+    flush.records.resize(flush.batch.size());
+    shard->pending.clear();
+    shard->pending_bytes = 0;
+    pending_->Sub(static_cast<int64_t>(flush.batch.size()));
+    flushes.push_back(std::move(flush));
+  }
+  if (flushes.empty()) {
     return Status::OK();
   }
   observability::ScopedLatencyTimer timer(flush_latency_);
   observability::TraceSpan span("ingest.flush");
 
-  std::vector<IngestRequest> batch = std::move(shard->pending);
-  shard->pending.clear();
-  shard->pending_bytes = 0;
-  pending_->Sub(static_cast<int64_t>(batch.size()));
-
-  // Group the batch by output object, preserving first-appearance order.
-  // Records of one object must sign sequentially against the running
-  // chain tail; distinct objects' groups are independent (§3.2) and fan
-  // out across the pool.
-  std::unordered_map<storage::ObjectId, size_t> group_of;
-  std::vector<std::vector<size_t>> groups;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto [it, inserted] = group_of.emplace(batch[i].object, groups.size());
-    if (inserted) {
-      groups.emplace_back();
+  // Step 1, sign: group every batch by output object, preserving
+  // first-appearance order. Records of one object must sign sequentially
+  // against the running chain tail; distinct objects' groups are
+  // independent (§3.2), across shards too, and fan out together.
+  struct SignGroup {
+    ShardFlush* flush;
+    std::vector<size_t> members;
+  };
+  std::vector<SignGroup> groups;
+  for (ShardFlush& flush : flushes) {
+    std::unordered_map<storage::ObjectId, size_t> group_of;
+    for (size_t i = 0; i < flush.batch.size(); ++i) {
+      auto [it, inserted] =
+          group_of.emplace(flush.batch[i].object, groups.size());
+      if (inserted) {
+        groups.push_back(SignGroup{&flush, {}});
+      }
+      groups[it->second].members.push_back(i);
     }
-    groups[it->second].push_back(i);
   }
-
-  std::vector<ProvenanceRecord> records(batch.size());
-  auto sign_group = [&](size_t g) -> Status {
-    LocalChainState::Tail tail = shard->chains.Get(batch[groups[g][0]].object);
-    for (size_t idx : groups[g]) {
+  auto sign_group = [this, &groups](size_t g) -> Status {
+    ShardFlush& flush = *groups[g].flush;
+    LocalChainState::Tail tail =
+        flush.shard->chains.Get(flush.batch[groups[g].members[0]].object);
+    for (size_t idx : groups[g].members) {
       PROVDB_ASSIGN_OR_RETURN(
           ProvenanceRecord rec,
-          BuildSignedIngestRecord(engine_, tail, batch[idx]));
+          BuildSignedIngestRecord(engine_, tail, flush.batch[idx]));
       tail = LocalChainState::Tail{rec.seq_id, rec.checksum, true};
-      records[idx] = std::move(rec);
+      flush.records[idx] = std::move(rec);
     }
     return Status::OK();
   };
-
+  const std::vector<Status> signed_groups =
+      RunTasks(pool_.get(), groups.size(), sign_group);
   if (pool_ != nullptr && groups.size() > 1) {
-    std::vector<std::future<Status>> futures;
-    futures.reserve(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      futures.push_back(pool_->Submit([&sign_group, g] {
-        return sign_group(g);
-      }));
-    }
     sign_tasks_->Add(groups.size());
-    Status first_error = Status::OK();
-    for (size_t g = 0; g < futures.size(); ++g) {
-      Status s = futures[g].get();
-      if (first_error.ok() && !s.ok()) {
-        first_error = s;
+  }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].flush->status.ok()) {
+      groups[g].flush->status = signed_groups[g];
+    }
+  }
+
+  // Step 2, write ahead: each signed shard appends its frames and issues
+  // the batch's single durability point, one pool task per shard so the
+  // fsyncs overlap. (sync_every_record flushes at every Submit, so its
+  // batches hold one record: this is its per-record append and sync.)
+  auto write_ahead = [&flushes](size_t i) -> Status {
+    ShardFlush& flush = flushes[i];
+    PROVDB_RETURN_IF_ERROR(flush.status);
+    for (const ProvenanceRecord& rec : flush.records) {
+      Bytes entry = EncodeWalRecordEntry(rec);
+      flush.bytes += entry.size();
+      PROVDB_RETURN_IF_ERROR(flush.shard->wal.Append(entry));
+    }
+    return flush.shard->wal.Sync();
+  };
+  const std::vector<Status> synced =
+      RunTasks(pool_.get(), flushes.size(), write_ahead);
+
+  // Step 3, commit and publish, on this thread in shard order: the epoch
+  // domain's Retire/Advance/Collect must stay serialized, and a shard
+  // whose batch failed to sign or sync commits nothing, so on every
+  // shard synced_records == committed. Each publish is an epoch tick
+  // after that shard's fsync + commit; a concurrent snapshot therefore
+  // sees an exact prefix of every shard's durable batches.
+  Status first_error = Status::OK();
+  for (size_t i = 0; i < flushes.size(); ++i) {
+    ShardFlush& flush = flushes[i];
+    flush.status = synced[i];
+    for (size_t r = 0; flush.status.ok() && r < flush.records.size(); ++r) {
+      ProvenanceRecord& rec = flush.records[r];
+      const storage::ObjectId id = rec.output.object_id;
+      const SeqId seq = rec.seq_id;
+      Bytes checksum = rec.checksum;
+      flush.status = flush.store->AddRecord(std::move(rec)).status();
+      if (flush.status.ok()) {
+        flush.shard->chains.Set(id, seq, std::move(checksum));
+        ++committed_count_;
+        committed_->Increment();
       }
     }
-    PROVDB_RETURN_IF_ERROR(first_error);
-  } else {
-    for (size_t g = 0; g < groups.size(); ++g) {
-      PROVDB_RETURN_IF_ERROR(sign_group(g));
+    if (!flush.status.ok()) {
+      if (first_error.ok()) first_error = flush.status;
+      continue;
     }
+    batches_->Increment();
+    batch_bytes_->Add(flush.bytes);
+    flush.shard->since_flush.Restart();
+    flush.shard->records_since_checkpoint += flush.records.size();
+    flush.shard->bytes_since_checkpoint += flush.bytes;
+    // PublishSnapshot is allocation-free (preallocated version skeleton).
+    flush.store->PublishSnapshot();
   }
+  // Frees only superseded nodes no pinned reader can reach.
+  store_->epoch_domain()->Collect();
+  PROVDB_RETURN_IF_ERROR(first_error);
 
-  // Write-ahead, then the batch's single durability point, then — and
-  // only then — the in-memory commit. Under sync_every_record every
-  // record gets its own durability point before its commit instead.
-  auto commit_one = [&](ProvenanceRecord&& rec) -> Status {
-    const storage::ObjectId id = rec.output.object_id;
-    const SeqId seq = rec.seq_id;
-    Bytes checksum = rec.checksum;
-    PROVDB_RETURN_IF_ERROR(store->AddRecord(std::move(rec)).status());
-    shard->chains.Set(id, seq, std::move(checksum));
-    ++committed_count_;
-    committed_->Increment();
-    return Status::OK();
-  };
-
-  uint64_t flushed_bytes = 0;
-  if (options_.sync_every_record) {
-    for (size_t i = 0; i < records.size(); ++i) {
-      Bytes entry = EncodeWalRecordEntry(records[i]);
-      flushed_bytes += entry.size();
-      PROVDB_RETURN_IF_ERROR(shard->wal.Append(entry));
-      PROVDB_RETURN_IF_ERROR(shard->wal.Sync());
-      PROVDB_RETURN_IF_ERROR(commit_one(std::move(records[i])));
-    }
-  } else {
-    for (size_t i = 0; i < records.size(); ++i) {
-      Bytes entry = EncodeWalRecordEntry(records[i]);
-      flushed_bytes += entry.size();
-      PROVDB_RETURN_IF_ERROR(shard->wal.Append(entry));
-    }
-    PROVDB_RETURN_IF_ERROR(shard->wal.Sync());
-    for (size_t i = 0; i < records.size(); ++i) {
-      PROVDB_RETURN_IF_ERROR(commit_one(std::move(records[i])));
-    }
-  }
-
-  batches_->Increment();
-  batch_bytes_->Add(flushed_bytes);
-  shard->since_flush.Restart();
-
-  // The batch is durable (fsynced) and committed — publish the epoch
-  // tick. Everything a concurrent snapshot can now observe is an exact
-  // prefix of durable batches. PublishSnapshot is allocation-free
-  // (preallocated version skeleton); Collect only frees superseded
-  // nodes no pinned reader can reach.
-  store->PublishSnapshot();
-  if (store->epoch_domain() != nullptr) {
-    store->epoch_domain()->Collect();
-  }
-
-  shard->records_since_checkpoint += records.size();
-  shard->bytes_since_checkpoint += flushed_bytes;
+  // Step 4, seal every shard whose checkpoint policy fired, one after
+  // another: each seal buffers a whole-shard image, so sealing them
+  // concurrently would multiply peak memory.
   const CheckpointPolicy& policy = options_.checkpoint;
-  if (policy.enabled() &&
-      ((policy.every_records > 0 &&
-        shard->records_since_checkpoint >= policy.every_records) ||
-       (policy.every_bytes > 0 &&
-        shard->bytes_since_checkpoint >= policy.every_bytes))) {
-    PROVDB_RETURN_IF_ERROR(CheckpointShardLocked(shard, store));
+  for (ShardFlush& flush : flushes) {
+    const Shard& shard = *flush.shard;
+    if (policy.enabled() &&
+        ((policy.every_records > 0 &&
+          shard.records_since_checkpoint >= policy.every_records) ||
+         (policy.every_bytes > 0 &&
+          shard.bytes_since_checkpoint >= policy.every_bytes))) {
+      PROVDB_RETURN_IF_ERROR(CheckpointShardLocked(flush.shard, flush.store));
+    }
   }
   return Status::OK();
 }
@@ -581,14 +631,13 @@ Status IngestPipeline::DrainLocked() {
   if (closed_) return Status::OK();
   observability::ScopedLatencyTimer timer(drain_latency_);
   observability::TraceSpan span("ingest.drain");
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Status s = FlushShardLocked(shards_[i].get(), &store_->shard(i));
-    if (!s.ok()) {
-      failed_ = s;
-      return failed_;
-    }
+  std::vector<size_t> every_shard(shards_.size());
+  std::iota(every_shard.begin(), every_shard.end(), size_t{0});
+  Status s = FlushLocked(every_shard);
+  if (!s.ok()) {
+    failed_ = s;
   }
-  return Status::OK();
+  return s;
 }
 
 Status IngestPipeline::Close() {

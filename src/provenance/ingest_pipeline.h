@@ -200,7 +200,10 @@ struct IngestOptions {
   /// every single record (the paper-grade sync-per-append write path).
   bool sync_every_record = false;
 
-  /// Signing fan-out across the shared thread pool. Default sequential.
+  /// The flush pool. Default sequential: no pool, everything inline.
+  /// With more than one thread, a flush fans its signing out across the
+  /// pool, and a flush of several shards (Drain, Close, CheckpointNow)
+  /// also runs each shard's WAL append + fsync as its own pool task.
   ParallelismConfig signing;
 
   crypto::HashAlgorithm hash_algorithm = crypto::HashAlgorithm::kSha1;
@@ -222,17 +225,23 @@ struct IngestOptions {
 /// fsync makes the whole batch durable, and only then is anything
 /// committed in memory. Write-ahead ordering is therefore preserved
 /// batch-wide: no in-memory commit ever precedes its durability point.
+/// A Submit threshold flushes its one shard; Drain/Close/CheckpointNow
+/// flush every shard together in one round — one signing fan-out over
+/// all their batches, the shards' fsyncs overlapping on the pool — and
+/// then commit and publish shard by shard on the calling thread.
 ///
 /// Thread-safe, serialized: every public operation acquires the
 /// pipeline-wide mutex `mu_`, so concurrent producers may call
 /// Submit/Drain/Close from any thread and their requests interleave at
-/// request granularity (the signing fan-out inside a flush still runs on
-/// the shared thread pool). A single producer pays only an uncontended
-/// lock and produces byte-identical output to the pre-locking pipeline.
-/// Reading `store()` while other threads ingest is racy — call Drain()
-/// first and read during quiescence, as every test and tool here does.
-/// After any flush error the pipeline is poisoned — every later
-/// Submit/Drain returns the same status — because a failed WAL append
+/// request granularity (the signing and WAL fan-out inside a flush
+/// still runs on the pipeline's pool; only the flushing caller, holding
+/// the lock, waits on its futures). A single producer pays only an
+/// uncontended lock and produces byte-identical output to the
+/// pre-locking pipeline. Reading `store()` while other threads ingest
+/// is racy — call Drain() first and read during quiescence, as every
+/// test and tool here does. After any flush error the pipeline is
+/// poisoned — every later Submit/Drain returns the same status, that of
+/// the lowest-numbered failing shard — because a failed WAL append
 /// leaves no safe way to keep ordering guarantees for subsequent records
 /// of the same chain.
 class IngestPipeline {
@@ -256,7 +265,7 @@ class IngestPipeline {
   Status Submit(const IngestRequest& request);
 
   /// Barrier: flushes every shard's pending batch (sign, append, fsync,
-  /// commit) in shard order. On return everything submitted is durable
+  /// commit) in one round. On return everything submitted is durable
   /// and visible in the store.
   Status Drain();
 
@@ -323,9 +332,15 @@ class IngestPipeline {
   IngestPipeline(storage::Env* env, std::string root_dir,
                  IngestOptions options);
 
-  /// Signs, appends, fsyncs, and commits `shard`'s pending batch, then
-  /// checkpoints the shard if the policy thresholds fire.
-  Status FlushShardLocked(Shard* shard, ProvenanceStore* store)
+  /// Group-commits the pending batches of the shards listed in
+  /// `indices` (ascending) as one round: every batch's per-object groups
+  /// sign in one fan-out, each shard appends and fsyncs as its own pool
+  /// task, then this thread commits and publishes each durable shard in
+  /// shard order and seals, one by one, the shards whose checkpoint
+  /// policy fired. A shard whose batch fails to sign or sync commits
+  /// nothing; the others still commit. Returns the failure of the
+  /// lowest-numbered failing shard, or of the first failing seal.
+  Status FlushLocked(const std::vector<size_t>& indices)
       PROVDB_REQUIRES(mu_);
 
   /// Roll → seal → GC for one shard (the §13 compaction step). Called
@@ -335,7 +350,7 @@ class IngestPipeline {
   Status CheckpointShardLocked(Shard* shard, ProvenanceStore* store)
       PROVDB_REQUIRES(mu_);
 
-  /// Flushes every shard in shard order; the body of Drain(), factored
+  /// Flushes every shard in one round; the body of Drain(), factored
   /// out so Close() and CheckpointNow() can drain under their own lock.
   Status DrainLocked() PROVDB_REQUIRES(mu_);
 

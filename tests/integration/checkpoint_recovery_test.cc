@@ -31,6 +31,7 @@ namespace {
 using provdb::testing::DifferentialWorkloadOptions;
 using provdb::testing::IngestWorkloadBuilder;
 using provdb::testing::RandomDifferentialWorkload;
+using provdb::testing::SubmitWithDrainCadence;
 using provdb::testing::TestPki;
 using provdb::testing::WipeIngestRoot;
 using storage::Env;
@@ -400,8 +401,17 @@ TEST(CheckpointedIngestTest, CheckpointNowSealsEveryShard) {
   ASSERT_TRUE((*pipeline)->Close().ok());
 }
 
-TEST(CheckpointedIngestCrashSweepTest, CrashAtEveryMutatingOp) {
+/// Crashes the checkpointed ingest workload at every mutating op. With
+/// `signing_threads` > 1 and `drain_every` > 0, Drain() rounds cover both
+/// shards and their WAL appends and fsyncs overlap on the pool, so which
+/// shard's op is the kth varies between runs; the checks hold for either.
+/// `name` prefixes the sweep's directories: ctest runs each test in its
+/// own process, in parallel, so no two sweeps may share one.
+void SweepEveryMutatingOp(int signing_threads, size_t drain_every,
+                          const std::string& name) {
   auto verifier = SealVerifier();
+  IngestOptions options = CheckpointedIngestOptions(&verifier);
+  options.signing.num_threads = signing_threads;
   IngestWorkloadBuilder builder;
   DifferentialWorkloadOptions wl;
   wl.num_ops = 18;
@@ -413,14 +423,12 @@ TEST(CheckpointedIngestCrashSweepTest, CrashAtEveryMutatingOp) {
   uint64_t total_ops = 0;
   {
     FaultInjectionEnv env(Env::Default());
-    std::string root = FreshDir("golden");
-    auto pipeline = IngestPipeline::Open(&env, root,
-                                         CheckpointedIngestOptions(&verifier));
+    std::string root = FreshDir(name + "_golden");
+    auto pipeline = IngestPipeline::Open(&env, root, options);
     ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
     uint64_t checkpoints = 0;
-    for (const IngestRequest& request : requests) {
-      ASSERT_TRUE((*pipeline)->Submit(request).ok());
-    }
+    ASSERT_TRUE(
+        SubmitWithDrainCadence(pipeline->get(), requests, drain_every).ok());
     ASSERT_TRUE((*pipeline)->Close().ok());
     for (size_t s = 0; s < kSweepShards; ++s) {
       const ProvenanceStore& shard = (*pipeline)->store().shard(s);
@@ -437,17 +445,17 @@ TEST(CheckpointedIngestCrashSweepTest, CrashAtEveryMutatingOp) {
   for (uint64_t k = 1; k <= total_ops; ++k) {
     SCOPED_TRACE("crash at mutating op " + std::to_string(k));
     FaultInjectionEnv env(Env::Default());
-    std::string root = FreshDir("op" + std::to_string(k));
+    std::string root = FreshDir(name + "_op" + std::to_string(k));
     env.ScheduleCrashAtOp(k);
 
     std::array<uint64_t, kSweepShards> committed{};
     {
-      auto pipeline = IngestPipeline::Open(
-          &env, root, CheckpointedIngestOptions(&verifier));
+      auto pipeline = IngestPipeline::Open(&env, root, options);
       if (pipeline.ok()) {
-        for (const IngestRequest& request : requests) {
-          if (!(*pipeline)->Submit(request).ok()) break;
-        }
+        // Expected to stop at the crash, poisoning the pipeline.
+        Status crash =
+            SubmitWithDrainCadence(pipeline->get(), requests, drain_every);
+        (void)crash;
         for (size_t s = 0; s < kSweepShards; ++s) {
           committed[s] = (*pipeline)->store().shard(s).record_count();
         }
@@ -480,8 +488,7 @@ TEST(CheckpointedIngestCrashSweepTest, CrashAtEveryMutatingOp) {
     // Resume: reopen (threading the recovered horizons), ingest the
     // missing suffix, and require byte-equality with the golden run.
     {
-      auto pipeline = IngestPipeline::Open(
-          &env, root, CheckpointedIngestOptions(&verifier));
+      auto pipeline = IngestPipeline::Open(&env, root, options);
       ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
       std::array<uint64_t, kSweepShards> seen{};
       for (const IngestRequest& request : requests) {
@@ -502,6 +509,14 @@ TEST(CheckpointedIngestCrashSweepTest, CrashAtEveryMutatingOp) {
     }
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(CheckpointedIngestCrashSweepTest, CrashAtEveryMutatingOp) {
+  SweepEveryMutatingOp(/*signing_threads=*/1, /*drain_every=*/0, "seq");
+}
+
+TEST(CheckpointedIngestCrashSweepTest, PooledDrainsCrashAtEveryMutatingOp) {
+  SweepEveryMutatingOp(/*signing_threads=*/4, /*drain_every=*/4, "pooled");
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // durable batch prefix* — per-shard record counts on group-commit
 // boundaries, chains byte-identical to a quiesced replay of that exact
 // prefix, and the verification report byte-identical too. Runs at
-// 1/2/8 shards; failures log the seed so the run replays. The suite
+// 1/2/8 shards, and at 4/8 shards with a Drain every few submits;
+// failures log the seed so the run replays. The suite
 // name carries "ConcurrentAudit" so the TSan CI stage selects it.
 
 #include <gtest/gtest.h>
@@ -25,10 +26,11 @@ using provdb::testing::RunConcurrentAuditDifferential;
 using storage::Env;
 
 void RunConcurrentAudit(uint64_t seed, size_t num_shards,
-                        int signing_threads) {
+                        int signing_threads, size_t drain_every = 0) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " num_shards=" + std::to_string(num_shards) +
-               " signing_threads=" + std::to_string(signing_threads));
+               " signing_threads=" + std::to_string(signing_threads) +
+               " drain_every=" + std::to_string(drain_every));
   IngestWorkloadBuilder builder;
   DifferentialWorkloadOptions workload;
   workload.num_ops = 120;  // enough batches that cuts race real motion
@@ -42,7 +44,7 @@ void RunConcurrentAudit(uint64_t seed, size_t num_shards,
   std::string root = ::testing::TempDir() + "/provdb_concaudit_" +
                      std::to_string(seed) + "_" + std::to_string(num_shards);
   auto stats = RunConcurrentAuditDifferential(Env::Default(), root, builder,
-                                              options);
+                                              options, drain_every);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   // At minimum the quiesced epilogue cut validated; when the scheduler
   // let the auditor in mid-run there were live cuts too.
@@ -66,6 +68,18 @@ TEST(ConcurrentAuditDifferentialTest, CutsSurviveParallelSigningFanOut) {
   // Parallel signing inside each flush plus the lock-free snapshot path:
   // the combination the TSan stage exists to check.
   RunConcurrentAudit(0xCA0D0003u, 2, /*signing_threads=*/4);
+}
+
+TEST(ConcurrentAuditDifferentialTest, CutsAreDurablePrefixesUnderDrainCadence) {
+  // The writer drains every few submits, as the network server does, so
+  // most flush rounds cover every shard and publish them one after
+  // another while the auditor keeps opening cuts.
+  const size_t shard_counts[] = {4, 8};
+  for (size_t shards : shard_counts) {
+    RunConcurrentAudit(0xCA0D0004u, shards, /*signing_threads=*/4,
+                       /*drain_every=*/6);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

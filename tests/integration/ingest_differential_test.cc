@@ -2,7 +2,9 @@
 // sequential reference ProvenanceStore and into the sharded ingest
 // pipeline at 1/2/8 shards must agree on every per-object chain (byte
 // for byte), every live subtree digest, and every verifier/auditor
-// verdict. Failures log the seed so the exact run can be replayed.
+// verdict; at 4/8 shards under a Drain cadence with checkpoint seals,
+// the chains and their recovery from the seals must agree too. Failures
+// log the seed so the exact run can be replayed.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/signer.h"
 #include "provenance/auditor.h"
 #include "provenance/serialization.h"
 #include "provenance/subtree_hasher.h"
@@ -134,6 +137,83 @@ TEST(IngestDifferentialTest, RandomWorkloadsAgreeAtEveryShardCount) {
   for (uint64_t seed : seeds) {
     for (size_t shards : shard_counts) {
       RunDifferential(seed, shards);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+// The server's cadence: a Drain() every few submits, so most flush rounds
+// cover every shard at once (one signing fan-out, overlapped fsyncs),
+// plus a checkpoint seal every few records per shard. Chains must still
+// match the sequential reference byte for byte, and recovery from the
+// sealed checkpoints plus WAL suffixes must rebuild the same chains.
+void RunDrainAndSealDifferential(uint64_t seed, size_t num_shards) {
+  SCOPED_TRACE("replay with seed=" + std::to_string(seed) +
+               " num_shards=" + std::to_string(num_shards));
+  IngestWorkloadBuilder builder;
+  ASSERT_TRUE(RandomDifferentialWorkload(&builder, seed).ok());
+  const ProvenanceStore& reference = builder.reference_store();
+
+  const crypto::Participant& sealer = TestPki::Instance().participant(0);
+  crypto::RsaSignatureVerifier seal_verifier(sealer.public_key());
+  IngestOptions options;
+  options.num_shards = num_shards;
+  options.max_batch_records = 5;
+  options.signing.num_threads = 4;
+  options.checkpoint.every_records = 3;
+  options.checkpoint.signer = &sealer.signer();
+  options.checkpoint.sealer_id = sealer.id();
+  options.checkpoint.verifier = &seal_verifier;
+  std::string root = ::testing::TempDir() + "/provdb_diff_drainseal_" +
+                     std::to_string(seed) + "_" + std::to_string(num_shards);
+  ASSERT_TRUE(WipeIngestRoot(Env::Default(), root).ok());
+  auto pipeline = ReplayThroughPipeline(Env::Default(), root,
+                                        builder.requests(), options,
+                                        /*drain_every=*/7);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  uint64_t checkpoints = 0;
+  for (size_t s = 0; s < num_shards; ++s) {
+    checkpoints += (*pipeline)->shard_checkpoints(s);
+  }
+  EXPECT_GT(checkpoints, num_shards) << "too few seals to exercise";
+
+  auto expect_reference_chains = [&](const ShardedProvenanceStore& store) {
+    EXPECT_EQ(store.record_count(), reference.record_count());
+    for (ObjectId id : builder.tracked_objects()) {
+      SCOPED_TRACE("object " + std::to_string(id));
+      std::vector<uint64_t> ref_chain = reference.ChainOf(id);
+      std::vector<const ProvenanceRecord*> chain = store.ChainRecords(id);
+      ASSERT_EQ(chain.size(), ref_chain.size());
+      for (size_t i = 0; i < ref_chain.size(); ++i) {
+        EXPECT_EQ(EncodeRecord(*chain[i]),
+                  EncodeRecord(reference.record(ref_chain[i])))
+            << "record " << i << " differs";
+      }
+    }
+  };
+  expect_reference_chains((*pipeline)->store());
+
+  std::vector<storage::WalRecoveryReport> reports;
+  auto recovered = ShardedProvenanceStore::Recover(
+      Env::Default(), root, num_shards, &reports, &seal_verifier);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  size_t sealed_shards = 0;
+  for (const storage::WalRecoveryReport& report : reports) {
+    sealed_shards += report.checkpoint_horizon > 0 ? 1 : 0;
+  }
+  EXPECT_GT(sealed_shards, 0u) << "recovery never started from a seal";
+  expect_reference_chains(*recovered);
+  VerificationReport verify =
+      recovered->VerifyChains(builder.registry(), builder.algorithm());
+  EXPECT_TRUE(verify.ok()) << verify.ToString();
+}
+
+TEST(IngestDifferentialTest, DrainCadenceWithSealsAgreesAtFourAndEightShards) {
+  const uint64_t seeds[] = {0xD1FFD001u, 0xD1FFD002u};
+  const size_t shard_counts[] = {4, 8};
+  for (uint64_t seed : seeds) {
+    for (size_t shards : shard_counts) {
+      RunDrainAndSealDifferential(seed, shards);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }

@@ -25,6 +25,7 @@ namespace {
 using provdb::testing::DifferentialWorkloadOptions;
 using provdb::testing::IngestWorkloadBuilder;
 using provdb::testing::RandomDifferentialWorkload;
+using provdb::testing::SubmitWithDrainCadence;
 using provdb::testing::TestPki;
 using provdb::testing::WipeIngestRoot;
 using storage::Env;
@@ -362,15 +363,39 @@ TEST(WalCrashSweepTest, CrashAtEveryWrite) {
 
 constexpr size_t kSweepShards = 2;
 
-IngestOptions SweepIngestOptions() {
+/// How the sweep drives the pipeline.
+struct SweepMode {
   IngestOptions options;
-  options.num_shards = kSweepShards;
-  options.max_batch_records = 3;  // several flushes, each one fsync
-  // Default (sequential) signing: FaultInjectionEnv is single-threaded.
-  return options;
+  /// When > 0, Drain() after every this many submits (the server's
+  /// cadence), so flush rounds cover every shard at once.
+  size_t drain_every = 0;
+};
+
+/// Sequential signing and threshold flushes only: every write runs on
+/// the submitting thread, so the nth fault lands on the same shard in
+/// every run.
+SweepMode SequentialSweep() {
+  SweepMode mode;
+  mode.options.num_shards = kSweepShards;
+  mode.options.max_batch_records = 3;  // several flushes, each one fsync
+  return mode;
+}
+
+/// A pool of 4 and a Drain every few submits: the shards' WAL appends
+/// and fsyncs overlap on the pool, so which shard takes the nth fault
+/// varies from run to run. The checks below hold for either.
+SweepMode PooledDrainSweep() {
+  SweepMode mode = SequentialSweep();
+  mode.options.signing.num_threads = 4;
+  mode.drain_every = 4;
+  return mode;
 }
 
 struct ShardedSweepFixture {
+  SweepMode mode;
+  /// Prefixes every directory the sweep uses. ctest runs each test in its
+  /// own process, in parallel, so no two sweeps may share a directory.
+  std::string name;
   std::vector<IngestRequest> requests;
   // Per shard, the EncodeRecord bytes of the crash-free run, in commit
   // order. Per-shard commit order is fully determined by submit order,
@@ -389,7 +414,10 @@ std::string FreshIngestRoot(const std::string& tag) {
 /// Builds the seeded workload once, replays it crash-free through a
 /// fault-counting env to freeze the golden per-shard record bytes and
 /// the append/sync counts the sweeps iterate over.
-void BuildShardedSweepFixture(ShardedSweepFixture* fx) {
+void BuildShardedSweepFixture(const SweepMode& mode, const std::string& name,
+                              ShardedSweepFixture* fx) {
+  fx->mode = mode;
+  fx->name = name;
   IngestWorkloadBuilder builder;
   DifferentialWorkloadOptions wl;
   wl.num_ops = 30;
@@ -398,12 +426,12 @@ void BuildShardedSweepFixture(ShardedSweepFixture* fx) {
   ASSERT_GT(fx->requests.size(), 10u);
 
   FaultInjectionEnv env(Env::Default());
-  std::string root = FreshIngestRoot("golden");
-  auto pipeline = IngestPipeline::Open(&env, root, SweepIngestOptions());
+  std::string root = FreshIngestRoot(name + "_golden");
+  auto pipeline = IngestPipeline::Open(&env, root, mode.options);
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  for (const IngestRequest& request : fx->requests) {
-    ASSERT_TRUE((*pipeline)->Submit(request).ok());
-  }
+  ASSERT_TRUE(SubmitWithDrainCadence(pipeline->get(), fx->requests,
+                                     mode.drain_every)
+                  .ok());
   ASSERT_TRUE((*pipeline)->Close().ok());
   for (size_t s = 0; s < kSweepShards; ++s) {
     const ProvenanceStore& shard = (*pipeline)->store().shard(s);
@@ -423,17 +451,18 @@ void BuildShardedSweepFixture(ShardedSweepFixture* fx) {
 void RunShardedCrashCycle(const ShardedSweepFixture& fx,
                           const std::function<void(FaultInjectionEnv*)>& arm,
                           bool power_cut, const std::string& tag) {
-  std::string root = FreshIngestRoot(tag);
+  std::string root = FreshIngestRoot(fx.name + "_" + tag);
   FaultInjectionEnv env(Env::Default());
   arm(&env);
 
   std::array<uint64_t, kSweepShards> committed{};
   {
-    auto pipeline = IngestPipeline::Open(&env, root, SweepIngestOptions());
+    auto pipeline = IngestPipeline::Open(&env, root, fx.mode.options);
     if (pipeline.ok()) {
-      for (const IngestRequest& request : fx.requests) {
-        if (!(*pipeline)->Submit(request).ok()) break;  // pipeline poisoned
-      }
+      // Expected to stop at the injected fault, poisoning the pipeline.
+      Status crash = SubmitWithDrainCadence(pipeline->get(), fx.requests,
+                                            fx.mode.drain_every);
+      (void)crash;
       for (size_t s = 0; s < kSweepShards; ++s) {
         committed[s] = (*pipeline)->store().shard(s).record_count();
         const WalWriter* wal = (*pipeline)->shard_wal(s);
@@ -482,7 +511,7 @@ void RunShardedCrashCycle(const ShardedSweepFixture& fx,
   // request that is not yet durable. The result must be byte-identical
   // to never having crashed (chains continue from recovered tails).
   {
-    auto pipeline = IngestPipeline::Open(&env, root, SweepIngestOptions());
+    auto pipeline = IngestPipeline::Open(&env, root, fx.mode.options);
     ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
     std::array<uint64_t, kSweepShards> seen{};
     for (const IngestRequest& request : fx.requests) {
@@ -503,9 +532,9 @@ void RunShardedCrashCycle(const ShardedSweepFixture& fx,
   }
 }
 
-TEST(ShardedIngestCrashSweepTest, CrashAtEveryAppend) {
+void SweepEveryAppend(const SweepMode& mode, const std::string& name) {
   ShardedSweepFixture fx;
-  BuildShardedSweepFixture(&fx);
+  BuildShardedSweepFixture(mode, name, &fx);
   if (::testing::Test::HasFatalFailure()) return;
   ASSERT_GT(fx.total_appends, 10u) << "workload too small to be a sweep";
 
@@ -531,9 +560,9 @@ TEST(ShardedIngestCrashSweepTest, CrashAtEveryAppend) {
   }
 }
 
-TEST(ShardedIngestCrashSweepTest, CrashAtEveryBatchFsync) {
+void SweepEveryBatchFsync(const SweepMode& mode, const std::string& name) {
   ShardedSweepFixture fx;
-  BuildShardedSweepFixture(&fx);
+  BuildShardedSweepFixture(mode, name, &fx);
   if (::testing::Test::HasFatalFailure()) return;
   ASSERT_GT(fx.total_syncs, 4u) << "not enough batches to sweep";
 
@@ -551,6 +580,22 @@ TEST(ShardedIngestCrashSweepTest, CrashAtEveryBatchFsync) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+TEST(ShardedIngestCrashSweepTest, CrashAtEveryAppend) {
+  SweepEveryAppend(SequentialSweep(), "seq_append");
+}
+
+TEST(ShardedIngestCrashSweepTest, CrashAtEveryBatchFsync) {
+  SweepEveryBatchFsync(SequentialSweep(), "seq_fsync");
+}
+
+TEST(ShardedIngestCrashSweepTest, PooledDrainsCrashAtEveryAppend) {
+  SweepEveryAppend(PooledDrainSweep(), "pooled_append");
+}
+
+TEST(ShardedIngestCrashSweepTest, PooledDrainsCrashAtEveryBatchFsync) {
+  SweepEveryBatchFsync(PooledDrainSweep(), "pooled_fsync");
 }
 
 }  // namespace

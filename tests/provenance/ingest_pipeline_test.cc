@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -307,6 +308,106 @@ TEST(IngestPipelineTest, FlushErrorPoisonsThePipeline) {
   EXPECT_FALSE(later.ok());
   EXPECT_EQ(later.code(), flush.code());
   EXPECT_EQ((*pipeline)->Drain().code(), flush.code());
+}
+
+// A Drain flushes every shard in one round: signing fans out across the
+// pool for all of them and each shard's append + fsync runs as its own
+// pool task. These open a 4-shard pooled pipeline over `env` with two
+// inserts buffered on every shard (the batch threshold never fires), so
+// the next Drain touches all four. ("Ingest" in the suite name opts them
+// into the TSan CI stage's filter.)
+constexpr size_t kFaultShards = 4;
+
+std::unique_ptr<IngestPipeline> OpenWithEveryShardPending(
+    Env* env, const std::string& root, std::vector<ObjectId>* ids) {
+  IngestOptions options;
+  options.num_shards = kFaultShards;
+  options.max_batch_records = 64;
+  options.signing.num_threads = 4;
+  auto pipeline = IngestPipeline::Open(env, root, options);
+  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  if (!pipeline.ok()) return nullptr;
+  std::vector<size_t> per_shard(kFaultShards, 0);
+  for (ObjectId id = 1; ids->size() < 2 * kFaultShards; ++id) {
+    const size_t s = ShardedProvenanceStore::ShardOf(id, kFaultShards);
+    if (per_shard[s] == 2) continue;
+    ++per_shard[s];
+    ids->push_back(id);
+    EXPECT_TRUE(
+        (*pipeline)->Submit(Insert(id, static_cast<uint8_t>(id))).ok());
+  }
+  return std::move(*pipeline);
+}
+
+TEST(IngestPipelineParallelTest, DrainSyncFailureCommitsOnlyDurableShards) {
+  std::string root = FreshDir("drain_sync_fault");
+  FaultInjectionEnv env(Env::Default());
+  std::vector<ObjectId> ids;
+  std::unique_ptr<IngestPipeline> pipeline =
+      OpenWithEveryShardPending(&env, root, &ids);
+  ASSERT_NE(pipeline, nullptr);
+
+  // The round's first fsync fails. The shards' fsyncs overlap, so which
+  // shard draws it is up to the scheduler; its path names the shard.
+  env.ScheduleSyncFailure(1);
+  Status drain = pipeline->Drain();
+  ASSERT_EQ(drain.code(), StatusCode::kIoError) << drain.ToString();
+  size_t failed = kFaultShards;
+  for (size_t s = 0; s < kFaultShards; ++s) {
+    if (drain.message().find(ShardedProvenanceStore::ShardDirName(
+            root, s)) != std::string::npos) {
+      failed = s;
+    }
+  }
+  ASSERT_LT(failed, kFaultShards) << drain.ToString();
+
+  // The failed shard's batch never becomes visible; every other shard's
+  // batch was fsynced, so it committed and published.
+  StoreSnapshot snapshot = pipeline->OpenSnapshot();
+  for (ObjectId id : ids) {
+    const bool on_failed_shard =
+        ShardedProvenanceStore::ShardOf(id, kFaultShards) == failed;
+    EXPECT_EQ(snapshot.ChainRecords(id).size(), on_failed_shard ? 0u : 1u)
+        << "object " << id;
+  }
+  for (size_t s = 0; s < kFaultShards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const uint64_t committed = snapshot.shard_view(s).record_count();
+    EXPECT_EQ(committed, s == failed ? 0u : 2u);
+    ASSERT_NE(pipeline->shard_wal(s), nullptr);
+    EXPECT_EQ(pipeline->shard_wal(s)->synced_records(), committed);
+  }
+  EXPECT_EQ(pipeline->committed(), 2 * (kFaultShards - 1));
+
+  // Poisoned with the round's status, even once the disk recovers.
+  env.ClearFaults();
+  Status later = pipeline->Submit(Insert(1000, 0x10));
+  EXPECT_EQ(later.code(), drain.code());
+  EXPECT_EQ(later.message(), drain.message());
+  EXPECT_EQ(pipeline->Drain().code(), drain.code());
+}
+
+TEST(IngestPipelineParallelTest, DrainFailureReportsTheLowestFailingShard) {
+  std::string root = FreshDir("drain_all_fault");
+  FaultInjectionEnv env(Env::Default());
+  std::vector<ObjectId> ids;
+  std::unique_ptr<IngestPipeline> pipeline =
+      OpenWithEveryShardPending(&env, root, &ids);
+  ASSERT_NE(pipeline, nullptr);
+
+  // Every shard's write fails, in whatever order the pool runs them; the
+  // pipeline must report shard 0's failure, not the first to finish.
+  env.SetFilesystemActive(false);
+  Status drain = pipeline->Drain();
+  ASSERT_EQ(drain.code(), StatusCode::kIoError) << drain.ToString();
+  EXPECT_NE(drain.message().find(ShardedProvenanceStore::ShardDirName(
+                root, 0)),
+            std::string::npos)
+      << drain.ToString();
+  EXPECT_EQ(pipeline->OpenSnapshot().record_count(), 0u);
+  EXPECT_EQ(pipeline->committed(), 0u);
+  env.SetFilesystemActive(true);
+  EXPECT_EQ(pipeline->Drain().message(), drain.message());
 }
 
 TEST(IngestPipelineTest, SubmitValidatesAggregateShape) {

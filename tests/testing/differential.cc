@@ -207,20 +207,39 @@ Status WipeIngestRoot(storage::Env* env, const std::string& root) {
 
 Status CheckSnapshotIsBatchPrefix(const provenance::StoreSnapshot& snapshot,
                                   const IngestWorkloadBuilder& builder,
-                                  size_t max_batch_records) {
+                                  size_t max_batch_records,
+                                  size_t drain_every) {
   const size_t num_shards = snapshot.num_shards();
   const std::vector<IngestRequest>& requests = builder.requests();
   const provenance::ProvenanceStore& reference = builder.reference_store();
 
   // Request i produced reference record i (the builder applies them in
   // submission order), so each shard's durable prefix is a prefix of
-  // that shard's subsequence of reference record indices.
+  // that shard's subsequence of reference record indices. Replaying the
+  // pipeline's flush triggers over the same stream yields every record
+  // count a shard can publish: a batch reaching the threshold, a Drain
+  // flushing a non-empty batch, and the final drain.
   std::vector<std::vector<uint64_t>> shard_seq(num_shards);
+  std::vector<std::set<uint64_t>> boundaries(num_shards, {0});
+  std::vector<uint64_t> pending(num_shards, 0);
+  auto flush = [&](size_t s) {
+    if (pending[s] > 0) {
+      boundaries[s].insert(shard_seq[s].size());
+      pending[s] = 0;
+    }
+  };
   for (uint64_t i = 0; i < requests.size(); ++i) {
     const size_t s = provenance::ShardedProvenanceStore::ShardOf(
         requests[i].object, num_shards);
     shard_seq[s].push_back(i);
+    if (++pending[s] == max_batch_records) {
+      flush(s);
+    }
+    if (drain_every > 0 && (i + 1) % drain_every == 0) {
+      for (size_t d = 0; d < num_shards; ++d) flush(d);
+    }
   }
+  for (size_t s = 0; s < num_shards; ++s) flush(s);
 
   // Per-shard: boundary-count legality, then byte-identical chains.
   std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
@@ -234,14 +253,12 @@ Status CheckSnapshotIsBatchPrefix(const provenance::StoreSnapshot& snapshot,
                               std::to_string(shard_seq[s].size()) +
                               " were ever routed to it");
     }
-    const bool at_boundary =
-        n == shard_seq[s].size() ||
-        (max_batch_records != 0 && n % max_batch_records == 0);
-    if (!at_boundary) {
+    if (boundaries[s].count(n) == 0) {
       return Status::Internal(
           "shard " + std::to_string(s) + " cut at " + std::to_string(n) +
           " records, which is not a group-commit batch boundary (batch " +
-          "size " + std::to_string(max_batch_records) + ")");
+          "size " + std::to_string(max_batch_records) + ", drain every " +
+          std::to_string(drain_every) + " submits)");
     }
 
     std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
@@ -307,7 +324,8 @@ Status CheckSnapshotIsBatchPrefix(const provenance::StoreSnapshot& snapshot,
 
 Result<ConcurrentAuditStats> RunConcurrentAuditDifferential(
     storage::Env* env, const std::string& root,
-    const IngestWorkloadBuilder& builder, provenance::IngestOptions options) {
+    const IngestWorkloadBuilder& builder, provenance::IngestOptions options,
+    size_t drain_every) {
   // Only the record-count threshold may fire, or cuts could land on
   // byte/time boundaries CheckSnapshotIsBatchPrefix cannot predict.
   options.max_batch_bytes = 1ull << 30;
@@ -324,12 +342,8 @@ Result<ConcurrentAuditStats> RunConcurrentAuditDifferential(
   provenance::IngestPipeline* live = pipeline.get();
   const std::vector<IngestRequest>* requests = &builder.requests();
   std::future<Status> writer =
-      pool.Submit([live, requests, &done]() -> Status {
-        Status status = Status::OK();
-        for (const IngestRequest& request : *requests) {
-          status = live->Submit(request);
-          if (!status.ok()) break;
-        }
+      pool.Submit([live, requests, drain_every, &done]() -> Status {
+        Status status = SubmitWithDrainCadence(live, *requests, drain_every);
         if (status.ok()) {
           status = live->Drain();
         }
@@ -342,8 +356,8 @@ Result<ConcurrentAuditStats> RunConcurrentAuditDifferential(
   Status cut_check = Status::OK();
   while (!done.load(std::memory_order_acquire)) {
     provenance::StoreSnapshot snapshot = live->OpenSnapshot();
-    cut_check =
-        CheckSnapshotIsBatchPrefix(snapshot, builder, options.max_batch_records);
+    cut_check = CheckSnapshotIsBatchPrefix(
+        snapshot, builder, options.max_batch_records, drain_every);
     ++stats.snapshots_checked;
     if (snapshot.record_count() > 0) {
       ++stats.nonempty_snapshots;
@@ -367,7 +381,7 @@ Result<ConcurrentAuditStats> RunConcurrentAuditDifferential(
         std::to_string(builder.requests().size()));
   }
   PROVDB_RETURN_IF_ERROR(CheckSnapshotIsBatchPrefix(
-      final_cut, builder, options.max_batch_records));
+      final_cut, builder, options.max_batch_records, drain_every));
   cut_sizes.insert(final_cut.record_count());
   ++stats.snapshots_checked;
   ++stats.nonempty_snapshots;
@@ -376,16 +390,27 @@ Result<ConcurrentAuditStats> RunConcurrentAuditDifferential(
   return stats;
 }
 
+Status SubmitWithDrainCadence(provenance::IngestPipeline* pipeline,
+                              const std::vector<IngestRequest>& requests,
+                              size_t drain_every) {
+  for (size_t i = 0; i < requests.size(); ++i) {
+    PROVDB_RETURN_IF_ERROR(pipeline->Submit(requests[i]));
+    if (drain_every > 0 && (i + 1) % drain_every == 0) {
+      PROVDB_RETURN_IF_ERROR(pipeline->Drain());
+    }
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<provenance::IngestPipeline>> ReplayThroughPipeline(
     storage::Env* env, const std::string& root_dir,
     const std::vector<provenance::IngestRequest>& requests,
-    provenance::IngestOptions options) {
+    provenance::IngestOptions options, size_t drain_every) {
   PROVDB_ASSIGN_OR_RETURN(
       std::unique_ptr<provenance::IngestPipeline> pipeline,
       provenance::IngestPipeline::Open(env, root_dir, options));
-  for (size_t i = 0; i < requests.size(); ++i) {
-    PROVDB_RETURN_IF_ERROR(pipeline->Submit(requests[i]));
-  }
+  PROVDB_RETURN_IF_ERROR(
+      SubmitWithDrainCadence(pipeline.get(), requests, drain_every));
   PROVDB_RETURN_IF_ERROR(pipeline->Close());
   return pipeline;
 }

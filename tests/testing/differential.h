@@ -117,13 +117,23 @@ Status RandomDifferentialWorkload(IngestWorkloadBuilder* builder,
 /// an empty shard.
 Status WipeIngestRoot(storage::Env* env, const std::string& root);
 
+/// Submits `requests` in order and, when `drain_every` > 0, calls
+/// Drain() after every `drain_every` submits — the network server's
+/// cadence, whose flush rounds cover every shard at once. Stops at the
+/// first error.
+Status SubmitWithDrainCadence(
+    provenance::IngestPipeline* pipeline,
+    const std::vector<provenance::IngestRequest>& requests,
+    size_t drain_every);
+
 /// Replays a request stream through a fresh sharded pipeline rooted at
-/// `root_dir` and closes it cleanly; the returned (closed) pipeline
-/// exposes the resulting ShardedProvenanceStore for comparison.
+/// `root_dir` (draining every `drain_every` submits when > 0) and closes
+/// it cleanly; the returned (closed) pipeline exposes the resulting
+/// ShardedProvenanceStore for comparison.
 Result<std::unique_ptr<provenance::IngestPipeline>> ReplayThroughPipeline(
     storage::Env* env, const std::string& root_dir,
     const std::vector<provenance::IngestRequest>& requests,
-    provenance::IngestOptions options);
+    provenance::IngestOptions options, size_t drain_every = 0);
 
 // ---------------------------------------------------------------------
 // Concurrent-auditor mode (DESIGN.md §16): audit a *moving* pipeline.
@@ -141,29 +151,35 @@ struct ConcurrentAuditStats {
 };
 
 /// Asserts that `snapshot` is an *exact durable batch prefix* of the
-/// builder's request stream: for every shard, the cut's record count
-/// lies on a group-commit boundary (a multiple of `max_batch_records`,
-/// or the shard's whole subsequence), its chains are byte-identical to
-/// replaying exactly that prefix of the shard's requests, and the
-/// verification report over the cut is byte-identical to the report a
-/// quiesced store stopped at the same per-shard prefixes would produce
-/// (cross-shard aggregate-input resolution included). Requires the
-/// pipeline to be configured so only the record-count threshold can
-/// fire (huge max_batch_bytes, no interval flush).
+/// builder's request stream submitted with SubmitWithDrainCadence(...,
+/// `drain_every`): for every shard, the cut's record count lies on a
+/// group-commit boundary (where a batch reached `max_batch_records`,
+/// where a Drain flushed a partial batch, or the shard's whole
+/// subsequence), its chains are byte-identical to replaying exactly that
+/// prefix of the shard's requests, and the verification report over the
+/// cut is byte-identical to the report a quiesced store stopped at the
+/// same per-shard prefixes would produce (cross-shard aggregate-input
+/// resolution included). Shards are checked independently, since a
+/// Drain publishes them one after another. Requires the pipeline to be
+/// configured so only the record-count threshold can fire (huge
+/// max_batch_bytes, no interval flush).
 Status CheckSnapshotIsBatchPrefix(const provenance::StoreSnapshot& snapshot,
                                   const IngestWorkloadBuilder& builder,
-                                  size_t max_batch_records);
+                                  size_t max_batch_records,
+                                  size_t drain_every = 0);
 
 /// The concurrent-auditor differential proper: replays the builder's
 /// requests through a fresh pipeline at `root` on a ThreadPool writer
-/// task while the calling thread continuously opens snapshots and runs
+/// task — draining every `drain_every` submits when > 0, and once at the
+/// end — while the calling thread continuously opens snapshots and runs
 /// CheckSnapshotIsBatchPrefix on each. After the writer drains, the
 /// final cut must equal the full workload. Fails on the first cut that
 /// is not an exact durable batch prefix. Callers log their workload
 /// seed so failures replay.
 Result<ConcurrentAuditStats> RunConcurrentAuditDifferential(
     storage::Env* env, const std::string& root,
-    const IngestWorkloadBuilder& builder, provenance::IngestOptions options);
+    const IngestWorkloadBuilder& builder, provenance::IngestOptions options,
+    size_t drain_every = 0);
 
 }  // namespace provdb::testing
 
