@@ -141,7 +141,8 @@ ConfigResult RunConfig(Env* env, const std::string& root,
     for (std::future<void>& f : auditors) f.get();
     OrAbort((*pipeline)->Close());
 
-    auto report = (*pipeline)->store().VerifyChains(registry);
+    auto report =
+        ProvenanceVerifier(&registry).VerifyStore((*pipeline)->OpenSnapshot());
     if (!report.ok()) {
       std::fprintf(stderr, "FATAL: %zu auditors: final verify rejected: %s\n",
                    num_auditors, report.ToString().c_str());

@@ -25,6 +25,7 @@
 #include "provenance/checksum.h"
 #include "provenance/ingest_pipeline.h"
 #include "provenance/subtree_hasher.h"
+#include "provenance/verifier.h"
 #include "storage/env.h"
 #include "storage/tree_store.h"
 #include "storage/value.h"
@@ -178,7 +179,8 @@ ConfigResult RunConfig(Env* env, const std::string& root,
 
   // The verify pass is the bench's admission ticket, not part of the
   // timed region.
-  auto report = (*pipeline)->store().VerifyChains(registry);
+  auto report = provenance::ProvenanceVerifier(&registry).VerifyStore(
+      (*pipeline)->OpenSnapshot());
   if (!report.ok()) {
     std::fprintf(stderr, "FATAL: %zu shards (%s): verify rejected: %s\n",
                  shards, sync_every ? "sync-every" : "group-commit",

@@ -11,7 +11,7 @@
 // skew inside each slice, at most one in-flight request per object — so
 // after the run every accepted record must belong to a perfectly linked,
 // signature-valid chain. The phase gate enforces exactly that: the
-// post-run cross-shard VerifyChains pass must be clean AND account for
+// post-run cross-shard VerifyStore pass must be clean AND account for
 // every accepted submit (accepted == records checked). Sustained
 // records/sec comes from the load report; p50/p95/p99 come from the
 // server's own `server.request.latency` histogram, i.e. arrival at the
@@ -25,6 +25,7 @@
 #include "bench_common.h"
 #include "net/server.h"
 #include "provenance/ingest_pipeline.h"
+#include "provenance/verifier.h"
 #include "storage/env.h"
 #include "workload/load_generator.h"
 
@@ -132,9 +133,11 @@ Result<PhaseResult> RunPhase(Env* env, const std::string& root,
 
   // The gate: a throughput number for a store that fails verification —
   // or that silently dropped accepted records — is worthless.
-  ThreadPool pool(ParallelismConfig::Hardware().num_threads);
-  provenance::VerificationReport report = pipeline->store().VerifyChains(
-      *pki.registry, ingest.hash_algorithm, &pool);
+  const provenance::ProvenanceVerifier verifier(
+      pki.registry.get(), ingest.hash_algorithm,
+      ParallelismConfig::Hardware());
+  provenance::VerificationReport report =
+      verifier.VerifyStore(pipeline->OpenSnapshot());
   result.records_checked = report.records_checked;
   result.issues = report.issues.size();
   result.verify_ok = report.ok();
@@ -181,7 +184,7 @@ int Run(int argc, char** argv) {
   CleanRoot(env, root);
 
   std::printf(
-      "\ngate: every phase must end with a clean cross-shard VerifyChains\n"
+      "\ngate: every phase must end with a clean cross-shard VerifyStore\n"
       "pass covering exactly the accepted record count (accepted == checked,\n"
       "zero issues, zero non-shed failures) -> %s\n",
       all_pass ? "PASS" : "FAIL");

@@ -52,7 +52,7 @@ Result<std::unique_ptr<ProvenanceServer>> ProvenanceServer::Start(
     const crypto::ParticipantRegistry* registry,
     std::map<crypto::ParticipantId, const crypto::Participant*> participants,
     ServerOptions options) {
-  // Quiesce the pipeline so the store is safely readable for seeding.
+  // Drain so the seeding snapshot holds every submitted record.
   PROVDB_RETURN_IF_ERROR(pipeline->Drain());
   std::unique_ptr<ProvenanceServer> server(new ProvenanceServer(
       pipeline, registry, std::move(participants), options));
@@ -62,10 +62,12 @@ Result<std::unique_ptr<ProvenanceServer>> ProvenanceServer::Start(
   // Seed the chain-tail guard from the recovered store: the executor must
   // know every existing chain or a remote insert could collide with one
   // and poison the pipeline.
-  for (const auto& [object, chain] : pipeline->store().AllChains()) {
-    if (!chain.empty()) {
-      server->tails_[object] = chain.back()->seq_id;
-    }
+  const provenance::StoreSnapshot snapshot = pipeline->OpenSnapshot();
+  for (size_t s = 0; s < snapshot.num_shards(); ++s) {
+    snapshot.shard_view(s).ForEachChain(
+        [&](storage::ObjectId object, const provenance::ChainNode* head) {
+          server->tails_[object] = head->record->seq_id;
+        });
   }
   server->loop_pool_ = std::make_unique<ThreadPool>(1);
   server->exec_pool_ = std::make_unique<ThreadPool>(1);

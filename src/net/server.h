@@ -69,21 +69,20 @@ struct ServerOptions {
 ///     therefore durable per the group-commit batch it rode in — the
 ///     pipeline's write-ahead contract extends to the wire. Reads
 ///     (query/verify/stats) run on the same strand after the drain that
-///     precedes them, so they never race ingest.
+///     precedes them; query and verify read a pinned snapshot.
 /// The two communicate through locked queues and a self-pipe; per-
 /// connection response order is request order (a reorder buffer holds
 /// executor completions that finish ahead of an earlier request's).
 ///
 /// While the server runs, the pipeline must not be written by any other
-/// thread (reads via `pipeline->store()` race ingest as usual; Drain
-/// first, e.g. after Stop()).
+/// thread. Any thread may read it through `pipeline->OpenSnapshot()`.
 class ProvenanceServer {
  public:
-  /// Drains `pipeline` (making the store readable), seeds the chain-tail
-  /// map from it, binds the listen socket, and starts the poll loop.
-  /// `registry` resolves participants for verify-object; `participants`
-  /// maps the ids remote submitters may act as to their signing material.
-  /// All three are borrowed and must outlive the server.
+  /// Drains `pipeline`, seeds the chain-tail map from a snapshot of it,
+  /// binds the listen socket, and starts the poll loop. `registry`
+  /// resolves participants for verify-object; `participants` maps the ids
+  /// remote submitters may act as to their signing material. All three
+  /// are borrowed and must outlive the server.
   static Result<std::unique_ptr<ProvenanceServer>> Start(
       provenance::IngestPipeline* pipeline,
       const crypto::ParticipantRegistry* registry,

@@ -55,34 +55,14 @@ StoreAuditor::StoreAuditor(const crypto::ParticipantRegistry* registry,
   }
 }
 
-VerificationReport StoreAuditor::Audit(const ProvenanceStore& store,
-                                       const storage::TreeStore& tree) const {
-  // Group all live records into per-object chains. Store chains are
-  // already seq-ordered (AddRecord enforces monotonicity).
-  std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>> chains;
-  for (uint64_t i = 0; i < store.record_count(); ++i) {
-    if (store.is_pruned(i)) {
-      continue;
-    }
-    const ProvenanceRecord& rec = store.record(i);
-    chains[rec.output.object_id].push_back(&rec);
-  }
-  return AuditChains(chains, tree);
-}
-
 VerificationReport StoreAuditor::Audit(const StoreSnapshot& snapshot,
                                        const storage::TreeStore& tree) const {
-  return AuditChains(snapshot.AllChains(), tree);
-}
-
-VerificationReport StoreAuditor::AuditChains(
-    const std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>&
-        chains,
-    const storage::TreeStore& tree) const {
   observability::ScopedLatencyTimer audit_timer(run_latency_);
   observability::TraceSpan audit_span("audit.run");
   runs_->Increment();
   VerificationReport report;
+  const std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
+      chains = snapshot.AllChains();
 
   // Check 2 over every chain.
   VerifyRecordChains(*registry_, engine_, chains, &report, pool_.get());

@@ -3,12 +3,8 @@
 
 #include <memory>
 
-#include <map>
-#include <vector>
-
 #include "common/thread_pool.h"
 #include "crypto/pki.h"
-#include "provenance/provenance_store.h"
 #include "provenance/snapshot.h"
 #include "provenance/subtree_hasher.h"
 #include "provenance/verifier.h"
@@ -40,33 +36,16 @@ class StoreAuditor {
                crypto::HashAlgorithm alg = crypto::HashAlgorithm::kSha1,
                ParallelismConfig parallelism = {});
 
-  /// Audits `store` against the live `tree`. `report.ok()` iff clean.
+  /// Audits a pinned snapshot (TrackedDatabase::OpenSnapshot,
+  /// IngestPipeline::OpenSnapshot, ...) against the live `tree`: check 2
+  /// over every chain, then the in-place check-1 sweep of live objects.
+  /// `report.ok()` iff clean. The snapshot is an immutable commit-boundary
+  /// cut, so this is safe while ingest is live and takes no store lock.
   /// [[nodiscard]]: an unread audit report is an undetected tamper.
-  ///
-  /// Precondition: the store is quiescent — no concurrent AddRecord /
-  /// PruneObject / pipeline flush for the duration of the call. This
-  /// overload reads the store's writer-current state directly. To audit
-  /// a live deployment while ingest continues, open a StoreSnapshot
-  /// (ShardedProvenanceStore::OpenSnapshot / IngestPipeline::OpenSnapshot)
-  /// and use the snapshot overload below (DESIGN.md §16).
-  [[nodiscard]] VerificationReport Audit(const ProvenanceStore& store,
-                                         const storage::TreeStore& tree) const;
-
-  /// Audits a pinned snapshot against the live `tree`. The snapshot is an
-  /// immutable batch-boundary cut, so this overload is safe to run while
-  /// ingest is live; record pointers stay valid for the snapshot's
-  /// lifetime and no store lock is taken.
   [[nodiscard]] VerificationReport Audit(const StoreSnapshot& snapshot,
                                          const storage::TreeStore& tree) const;
 
  private:
-  /// Shared body of both overloads: check 2 over every chain, then the
-  /// in-place check-1 sweep of live objects.
-  VerificationReport AuditChains(
-      const std::map<storage::ObjectId,
-                     std::vector<const ProvenanceRecord*>>& chains,
-      const storage::TreeStore& tree) const;
-
   const crypto::ParticipantRegistry* registry_;
   ChecksumEngine engine_;
   std::unique_ptr<ThreadPool> pool_;  // null when sequential

@@ -1,5 +1,7 @@
 #include "provenance/chain_index.h"
 
+#include <unordered_set>
+
 namespace provdb::provenance {
 
 const ChainIndex::Leaf* ChainIndex::Find(const Node* root,
@@ -108,6 +110,49 @@ void ChainIndex::FreeAll(const Node* root) {
     }
   }
   delete root;
+}
+
+std::vector<const ChainNode*> CollectClosure(
+    const std::function<const ChainNode*(storage::ObjectId)>& head_of,
+    const std::vector<storage::ObjectId>& seeds) {
+  std::unordered_set<const ChainNode*> included;
+  std::vector<const ChainNode*> out;
+  // Work items are prefix ends: include the chain up to and including
+  // that cell.
+  std::vector<const ChainNode*> work;
+  for (storage::ObjectId seed : seeds) {
+    if (const ChainNode* head = head_of(seed)) {
+      work.push_back(head);
+    }
+  }
+  while (!work.empty()) {
+    const ChainNode* end = work.back();
+    work.pop_back();
+    // Included cells always form a prefix of their chain, so the walk
+    // back stops at the first one already included (shared history).
+    for (const ChainNode* cell = end;
+         cell != nullptr && included.insert(cell).second; cell = cell->prev) {
+      out.push_back(cell);
+      const ProvenanceRecord& rec = *cell->record;
+      if (rec.op != OperationType::kAggregate) {
+        continue;
+      }
+      // Follow each aggregation input back to the record that produced
+      // the exact input state: the latest one whose output state equals
+      // the recorded input state.
+      for (const ObjectState& input : rec.inputs) {
+        for (const ChainNode* cand = head_of(input.object_id);
+             cand != nullptr; cand = cand->prev) {
+          if (cand->record->output.state_hash == input.state_hash &&
+              cand->record->seq_id < rec.seq_id) {
+            work.push_back(cand);
+            break;
+          }
+        }
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace provdb::provenance

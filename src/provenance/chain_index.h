@@ -2,6 +2,8 @@
 #define PROVDB_PROVENANCE_CHAIN_INDEX_H_
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "common/epoch.h"
 #include "provenance/record.h"
@@ -109,6 +111,17 @@ class ChainIndex {
                                EpochDomain* domain);
   static Node* BuildSplit(const Leaf* existing, Leaf* fresh, unsigned shift);
 };
+
+/// The DAG closure of provenance extraction (§3, Figure 2), shared by the
+/// writer and by snapshots: every cell of each seed object's chain plus,
+/// transitively, each aggregation input's chain up to the record that
+/// produced the recorded input state. `head_of` gives an object's newest
+/// cell, or null when it has no live chain (unknown, pruned, or bootstrap
+/// data). The cells come back unordered; each caller sorts them into its
+/// own linear extension of the seqID order.
+std::vector<const ChainNode*> CollectClosure(
+    const std::function<const ChainNode*(storage::ObjectId)>& head_of,
+    const std::vector<storage::ObjectId>& seeds);
 
 }  // namespace provdb::provenance
 

@@ -1,7 +1,6 @@
 #ifndef PROVDB_PROVENANCE_INGEST_PIPELINE_H_
 #define PROVDB_PROVENANCE_INGEST_PIPELINE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "provenance/provenance_store.h"
 #include "provenance/record.h"
 #include "provenance/snapshot.h"
-#include "provenance/verifier.h"
 #include "storage/env.h"
 #include "storage/wal.h"
 
@@ -70,7 +68,9 @@ Result<ProvenanceRecord> BuildSignedIngestRecord(
 ///
 /// Owns the epoch domain all its shards retire superseded index nodes
 /// through, which makes OpenSnapshot() possible: a pinned, consistent
-/// cross-shard cut readable while a single writer keeps mutating.
+/// cross-shard cut readable while a single writer keeps mutating. Records
+/// are read only through such snapshots (DESIGN.md §16); the shards are
+/// exposed for the writer and for the tamper tests' adversary.
 class ShardedProvenanceStore {
  public:
   explicit ShardedProvenanceStore(size_t num_shards);
@@ -105,33 +105,10 @@ class ShardedProvenanceStore {
     return shards_[ShardOf(id, shards_.size())];
   }
 
+  /// Writer-side counts: records added (pruned ones included), and live
+  /// records.
   uint64_t record_count() const;
   uint64_t live_record_count() const;
-
-  /// Every live chain across all shards, keyed (hence ordered) by object
-  /// id — the exact shape VerifyRecordChains consumes. Chain order within
-  /// an object is seqID order regardless of shard count, so downstream
-  /// reports are byte-identical to a sequential store's.
-  std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
-  AllChains() const;
-
-  /// The live chain of one object (empty when unknown or fully pruned).
-  std::vector<const ProvenanceRecord*> ChainRecords(
-      storage::ObjectId id) const;
-
-  /// Cross-shard chain verification (§3 check 2 over every object),
-  /// reusing the shared VerifyRecordChains engine. [[nodiscard]]: an
-  /// unread report is an undetected tamper.
-  [[nodiscard]] VerificationReport VerifyChains(
-      const crypto::ParticipantRegistry& registry,
-      crypto::HashAlgorithm alg = crypto::HashAlgorithm::kSha1,
-      ThreadPool* pool = nullptr) const;
-
-  /// Flattens all shards into one sequential ProvenanceStore (records in
-  /// ascending object-id, then seqID order — the shard-stable canonical
-  /// order), so StoreAuditor and the extraction/bundle machinery run
-  /// unchanged over a sharded deployment.
-  Result<ProvenanceStore> MergedStore() const;
 
   /// Pins the epoch domain and captures each shard's latest published
   /// version: a consistent cross-shard cut at batch boundaries,
@@ -140,11 +117,12 @@ class ShardedProvenanceStore {
   /// StoreSnapshot for the semantics.
   StoreSnapshot OpenSnapshot() const;
 
-  /// Publishes every shard's current state (writer-side; requires the
-  /// same external serialization as mutating the shards). The ingest
-  /// pipeline publishes per-shard at each group-commit fsync instead;
-  /// this entry point is for recovery seeding and directly-driven
-  /// stores (tests, tools).
+  /// Publishes every shard's current state, then frees the retired
+  /// nodes no snapshot can still reach (writer-side; requires the same
+  /// external serialization as mutating the shards). The ingest pipeline
+  /// publishes per-shard at each group-commit fsync instead; this entry
+  /// point is for recovery seeding, TrackedDatabase's end of operation,
+  /// and directly-driven stores (tests, tools).
   void PublishAll();
 
   /// The domain protecting this store's snapshots.
@@ -237,9 +215,8 @@ struct IngestOptions {
 /// still runs on the pipeline's pool; only the flushing caller, holding
 /// the lock, waits on its futures). A single producer pays only an
 /// uncontended lock and produces byte-identical output to the
-/// pre-locking pipeline. Reading `store()` while other threads ingest
-/// is racy — call Drain() first and read during quiescence, as every
-/// test and tool here does. After any flush error the pipeline is
+/// pre-locking pipeline. Records are read through OpenSnapshot(), from
+/// any thread, without the lock. After any flush error the pipeline is
 /// poisoned — every later Submit/Drain returns the same status, that of
 /// the lowest-numbered failing shard — because a failed WAL append
 /// leaves no safe way to keep ordering guarantees for subsequent records
@@ -285,7 +262,9 @@ class IngestPipeline {
     return shards_[index]->checkpoints;
   }
 
-  const ShardedProvenanceStore& store() const { return *store_; }
+  /// Writer-side access for tests only: the tamper tests' adversary
+  /// (like mutable_record) and epoch-domain checks. Records are read
+  /// through OpenSnapshot.
   ShardedProvenanceStore* mutable_store() { return store_.get(); }
 
   /// Opens a pinned snapshot of the store *without* taking the pipeline

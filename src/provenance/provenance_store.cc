@@ -1,7 +1,6 @@
 #include "provenance/provenance_store.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/varint.h"
 #include "provenance/checkpoint.h"
@@ -117,10 +116,14 @@ void ProvenanceStore::PublishSnapshot() {
   domain_->Advance();
 }
 
+const ChainNode* ProvenanceStore::HeadOf(storage::ObjectId id) const {
+  const ChainIndex::Leaf* leaf = ChainIndex::Find(chain_root_, id);
+  return leaf != nullptr ? leaf->head : nullptr;
+}
+
 Result<uint64_t> ProvenanceStore::AddRecord(ProvenanceRecord record) {
   const storage::ObjectId id = record.output.object_id;
-  const ChainIndex::Leaf* existing = ChainIndex::Find(chain_root_, id);
-  const ChainNode* head = existing != nullptr ? existing->head : nullptr;
+  const ChainNode* head = HeadOf(id);
   if (head != nullptr) {
     const ProvenanceRecord& last = *head->record;
     if (record.seq_id <= last.seq_id) {
@@ -169,8 +172,7 @@ Result<size_t> ProvenanceStore::PruneObject(storage::ObjectId id) {
         std::to_string(refs->second) +
         " record(s); its provenance is still referenced downstream");
   }
-  const ChainIndex::Leaf* leaf = ChainIndex::Find(chain_root_, id);
-  const ChainNode* head = leaf != nullptr ? leaf->head : nullptr;
+  const ChainNode* head = HeadOf(id);
   if (head == nullptr) {
     return static_cast<size_t>(0);
   }
@@ -217,8 +219,7 @@ Result<size_t> ProvenanceStore::PruneObject(storage::ObjectId id) {
 }
 
 std::vector<uint64_t> ProvenanceStore::ChainOf(storage::ObjectId id) const {
-  const ChainIndex::Leaf* leaf = ChainIndex::Find(chain_root_, id);
-  const ChainNode* head = leaf != nullptr ? leaf->head : nullptr;
+  const ChainNode* head = HeadOf(id);
   if (head == nullptr) {
     return {};
   }
@@ -232,8 +233,7 @@ std::vector<uint64_t> ProvenanceStore::ChainOf(storage::ObjectId id) const {
 
 Result<const ProvenanceRecord*> ProvenanceStore::LatestFor(
     storage::ObjectId id) const {
-  const ChainIndex::Leaf* leaf = ChainIndex::Find(chain_root_, id);
-  const ChainNode* head = leaf != nullptr ? leaf->head : nullptr;
+  const ChainNode* head = HeadOf(id);
   if (head == nullptr) {
     return Status::NotFound("no provenance records for object " +
                             std::to_string(id));
@@ -241,95 +241,34 @@ Result<const ProvenanceRecord*> ProvenanceStore::LatestFor(
   return head->record;
 }
 
-namespace {
-
-/// Work item of the DAG closure: include an object's chain up to and
-/// including `end_pos`.
-struct Prefix {
-  storage::ObjectId object;
-  size_t end_pos;
-};
-
-}  // namespace
-
-std::vector<ProvenanceRecord> ProvenanceStore::CollectClosure(
-    std::vector<std::pair<storage::ObjectId, size_t>> seeds) const {
-  std::set<uint64_t> included;
-  std::vector<Prefix> work;
-  for (const auto& [object, end_pos] : seeds) {
-    work.push_back({object, end_pos});
-  }
-
-  while (!work.empty()) {
-    Prefix prefix = work.back();
-    work.pop_back();
-    const std::vector<uint64_t> chain = ChainOf(prefix.object);
-    if (chain.empty()) {
-      continue;  // untracked input (bootstrap data): no history to include
-    }
-    for (size_t pos = 0; pos <= prefix.end_pos && pos < chain.size(); ++pos) {
-      uint64_t idx = chain[pos];
-      if (!included.insert(idx).second) {
-        continue;  // already included (shared history via the DAG)
-      }
-      const ProvenanceRecord& rec = record(idx);
-      if (rec.op != OperationType::kAggregate) {
-        continue;
-      }
-      // Follow each aggregation input back to the record that produced
-      // the exact input state (matching output hash), then include that
-      // input's chain up to there.
-      for (const ObjectState& input : rec.inputs) {
-        const std::vector<uint64_t> input_chain = ChainOf(input.object_id);
-        // Scan from the end: the matching record is the latest one whose
-        // output state equals the recorded input state.
-        for (size_t pos2 = input_chain.size(); pos2-- > 0;) {
-          const ProvenanceRecord& cand = record(input_chain[pos2]);
-          if (cand.output.state_hash == input.state_hash &&
-              cand.seq_id < rec.seq_id) {
-            work.push_back({input.object_id, pos2});
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  std::vector<ProvenanceRecord> out;
-  out.reserve(included.size());
-  for (uint64_t idx : included) {  // std::set iterates in ascending order
-    out.push_back(record(idx));
-  }
-  return out;
-}
-
 Result<std::vector<ProvenanceRecord>> ProvenanceStore::ExtractProvenance(
     storage::ObjectId subject) const {
-  const std::vector<uint64_t> subject_chain = ChainOf(subject);
-  if (subject_chain.empty()) {
-    return Status::NotFound("no provenance records for object " +
-                            std::to_string(subject));
-  }
-  return CollectClosure({{subject, subject_chain.size() - 1}});
+  return ExtractProvenanceDeep(subject, {});
 }
 
 Result<std::vector<ProvenanceRecord>> ProvenanceStore::ExtractProvenanceDeep(
     storage::ObjectId subject,
     const std::vector<storage::ObjectId>& descendants) const {
-  const std::vector<uint64_t> subject_chain = ChainOf(subject);
-  if (subject_chain.empty()) {
+  if (HeadOf(subject) == nullptr) {
     return Status::NotFound("no provenance records for object " +
                             std::to_string(subject));
   }
-  std::vector<std::pair<storage::ObjectId, size_t>> seeds;
-  seeds.emplace_back(subject, subject_chain.size() - 1);
-  for (storage::ObjectId descendant : descendants) {
-    const std::vector<uint64_t> chain = ChainOf(descendant);
-    if (!chain.empty()) {
-      seeds.emplace_back(descendant, chain.size() - 1);
-    }
+  std::vector<storage::ObjectId> seeds = descendants;
+  seeds.push_back(subject);
+  std::vector<const ChainNode*> cells = CollectClosure(
+      [this](storage::ObjectId id) { return HeadOf(id); }, seeds);
+  // Index order: the writer's linear extension of the seqID order, and
+  // the record order the golden bundle digests pin.
+  std::sort(cells.begin(), cells.end(),
+            [](const ChainNode* a, const ChainNode* b) {
+              return a->index < b->index;
+            });
+  std::vector<ProvenanceRecord> out;
+  out.reserve(cells.size());
+  for (const ChainNode* cell : cells) {
+    out.push_back(*cell->record);
   }
-  return CollectClosure(std::move(seeds));
+  return out;
 }
 
 uint64_t ProvenanceStore::SerializedBytes() const {

@@ -36,10 +36,13 @@ namespace provdb::provenance {
 /// PublishSnapshot() points (the ingest pipeline calls one per
 /// group-commit fsync), so a published version is always an exact prefix
 /// of durable batches. Readers never touch writer state: they pin the
-/// epoch domain and traverse a published version (see StoreSnapshot).
-/// Without an attached domain the store behaves exactly as before:
-/// mutations and reads must be externally serialized (quiescence), and
-/// superseded index nodes are freed immediately.
+/// epoch domain and traverse a published version (see StoreSnapshot),
+/// which is the only way to read records from another thread. The
+/// accessors below (record, ChainOf, LatestFor, ExtractProvenance*) are
+/// the writer reading its own state on its own thread. A store without
+/// an attached domain is a standalone one (recovery, checkpoint load,
+/// test references): it never publishes and frees superseded index
+/// nodes immediately.
 class ProvenanceStore {
  public:
   ProvenanceStore() = default;
@@ -185,16 +188,6 @@ class ProvenanceStore {
     return published_.load(std::memory_order_acquire);
   }
 
-  /// View of the *writer-current* state (which may be ahead of the last
-  /// published version). Only valid under the single-writer contract:
-  /// the caller must guarantee no concurrent mutation for the view's
-  /// lifetime — the quiescent entry points (StoreAuditor::Audit over a
-  /// bare store, SaveToLog, ...) run on exactly that contract.
-  StoreReadView CurrentView() const {
-    return StoreReadView(chain_root_, record_count_, live_count_,
-                         publish_tick_);
-  }
-
  private:
   /// Records per storage chunk. Chunked storage gives every record a
   /// stable address for its whole lifetime (chain cells and snapshot
@@ -204,11 +197,9 @@ class ProvenanceStore {
     std::array<ProvenanceRecord, kChunkRecords> slots;
   };
 
-  /// Shared DAG-closure walk behind both Extract variants: includes each
-  /// seed object's chain up to the given position, following aggregation
-  /// edges transitively.
-  std::vector<ProvenanceRecord> CollectClosure(
-      std::vector<std::pair<storage::ObjectId, size_t>> seeds) const;
+  /// Newest chain cell of `id` in the writer's current index; null when
+  /// the object has no live chain.
+  const ChainNode* HeadOf(storage::ObjectId id) const;
 
   /// Appends into chunked storage; returns the record's stable address.
   ProvenanceRecord* ArenaAppend(ProvenanceRecord record);

@@ -1,7 +1,6 @@
 #include "provenance/snapshot.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
 
 namespace provdb::provenance {
@@ -11,10 +10,8 @@ const ChainNode* StoreReadView::head_for(storage::ObjectId id) const {
   return leaf != nullptr ? leaf->head : nullptr;
 }
 
-namespace {
-
-/// Reverses a cons list into seqID (ascending) order.
-std::vector<const ProvenanceRecord*> MaterializeChain(const ChainNode* head) {
+std::vector<const ProvenanceRecord*> StoreReadView::ChainRecords(
+    const ChainNode* head) {
   if (head == nullptr) {
     return {};
   }
@@ -27,18 +24,11 @@ std::vector<const ProvenanceRecord*> MaterializeChain(const ChainNode* head) {
   return out;
 }
 
-}  // namespace
-
-std::vector<const ProvenanceRecord*> StoreReadView::ChainRecords(
-    storage::ObjectId id) const {
-  return MaterializeChain(head_for(id));
-}
-
 void StoreReadView::AppendChains(
     std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>* out)
     const {
   ForEachChain([out](storage::ObjectId id, const ChainNode* head) {
-    (*out)[id] = MaterializeChain(head);
+    (*out)[id] = ChainRecords(head);
   });
 }
 
@@ -67,119 +57,46 @@ StoreSnapshot::AllChains() const {
   return chains;
 }
 
-std::vector<const ProvenanceRecord*> StoreSnapshot::ChainRecords(
-    storage::ObjectId id) const {
-  if (views_.empty()) {
-    return {};
-  }
-  return view_for(id).ChainRecords(id);
+const ChainNode* StoreSnapshot::head_for(storage::ObjectId id) const {
+  return views_.empty() ? nullptr : view_for(id).head_for(id);
 }
 
-namespace {
-
-/// Work item of the DAG closure: include an object's chain up to and
-/// including `end_pos` (mirrors ProvenanceStore::CollectClosure).
-struct Prefix {
-  storage::ObjectId object;
-  size_t end_pos;
-};
-
-}  // namespace
-
-std::vector<ProvenanceRecord> StoreSnapshot::CollectClosure(
-    std::vector<std::pair<storage::ObjectId, size_t>> seeds) const {
-  std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>> cache;
-  auto chain_of = [&](storage::ObjectId id)
-      -> const std::vector<const ProvenanceRecord*>& {
-    auto it = cache.find(id);
-    if (it == cache.end()) {
-      it = cache.emplace(id, ChainRecords(id)).first;
-    }
-    return it->second;
-  };
-
-  std::set<const ProvenanceRecord*> included;
-  std::vector<Prefix> work;
-  for (const auto& [object, end_pos] : seeds) {
-    work.push_back({object, end_pos});
-  }
-
-  while (!work.empty()) {
-    Prefix prefix = work.back();
-    work.pop_back();
-    const std::vector<const ProvenanceRecord*>& chain =
-        chain_of(prefix.object);
-    for (size_t pos = 0; pos <= prefix.end_pos && pos < chain.size(); ++pos) {
-      const ProvenanceRecord* rec = chain[pos];
-      if (!included.insert(rec).second) {
-        continue;  // already included (shared history via the DAG)
-      }
-      if (rec->op != OperationType::kAggregate) {
-        continue;
-      }
-      for (const ObjectState& input : rec->inputs) {
-        const std::vector<const ProvenanceRecord*>& input_chain =
-            chain_of(input.object_id);
-        // Scan from the end: the matching record is the latest one whose
-        // output state equals the recorded input state.
-        for (size_t pos2 = input_chain.size(); pos2-- > 0;) {
-          const ProvenanceRecord* cand = input_chain[pos2];
-          if (cand->output.state_hash == input.state_hash &&
-              cand->seq_id < rec->seq_id) {
-            work.push_back({input.object_id, pos2});
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  // Ascending (object id, seqID): the canonical cross-shard linear
-  // extension of the seqID partial order (matches MergedStore order).
-  std::vector<const ProvenanceRecord*> ordered(included.begin(),
-                                               included.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ProvenanceRecord* a, const ProvenanceRecord* b) {
-              if (a->output.object_id != b->output.object_id) {
-                return a->output.object_id < b->output.object_id;
-              }
-              return a->seq_id < b->seq_id;
-            });
-  std::vector<ProvenanceRecord> out;
-  out.reserve(ordered.size());
-  for (const ProvenanceRecord* rec : ordered) {
-    out.push_back(*rec);
-  }
-  return out;
+std::vector<const ProvenanceRecord*> StoreSnapshot::ChainRecords(
+    storage::ObjectId id) const {
+  return StoreReadView::ChainRecords(head_for(id));
 }
 
 Result<std::vector<ProvenanceRecord>> StoreSnapshot::ExtractProvenance(
     storage::ObjectId subject) const {
-  std::vector<const ProvenanceRecord*> chain = ChainRecords(subject);
-  if (chain.empty()) {
-    return Status::NotFound("no provenance records for object " +
-                            std::to_string(subject));
-  }
-  return CollectClosure({{subject, chain.size() - 1}});
+  return ExtractProvenanceDeep(subject, {});
 }
 
 Result<std::vector<ProvenanceRecord>> StoreSnapshot::ExtractProvenanceDeep(
     storage::ObjectId subject,
     const std::vector<storage::ObjectId>& descendants) const {
-  std::vector<const ProvenanceRecord*> chain = ChainRecords(subject);
-  if (chain.empty()) {
+  if (head_for(subject) == nullptr) {
     return Status::NotFound("no provenance records for object " +
                             std::to_string(subject));
   }
-  std::vector<std::pair<storage::ObjectId, size_t>> seeds;
-  seeds.emplace_back(subject, chain.size() - 1);
-  for (storage::ObjectId descendant : descendants) {
-    std::vector<const ProvenanceRecord*> dchain = ChainRecords(descendant);
-    if (!dchain.empty()) {
-      seeds.emplace_back(descendant, dchain.size() - 1);
-    }
+  std::vector<storage::ObjectId> seeds = descendants;
+  seeds.push_back(subject);
+  std::vector<const ChainNode*> cells = CollectClosure(
+      [this](storage::ObjectId id) { return head_for(id); }, seeds);
+  std::sort(cells.begin(), cells.end(),
+            [](const ChainNode* a, const ChainNode* b) {
+              const ProvenanceRecord& x = *a->record;
+              const ProvenanceRecord& y = *b->record;
+              if (x.output.object_id != y.output.object_id) {
+                return x.output.object_id < y.output.object_id;
+              }
+              return x.seq_id < y.seq_id;
+            });
+  std::vector<ProvenanceRecord> out;
+  out.reserve(cells.size());
+  for (const ChainNode* cell : cells) {
+    out.push_back(*cell->record);
   }
-  return CollectClosure(std::move(seeds));
+  return out;
 }
 
 }  // namespace provdb::provenance

@@ -32,9 +32,7 @@ struct StoreVersion : EpochRetired {
 
 /// Read-only view of one shard at one version. Plain value type: copying
 /// copies three pointers-worth of state, no ownership. A view is only
-/// valid while the version it came from is protected — either by the
-/// snapshot's epoch pin or by caller-guaranteed store quiescence
-/// (ProvenanceStore::CurrentView).
+/// valid while the snapshot whose epoch pin protects its version lives.
 class StoreReadView {
  public:
   StoreReadView() = default;
@@ -45,12 +43,6 @@ class StoreReadView {
         record_count_(version != nullptr ? version->record_count : 0),
         live_records_(version != nullptr ? version->live_records : 0),
         tick_(version != nullptr ? version->tick : 0) {}
-  StoreReadView(const ChainIndex::Node* root, uint64_t record_count,
-                uint64_t live_records, uint64_t tick)
-      : root_(root),
-        record_count_(record_count),
-        live_records_(live_records),
-        tick_(tick) {}
 
   uint64_t record_count() const { return record_count_; }
   uint64_t live_record_count() const { return live_records_; }
@@ -61,7 +53,14 @@ class StoreReadView {
   const ChainNode* head_for(storage::ObjectId id) const;
 
   /// The object's chain in seqID order (empty when none).
-  std::vector<const ProvenanceRecord*> ChainRecords(storage::ObjectId id) const;
+  std::vector<const ProvenanceRecord*> ChainRecords(
+      storage::ObjectId id) const {
+    return ChainRecords(head_for(id));
+  }
+
+  /// The chain ending at `head`, in seqID order (empty for null).
+  static std::vector<const ProvenanceRecord*> ChainRecords(
+      const ChainNode* head);
 
   /// Every live chain, appended into `out` keyed by object id — the
   /// exact shape VerifyRecordChains consumes. Within an object the chain
@@ -101,10 +100,13 @@ class StoreReadView {
 /// lookups can see "input chain not yet caught up", exactly as a
 /// quiesced store stopped at the same per-shard prefixes would.
 ///
+/// Snapshots are the only way to read records: the auditor, the
+/// verifier's VerifyStore, the query helpers and the server all take one.
 /// A snapshot borrows the store: it must not outlive the
-/// ShardedProvenanceStore (or IngestPipeline) it was opened on. Holding
-/// one blocks no writer — it only defers reclamation of superseded
-/// chain/index nodes.
+/// ShardedProvenanceStore (IngestPipeline, TrackedDatabase) it was opened
+/// on, and record pointers read through it are valid only while it
+/// lives. Holding one blocks no writer — it only defers reclamation of
+/// superseded chain/index nodes.
 class StoreSnapshot {
  public:
   StoreSnapshot() = default;
@@ -129,9 +131,8 @@ class StoreSnapshot {
   uint64_t live_record_count() const;
 
   /// Every live chain across all shards, keyed (hence ordered) by
-  /// object id — same shape and order as ShardedProvenanceStore::
-  /// AllChains, so reports built from either are byte-identical on a
-  /// quiescent store.
+  /// object id, each in seqID order — the shape VerifyRecordChains
+  /// consumes, so reports do not depend on the shard count.
   std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
   AllChains() const;
 
@@ -139,23 +140,23 @@ class StoreSnapshot {
   std::vector<const ProvenanceRecord*> ChainRecords(storage::ObjectId id)
       const;
 
-  /// Snapshot counterpart of ProvenanceStore::ExtractProvenance: the
-  /// subject's chain plus, transitively, every aggregation input's chain
-  /// up to the matching state. Records come back in ascending
-  /// (object id, seqID) order — the sharded deployment's canonical
-  /// linear extension of the seqID partial order (the order MergedStore
-  /// materializes).
+  /// The subject's provenance object (ProvenanceStore::ExtractProvenance
+  /// over this cut): its chain plus, transitively, every aggregation
+  /// input's chain up to the matching state. Records come back in
+  /// ascending (object id, seqID) order — the canonical linear extension
+  /// of the seqID partial order, independent of the shard count.
   Result<std::vector<ProvenanceRecord>> ExtractProvenance(
       storage::ObjectId subject) const;
 
-  /// Snapshot counterpart of ProvenanceStore::ExtractProvenanceDeep.
+  /// Adds the full chains of `descendants`, as
+  /// ProvenanceStore::ExtractProvenanceDeep does.
   Result<std::vector<ProvenanceRecord>> ExtractProvenanceDeep(
       storage::ObjectId subject,
       const std::vector<storage::ObjectId>& descendants) const;
 
  private:
-  std::vector<ProvenanceRecord> CollectClosure(
-      std::vector<std::pair<storage::ObjectId, size_t>> seeds) const;
+  /// Newest chain cell of `id`; null when unknown or pruned.
+  const ChainNode* head_for(storage::ObjectId id) const;
 
   EpochDomain::Guard guard_;
   std::vector<StoreReadView> views_;

@@ -131,7 +131,8 @@ Status TrackedDatabase::EmitRecord(const crypto::Participant& p,
   Stopwatch store_watch;
   SeqId seq = record.seq_id;
   Bytes checksum_copy = record.checksum;
-  PROVDB_RETURN_IF_ERROR(store_.AddRecord(std::move(record)).status());
+  PROVDB_RETURN_IF_ERROR(
+      store_.shard(0).AddRecord(std::move(record)).status());
   chains_.Set(id, seq, std::move(checksum_copy));
   metrics->store_seconds += store_watch.ElapsedSeconds();
   ++metrics->checksums;
@@ -459,7 +460,8 @@ Result<storage::ObjectId> TrackedDatabase::Aggregate(
   Stopwatch store_watch;
   SeqId seq = record.seq_id;
   Bytes checksum_copy = record.checksum;
-  PROVDB_RETURN_IF_ERROR(store_.AddRecord(std::move(record)).status());
+  PROVDB_RETURN_IF_ERROR(
+      store_.shard(0).AddRecord(std::move(record)).status());
   chains_.Set(out_id, seq, std::move(checksum_copy));
   metrics.store_seconds += store_watch.ElapsedSeconds();
   ++metrics.checksums;
@@ -619,7 +621,8 @@ Result<RecipientBundle> TrackedDatabase::ExportForRecipient(
   RecipientBundle bundle;
   bundle.subject = id;
   PROVDB_ASSIGN_OR_RETURN(bundle.data, SubtreeSnapshot::Capture(tree_, id));
-  PROVDB_ASSIGN_OR_RETURN(bundle.records, store_.ExtractProvenance(id));
+  PROVDB_ASSIGN_OR_RETURN(bundle.records,
+                          provenance().ExtractProvenance(id));
   return bundle;
 }
 
@@ -639,13 +642,19 @@ Result<RecipientBundle> TrackedDatabase::ExportForRecipientDeep(
     }
   }
   PROVDB_ASSIGN_OR_RETURN(bundle.records,
-                          store_.ExtractProvenanceDeep(id, descendants));
+                          provenance().ExtractProvenanceDeep(id, descendants));
   return bundle;
 }
 
 void TrackedDatabase::FinishOperation(OperationMetrics metrics) {
+  store_.PublishAll();
   last_metrics_ = metrics;
   cumulative_metrics_.Accumulate(metrics);
+}
+
+StoreSnapshot TrackedDatabase::OpenSnapshot() {
+  store_.PublishAll();
+  return store_.OpenSnapshot();
 }
 
 void TrackedDatabase::ResetMetrics() {
@@ -654,11 +663,11 @@ void TrackedDatabase::ResetMetrics() {
 }
 
 Status TrackedDatabase::AttachWal(storage::WalWriter* wal) {
-  return store_.AttachWal(wal, /*checkpoint_existing=*/true);
+  return store_.shard(0).AttachWal(wal, /*checkpoint_existing=*/true);
 }
 
 Status TrackedDatabase::SyncWal() {
-  storage::WalWriter* wal = store_.attached_wal();
+  storage::WalWriter* wal = store_.shard(0).attached_wal();
   if (wal == nullptr) {
     return Status::FailedPrecondition("no WAL attached to this database");
   }
@@ -668,7 +677,7 @@ Status TrackedDatabase::SyncWal() {
 Status TrackedDatabase::CheckpointWal(const crypto::Signer& signer,
                                       uint64_t sealer_id,
                                       crypto::HashAlgorithm alg) {
-  storage::WalWriter* wal = store_.attached_wal();
+  storage::WalWriter* wal = store_.shard(0).attached_wal();
   if (wal == nullptr) {
     return Status::FailedPrecondition("no WAL attached to this database");
   }
@@ -679,7 +688,8 @@ Status TrackedDatabase::CheckpointWal(const crypto::Signer& signer,
     return Status::OK();
   }
   PROVDB_RETURN_IF_ERROR(CheckpointWriter::Write(wal->env(), wal->dir(),
-                                                 store_, horizon, signer,
+                                                 store_.shard(0), horizon,
+                                                 signer,
                                                  sealer_id, alg));
   PROVDB_RETURN_IF_ERROR(
       RemoveStaleCheckpoints(wal->env(), wal->dir(), horizon));

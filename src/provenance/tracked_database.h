@@ -11,8 +11,9 @@
 #include "provenance/bundle.h"
 #include "provenance/chain.h"
 #include "provenance/checksum.h"
-#include "provenance/provenance_store.h"
+#include "provenance/ingest_pipeline.h"
 #include "provenance/record.h"
+#include "provenance/snapshot.h"
 #include "provenance/subtree_hasher.h"
 #include "storage/tree_store.h"
 
@@ -66,6 +67,12 @@ struct OperationMetrics {
 ///
 /// All tracked mutation is attributed to a crypto::Participant whose key
 /// signs the checksums.
+///
+/// Records live in a one-shard ShardedProvenanceStore, so the database
+/// owns an epoch domain and is read like the sharded service: through
+/// OpenSnapshot() (DESIGN.md §16). Every operation ends by publishing,
+/// so snapshots cut at operation boundaries, and the index nodes it
+/// retired are freed there unless a snapshot still pins them.
 class TrackedDatabase {
  public:
   explicit TrackedDatabase(TrackedDatabaseOptions options = {});
@@ -119,10 +126,18 @@ class TrackedDatabase {
   // -- Introspection -----------------------------------------------------
 
   const storage::TreeStore& tree() const { return tree_; }
-  const ProvenanceStore& provenance() const { return store_; }
+
+  /// The writer's own store (counts and sizes; records are read through
+  /// OpenSnapshot).
+  const ProvenanceStore& provenance() const { return store_.shard(0); }
 
   /// For the attack simulator and tests only.
-  ProvenanceStore* mutable_provenance() { return &store_; }
+  ProvenanceStore* mutable_provenance() { return &store_.shard(0); }
+
+  /// Publishes, then pins a snapshot of every record so far — including
+  /// changes made through mutable_provenance(). Valid until released;
+  /// must not outlive the database.
+  StoreSnapshot OpenSnapshot();
 
   // -- Durability (WAL) --------------------------------------------------
 
@@ -227,7 +242,7 @@ class TrackedDatabase {
 
   TrackedDatabaseOptions options_;
   storage::TreeStore tree_;
-  ProvenanceStore store_;
+  ShardedProvenanceStore store_{1};
   ChecksumEngine engine_;
   SubtreeHasher basic_hasher_;
   EconomicalHasher economical_hasher_;

@@ -107,9 +107,9 @@ class ProvenanceVerifier {
   /// verifier does not stop at the first failure). [[nodiscard]]: an
   /// unread report is an undetected tamper.
   ///
-  /// Bundles are value snapshots, so Verify itself never races ingest;
-  /// but *building* a bundle from a live store requires quiescence — to
-  /// verify a moving deployment, pin a StoreSnapshot and use VerifyStore
+  /// Bundles are values (built by the writer, or from a snapshot's
+  /// ExtractProvenance), so Verify never races ingest. To verify a whole
+  /// moving deployment in place, pin a StoreSnapshot and use VerifyStore
   /// (DESIGN.md §16).
   [[nodiscard]] VerificationReport Verify(const RecipientBundle& bundle) const;
 

@@ -59,7 +59,9 @@ Bytes BuildSegmentHeader(uint64_t index) {
 
 /// Decodes a varint at `pos`. Returns +1 and advances on success, 0 when
 /// the buffer ends mid-varint (a torn tail candidate), -1 when the
-/// encoding itself is malformed (> 10 bytes of continuation bits).
+/// encoding itself is malformed: > 10 bytes of continuation bits, or an
+/// overlong form (a zero final byte after the first) that the writer
+/// never produces.
 int TryReadVarint(const Bytes& content, size_t* pos, uint64_t* value) {
   uint64_t result = 0;
   int shift = 0;
@@ -75,6 +77,9 @@ int TryReadVarint(const Bytes& content, size_t* pos, uint64_t* value) {
     }
     result |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
+      if (byte == 0 && shift > 0) {
+        return -1;
+      }
       *pos = p;
       *value = result;
       return 1;

@@ -24,7 +24,7 @@ namespace provdb::workload {
 ///
 /// A client's first touch of an object is an insert; later touches are
 /// updates carrying the previous accepted post-hash as the pre-hash, so a
-/// post-run VerifyChains sees perfectly linked chains. Two rules keep
+/// post-run VerifyStore sees perfectly linked chains. Two rules keep
 /// that true under load shedding:
 ///   * at most one request per object is in flight (a shed request must
 ///     not strand later updates built on its unacknowledged hash), and

@@ -20,6 +20,7 @@
 #include "provenance/ingest_pipeline.h"
 #include "provenance/serialization.h"
 #include "provenance/tracked_database.h"
+#include "provenance/verifier.h"
 #include "storage/fault_injection_env.h"
 #include "storage/wal.h"
 #include "testing/differential.h"
@@ -29,6 +30,7 @@ namespace provdb::provenance {
 namespace {
 
 using provdb::testing::DifferentialWorkloadOptions;
+using provdb::testing::EncodedInCommitOrder;
 using provdb::testing::IngestWorkloadBuilder;
 using provdb::testing::RandomDifferentialWorkload;
 using provdb::testing::SubmitWithDrainCadence;
@@ -343,8 +345,9 @@ TEST(CheckpointedIngestTest, PeriodicCheckpointsCompactAndReopen) {
     }
     ASSERT_TRUE((*pipeline)->Drain().ok());
     uint64_t total_checkpoints = 0;
+    const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
     for (size_t s = 0; s < kSweepShards; ++s) {
-      counts[s] = (*pipeline)->store().shard(s).record_count();
+      counts[s] = snapshot.shard_view(s).record_count();
       total_checkpoints += (*pipeline)->shard_checkpoints(s);
     }
     EXPECT_GT(total_checkpoints, 0u)
@@ -360,12 +363,14 @@ TEST(CheckpointedIngestTest, PeriodicCheckpointsCompactAndReopen) {
                                        &reports);
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
   bool any_checkpointed = false;
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
   for (size_t s = 0; s < kSweepShards; ++s) {
-    EXPECT_EQ((*pipeline)->store().shard(s).record_count(), counts[s]);
+    EXPECT_EQ(snapshot.shard_view(s).record_count(), counts[s]);
     any_checkpointed |= reports[s].checkpoint_horizon > 0;
   }
   EXPECT_TRUE(any_checkpointed);
-  auto verify = (*pipeline)->store().VerifyChains(TestPki::Instance().registry());
+  auto verify = ProvenanceVerifier(&TestPki::Instance().registry())
+                    .VerifyStore(snapshot);
   EXPECT_TRUE(verify.ok()) << verify.ToString();
   ASSERT_TRUE((*pipeline)->Close().ok());
 
@@ -392,8 +397,9 @@ TEST(CheckpointedIngestTest, CheckpointNowSealsEveryShard) {
     ASSERT_TRUE((*pipeline)->Submit(request).ok());
   }
   ASSERT_TRUE((*pipeline)->CheckpointNow().ok());
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
   for (size_t s = 0; s < kSweepShards; ++s) {
-    if ((*pipeline)->store().shard(s).record_count() == 0) continue;
+    if (snapshot.shard_view(s).record_count() == 0) continue;
     const std::string dir = ShardedProvenanceStore::ShardDirName(root, s);
     auto latest = LatestCheckpointHorizon(Env::Default(), dir);
     EXPECT_TRUE(latest.ok()) << "shard " << s << " never sealed";
@@ -430,11 +436,9 @@ void SweepEveryMutatingOp(int signing_threads, size_t drain_every,
     ASSERT_TRUE(
         SubmitWithDrainCadence(pipeline->get(), requests, drain_every).ok());
     ASSERT_TRUE((*pipeline)->Close().ok());
+    const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
     for (size_t s = 0; s < kSweepShards; ++s) {
-      const ProvenanceStore& shard = (*pipeline)->store().shard(s);
-      for (uint64_t i = 0; i < shard.record_count(); ++i) {
-        golden[s].push_back(EncodeRecord(shard.record(i)));
-      }
+      golden[s] = EncodedInCommitOrder(snapshot.shard_view(s));
       checkpoints += (*pipeline)->shard_checkpoints(s);
     }
     ASSERT_GT(checkpoints, 0u) << "no checkpoint in the sweep window";
@@ -456,8 +460,9 @@ void SweepEveryMutatingOp(int signing_threads, size_t drain_every,
         Status crash =
             SubmitWithDrainCadence(pipeline->get(), requests, drain_every);
         (void)crash;
+        const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
         for (size_t s = 0; s < kSweepShards; ++s) {
-          committed[s] = (*pipeline)->store().shard(s).record_count();
+          committed[s] = snapshot.shard_view(s).record_count();
         }
       }
       // Scope exit without Close(): the crash.
@@ -498,13 +503,10 @@ void SweepEveryMutatingOp(int signing_threads, size_t drain_every,
         ASSERT_TRUE((*pipeline)->Submit(request).ok());
       }
       ASSERT_TRUE((*pipeline)->Close().ok());
+      const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
       for (size_t s = 0; s < kSweepShards; ++s) {
         SCOPED_TRACE("shard " + std::to_string(s) + " after resume");
-        const ProvenanceStore& shard = (*pipeline)->store().shard(s);
-        ASSERT_EQ(shard.record_count(), golden[s].size());
-        for (uint64_t i = 0; i < shard.record_count(); ++i) {
-          EXPECT_EQ(EncodeRecord(shard.record(i)), golden[s][i]);
-        }
+        EXPECT_EQ(EncodedInCommitOrder(snapshot.shard_view(s)), golden[s]);
       }
     }
     if (::testing::Test::HasFatalFailure()) return;

@@ -144,7 +144,7 @@ TEST(EpochSoakTest, ConcurrentIngestAuditCheckpointStaysFlat) {
 
   // Quiesce: no pinned readers remain, so one advance+collect must
   // drain every deferred node — the epoch.retired backlog goes to zero.
-  EpochDomain* domain = (*pipeline)->store().epoch_domain();
+  EpochDomain* domain = (*pipeline)->mutable_store()->epoch_domain();
   ASSERT_NE(domain, nullptr);
   domain->Advance();
   domain->Collect();
@@ -156,15 +156,15 @@ TEST(EpochSoakTest, ConcurrentIngestAuditCheckpointStaysFlat) {
   const uint64_t rss_end = ResidentBytes();
   if (rss_warm != 0 && rss_end != 0) {
     const uint64_t record_growth =
-        ((*pipeline)->store().record_count() + 1) * 2048;  // live data
+        ((*pipeline)->OpenSnapshot().record_count() + 1) * 2048;  // live
     EXPECT_LT(rss_end, rss_warm + record_growth + (64u << 20))
         << "resident set grew unboundedly during the soak";
   }
 
   // The soak's output is still a fully verifiable store.
   VerificationReport final_report =
-      (*pipeline)->store().VerifyChains(builder.registry(),
-                                        builder.algorithm());
+      ProvenanceVerifier(&builder.registry(), builder.algorithm())
+          .VerifyStore((*pipeline)->OpenSnapshot());
   EXPECT_TRUE(final_report.ok()) << final_report.ToString();
 }
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -16,32 +15,22 @@
 #include "provenance/auditor.h"
 #include "provenance/serialization.h"
 #include "provenance/subtree_hasher.h"
+#include "provenance/verifier.h"
 #include "testing/differential.h"
 
 namespace provdb::provenance {
 namespace {
 
+using provdb::testing::ChainsByIndex;
 using provdb::testing::DifferentialWorkloadOptions;
 using provdb::testing::IngestWorkloadBuilder;
+using provdb::testing::OneShardCopy;
 using provdb::testing::RandomDifferentialWorkload;
 using provdb::testing::ReplayThroughPipeline;
 using provdb::testing::TestPki;
 using provdb::testing::WipeIngestRoot;
 using storage::Env;
 using storage::ObjectId;
-
-/// Reference chains in the exact shape VerifyRecordChains consumes,
-/// mirroring how the auditor groups a sequential store.
-std::map<ObjectId, std::vector<const ProvenanceRecord*>> ReferenceChains(
-    const ProvenanceStore& store) {
-  std::map<ObjectId, std::vector<const ProvenanceRecord*>> chains;
-  for (uint64_t i = 0; i < store.record_count(); ++i) {
-    if (store.is_pruned(i)) continue;
-    const ProvenanceRecord& rec = store.record(i);
-    chains[rec.output.object_id].push_back(&rec);
-  }
-  return chains;
-}
 
 void RunDifferential(uint64_t seed, size_t num_shards) {
   SCOPED_TRACE("replay with seed=" + std::to_string(seed) +
@@ -61,7 +50,7 @@ void RunDifferential(uint64_t seed, size_t num_shards) {
   auto pipeline =
       ReplayThroughPipeline(Env::Default(), root, builder.requests(), options);
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  const ShardedProvenanceStore& sharded = (*pipeline)->store();
+  const StoreSnapshot sharded = (*pipeline)->OpenSnapshot();
   const ProvenanceStore& reference = builder.reference_store();
 
   // (1) Identical per-object chains, byte for byte.
@@ -93,23 +82,23 @@ void RunDifferential(uint64_t seed, size_t num_shards) {
   // (3) Identical verifier verdicts (full report text, not just ok()).
   ChecksumEngine engine(builder.algorithm());
   VerificationReport ref_verify;
-  VerifyRecordChains(builder.registry(), engine, ReferenceChains(reference),
+  VerifyRecordChains(builder.registry(), engine, ChainsByIndex(reference),
                      &ref_verify);
-  VerificationReport sharded_verify =
-      sharded.VerifyChains(builder.registry(), builder.algorithm());
+  const ProvenanceVerifier verifier(&builder.registry(), builder.algorithm());
+  VerificationReport sharded_verify = verifier.VerifyStore(sharded);
   EXPECT_TRUE(sharded_verify.ok()) << sharded_verify.ToString();
   EXPECT_EQ(sharded_verify.ToString(), ref_verify.ToString());
   EXPECT_EQ(sharded_verify.records_checked, ref_verify.records_checked);
   EXPECT_EQ(sharded_verify.signatures_verified,
             ref_verify.signatures_verified);
 
-  // (4) Identical audit verdicts against the live tree, via the merged
-  // cross-shard store.
-  auto merged = sharded.MergedStore();
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  // (4) Identical audit verdicts against the live tree.
+  auto reference_copy = OneShardCopy(reference);
+  ASSERT_TRUE(reference_copy.ok()) << reference_copy.status().ToString();
   StoreAuditor auditor(&builder.registry(), builder.algorithm());
-  VerificationReport audit_sharded = auditor.Audit(*merged, builder.tree());
-  VerificationReport audit_ref = auditor.Audit(reference, builder.tree());
+  VerificationReport audit_sharded = auditor.Audit(sharded, builder.tree());
+  VerificationReport audit_ref =
+      auditor.Audit(reference_copy->OpenSnapshot(), builder.tree());
   EXPECT_TRUE(audit_sharded.ok()) << audit_sharded.ToString();
   EXPECT_EQ(audit_sharded.ToString(), audit_ref.ToString());
 
@@ -117,17 +106,17 @@ void RunDifferential(uint64_t seed, size_t num_shards) {
   auto recovered =
       ShardedProvenanceStore::Recover(Env::Default(), root, num_shards);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->record_count(), reference.record_count());
+  const StoreSnapshot restored = recovered->OpenSnapshot();
+  EXPECT_EQ(restored.record_count(), reference.record_count());
   for (ObjectId id : builder.tracked_objects()) {
     std::vector<const ProvenanceRecord*> a = sharded.ChainRecords(id);
-    std::vector<const ProvenanceRecord*> b = recovered->ChainRecords(id);
+    std::vector<const ProvenanceRecord*> b = restored.ChainRecords(id);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(EncodeRecord(*a[i]), EncodeRecord(*b[i]));
     }
   }
-  VerificationReport rec_verify =
-      recovered->VerifyChains(builder.registry(), builder.algorithm());
+  VerificationReport rec_verify = verifier.VerifyStore(restored);
   EXPECT_TRUE(rec_verify.ok()) << rec_verify.ToString();
 }
 
@@ -177,12 +166,12 @@ void RunDrainAndSealDifferential(uint64_t seed, size_t num_shards) {
   }
   EXPECT_GT(checkpoints, num_shards) << "too few seals to exercise";
 
-  auto expect_reference_chains = [&](const ShardedProvenanceStore& store) {
-    EXPECT_EQ(store.record_count(), reference.record_count());
+  auto expect_reference_chains = [&](const StoreSnapshot& snapshot) {
+    EXPECT_EQ(snapshot.record_count(), reference.record_count());
     for (ObjectId id : builder.tracked_objects()) {
       SCOPED_TRACE("object " + std::to_string(id));
       std::vector<uint64_t> ref_chain = reference.ChainOf(id);
-      std::vector<const ProvenanceRecord*> chain = store.ChainRecords(id);
+      std::vector<const ProvenanceRecord*> chain = snapshot.ChainRecords(id);
       ASSERT_EQ(chain.size(), ref_chain.size());
       for (size_t i = 0; i < ref_chain.size(); ++i) {
         EXPECT_EQ(EncodeRecord(*chain[i]),
@@ -191,7 +180,7 @@ void RunDrainAndSealDifferential(uint64_t seed, size_t num_shards) {
       }
     }
   };
-  expect_reference_chains((*pipeline)->store());
+  expect_reference_chains((*pipeline)->OpenSnapshot());
 
   std::vector<storage::WalRecoveryReport> reports;
   auto recovered = ShardedProvenanceStore::Recover(
@@ -202,9 +191,11 @@ void RunDrainAndSealDifferential(uint64_t seed, size_t num_shards) {
     sealed_shards += report.checkpoint_horizon > 0 ? 1 : 0;
   }
   EXPECT_GT(sealed_shards, 0u) << "recovery never started from a seal";
-  expect_reference_chains(*recovered);
+  const StoreSnapshot restored = recovered->OpenSnapshot();
+  expect_reference_chains(restored);
   VerificationReport verify =
-      recovered->VerifyChains(builder.registry(), builder.algorithm());
+      ProvenanceVerifier(&builder.registry(), builder.algorithm())
+          .VerifyStore(restored);
   EXPECT_TRUE(verify.ok()) << verify.ToString();
 }
 
@@ -239,11 +230,11 @@ TEST(IngestDifferentialTest, SyncEveryRecordModeAlsoAgrees) {
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
 
   const ProvenanceStore& reference = builder.reference_store();
-  EXPECT_EQ((*pipeline)->store().record_count(), reference.record_count());
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  EXPECT_EQ(snapshot.record_count(), reference.record_count());
   for (ObjectId id : builder.tracked_objects()) {
     std::vector<uint64_t> ref_chain = reference.ChainOf(id);
-    std::vector<const ProvenanceRecord*> chain =
-        (*pipeline)->store().ChainRecords(id);
+    std::vector<const ProvenanceRecord*> chain = snapshot.ChainRecords(id);
     ASSERT_EQ(chain.size(), ref_chain.size());
     for (size_t i = 0; i < ref_chain.size(); ++i) {
       EXPECT_EQ(EncodeRecord(*chain[i]),

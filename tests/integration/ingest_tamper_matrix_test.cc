@@ -55,12 +55,13 @@ bool MutationCaught(const std::vector<ProvenanceRecord>& records,
                     const storage::TreeStore& tree,
                     const crypto::ParticipantRegistry& registry,
                     crypto::HashAlgorithm alg) {
-  ProvenanceStore store;
+  ShardedProvenanceStore store(1);
   for (size_t i = 0; i < records.size(); ++i) {
-    if (!store.AddRecord(records[i]).ok()) return true;
+    if (!store.shard(0).AddRecord(records[i]).ok()) return true;
   }
+  store.PublishAll();
   StoreAuditor auditor(&registry, alg);
-  VerificationReport report = auditor.Audit(store, tree);
+  VerificationReport report = auditor.Audit(store.OpenSnapshot(), tree);
   return !report.ok();
 }
 
@@ -79,9 +80,10 @@ TEST(IngestTamperMatrixTest, EverySingleFieldMutationIsDetected) {
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
 
   // Canonical flattening of the sharded store (ascending object id,
-  // seqID order) — the same order MergedStore uses.
+  // seqID order).
   std::vector<ProvenanceRecord> base;
-  const auto chains = (*pipeline)->store().AllChains();
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  const auto chains = snapshot.AllChains();
   for (auto it = chains.begin(); it != chains.end(); ++it) {
     for (const ProvenanceRecord* rec : it->second) {
       base.push_back(*rec);
@@ -312,8 +314,9 @@ TEST(IngestTamperMatrixTest, WalByteFlipsAreRefusedOrReported) {
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
 
   Env* env = Env::Default();
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
   for (size_t s = 0; s < 2; ++s) {
-    const uint64_t expected = (*pipeline)->store().shard(s).record_count();
+    const uint64_t expected = snapshot.shard_view(s).record_count();
     if (expected == 0) continue;
     const std::string dir = ShardedProvenanceStore::ShardDirName(root, s);
     const std::string segment = storage::WalWriter::SegmentFileName(dir, 1);

@@ -11,11 +11,13 @@
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
 #include "storage/record_log.h"
+#include "testing/differential.h"
 #include "testing/test_pki.h"
 
 namespace provdb::provenance {
 namespace {
 
+using provdb::testing::OneShardCopy;
 using provdb::testing::TestPki;
 using storage::ObjectId;
 using storage::Value;
@@ -23,7 +25,11 @@ using storage::Value;
 class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/provdb_persist_test.log";
+    // One file per test: ctest runs the tests of this fixture as
+    // parallel processes, and one of them corrupts its file on purpose.
+    path_ = ::testing::TempDir() + "/provdb_persist_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".log";
     root_ = *db_.Insert(p(1), Value::String("db"));
     row_ = *db_.Insert(p(1), Value::Int(0), root_);
     cell_ = *db_.Insert(p(2), Value::Int(5), row_);
@@ -65,8 +71,10 @@ TEST_F(PersistenceTest, FullRoundTripVerifies) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 
   // The restored store audits clean against the live tree.
+  auto adopted = OneShardCopy(*restored);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
   StoreAuditor auditor(&TestPki::Instance().registry());
-  auto audit = auditor.Audit(*restored, db_.tree());
+  auto audit = auditor.Audit(adopted->OpenSnapshot(), db_.tree());
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
@@ -126,8 +134,10 @@ TEST_F(PersistenceTest, TamperedRecordInLogCaughtCryptographically) {
   auto restored = ProvenanceStore::LoadFromLog(*loaded_log);
   ASSERT_TRUE(restored.ok());
 
+  auto adopted = OneShardCopy(*restored);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
   StoreAuditor auditor(&TestPki::Instance().registry());
-  auto audit = auditor.Audit(*restored, db_.tree());
+  auto audit = auditor.Audit(adopted->OpenSnapshot(), db_.tree());
   EXPECT_FALSE(audit.ok());  // signatures catch what CRC cannot
 }
 

@@ -23,7 +23,9 @@ namespace provdb::provenance {
 namespace {
 
 using provdb::testing::DifferentialWorkloadOptions;
+using provdb::testing::EncodedInCommitOrder;
 using provdb::testing::IngestWorkloadBuilder;
+using provdb::testing::OneShardCopy;
 using provdb::testing::RandomDifferentialWorkload;
 using provdb::testing::SubmitWithDrainCadence;
 using provdb::testing::TestPki;
@@ -98,8 +100,10 @@ TEST(WalRecoveryTest, DurableLifecycleRoundTripVerifies) {
   EXPECT_TRUE(verdict.ok()) << verdict.ToString();
 
   // And the whole recovered store audits clean against the live tree.
+  auto adopted = OneShardCopy(*restored);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
   StoreAuditor auditor(&TestPki::Instance().registry());
-  auto audit = auditor.Audit(*restored, db.tree());
+  auto audit = auditor.Audit(adopted->OpenSnapshot(), db.tree());
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
@@ -433,11 +437,9 @@ void BuildShardedSweepFixture(const SweepMode& mode, const std::string& name,
                                      mode.drain_every)
                   .ok());
   ASSERT_TRUE((*pipeline)->Close().ok());
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
   for (size_t s = 0; s < kSweepShards; ++s) {
-    const ProvenanceStore& shard = (*pipeline)->store().shard(s);
-    for (uint64_t i = 0; i < shard.record_count(); ++i) {
-      fx->golden[s].push_back(EncodeRecord(shard.record(i)));
-    }
+    fx->golden[s] = EncodedInCommitOrder(snapshot.shard_view(s));
     ASSERT_FALSE(fx->golden[s].empty()) << "shard " << s << " never used";
   }
   fx->total_appends = env.append_count();
@@ -463,8 +465,9 @@ void RunShardedCrashCycle(const ShardedSweepFixture& fx,
       Status crash = SubmitWithDrainCadence(pipeline->get(), fx.requests,
                                             fx.mode.drain_every);
       (void)crash;
+      const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
       for (size_t s = 0; s < kSweepShards; ++s) {
-        committed[s] = (*pipeline)->store().shard(s).record_count();
+        committed[s] = snapshot.shard_view(s).record_count();
         const WalWriter* wal = (*pipeline)->shard_wal(s);
         ASSERT_NE(wal, nullptr);
         // The write-ahead contract under group commit: nothing commits
@@ -521,13 +524,10 @@ void RunShardedCrashCycle(const ShardedSweepFixture& fx,
       ASSERT_TRUE((*pipeline)->Submit(request).ok());
     }
     ASSERT_TRUE((*pipeline)->Close().ok());
+    const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
     for (size_t s = 0; s < kSweepShards; ++s) {
       SCOPED_TRACE("shard " + std::to_string(s) + " after resume");
-      const ProvenanceStore& shard = (*pipeline)->store().shard(s);
-      ASSERT_EQ(shard.record_count(), fx.golden[s].size());
-      for (uint64_t i = 0; i < shard.record_count(); ++i) {
-        EXPECT_EQ(EncodeRecord(shard.record(i)), fx.golden[s][i]);
-      }
+      EXPECT_EQ(EncodedInCommitOrder(snapshot.shard_view(s)), fx.golden[s]);
     }
   }
 }

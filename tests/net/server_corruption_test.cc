@@ -30,6 +30,7 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "provenance/ingest_pipeline.h"
+#include "provenance/verifier.h"
 #include "storage/env.h"
 #include "testing/test_pki.h"
 
@@ -134,9 +135,11 @@ class ServerCorruptionTest : public ::testing::Test {
     server_->Stop();
     server_.reset();
     ASSERT_TRUE(pipeline_->Drain().ok());
-    EXPECT_EQ(pipeline_->store().record_count(), 1u);
-    auto report = pipeline_->store().VerifyChains(
-        TestPki::Instance().registry());
+    const provenance::StoreSnapshot snapshot = pipeline_->OpenSnapshot();
+    EXPECT_EQ(snapshot.record_count(), 1u);
+    auto report = provenance::ProvenanceVerifier(
+                      &TestPki::Instance().registry())
+                      .VerifyStore(snapshot);
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.records_checked, 1u);
   }

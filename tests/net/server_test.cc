@@ -143,12 +143,12 @@ provenance::IngestRequest ToIngestRequest(const SubmitRequest& submit) {
   return request;
 }
 
-/// Every record of every chain, flattened in the store's canonical
+/// Every record of every chain, flattened in the snapshot's canonical
 /// (object id, then seq) order, as EncodeRecord bytes.
-std::vector<Bytes> FlattenStore(
-    const provenance::ShardedProvenanceStore& store) {
+std::vector<Bytes> FlattenStore(const IngestPipeline& pipeline) {
+  const provenance::StoreSnapshot snapshot = pipeline.OpenSnapshot();
   std::vector<Bytes> out;
-  for (const auto& [object, chain] : store.AllChains()) {
+  for (const auto& [object, chain] : snapshot.AllChains()) {
     for (const auto* record : chain) {
       out.push_back(provenance::EncodeRecord(*record));
     }
@@ -157,18 +157,18 @@ std::vector<Bytes> FlattenStore(
 }
 
 /// Replays `accepted` into a fresh direct pipeline and requires the
-/// resulting store to be byte-identical to `server_store` — the wire path
+/// resulting store to be byte-identical to `served`'s — the wire path
 /// must add nothing, lose nothing, and change nothing.
 void ExpectByteIdenticalToDirectIngest(
     const std::string& tag, const std::vector<SubmitRequest>& accepted,
-    const provenance::ShardedProvenanceStore& server_store, size_t shards) {
+    const IngestPipeline& served, size_t shards) {
   std::unique_ptr<IngestPipeline> direct =
       OpenPipeline(FreshDir(tag), shards);
   for (const SubmitRequest& submit : accepted) {
     ASSERT_TRUE(direct->Submit(ToIngestRequest(submit)).ok());
   }
   ASSERT_TRUE(direct->Drain().ok());
-  EXPECT_EQ(FlattenStore(server_store), FlattenStore(direct->store()));
+  EXPECT_EQ(FlattenStore(served), FlattenStore(*direct));
 }
 
 // -- Basic ops ---------------------------------------------------------
@@ -316,7 +316,7 @@ TEST(ServerIntegrationTest, BadSubmitsRejectedTypedWithoutWedgingIngest) {
   server->Stop();
   server.reset();
   ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(pipeline->store().record_count(), 2u);
+  EXPECT_EQ(pipeline->OpenSnapshot().record_count(), 2u);
 }
 
 // -- Ordering and restarts ---------------------------------------------
@@ -403,7 +403,7 @@ TEST(ServerIntegrationTest, ConcurrentConnectionsAllCommit) {
   server->Stop();
   server.reset();
   ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(pipeline->store().record_count(), kClients * kPerClient);
+  EXPECT_EQ(pipeline->OpenSnapshot().record_count(), kClients * kPerClient);
 }
 
 // -- The write-ahead + differential contract ---------------------------
@@ -438,17 +438,17 @@ TEST(ServerIntegrationTest, AcceptedRecordsByteIdenticalToDirectIngest) {
   server->Stop();
   server.reset();
   ASSERT_TRUE(pipeline->Drain().ok());
-  ASSERT_EQ(pipeline->store().record_count(), accepted.size());
+  ASSERT_EQ(pipeline->OpenSnapshot().record_count(), accepted.size());
 
-  ExpectByteIdenticalToDirectIngest("diff_direct", accepted,
-                                    pipeline->store(), kShards);
+  ExpectByteIdenticalToDirectIngest("diff_direct", accepted, *pipeline,
+                                    kShards);
 
   // And the accepted set is *durable*: a recovery-path reopen of the same
   // root must reconstruct the identical store.
-  std::vector<Bytes> before = FlattenStore(pipeline->store());
+  std::vector<Bytes> before = FlattenStore(*pipeline);
   pipeline.reset();
   auto reopened = OpenPipeline(root, kShards);
-  EXPECT_EQ(FlattenStore(reopened->store()), before);
+  EXPECT_EQ(FlattenStore(*reopened), before);
 }
 
 // -- Overload ----------------------------------------------------------
@@ -513,9 +513,9 @@ TEST(ServerOverloadTest, SaturatedAdmissionShedsTypedAndCommitsTheRest) {
 
   // Exactly the accepted set committed — nothing shed leaked in, nothing
   // accepted got lost — and its bytes match a direct ingest replay.
-  ASSERT_EQ(pipeline->store().record_count(), accepted.size());
-  ExpectByteIdenticalToDirectIngest("overload_direct", accepted,
-                                    pipeline->store(), kShards);
+  ASSERT_EQ(pipeline->OpenSnapshot().record_count(), accepted.size());
+  ExpectByteIdenticalToDirectIngest("overload_direct", accepted, *pipeline,
+                                    kShards);
 
   // Budget fully released once the burst is answered.
   for (const auto& [name, value] :

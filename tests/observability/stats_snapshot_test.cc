@@ -82,7 +82,7 @@ class StatsSnapshotTest : public ::testing::Test {
     provenance::StoreAuditor auditor(&TestPki::Instance().registry(),
                                      crypto::HashAlgorithm::kSha1,
                                      ParallelismConfig{4});
-    EXPECT_TRUE(auditor.Audit(db.provenance(), db.tree()).ok());
+    EXPECT_TRUE(auditor.Audit(db.OpenSnapshot(), db.tree()).ok());
 
     storage::WalRecoveryReport report;
     auto restored = provenance::ProvenanceStore::RecoverFromWal(

@@ -35,7 +35,7 @@ class AuditorTest : public ::testing::Test {
 };
 
 TEST_F(AuditorTest, CleanDeploymentPasses) {
-  auto report = MakeAuditor().Audit(db_.provenance(), db_.tree());
+  auto report = MakeAuditor().Audit(db_.OpenSnapshot(), db_.tree());
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_EQ(report.records_checked, db_.provenance().record_count());
   EXPECT_EQ(report.signatures_verified, db_.provenance().record_count());
@@ -45,7 +45,7 @@ TEST_F(AuditorTest, DetectsUndocumentedLiveModification) {
   // Mutate the backing tree behind the provenance system's back (R4
   // against the store itself).
   ASSERT_TRUE(db_.bootstrap_tree().Update(cell_, Value::Int(666)).ok());
-  auto report = MakeAuditor().Audit(db_.provenance(), db_.tree());
+  auto report = MakeAuditor().Audit(db_.OpenSnapshot(), db_.tree());
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.HasIssue(IssueKind::kDataHashMismatch));
   // The mismatch is visible at the cell and propagates to every ancestor.
@@ -55,7 +55,7 @@ TEST_F(AuditorTest, DetectsUndocumentedLiveModification) {
 TEST_F(AuditorTest, DetectsTamperedStoredChecksum) {
   ProvenanceRecord* rec = db_.mutable_provenance()->mutable_record(0);
   rec->checksum[3] ^= 0x10;
-  auto report = MakeAuditor().Audit(db_.provenance(), db_.tree());
+  auto report = MakeAuditor().Audit(db_.OpenSnapshot(), db_.tree());
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.HasIssue(IssueKind::kBadSignature));
 }
@@ -63,13 +63,13 @@ TEST_F(AuditorTest, DetectsTamperedStoredChecksum) {
 TEST_F(AuditorTest, DetectsTamperedStoredHash) {
   ProvenanceRecord* rec = db_.mutable_provenance()->mutable_record(1);
   rec->output.state_hash.mutable_data()[0] ^= 1;
-  auto report = MakeAuditor().Audit(db_.provenance(), db_.tree());
+  auto report = MakeAuditor().Audit(db_.OpenSnapshot(), db_.tree());
   EXPECT_FALSE(report.ok());
 }
 
 TEST_F(AuditorTest, DeletedObjectsDoNotFalseAlarm) {
   ASSERT_TRUE(db_.Delete(p(1), cell_).ok());
-  auto report = MakeAuditor().Audit(db_.provenance(), db_.tree());
+  auto report = MakeAuditor().Audit(db_.OpenSnapshot(), db_.tree());
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
@@ -77,14 +77,14 @@ TEST_F(AuditorTest, PrunedRecordsAreSkipped) {
   ObjectId solo = *db_.Insert(p(1), Value::Int(1));
   ASSERT_TRUE(db_.Delete(p(1), solo).ok());
   db_.mutable_provenance()->PruneObject(solo).value();
-  auto report = MakeAuditor().Audit(db_.provenance(), db_.tree());
+  auto report = MakeAuditor().Audit(db_.OpenSnapshot(), db_.tree());
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST_F(AuditorTest, BootstrapObjectsWithoutChainsIgnored) {
   TrackedDatabase db;
   db.bootstrap_tree().Insert(Value::Int(1)).value();
-  auto report = MakeAuditor().Audit(db.provenance(), db.tree());
+  auto report = MakeAuditor().Audit(db.OpenSnapshot(), db.tree());
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.records_checked, 0u);
 }
@@ -92,7 +92,7 @@ TEST_F(AuditorTest, BootstrapObjectsWithoutChainsIgnored) {
 TEST_F(AuditorTest, AuditCoversAggregates) {
   auto agg = db_.Aggregate(p(3), {root_}, Value::String("agg"));
   ASSERT_TRUE(agg.ok());
-  auto report = MakeAuditor().Audit(db_.provenance(), db_.tree());
+  auto report = MakeAuditor().Audit(db_.OpenSnapshot(), db_.tree());
   EXPECT_TRUE(report.ok()) << report.ToString();
 
   // Now tamper the aggregate's stored input hash.
@@ -104,7 +104,7 @@ TEST_F(AuditorTest, AuditCoversAggregates) {
           .state_hash.mutable_data()[0] ^= 1;
     }
   }
-  report = MakeAuditor().Audit(db_.provenance(), db_.tree());
+  report = MakeAuditor().Audit(db_.OpenSnapshot(), db_.tree());
   EXPECT_FALSE(report.ok());
 }
 

@@ -16,12 +16,17 @@
 #include "common/hashmix.h"
 #include "common/thread_pool.h"
 #include "provenance/serialization.h"
+#include "provenance/verifier.h"
 #include "storage/fault_injection_env.h"
+#include "testing/differential.h"
 #include "testing/test_pki.h"
 
 namespace provdb::provenance {
 namespace {
 
+using provdb::testing::IngestWorkloadBuilder;
+using provdb::testing::ReplayThroughPipeline;
+using provdb::testing::SortByObjectAndSeq;
 using provdb::testing::TestPki;
 using storage::Env;
 using storage::FaultInjectionEnv;
@@ -182,14 +187,15 @@ TEST(IngestPipelineTest, RoutesObjectsToTheirShardAndVerifies) {
   ASSERT_TRUE((*pipeline)->Drain().ok());
   EXPECT_EQ((*pipeline)->committed(), ids.size() * 2);
 
-  const ShardedProvenanceStore& store = (*pipeline)->store();
-  EXPECT_EQ(store.record_count(), ids.size() * 2);
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  EXPECT_EQ(snapshot.record_count(), ids.size() * 2);
   for (ObjectId id : ids) {
     size_t s = ShardedProvenanceStore::ShardOf(id, 4);
-    EXPECT_EQ(store.shard(s).ChainOf(id).size(), 2u);
-    EXPECT_EQ(store.ChainRecords(id).size(), 2u);
+    EXPECT_EQ(snapshot.shard_view(s).ChainRecords(id).size(), 2u);
+    EXPECT_EQ(snapshot.ChainRecords(id).size(), 2u);
   }
-  auto report = store.VerifyChains(TestPki::Instance().registry());
+  auto report = ProvenanceVerifier(&TestPki::Instance().registry())
+                    .VerifyStore(snapshot);
   EXPECT_TRUE(report.ok()) << report.ToString();
   ASSERT_TRUE((*pipeline)->Close().ok());
 }
@@ -207,13 +213,13 @@ TEST(IngestPipelineTest, GroupCommitDefersDurabilityAndCommitUntilFlush) {
   ASSERT_TRUE((*pipeline)->Submit(Insert(1, 0x01)).ok());
   ASSERT_TRUE((*pipeline)->Submit(Insert(2, 0x02)).ok());
   ASSERT_TRUE((*pipeline)->Submit(Insert(3, 0x03)).ok());
-  EXPECT_EQ((*pipeline)->store().record_count(), 0u);
+  EXPECT_EQ((*pipeline)->OpenSnapshot().record_count(), 0u);
   EXPECT_EQ((*pipeline)->shard_wal(0)->appended_records(), 0u);
 
   // The fourth submit fills the batch: one flush, one durability point.
   uint64_t syncs_before = (*pipeline)->shard_wal(0)->synced_records();
   ASSERT_TRUE((*pipeline)->Submit(Insert(4, 0x04)).ok());
-  EXPECT_EQ((*pipeline)->store().record_count(), 4u);
+  EXPECT_EQ((*pipeline)->OpenSnapshot().record_count(), 4u);
   EXPECT_EQ((*pipeline)->shard_wal(0)->synced_records(), syncs_before + 4);
   ASSERT_TRUE((*pipeline)->Close().ok());
 }
@@ -226,7 +232,7 @@ TEST(IngestPipelineTest, SyncEveryRecordCommitsImmediately) {
   auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
   ASSERT_TRUE(pipeline.ok());
   ASSERT_TRUE((*pipeline)->Submit(Insert(1, 0x01)).ok());
-  EXPECT_EQ((*pipeline)->store().record_count(), 1u);
+  EXPECT_EQ((*pipeline)->OpenSnapshot().record_count(), 1u);
   EXPECT_EQ((*pipeline)->shard_wal(0)->synced_records(), 1u);
   ASSERT_TRUE((*pipeline)->Close().ok());
 }
@@ -249,41 +255,65 @@ TEST(IngestPipelineTest, ReopenContinuesChainsFromRecoveredTails) {
         IngestPipeline::Open(Env::Default(), root, options, &reports);
     ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
     EXPECT_EQ(reports.size(), 2u);
-    EXPECT_EQ((*pipeline)->store().record_count(), 2u);
+    EXPECT_EQ((*pipeline)->OpenSnapshot().record_count(), 2u);
     // Chain continuation across restart: the update must get seq 1 and
     // link against the recovered checksum.
     ASSERT_TRUE((*pipeline)->Submit(Update(21, 0x01, 0x11)).ok());
     ASSERT_TRUE((*pipeline)->Submit(Update(22, 0x02, 0x12)).ok());
     ASSERT_TRUE((*pipeline)->Close().ok());
-    auto report =
-        (*pipeline)->store().VerifyChains(TestPki::Instance().registry());
+    auto report = ProvenanceVerifier(&TestPki::Instance().registry())
+                      .VerifyStore((*pipeline)->OpenSnapshot());
     EXPECT_TRUE(report.ok()) << report.ToString();
   }
   auto recovered =
       ShardedProvenanceStore::Recover(Env::Default(), root, 2);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->record_count(), 4u);
-  EXPECT_EQ(recovered->ChainRecords(21).back()->seq_id, 1u);
-  auto report = recovered->VerifyChains(TestPki::Instance().registry());
+  const StoreSnapshot snapshot = recovered->OpenSnapshot();
+  EXPECT_EQ(snapshot.record_count(), 4u);
+  EXPECT_EQ(snapshot.ChainRecords(21).back()->seq_id, 1u);
+  auto report = ProvenanceVerifier(&TestPki::Instance().registry())
+                    .VerifyStore(snapshot);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-TEST(IngestPipelineTest, MergedStoreFeedsSequentialMachinery) {
-  std::string root = FreshDir("merge");
+// A snapshot of a three-shard pipeline holds every record and extracts
+// every provenance object, aggregate inputs on other shards included,
+// exactly as the sequential reference store does, in (object id, seqID)
+// order.
+TEST(IngestPipelineTest, SnapshotExtractsAcrossShardsLikeTheReference) {
+  IngestWorkloadBuilder builder;
+  std::vector<ObjectId> ids;
+  for (int i = 0; i < 6; ++i) {
+    auto id = builder.Insert(static_cast<size_t>(i % 4),
+                             storage::Value::Int(31 + i));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  ASSERT_TRUE(builder.Update(ids[0], 1, storage::Value::Int(99)).ok());
+  ASSERT_TRUE(
+      builder.Aggregate({ids[0], ids[1], ids[2]}, 2, storage::Value::Int(7))
+          .ok());
+
   IngestOptions options;
   options.num_shards = 3;
-  auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
-  ASSERT_TRUE(pipeline.ok());
-  for (ObjectId id = 31; id <= 36; ++id) {
-    ASSERT_TRUE(
-        (*pipeline)->Submit(Insert(id, static_cast<uint8_t>(id))).ok());
-  }
-  ASSERT_TRUE((*pipeline)->Close().ok());
-  auto merged = (*pipeline)->store().MergedStore();
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(merged->record_count(), 6u);
-  for (ObjectId id = 31; id <= 36; ++id) {
-    EXPECT_EQ(merged->ChainOf(id).size(), 1u);
+  auto pipeline = ReplayThroughPipeline(Env::Default(), FreshDir("merge"),
+                                        builder.requests(), options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  const ProvenanceStore& reference = builder.reference_store();
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  EXPECT_EQ(snapshot.record_count(), reference.record_count());
+  for (ObjectId id : builder.tracked_objects()) {
+    SCOPED_TRACE("object " + std::to_string(id));
+    EXPECT_EQ(snapshot.ChainRecords(id).size(), reference.ChainOf(id).size());
+    auto extracted = snapshot.ExtractProvenance(id);
+    auto expected = reference.ExtractProvenance(id);
+    ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    SortByObjectAndSeq(&*expected);
+    ASSERT_EQ(extracted->size(), expected->size());
+    for (size_t i = 0; i < expected->size(); ++i) {
+      EXPECT_EQ(EncodeRecord((*extracted)[i]), EncodeRecord((*expected)[i]));
+    }
   }
 }
 
@@ -302,7 +332,7 @@ TEST(IngestPipelineTest, FlushErrorPoisonsThePipeline) {
   ASSERT_TRUE((*pipeline)->Submit(Insert(1, 0x01)).ok());
   Status flush = (*pipeline)->Submit(Insert(2, 0x02));
   EXPECT_FALSE(flush.ok());
-  EXPECT_EQ((*pipeline)->store().record_count(), 0u);
+  EXPECT_EQ((*pipeline)->OpenSnapshot().record_count(), 0u);
   env.ClearFaults();
   Status later = (*pipeline)->Submit(Insert(3, 0x03));
   EXPECT_FALSE(later.ok());
@@ -454,8 +484,9 @@ TEST(IngestPipelineParallelTest, ParallelSigningMatchesSequential) {
     }
     EXPECT_TRUE((*pipeline)->Close().ok());
     std::vector<Bytes> encoded;
+    const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
     for (ObjectId id = 41; id <= 48; ++id) {
-      for (const ProvenanceRecord* rec : (*pipeline)->store().ChainRecords(id)) {
+      for (const ProvenanceRecord* rec : snapshot.ChainRecords(id)) {
         encoded.push_back(EncodeRecord(*rec));
       }
     }
@@ -507,10 +538,11 @@ TEST(IngestPipelineConcurrentTest, ConcurrentProducersSerializeSafely) {
   ASSERT_TRUE((*pipeline)->Drain().ok());
   EXPECT_EQ((*pipeline)->committed(),
             static_cast<uint64_t>(kProducers) * kPerProducer * 2);
-  const ShardedProvenanceStore& store = (*pipeline)->store();
-  EXPECT_EQ(store.record_count(),
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  EXPECT_EQ(snapshot.record_count(),
             static_cast<uint64_t>(kProducers) * kPerProducer * 2);
-  auto report = store.VerifyChains(TestPki::Instance().registry());
+  auto report = ProvenanceVerifier(&TestPki::Instance().registry())
+                    .VerifyStore(snapshot);
   EXPECT_TRUE(report.ok()) << report.ToString();
   ASSERT_TRUE((*pipeline)->Close().ok());
 }

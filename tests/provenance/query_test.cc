@@ -35,7 +35,7 @@ class QueryTest : public ::testing::Test {
 };
 
 TEST_F(QueryTest, SummarizeLineageCountsEverything) {
-  auto summary = SummarizeLineage(db_.provenance(), d_);
+  auto summary = SummarizeLineage(db_.OpenSnapshot(), d_);
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary->record_count, 6u);  // 2 ins, 2 upd, 2 agg
   EXPECT_EQ(summary->insert_count, 2u);
@@ -50,51 +50,52 @@ TEST_F(QueryTest, SummarizeLineageCountsEverything) {
 }
 
 TEST_F(QueryTest, SummarizeLineageOfLeafChain) {
-  auto summary = SummarizeLineage(db_.provenance(), a_);
+  auto summary = SummarizeLineage(db_.OpenSnapshot(), a_);
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary->record_count, 2u);  // insert + update
   EXPECT_TRUE(summary->contributing_objects.empty());
 }
 
 TEST_F(QueryTest, SummarizeUnknownObjectFails) {
-  EXPECT_FALSE(SummarizeLineage(db_.provenance(), 999).ok());
+  EXPECT_FALSE(SummarizeLineage(db_.OpenSnapshot(), 999).ok());
 }
 
 TEST_F(QueryTest, RecordsByParticipant) {
-  auto p2_records = RecordsByParticipant(db_.provenance(), p(2).id());
+  const StoreSnapshot snapshot = db_.OpenSnapshot();
+  auto p2_records = RecordsByParticipant(snapshot, p(2).id());
   EXPECT_EQ(p2_records.size(), 2u);  // the two updates
-  for (uint64_t idx : p2_records) {
-    EXPECT_EQ(db_.provenance().record(idx).op, OperationType::kUpdate);
+  for (const ProvenanceRecord* rec : p2_records) {
+    EXPECT_EQ(rec->op, OperationType::kUpdate);
   }
-  EXPECT_TRUE(RecordsByParticipant(db_.provenance(), 999).empty());
+  EXPECT_TRUE(RecordsByParticipant(snapshot, 999).empty());
 }
 
 TEST_F(QueryTest, ParticipantTouchedFollowsTheDag) {
   // p3 only signed C's aggregation — which is part of D's history.
-  auto touched = ParticipantTouched(db_.provenance(), d_, p(3).id());
+  auto touched = ParticipantTouched(db_.OpenSnapshot(), d_, p(3).id());
   ASSERT_TRUE(touched.ok());
   EXPECT_TRUE(*touched);
   // ...but p3 never touched A's own history.
-  touched = ParticipantTouched(db_.provenance(), a_, p(3).id());
+  touched = ParticipantTouched(db_.OpenSnapshot(), a_, p(3).id());
   ASSERT_TRUE(touched.ok());
   EXPECT_FALSE(*touched);
 }
 
 TEST_F(QueryTest, HistorySliceSelectsSeqRange) {
-  auto slice = HistorySlice(db_.provenance(), a_, 1, 1);
+  auto slice = HistorySlice(db_.OpenSnapshot(), a_, 1, 1);
   ASSERT_TRUE(slice.ok());
   ASSERT_EQ(slice->size(), 1u);
   EXPECT_EQ((*slice)[0].op, OperationType::kUpdate);
 
-  slice = HistorySlice(db_.provenance(), a_, 0, 100);
+  slice = HistorySlice(db_.OpenSnapshot(), a_, 0, 100);
   EXPECT_EQ(slice->size(), 2u);
 
-  EXPECT_FALSE(HistorySlice(db_.provenance(), a_, 2, 1).ok());
-  EXPECT_FALSE(HistorySlice(db_.provenance(), 999, 0, 1).ok());
+  EXPECT_FALSE(HistorySlice(db_.OpenSnapshot(), a_, 2, 1).ok());
+  EXPECT_FALSE(HistorySlice(db_.OpenSnapshot(), 999, 0, 1).ok());
 }
 
 TEST_F(QueryTest, DirectSourcesOfAggregate) {
-  auto sources = DirectSources(db_.provenance(), d_);
+  auto sources = DirectSources(db_.OpenSnapshot(), d_);
   ASSERT_TRUE(sources.ok());
   ASSERT_EQ(sources->size(), 2u);
   EXPECT_EQ((*sources)[0].object_id, a_);
@@ -102,10 +103,10 @@ TEST_F(QueryTest, DirectSourcesOfAggregate) {
 }
 
 TEST_F(QueryTest, DirectSourcesOfNonAggregateIsEmpty) {
-  auto sources = DirectSources(db_.provenance(), a_);
+  auto sources = DirectSources(db_.OpenSnapshot(), a_);
   ASSERT_TRUE(sources.ok());
   EXPECT_TRUE(sources->empty());
-  EXPECT_FALSE(DirectSources(db_.provenance(), 999).ok());
+  EXPECT_FALSE(DirectSources(db_.OpenSnapshot(), 999).ok());
 }
 
 // ---------------------------------------------------------------------

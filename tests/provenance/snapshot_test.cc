@@ -1,14 +1,17 @@
 // Regression pin for the epoch-based snapshot read path (DESIGN.md §16):
-// on a quiesced store, everything read through a StoreSnapshot must be
-// byte-identical to the direct (writer-current) read path, and a snapshot
-// held across further ingest must keep returning its original batch
-// prefix. Also unit-tests the COW ChainIndex the snapshots traverse.
+// everything read through a StoreSnapshot of a drained pipeline must be
+// byte-identical to the sequential reference store read by its own
+// writer, a snapshot held across further ingest must keep returning its
+// original batch prefix, and TrackedDatabase snapshots cut at operation
+// boundaries. Also unit-tests the COW ChainIndex the snapshots traverse.
 
 #include "provenance/snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,18 +19,54 @@
 #include "provenance/chain_index.h"
 #include "provenance/query.h"
 #include "provenance/serialization.h"
+#include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
 #include "testing/differential.h"
 
 namespace provdb::provenance {
 namespace {
 
+using provdb::testing::ChainsByIndex;
 using provdb::testing::IngestWorkloadBuilder;
+using provdb::testing::OneShardCopy;
 using provdb::testing::RandomDifferentialWorkload;
 using provdb::testing::ReplayThroughPipeline;
+using provdb::testing::SortByObjectAndSeq;
+using provdb::testing::TestPki;
 using provdb::testing::WipeIngestRoot;
 using storage::Env;
 using storage::ObjectId;
+using storage::Value;
+
+/// Every live chain of `snapshot`, encoded, keyed by object id.
+std::map<ObjectId, std::vector<Bytes>> EncodeChains(
+    const StoreSnapshot& snapshot) {
+  std::map<ObjectId, std::vector<Bytes>> out;
+  for (const auto& [object, chain] : snapshot.AllChains()) {
+    for (const ProvenanceRecord* rec : chain) {
+      out[object].push_back(EncodeRecord(*rec));
+    }
+  }
+  return out;
+}
+
+/// The reference store's chain of `id`, encoded, in seqID order.
+std::vector<Bytes> EncodeReferenceChain(const ProvenanceStore& reference,
+                                        ObjectId id) {
+  std::vector<Bytes> out;
+  for (uint64_t index : reference.ChainOf(id)) {
+    out.push_back(EncodeRecord(reference.record(index)));
+  }
+  return out;
+}
+
+std::vector<Bytes> Encode(const std::vector<const ProvenanceRecord*>& chain) {
+  std::vector<Bytes> out;
+  for (const ProvenanceRecord* rec : chain) {
+    out.push_back(EncodeRecord(*rec));
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------
 // ChainIndex: the 16-way path-copying radix trie under every snapshot.
@@ -108,7 +147,10 @@ TEST(ChainIndexTest, ForEachLeafVisitsEveryKeyOnce) {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot reads vs the direct path, on a quiesced store.
+// Snapshot reads vs the sequential reference store. The reference is
+// built inline by IngestWorkloadBuilder through the same signing code and
+// read by its own writer (record, ChainOf, ExtractProvenance), never
+// through a snapshot.
 // ---------------------------------------------------------------------
 
 struct QuiescedFixture {
@@ -140,48 +182,46 @@ TEST(StoreSnapshotTest, SnapshotReadsMatchDirectReadsByteForByte) {
     QuiescedFixture fx;
     fx.Build(0x5A4B0001u, num_shards);
     if (::testing::Test::HasFatalFailure()) return;
-    const ShardedProvenanceStore& store = fx.pipeline->store();
+    const ProvenanceStore& reference = fx.builder.reference_store();
     StoreSnapshot snapshot = fx.pipeline->OpenSnapshot();
 
     EXPECT_EQ(snapshot.num_shards(), num_shards);
     EXPECT_GT(snapshot.epoch(), 0u);
-    EXPECT_EQ(snapshot.record_count(), store.record_count());
-    EXPECT_EQ(snapshot.live_record_count(), store.live_record_count());
+    EXPECT_EQ(snapshot.record_count(), reference.record_count());
+    EXPECT_EQ(snapshot.live_record_count(), reference.live_record_count());
 
     // Chain maps: identical keys and byte-identical records.
-    auto direct = store.AllChains();
+    auto direct = ChainsByIndex(reference);
     auto snapped = snapshot.AllChains();
     ASSERT_EQ(snapped.size(), direct.size());
     for (const auto& [object, chain] : direct) {
       SCOPED_TRACE("object " + std::to_string(object));
       auto it = snapped.find(object);
       ASSERT_NE(it, snapped.end());
-      ASSERT_EQ(it->second.size(), chain.size());
-      for (size_t i = 0; i < chain.size(); ++i) {
-        EXPECT_EQ(EncodeRecord(*it->second[i]), EncodeRecord(*chain[i]));
-      }
+      EXPECT_EQ(Encode(it->second), Encode(chain));
     }
 
     // Per-object chain lookups agree, including unknown objects.
     for (ObjectId id : fx.builder.tracked_objects()) {
-      EXPECT_EQ(snapshot.ChainRecords(id).size(),
-                store.ChainRecords(id).size());
+      EXPECT_EQ(Encode(snapshot.ChainRecords(id)),
+                EncodeReferenceChain(reference, id))
+          << "object " << id;
     }
     EXPECT_TRUE(snapshot.ChainRecords(0xFFFFFFFFull).empty());
 
-    // Extraction closure agrees with the canonical merged-store order.
-    auto merged = store.MergedStore();
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    // Extraction closure agrees with the reference's, reordered into the
+    // snapshot's (object id, seqID) order.
     for (ObjectId id : fx.builder.tracked_objects()) {
       SCOPED_TRACE("extract object " + std::to_string(id));
       auto from_snapshot = snapshot.ExtractProvenance(id);
-      auto from_merged = merged->ExtractProvenance(id);
+      auto expected = reference.ExtractProvenance(id);
       ASSERT_TRUE(from_snapshot.ok()) << from_snapshot.status().ToString();
-      ASSERT_TRUE(from_merged.ok()) << from_merged.status().ToString();
-      ASSERT_EQ(from_snapshot->size(), from_merged->size());
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      SortByObjectAndSeq(&*expected);
+      ASSERT_EQ(from_snapshot->size(), expected->size());
       for (size_t i = 0; i < from_snapshot->size(); ++i) {
         EXPECT_EQ(EncodeRecord((*from_snapshot)[i]),
-                  EncodeRecord((*from_merged)[i]));
+                  EncodeRecord((*expected)[i]));
       }
     }
   }
@@ -191,74 +231,86 @@ TEST(StoreSnapshotTest, VerifierAndAuditorAgreeOnSnapshotAndStore) {
   QuiescedFixture fx;
   fx.Build(0x5A4B0002u, 2);
   if (::testing::Test::HasFatalFailure()) return;
-  const ShardedProvenanceStore& store = fx.pipeline->store();
+  const ProvenanceStore& reference = fx.builder.reference_store();
   StoreSnapshot snapshot = fx.pipeline->OpenSnapshot();
 
   ProvenanceVerifier verifier(&fx.builder.registry(),
                               fx.builder.algorithm());
   VerificationReport via_snapshot = verifier.VerifyStore(snapshot);
-  VerificationReport via_store =
-      store.VerifyChains(fx.builder.registry(), fx.builder.algorithm());
+  ChecksumEngine engine(fx.builder.algorithm());
+  VerificationReport via_store;
+  VerifyRecordChains(fx.builder.registry(), engine, ChainsByIndex(reference),
+                     &via_store);
   EXPECT_TRUE(via_snapshot.ok()) << via_snapshot.ToString();
   EXPECT_EQ(via_snapshot.ToString(), via_store.ToString());
 
-  auto merged = store.MergedStore();
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  // The reference is audited through a one-shard copy: its report text
+  // must not depend on the sharding.
+  auto reference_copy = OneShardCopy(reference);
+  ASSERT_TRUE(reference_copy.ok()) << reference_copy.status().ToString();
   StoreAuditor auditor(&fx.builder.registry(), fx.builder.algorithm());
   VerificationReport audit_snapshot = auditor.Audit(snapshot,
                                                     fx.builder.tree());
-  VerificationReport audit_store = auditor.Audit(*merged, fx.builder.tree());
+  VerificationReport audit_store =
+      auditor.Audit(reference_copy->OpenSnapshot(), fx.builder.tree());
   EXPECT_TRUE(audit_snapshot.ok()) << audit_snapshot.ToString();
   EXPECT_EQ(audit_snapshot.ToString(), audit_store.ToString());
 }
 
-TEST(StoreSnapshotTest, QueryOverloadsAgreeOnSnapshotAndStore) {
+TEST(StoreSnapshotTest, QueriesMatchTheReferenceStore) {
   QuiescedFixture fx;
   fx.Build(0x5A4B0003u, 2);
   if (::testing::Test::HasFatalFailure()) return;
+  const ProvenanceStore& reference = fx.builder.reference_store();
   StoreSnapshot snapshot = fx.pipeline->OpenSnapshot();
-  auto merged = fx.pipeline->store().MergedStore();
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
 
   for (ObjectId id : fx.builder.tracked_objects()) {
     SCOPED_TRACE("object " + std::to_string(id));
-    auto sum_snapshot = SummarizeLineage(snapshot, id);
-    auto sum_store = SummarizeLineage(*merged, id);
-    ASSERT_TRUE(sum_snapshot.ok()) << sum_snapshot.status().ToString();
-    ASSERT_TRUE(sum_store.ok()) << sum_store.status().ToString();
-    EXPECT_EQ(sum_snapshot->ToString(), sum_store->ToString());
-
-    auto slice_snapshot = HistorySlice(snapshot, id, 0, 1000);
-    auto slice_store = HistorySlice(*merged, id, 0, 1000);
-    ASSERT_TRUE(slice_snapshot.ok());
-    ASSERT_TRUE(slice_store.ok());
-    ASSERT_EQ(slice_snapshot->size(), slice_store->size());
-    for (size_t i = 0; i < slice_snapshot->size(); ++i) {
-      EXPECT_EQ(EncodeRecord((*slice_snapshot)[i]),
-                EncodeRecord((*slice_store)[i]));
+    auto history = reference.ExtractProvenance(id);
+    ASSERT_TRUE(history.ok()) << history.status().ToString();
+    std::set<crypto::ParticipantId> participants;
+    SeqId max_seq = 0;
+    for (const ProvenanceRecord& rec : *history) {
+      participants.insert(rec.participant);
+      max_seq = std::max(max_seq, rec.seq_id);
     }
+    auto summary = SummarizeLineage(snapshot, id);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_EQ(summary->record_count, history->size());
+    EXPECT_EQ(summary->participants, participants);
+    EXPECT_EQ(summary->max_seq_id, max_seq);
 
-    auto sources_snapshot = DirectSources(snapshot, id);
-    auto sources_store = DirectSources(*merged, id);
-    ASSERT_TRUE(sources_snapshot.ok());
-    ASSERT_TRUE(sources_store.ok());
-    EXPECT_EQ(sources_snapshot->size(), sources_store->size());
+    auto slice = HistorySlice(snapshot, id, 0, 1000);
+    ASSERT_TRUE(slice.ok());
+    std::vector<Bytes> slice_bytes;
+    for (const ProvenanceRecord& rec : *slice) {
+      slice_bytes.push_back(EncodeRecord(rec));
+    }
+    EXPECT_EQ(slice_bytes, EncodeReferenceChain(reference, id));
+
+    auto sources = DirectSources(snapshot, id);
+    ASSERT_TRUE(sources.ok());
+    const ProvenanceRecord& first =
+        reference.record(reference.ChainOf(id).front());
+    const size_t expected_sources =
+        first.op == OperationType::kAggregate ? first.inputs.size() : 0;
+    EXPECT_EQ(sources->size(), expected_sources);
   }
 
-  // Participant queries: the snapshot overload returns records in
-  // ascending (object, seq) order — same multiset as the merged store's
-  // index-based overload (whose indices are already in that order).
-  for (size_t p = 0; p < provdb::testing::TestPki::kNumParticipants; ++p) {
+  // Participant queries return records in ascending (object, seq) order:
+  // the reference's chains filtered by signer.
+  for (size_t p = 0; p < TestPki::kNumParticipants; ++p) {
     const crypto::ParticipantId participant = p + 1;  // 1-based test ids
-    std::vector<const ProvenanceRecord*> via_snapshot =
-        RecordsByParticipant(snapshot, participant);
-    std::vector<uint64_t> via_store =
-        RecordsByParticipant(*merged, participant);
-    ASSERT_EQ(via_snapshot.size(), via_store.size());
-    for (size_t i = 0; i < via_snapshot.size(); ++i) {
-      EXPECT_EQ(EncodeRecord(*via_snapshot[i]),
-                EncodeRecord(merged->record(via_store[i])));
+    std::vector<Bytes> expected;
+    for (const auto& [object, chain] : ChainsByIndex(reference)) {
+      for (const ProvenanceRecord* rec : chain) {
+        if (rec->participant == participant) {
+          expected.push_back(EncodeRecord(*rec));
+        }
+      }
     }
+    EXPECT_EQ(Encode(RecordsByParticipant(snapshot, participant)), expected)
+        << "participant " << participant;
   }
 }
 
@@ -344,23 +396,115 @@ TEST(StoreSnapshotTest, SnapshotObservesOnlyWholeBatches) {
   ASSERT_TRUE((*pipeline)->Close().ok());
 }
 
-// A store that never attached a domain (standalone, recovered, tests)
-// exposes the same data through CurrentView under quiescence.
-TEST(StoreSnapshotTest, CurrentViewOnDomainlessStoreReadsWriterState) {
+// A standalone store (what recovery and checkpoint load build) has no
+// epoch domain and never publishes. Adopted as a shard — domain attached
+// afterwards, then one publish, as recovery does — it reads back through
+// a snapshot exactly as its writer state.
+TEST(StoreSnapshotTest, DomainlessStoreReadsThroughSnapshotOnceAdopted) {
   IngestWorkloadBuilder builder;
   ASSERT_TRUE(RandomDifferentialWorkload(&builder, 0x5A4B0006u).ok());
   const ProvenanceStore& reference = builder.reference_store();
-  StoreReadView view = reference.CurrentView();
+  auto adopted = OneShardCopy(reference);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  const StoreSnapshot snapshot = adopted->OpenSnapshot();
+  const StoreReadView& view = snapshot.shard_view(0);
   EXPECT_EQ(view.record_count(), reference.record_count());
   for (ObjectId id : builder.tracked_objects()) {
-    std::vector<const ProvenanceRecord*> via_view = view.ChainRecords(id);
-    std::vector<uint64_t> via_store = reference.ChainOf(id);
-    ASSERT_EQ(via_view.size(), via_store.size());
-    for (size_t i = 0; i < via_view.size(); ++i) {
-      EXPECT_EQ(EncodeRecord(*via_view[i]),
-                EncodeRecord(reference.record(via_store[i])));
-    }
+    EXPECT_EQ(Encode(view.ChainRecords(id)),
+              EncodeReferenceChain(reference, id))
+        << "object " << id;
   }
+}
+
+// ---------------------------------------------------------------------
+// TrackedDatabase: the paper's single-participant system keeps its
+// records in a one-shard store and publishes at the end of every
+// operation, so it is read like the sharded service.
+// ---------------------------------------------------------------------
+
+const crypto::Participant& Alice() {
+  return TestPki::Instance().participant(0);
+}
+
+TEST(StoreSnapshotTest, TrackedDatabaseHeldSnapshotKeepsItsCut) {
+  TrackedDatabase db;
+  ObjectId root = *db.Insert(Alice(), Value::String("db"));
+  ObjectId cell = *db.Insert(Alice(), Value::Int(1), root);
+
+  const StoreSnapshot held = db.OpenSnapshot();
+  const uint64_t count_at_cut = held.record_count();
+  EXPECT_EQ(count_at_cut, db.provenance().record_count());
+  const auto chains_at_cut = EncodeChains(held);
+
+  ASSERT_TRUE(db.Update(Alice(), cell, Value::Int(2)).ok());
+  ASSERT_TRUE(db.Insert(Alice(), Value::Int(3), root).ok());
+
+  // The held snapshot still reads its original cut, byte for byte...
+  EXPECT_EQ(held.record_count(), count_at_cut);
+  EXPECT_EQ(EncodeChains(held), chains_at_cut);
+
+  // ...and a fresh one sees the later operations.
+  const StoreSnapshot fresh = db.OpenSnapshot();
+  EXPECT_EQ(fresh.record_count(), db.provenance().record_count());
+  EXPECT_GT(fresh.record_count(), count_at_cut);
+  EXPECT_EQ(fresh.ChainRecords(cell).size(),
+            held.ChainRecords(cell).size() + 1);
+}
+
+TEST(StoreSnapshotTest, TrackedDatabasePruneIsVisibleToTheNextSnapshot) {
+  TrackedDatabase db;
+  ObjectId solo = *db.Insert(Alice(), Value::Int(7));
+  ASSERT_TRUE(db.Update(Alice(), solo, Value::Int(8)).ok());
+  EXPECT_EQ(db.OpenSnapshot().ChainRecords(solo).size(), 2u);
+
+  // A prune through the writer hook publishes nothing by itself;
+  // OpenSnapshot publishes first.
+  ASSERT_TRUE(db.mutable_provenance()->PruneObject(solo).ok());
+  const StoreSnapshot snapshot = db.OpenSnapshot();
+  EXPECT_TRUE(snapshot.ChainRecords(solo).empty());
+  EXPECT_EQ(snapshot.AllChains().count(solo), 0u);
+  EXPECT_EQ(SummarizeLineage(snapshot, solo).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(StoreSnapshotTest, TrackedDatabaseFreesRetiredNodesAtOperationEnd) {
+  observability::Counter* retired =
+      observability::GlobalMetrics().counter("epoch.retired");
+  observability::Counter* reclaimed =
+      observability::GlobalMetrics().counter("epoch.reclaimed");
+  TrackedDatabase db;
+  ObjectId root = *db.Insert(Alice(), Value::String("db"));
+  std::vector<ObjectId> cells;
+  for (int i = 0; i < 4; ++i) {
+    cells.push_back(*db.Insert(Alice(), Value::Int(i), root));
+  }
+  auto run_updates = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(db.Update(Alice(), cells[static_cast<size_t>(i) % 4],
+                            Value::Int(100 + i))
+                      .ok());
+    }
+  };
+
+  // No snapshot held: every operation frees what it retired.
+  uint64_t retired0 = retired->value();
+  uint64_t reclaimed0 = reclaimed->value();
+  run_updates(8);
+  EXPECT_GT(retired->value(), retired0);
+  EXPECT_EQ(retired->value() - retired0, reclaimed->value() - reclaimed0);
+
+  // A held snapshot keeps what it can still reach: reclaimed lags.
+  retired0 = retired->value();
+  reclaimed0 = reclaimed->value();
+  {
+    const StoreSnapshot held = db.OpenSnapshot();
+    run_updates(8);
+    EXPECT_GT(retired->value() - retired0, reclaimed->value() - reclaimed0);
+  }
+
+  // Released: the next operation's publish frees the backlog.
+  run_updates(1);
+  EXPECT_EQ(retired->value() - retired0, reclaimed->value() - reclaimed0);
 }
 
 }  // namespace

@@ -139,7 +139,7 @@ TEST_F(TrackedRelationalTest, MultiParticipantTrialScenario) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 
   // Lineage over the whole database names all three participants.
-  auto summary = SummarizeLineage(db_.tracked().provenance(), db_.root());
+  auto summary = SummarizeLineage(db_.tracked().OpenSnapshot(), db_.root());
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary->participants.size(), 3u);
 }

@@ -403,6 +403,43 @@ TEST_F(WalTest, OverlongVarintFrameLengthIsMalformedNotPhantomRecord) {
   EXPECT_EQ(reader->report().dropped_bytes, 14u);
 }
 
+// A length written with more bytes than it needs (0x85 0x00 for 5) is
+// a form the writer never produces, so it is malformed like any other
+// bad length: salvaged and reported at the tail of the last segment...
+TEST_F(WalTest, NonCanonicalFrameLengthAtTailIsSalvaged) {
+  WriteFiveRecords();
+  const Bytes payload = B("evil!");
+  Bytes evil = {0x85, 0x00};
+  AppendBytes(&evil, payload);
+  AppendFixed32(&evil, Crc32(payload));
+  AppendRaw(Segment(1), evil);
+
+  auto reader = WalReader::Open(env_, dir_);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader->log().record_count(), 5u);
+  EXPECT_EQ(reader->report().dropped_bytes, 11u);
+}
+
+// ...and hard corruption in a segment that a later one follows, instead
+// of replaying as a record.
+TEST_F(WalTest, NonCanonicalFrameLengthInNonFinalSegmentIsCorruption) {
+  WriteFiveRecords();
+  const Bytes payload = B("evil!");
+  Bytes evil = {0x85, 0x00};
+  AppendBytes(&evil, payload);
+  AppendFixed32(&evil, Crc32(payload));
+  AppendRaw(Segment(1), evil);
+  {
+    auto wal = WalWriter::Open(env_, dir_);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(wal->Append(B("next")).ok());
+    ASSERT_TRUE(wal->Close().ok());
+  }
+  auto reader = WalReader::Open(env_, dir_);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+}
+
 // The writer-side crash-survival contract: everything covered by a
 // successful Sync survives DropUnsyncedFileData; nothing half-written is
 // ever resurrected.

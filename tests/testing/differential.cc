@@ -9,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "provenance/serialization.h"
 #include "provenance/snapshot.h"
+#include "provenance/verifier.h"
 
 namespace provdb::testing {
 
@@ -203,6 +204,62 @@ Status WipeIngestRoot(storage::Env* env, const std::string& root) {
     }
   }
   return Status::OK();
+}
+
+std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
+ChainsByIndex(const provenance::ProvenanceStore& store) {
+  std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>> chains;
+  for (uint64_t i = 0; i < store.record_count(); ++i) {
+    if (store.is_pruned(i)) continue;
+    const ProvenanceRecord& rec = store.record(i);
+    chains[rec.output.object_id].push_back(&rec);
+  }
+  return chains;
+}
+
+void SortByObjectAndSeq(std::vector<ProvenanceRecord>* records) {
+  std::sort(records->begin(), records->end(),
+            [](const ProvenanceRecord& a, const ProvenanceRecord& b) {
+              if (a.output.object_id != b.output.object_id) {
+                return a.output.object_id < b.output.object_id;
+              }
+              return a.seq_id < b.seq_id;
+            });
+}
+
+Result<provenance::ShardedProvenanceStore> OneShardCopy(
+    const provenance::ProvenanceStore& store) {
+  provenance::ProvenanceStore copy;
+  for (uint64_t i = 0; i < store.record_count(); ++i) {
+    if (store.is_pruned(i)) continue;
+    PROVDB_RETURN_IF_ERROR(copy.AddRecord(store.record(i)).status());
+  }
+  provenance::ShardedProvenanceStore sharded(1);
+  sharded.shard(0) = std::move(copy);
+  sharded.shard(0).AttachEpochDomain(sharded.epoch_domain());
+  sharded.PublishAll();
+  return sharded;
+}
+
+std::vector<Bytes> EncodedInCommitOrder(
+    const provenance::StoreReadView& view) {
+  std::vector<const provenance::ChainNode*> cells;
+  view.ForEachChain([&](storage::ObjectId, const provenance::ChainNode* head) {
+    for (const provenance::ChainNode* cell = head; cell != nullptr;
+         cell = cell->prev) {
+      cells.push_back(cell);
+    }
+  });
+  std::sort(cells.begin(), cells.end(),
+            [](const provenance::ChainNode* a, const provenance::ChainNode* b) {
+              return a->index < b->index;
+            });
+  std::vector<Bytes> out;
+  out.reserve(cells.size());
+  for (const provenance::ChainNode* cell : cells) {
+    out.push_back(provenance::EncodeRecord(*cell->record));
+  }
+  return out;
 }
 
 Status CheckSnapshotIsBatchPrefix(const provenance::StoreSnapshot& snapshot,

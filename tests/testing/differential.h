@@ -1,6 +1,7 @@
 #ifndef PROVDB_TESTS_TESTING_DIFFERENTIAL_H_
 #define PROVDB_TESTS_TESTING_DIFFERENTIAL_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -134,6 +135,32 @@ Result<std::unique_ptr<provenance::IngestPipeline>> ReplayThroughPipeline(
     storage::Env* env, const std::string& root_dir,
     const std::vector<provenance::IngestRequest>& requests,
     provenance::IngestOptions options, size_t drain_every = 0);
+
+// ---------------------------------------------------------------------
+// Reading stores in tests. Records are read through snapshots; these
+// helpers give the other side of a comparison (a standalone reference
+// read by its own writer) or package a read for comparison.
+// ---------------------------------------------------------------------
+
+/// `store`'s live chains built from its records in index order — the
+/// shape StoreSnapshot::AllChains returns and VerifyRecordChains takes.
+std::map<storage::ObjectId, std::vector<const provenance::ProvenanceRecord*>>
+ChainsByIndex(const provenance::ProvenanceStore& store);
+
+/// Sorts into ascending (object id, seqID) order: a snapshot's
+/// extraction order.
+void SortByObjectAndSeq(std::vector<provenance::ProvenanceRecord>* records);
+
+/// Copies `store`'s live records into a standalone store and adopts it as
+/// the one shard of a published sharded store, as recovery does, so a
+/// standalone store (the sequential reference, a restored store) is read
+/// through a snapshot like any other.
+Result<provenance::ShardedProvenanceStore> OneShardCopy(
+    const provenance::ProvenanceStore& store);
+
+/// The shard's live records in commit (store index) order, encoded — the
+/// order its WAL holds them.
+std::vector<Bytes> EncodedInCommitOrder(const provenance::StoreReadView& view);
 
 // ---------------------------------------------------------------------
 // Concurrent-auditor mode (DESIGN.md §16): audit a *moving* pipeline.

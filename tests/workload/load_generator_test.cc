@@ -15,6 +15,7 @@
 
 #include "net/server.h"
 #include "provenance/ingest_pipeline.h"
+#include "provenance/verifier.h"
 #include "storage/env.h"
 #include "testing/test_pki.h"
 
@@ -99,11 +100,13 @@ TEST(ServerLoadGeneratorTest, UnconstrainedRunAcceptsEverythingVerified) {
   harness.server->Stop();
   harness.server.reset();
   ASSERT_TRUE(harness.pipeline->Drain().ok());
-  EXPECT_EQ(harness.pipeline->store().record_count(), report->accepted);
+  const provenance::StoreSnapshot snapshot = harness.pipeline->OpenSnapshot();
+  EXPECT_EQ(snapshot.record_count(), report->accepted);
   // The generator's chain discipline must yield fully-linked,
   // signature-valid chains — the same gate the throughput bench enforces.
-  auto verification = harness.pipeline->store().VerifyChains(
-      TestPki::Instance().registry());
+  auto verification =
+      provenance::ProvenanceVerifier(&TestPki::Instance().registry())
+          .VerifyStore(snapshot);
   EXPECT_TRUE(verification.ok());
   EXPECT_EQ(verification.records_checked, report->accepted);
 }
@@ -135,9 +138,11 @@ TEST(ServerLoadGeneratorTest, ShedRequestsAccountedAndChainsStayLinked) {
   harness.server->Stop();
   harness.server.reset();
   ASSERT_TRUE(harness.pipeline->Drain().ok());
-  EXPECT_EQ(harness.pipeline->store().record_count(), report->accepted);
-  auto verification = harness.pipeline->store().VerifyChains(
-      TestPki::Instance().registry());
+  const provenance::StoreSnapshot snapshot = harness.pipeline->OpenSnapshot();
+  EXPECT_EQ(snapshot.record_count(), report->accepted);
+  auto verification =
+      provenance::ProvenanceVerifier(&TestPki::Instance().registry())
+          .VerifyStore(snapshot);
   EXPECT_TRUE(verification.ok());
   EXPECT_EQ(verification.records_checked, report->accepted);
 }
@@ -161,7 +166,8 @@ TEST(ServerLoadGeneratorTest, DisjointObjectSlicesNeverCollide) {
   harness.server.reset();
   ASSERT_TRUE(harness.pipeline->Drain().ok());
   // Every chain's object id lies inside some client's stripe.
-  for (const auto& [object, chain] : harness.pipeline->store().AllChains()) {
+  const provenance::StoreSnapshot snapshot = harness.pipeline->OpenSnapshot();
+  for (const auto& [object, chain] : snapshot.AllChains()) {
     EXPECT_GE(object, options.first_object);
     EXPECT_LT(object, options.first_object +
                           options.num_clients * options.objects_per_client);

@@ -49,6 +49,9 @@
 #                  golden-digest corpus — byte-identical signatures under
 #                  every kernel, with no UB executed (docs/CRYPTO.md)
 #   asan           ASan+UBSan over the wire-format decoder fuzz tests
+#                  and the snapshot read path (snapshot, auditor, query,
+#                  TrackedDatabase and deep-export suites), whose reads
+#                  hold record pointers only while a snapshot is pinned
 #   ubsan          strict UBSan (PROVDB_SANITIZE=undefined,
 #                  -fno-sanitize-recover) over the full release-test
 #                  suite: any diagnosed undefined behavior aborts the
@@ -265,9 +268,10 @@ stage_asan() {
   run cmake -S "$ROOT" -B "$OUT/asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPROVDB_SANITIZE=address -DPROVDB_BUILD_BENCHMARKS=OFF \
     -DPROVDB_BUILD_EXAMPLES=OFF
-  run cmake --build "$OUT/asan" -j "$JOBS" --target provenance_property_test
+  run cmake --build "$OUT/asan" -j "$JOBS" --target provenance_property_test \
+    provenance_snapshot_test provenance_ext_test provenance_tracked_test
   run ctest --test-dir "$OUT/asan" --output-on-failure -j "$JOBS" \
-    -R 'Decoder|Fuzz|Property'
+    -R 'Decoder|Fuzz|Property|Snapshot|Auditor|Query|TrackedDatabase|DeepExport'
 }
 
 stage_ubsan() {
