@@ -7,8 +7,9 @@
 // (WalOptions::group_commit_records), not a hand-rolled modulo loop, so
 // the bench measures exactly what the ingest pipeline ships. After every
 // mode a WalReader verify pass replays the log; a recovery error, an
-// unclean report, or a record-count/byte mismatch fails the bench — a
-// throughput number for a log that does not recover is worthless.
+// unclean report, or a recovered payload that differs from the one
+// appended fails the bench — a throughput number for a log that does not
+// recover is worthless.
 
 // A second pass measures checkpoint-bounded recovery (DESIGN.md §13):
 // the same store is recovered behind checkpoints taken at different
@@ -81,18 +82,18 @@ void VerifyLog(Env* env, const std::string& dir,
                  mode, reader.status().ToString().c_str());
     std::abort();
   }
-  uint64_t expected_bytes = 0;
-  for (const Bytes& payload : payloads) expected_bytes += payload.size();
-  const storage::RecordLog& log = reader->log();
-  if (!reader->report().clean() || log.record_count() != payloads.size() ||
-      log.total_payload_bytes() != expected_bytes) {
+  const std::vector<ByteView>& recovered = reader->payloads();
+  size_t matching = 0;
+  while (matching < recovered.size() && matching < payloads.size() &&
+         recovered[matching] == ByteView(payloads[matching])) {
+    ++matching;
+  }
+  if (!reader->report().clean() || recovered.size() != payloads.size() ||
+      matching != payloads.size()) {
     std::fprintf(stderr,
-                 "FATAL: mode '%s': recovered %llu records / %llu B, "
-                 "expected %zu / %llu (report: %s)\n",
-                 mode, static_cast<unsigned long long>(log.record_count()),
-                 static_cast<unsigned long long>(log.total_payload_bytes()),
-                 payloads.size(),
-                 static_cast<unsigned long long>(expected_bytes),
+                 "FATAL: mode '%s': recovered %zu records, expected %zu; "
+                 "first %zu match byte for byte (report: %s)\n",
+                 mode, recovered.size(), payloads.size(), matching,
                  reader->report().detail.c_str());
     std::abort();
   }

@@ -1,7 +1,7 @@
 // Curated scientific database example: transactional *complex operations*
 // (§4.4), Basic vs Economical hashing metrics (§4.3), and durable
-// provenance — saving the record store with its checksums to disk,
-// reloading it, and verifying after the round trip.
+// provenance — sealing the record store with its checksums into a signed
+// checkpoint on disk, reloading it, and verifying after the round trip.
 //
 // Models a small curated genome-annotation table maintained by two
 // curators over several editing sessions, the usage pattern §4.4's
@@ -12,9 +12,10 @@
 #include "common/rng.h"
 #include "crypto/pki.h"
 #include "example_util.h"
+#include "provenance/checkpoint.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
-#include "storage/record_log.h"
+#include "storage/env.h"
 
 using namespace provdb;
 
@@ -91,20 +92,24 @@ int main() {
               static_cast<unsigned long long>(db.last_op_metrics().checksums));
 
   // --- Durable provenance -------------------------------------------------
-  // The provenance database persists as a CRC-framed record log.
-  const std::string log_path = "/tmp/provdb_curated_example.log";
-  storage::RecordLog log;
-  examples::OrDie(db.provenance().SaveToLog(&log));
-  examples::OrDie(log.SaveToFile(log_path));
-  std::printf("persisted %llu provenance records (%llu bytes framed) "
-              "to %s\n",
-              static_cast<unsigned long long>(log.record_count()),
-              static_cast<unsigned long long>(log.total_frame_bytes()),
-              log_path.c_str());
+  // The provenance database persists as a sealed checkpoint: CRC-framed
+  // records under a signature over all of them.
+  const std::string dir = "/tmp/provdb_curated_example";
+  storage::Env* env = storage::Env::Default();
+  examples::OrDie(env->CreateDir(dir));
+  examples::OrDie(provenance::CheckpointWriter::Write(
+      env, dir, db.provenance(), /*wal_horizon=*/1, ada.signer(), ada.id()));
+  const std::string path = provenance::CheckpointFileName(dir, 1);
+  std::printf("sealed %llu provenance records (%llu bytes on disk) into %s\n",
+              static_cast<unsigned long long>(
+                  db.provenance().live_record_count()),
+              static_cast<unsigned long long>(env->FileSize(path).value()),
+              path.c_str());
 
-  auto reloaded_log = storage::RecordLog::LoadFromFile(log_path).value();
-  auto reloaded = provenance::ProvenanceStore::LoadFromLog(reloaded_log)
-                      .value();
+  crypto::RsaSignatureVerifier seal_verifier(ada.public_key());
+  auto loaded =
+      provenance::CheckpointReader::Load(env, path, seal_verifier).value();
+  const provenance::ProvenanceStore& reloaded = loaded.store;
   std::printf("reloaded store: %llu records, paper-schema footprint "
               "%.1f KB\n\n",
               static_cast<unsigned long long>(reloaded.record_count()),
@@ -128,6 +133,6 @@ int main() {
               "session that touched it)\n",
               brca2_chain.size());
 
-  std::remove(log_path.c_str());
+  examples::OrDie(env->RemoveFile(path));
   return report.ok() ? 0 : 1;
 }

@@ -1,8 +1,6 @@
 #include "net/wire.h"
 
-#include "common/crc32.h"
 #include "common/varint.h"
-#include "crypto/digest.h"
 #include "provenance/serialization.h"
 
 namespace provdb::net {
@@ -12,18 +10,6 @@ namespace {
 /// Highest StatusCode a response may carry (common/status.h).
 constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(
     StatusCode::kUnavailable);
-
-/// Reads a digest encoded as a length-prefixed field. Lengths above the
-/// digest width are rejected rather than truncated: truncation would make
-/// two distinct byte strings decode to the same request, breaking the
-/// encode/decode bijection the tamper matrix relies on.
-Result<crypto::Digest> ReadDigest(VarintReader* reader) {
-  PROVDB_ASSIGN_OR_RETURN(Bytes raw, reader->ReadLengthPrefixed());
-  if (raw.size() > crypto::Digest::kMaxSize) {
-    return Status::Corruption("digest field exceeds digest width");
-  }
-  return crypto::Digest::FromBytes(raw);
-}
 
 Bytes EncodeSubmitBody(const SubmitRequest& submit) {
   Bytes out;
@@ -67,9 +53,9 @@ Result<SubmitRequest> DecodeSubmitBody(VarintReader* reader) {
   }
   submit.has_pre_hash = (flags[0] & 0x01) != 0;
   submit.inherited = (flags[0] & 0x02) != 0;
-  PROVDB_ASSIGN_OR_RETURN(submit.post_hash, ReadDigest(reader));
+  PROVDB_ASSIGN_OR_RETURN(submit.post_hash, provenance::ReadDigest(reader));
   if (submit.has_pre_hash) {
-    PROVDB_ASSIGN_OR_RETURN(submit.pre_hash, ReadDigest(reader));
+    PROVDB_ASSIGN_OR_RETURN(submit.pre_hash, provenance::ReadDigest(reader));
   }
   PROVDB_ASSIGN_OR_RETURN(uint64_t num_inputs, reader->ReadVarint64());
   // Every input occupies at least 3 encoded bytes, so a count beyond
@@ -82,7 +68,7 @@ Result<SubmitRequest> DecodeSubmitBody(VarintReader* reader) {
   for (uint64_t i = 0; i < num_inputs; ++i) {
     provenance::ObjectState state;
     PROVDB_ASSIGN_OR_RETURN(state.object_id, reader->ReadVarint64());
-    PROVDB_ASSIGN_OR_RETURN(state.state_hash, ReadDigest(reader));
+    PROVDB_ASSIGN_OR_RETURN(state.state_hash, provenance::ReadDigest(reader));
     submit.inputs.push_back(state);
     PROVDB_ASSIGN_OR_RETURN(Bytes prev, reader->ReadLengthPrefixed());
     submit.input_prev_checksums.push_back(std::move(prev));
@@ -105,57 +91,6 @@ std::string_view NetOpName(NetOp op) {
       return "stats";
   }
   return "unknown";
-}
-
-Bytes EncodeFrame(ByteView payload) {
-  Bytes out;
-  out.reserve(payload.size() + kMaxFrameOverhead);
-  AppendVarint64(&out, payload.size());
-  AppendBytes(&out, payload);
-  AppendFixed32(&out, Crc32(payload));
-  return out;
-}
-
-Result<bool> TryDecodeFrame(ByteView buf, size_t max_payload,
-                            size_t* consumed, Bytes* payload) {
-  // Parse the length varint byte-by-byte so an incomplete prefix is
-  // "need more", while a malformed one (overlong, over 64 bits) is
-  // corruption even before the rest of the frame arrives.
-  uint64_t len = 0;
-  size_t header = 0;
-  int shift = 0;
-  for (;; ++header) {
-    if (header >= buf.size()) return false;  // mid-varint: need more
-    uint8_t b = buf[header];
-    if (shift >= 63 && (b & 0x7F) > 1) {
-      return Status::Corruption("frame length varint overflows 64 bits");
-    }
-    len |= static_cast<uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) {
-      if (b == 0 && shift > 0) {
-        return Status::Corruption("non-canonical frame length varint");
-      }
-      ++header;
-      break;
-    }
-    shift += 7;
-    if (shift > 63) {
-      return Status::Corruption("frame length varint too long");
-    }
-  }
-  if (len > max_payload) {
-    return Status::Corruption("frame payload exceeds protocol maximum");
-  }
-  const size_t total = header + static_cast<size_t>(len) + 4;
-  if (buf.size() < total) return false;  // need more
-  ByteView body = buf.subview(header, static_cast<size_t>(len));
-  uint32_t stored = ReadFixed32(buf, header + static_cast<size_t>(len));
-  if (Crc32(body) != stored) {
-    return Status::Corruption("frame checksum mismatch");
-  }
-  *consumed = total;
-  *payload = body.ToBytes();
-  return true;
 }
 
 Bytes EncodeRequest(const Request& request) {

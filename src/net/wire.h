@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/frame.h"
 #include "common/result.h"
 #include "provenance/record.h"
 #include "storage/tree_store.h"
@@ -14,8 +15,8 @@ namespace provdb::net {
 
 /// Wire protocol for the provenance service (DESIGN.md §14).
 ///
-/// Framing reuses the WAL's idiom (storage/wal.h): every message travels
-/// as one frame
+/// Every message travels as one frame of the common codec
+/// (common/frame.h), the one the WAL and checkpoints use:
 ///
 ///   varint(payload_len) || payload || crc32(payload) fixed32
 ///
@@ -42,9 +43,6 @@ inline constexpr uint8_t kWireVersion = 1;
 /// legitimately exceed it, so servers and clients take the bound as an
 /// option rather than a constant.
 inline constexpr size_t kMaxFramePayload = 1u << 20;
-
-/// Frame overhead: worst-case length varint + CRC trailer.
-inline constexpr size_t kMaxFrameOverhead = 10 + 4;
 
 /// Request operations.
 enum class NetOp : uint8_t {
@@ -111,18 +109,11 @@ struct VerifySummary {
 
 // -- Framing -----------------------------------------------------------
 
-/// Wraps `payload` in a frame: varint length, payload, CRC32 trailer.
-Bytes EncodeFrame(ByteView payload);
-
-/// Incremental frame decoder over a receive buffer. Returns:
-///   true   — a complete, checksum-valid frame starts at `buf[0]`;
-///            `*payload` holds its payload and `*consumed` its full wire
-///            size (length prefix + payload + CRC),
-///   false  — `buf` holds a valid frame prefix; read more bytes,
-///   error  — kCorruption: oversized length, non-canonical length varint,
-///            or CRC mismatch. The connection cannot be resynchronized.
-Result<bool> TryDecodeFrame(ByteView buf, size_t max_payload,
-                            size_t* consumed, Bytes* payload);
+/// The common codec's frame encoder and receive-buffer decoder: a
+/// decoder error is kCorruption, after which the connection cannot be
+/// resynchronized.
+using provdb::EncodeFrame;
+using provdb::TryDecodeFrame;
 
 // -- Requests ----------------------------------------------------------
 

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "common/crc32.h"
+#include "common/frame.h"
 #include "common/varint.h"
 #include "observability/metrics.h"
 #include "observability/trace.h"
@@ -44,25 +43,6 @@ uint64_t ParseCheckpointName(const std::string& name) {
     index = index * 10 + digit;
   }
   return index;
-}
-
-Bytes BuildCheckpointHeader(uint64_t horizon) {
-  Bytes header;
-  header.reserve(kCheckpointHeaderSize);
-  AppendBytes(&header, ByteView(reinterpret_cast<const uint8_t*>(
-                                    kCheckpointMagic),
-                                sizeof(kCheckpointMagic)));
-  AppendFixed64(&header, horizon);
-  AppendFixed32(&header, Crc32(ByteView(header.data(), header.size())));
-  return header;
-}
-
-Bytes BuildFrame(ByteView payload) {
-  Bytes frame;
-  AppendVarint64(&frame, payload.size());
-  AppendBytes(&frame, payload);
-  AppendFixed32(&frame, Crc32(payload));
-  return frame;
 }
 
 /// Absorbs one frame payload into the running root digest. The fixed
@@ -173,10 +153,10 @@ Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
   std::unique_ptr<crypto::Hasher> hasher = crypto::CreateHasher(root_hash);
   hasher->Reset();
 
-  Bytes content = BuildCheckpointHeader(wal_horizon);
+  Bytes content = EncodeFileHeader(kCheckpointMagic, wal_horizon);
   auto emit = [&](ByteView payload) {
     AbsorbFrame(hasher.get(), payload);
-    AppendBytes(&content, BuildFrame(payload));
+    AppendFrame(&content, payload);
   };
   emit(EncodeManifest(manifest));
   for (uint64_t i = 0; i < store.record_count(); ++i) {
@@ -194,7 +174,7 @@ Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
   PROVDB_ASSIGN_OR_RETURN(Bytes signature, signer.Sign(root.view()));
   Bytes seal;
   AppendLengthPrefixed(&seal, signature);
-  AppendBytes(&content, BuildFrame(seal));
+  AppendFrame(&content, seal);
 
   // tmp + fsync + atomic rename + directory fsync (inside RenameFile):
   // a crash at any point leaves either no checkpoint or the complete
@@ -223,32 +203,29 @@ Result<LoadedCheckpoint> CheckpointReader::Load(
   observability::TraceSpan span("checkpoint.load");
 
   PROVDB_ASSIGN_OR_RETURN(Bytes content, env->ReadFileToBytes(path));
-  if (content.size() < kCheckpointHeaderSize) {
+  if (content.size() < kFileHeaderSize) {
     return Status::Corruption("checkpoint " + path + " shorter than header");
   }
-  // The magic is a public framing constant, not a secret; timing-safe
-  // comparison is not required here.
-  // lint:allow ct-memcmp
-  if (std::memcmp(content.data(), kCheckpointMagic,
-                  sizeof(kCheckpointMagic)) != 0 ||
-      ReadFixed32(content, 16) != Crc32(ByteView(content.data(), 16))) {
+  const std::optional<uint64_t> header_horizon =
+      ReadFileHeader(content, kCheckpointMagic);
+  if (!header_horizon) {
     return Status::Corruption("bad checkpoint header in " + path);
   }
-  const uint64_t header_horizon = ReadFixed64(content, 8);
 
   // Strict framing: checkpoints are written atomically, so unlike a WAL
-  // tail there is no legal way for one to end mid-frame — every
-  // malformation is corruption, never a salvageable tear.
-  std::vector<Bytes> payloads;
-  VarintReader reader(
-      ByteView(content).subview(kCheckpointHeaderSize));
-  while (!reader.done()) {
-    PROVDB_ASSIGN_OR_RETURN(Bytes payload, reader.ReadLengthPrefixed());
-    PROVDB_ASSIGN_OR_RETURN(Bytes crc_raw, reader.ReadRaw(4));
-    if (ReadFixed32(crc_raw, 0) != Crc32(payload)) {
-      return Status::Corruption("checkpoint frame CRC mismatch in " + path);
+  // tail there is no legal way for one to end mid-frame — every outcome
+  // but a clean frame is corruption, never a salvageable tear. Frames
+  // share the WAL's 32-bit length bound.
+  std::vector<ByteView> payloads;
+  for (size_t pos = kFileHeaderSize; pos < content.size();) {
+    const DecodedFrame frame =
+        DecodeFrame(ByteView(content).subview(pos), storage::kWalMaxPayload);
+    if (frame.result != FrameResult::kFrame) {
+      return Status::Corruption(std::string(frame.what) + " in checkpoint " +
+                                path + " at offset " + std::to_string(pos));
     }
-    payloads.push_back(std::move(payload));
+    payloads.push_back(frame.payload);
+    pos += frame.size;
   }
   if (payloads.size() < 3) {
     // Minimum: manifest, chain tails, seal (an empty store still seals).
@@ -257,7 +234,7 @@ Result<LoadedCheckpoint> CheckpointReader::Load(
 
   PROVDB_ASSIGN_OR_RETURN(CheckpointManifest manifest,
                           DecodeManifest(payloads.front()));
-  if (manifest.wal_horizon != header_horizon) {
+  if (manifest.wal_horizon != *header_horizon) {
     return Status::Corruption(
         "checkpoint header horizon disagrees with its manifest in " + path);
   }

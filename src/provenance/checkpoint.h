@@ -18,7 +18,8 @@ namespace provdb::provenance {
 ///
 /// A checkpoint file `checkpoint-NNNNNN.pvck` (NNNNNN = the WAL segment
 /// horizon it covers) is written tmp+fsync+rename, so it exists either
-/// completely or not at all. Its layout mirrors the WAL segment format:
+/// completely or not at all. Like a WAL segment, it is a common file
+/// header followed by common frames (common/frame.h):
 ///
 ///   +--------+-------------+---------------------+
 ///   | magic  | wal horizon | crc32(magic||horizon)|  20-byte header
@@ -38,7 +39,6 @@ namespace provdb::provenance {
 /// truncation.
 inline constexpr char kCheckpointMagic[8] = {'P', 'V', 'D', 'B',
                                              'C', 'K', 'P', '1'};
-inline constexpr size_t kCheckpointHeaderSize = 8 + 8 + 4;
 inline constexpr uint8_t kCheckpointVersion = 1;
 
 /// The manifest frame, parsed.

@@ -16,7 +16,7 @@ ProvenanceStore::ProvenanceStore(ProvenanceStore&& other) noexcept {
 
 // Moves are writer-side operations: they require quiescence on both
 // stores (no pinned reader may hold either store's versions), which
-// every caller — recovery, LoadFromLog, test plumbing — satisfies.
+// every caller — recovery, checkpoint load, test plumbing — satisfies.
 ProvenanceStore& ProvenanceStore::operator=(ProvenanceStore&& other) noexcept {
   if (this == &other) {
     return *this;
@@ -281,28 +281,6 @@ uint64_t ProvenanceStore::SerializedBytes() const {
   return total;
 }
 
-Status ProvenanceStore::SaveToLog(storage::RecordLog* log) const {
-  for (uint64_t i = 0; i < record_count_; ++i) {
-    if (!pruned_[i]) {
-      PROVDB_RETURN_IF_ERROR(log->Append(EncodeRecord(record(i))).status());
-    }
-  }
-  return Status::OK();
-}
-
-Result<ProvenanceStore> ProvenanceStore::LoadFromLog(
-    const storage::RecordLog& log) {
-  ProvenanceStore store;
-  Status status = log.ForEach([&](uint64_t, ByteView payload) {
-    PROVDB_ASSIGN_OR_RETURN(ProvenanceRecord rec, DecodeRecord(payload));
-    return store.AddRecord(std::move(rec)).status();
-  });
-  if (!status.ok()) {
-    return status;
-  }
-  return store;
-}
-
 Status ProvenanceStore::AttachWal(storage::WalWriter* wal,
                                   bool checkpoint_existing) {
   if (wal_ != nullptr) {
@@ -355,11 +333,10 @@ Result<ProvenanceStore> ProvenanceStore::RecoverFromWal(
     report->checkpoint_horizon = reader_options.checkpoint_horizon;
     report->checkpoint_records = checkpoint_records;
   }
-  // Replay typed WAL entries (not LoadFromLog, whose snapshot files carry
-  // bare records): appends re-add, prune markers re-prune, so the
-  // recovered store converges to the pre-crash state instead of
+  // Replay typed WAL entries: appends re-add, prune markers re-prune, so
+  // the recovered store converges to the pre-crash state instead of
   // resurrecting pruned history.
-  Status status = reader.log().ForEach([&](uint64_t, ByteView payload) {
+  for (ByteView payload : reader.payloads()) {
     if (payload.empty()) {
       return Status::Corruption("empty WAL entry");
     }
@@ -367,20 +344,19 @@ Result<ProvenanceStore> ProvenanceStore::RecoverFromWal(
       case static_cast<uint8_t>(WalEntryType::kRecord): {
         PROVDB_ASSIGN_OR_RETURN(ProvenanceRecord rec,
                                 DecodeRecord(payload.subview(1)));
-        return store.AddRecord(std::move(rec)).status();
+        PROVDB_RETURN_IF_ERROR(store.AddRecord(std::move(rec)).status());
+        break;
       }
       case static_cast<uint8_t>(WalEntryType::kPrune): {
         VarintReader entry(payload.subview(1));
         PROVDB_ASSIGN_OR_RETURN(uint64_t id, entry.ReadVarint64());
-        return store.PruneObject(id).status();
+        PROVDB_RETURN_IF_ERROR(store.PruneObject(id).status());
+        break;
       }
       default:
         return Status::Corruption("unknown WAL entry type " +
                                   std::to_string(payload[0]));
     }
-  });
-  if (!status.ok()) {
-    return status;
   }
   return store;
 }

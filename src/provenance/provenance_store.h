@@ -13,7 +13,6 @@
 #include "provenance/chain_index.h"
 #include "provenance/record.h"
 #include "provenance/snapshot.h"
-#include "storage/record_log.h"
 #include "storage/wal.h"
 
 namespace provdb::crypto {
@@ -100,17 +99,10 @@ class ProvenanceStore {
   /// Total bytes of the stored checksums alone.
   uint64_t ChecksumBytes() const { return checksum_bytes_; }
 
-  /// Size of the full serialized records (hashes, snapshots, framing
-  /// excluded) — what RecordLog persistence would store.
+  /// Size of the live records' EncodeRecord payloads (hashes and
+  /// snapshots included, framing excluded) — what a checkpoint's record
+  /// frames carry.
   uint64_t SerializedBytes() const;
-
-  /// Persists all live records into `log` (EncodeRecord payloads).
-  /// Compatibility shim for snapshot-style persistence; incremental
-  /// durability goes through AttachWal / RecoverFromWal.
-  Status SaveToLog(storage::RecordLog* log) const;
-
-  /// Rebuilds a store from a record log.
-  static Result<ProvenanceStore> LoadFromLog(const storage::RecordLog& log);
 
   /// Write-ahead logging: after this, every AddRecord (and PruneObject)
   /// first appends a typed WAL entry — record append or prune marker,

@@ -8,7 +8,24 @@ namespace {
 
 constexpr uint8_t kRecordFormatVersion = 1;
 
+/// Reads a one-byte flag; the encoder writes only 0 and 1.
+Result<bool> ReadFlag(VarintReader* reader, const char* field) {
+  PROVDB_ASSIGN_OR_RETURN(Bytes raw, reader->ReadRaw(1));
+  if (raw[0] > 1) {
+    return Status::Corruption(std::string(field) + " flag out of range");
+  }
+  return raw[0] == 1;
+}
+
 }  // namespace
+
+Result<crypto::Digest> ReadDigest(VarintReader* reader) {
+  PROVDB_ASSIGN_OR_RETURN(Bytes raw, reader->ReadLengthPrefixed());
+  if (raw.size() > crypto::Digest::kMaxSize) {
+    return Status::Corruption("digest field exceeds digest width");
+  }
+  return crypto::Digest::FromBytes(raw);
+}
 
 Bytes EncodeRecord(const ProvenanceRecord& record) {
   Bytes out;
@@ -48,8 +65,7 @@ Result<ProvenanceRecord> DecodeRecord(ByteView data) {
     return Status::Corruption("invalid operation type tag");
   }
   record.op = static_cast<OperationType>(op_raw[0]);
-  PROVDB_ASSIGN_OR_RETURN(Bytes inh_raw, reader.ReadRaw(1));
-  record.inherited = inh_raw[0] != 0;
+  PROVDB_ASSIGN_OR_RETURN(record.inherited, ReadFlag(&reader, "inherited"));
 
   PROVDB_ASSIGN_OR_RETURN(uint64_t num_inputs, reader.ReadVarint64());
   if (num_inputs > reader.remaining()) {
@@ -59,18 +75,16 @@ Result<ProvenanceRecord> DecodeRecord(ByteView data) {
   for (uint64_t i = 0; i < num_inputs; ++i) {
     ObjectState state;
     PROVDB_ASSIGN_OR_RETURN(state.object_id, reader.ReadVarint64());
-    PROVDB_ASSIGN_OR_RETURN(Bytes hash, reader.ReadLengthPrefixed());
-    state.state_hash = crypto::Digest::FromBytes(hash);
+    PROVDB_ASSIGN_OR_RETURN(state.state_hash, ReadDigest(&reader));
     record.inputs.push_back(std::move(state));
   }
 
   PROVDB_ASSIGN_OR_RETURN(record.output.object_id, reader.ReadVarint64());
-  PROVDB_ASSIGN_OR_RETURN(Bytes out_hash, reader.ReadLengthPrefixed());
-  record.output.state_hash = crypto::Digest::FromBytes(out_hash);
+  PROVDB_ASSIGN_OR_RETURN(record.output.state_hash, ReadDigest(&reader));
   PROVDB_ASSIGN_OR_RETURN(record.checksum, reader.ReadLengthPrefixed());
 
-  PROVDB_ASSIGN_OR_RETURN(Bytes snap_flag, reader.ReadRaw(1));
-  record.has_output_snapshot = snap_flag[0] != 0;
+  PROVDB_ASSIGN_OR_RETURN(record.has_output_snapshot,
+                          ReadFlag(&reader, "output snapshot"));
   if (record.has_output_snapshot) {
     size_t consumed = 0;
     ByteView rest(data.data() + 1 + reader.position(),

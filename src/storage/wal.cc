@@ -1,11 +1,9 @@
 #include "storage/wal.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
-#include "common/crc32.h"
-#include "common/varint.h"
+#include "common/frame.h"
 #include "observability/trace.h"
 
 namespace provdb::storage {
@@ -45,52 +43,6 @@ WalSegmentNameKind ParseWalSegmentName(const std::string& name,
   return WalSegmentNameKind::kSegment;
 }
 
-namespace {
-
-Bytes BuildSegmentHeader(uint64_t index) {
-  Bytes header;
-  header.reserve(kWalHeaderSize);
-  AppendBytes(&header, ByteView(
-      reinterpret_cast<const uint8_t*>(kWalMagic), sizeof(kWalMagic)));
-  AppendFixed64(&header, index);
-  AppendFixed32(&header, Crc32(ByteView(header.data(), header.size())));
-  return header;
-}
-
-/// Decodes a varint at `pos`. Returns +1 and advances on success, 0 when
-/// the buffer ends mid-varint (a torn tail candidate), -1 when the
-/// encoding itself is malformed: > 10 bytes of continuation bits, or an
-/// overlong form (a zero final byte after the first) that the writer
-/// never produces.
-int TryReadVarint(const Bytes& content, size_t* pos, uint64_t* value) {
-  uint64_t result = 0;
-  int shift = 0;
-  size_t p = *pos;
-  while (p < content.size() && shift <= 63) {
-    uint8_t byte = content[p++];
-    if (shift == 63 && (byte & 0xFE) != 0) {
-      // The 10th byte can only contribute bit 0 of a uint64; any higher
-      // payload bit (or a further continuation bit) overflows. Shifting
-      // it out would decode a wrong small length and misclassify the
-      // frame as well-formed.
-      return -1;
-    }
-    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      if (byte == 0 && shift > 0) {
-        return -1;
-      }
-      *pos = p;
-      *value = result;
-      return 1;
-    }
-    shift += 7;
-  }
-  return p >= content.size() && shift <= 63 ? 0 : -1;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // WalWriter
 // ---------------------------------------------------------------------------
@@ -119,7 +71,7 @@ WalWriter::WalWriter(Env* env, std::string dir, WalOptions options)
 
 Result<WalWriter> WalWriter::Open(Env* env, const std::string& dir,
                                   WalOptions options) {
-  if (options.segment_size_limit <= kWalHeaderSize) {
+  if (options.segment_size_limit <= kFileHeaderSize) {
     return Status::InvalidArgument(
         "wal segment_size_limit must exceed the segment header size");
   }
@@ -160,7 +112,7 @@ Result<WalWriter> WalWriter::Open(Env* env, const std::string& dir,
                                 dir);
     }
     PROVDB_ASSIGN_OR_RETURN(uint64_t size, env->FileSize(last));
-    if (size >= kWalHeaderSize) break;
+    if (size >= kFileHeaderSize) break;
     PROVDB_RETURN_IF_ERROR(env->RemoveFile(last));
     PROVDB_RETURN_IF_ERROR(env->SyncDir(dir));
     --max_index;
@@ -173,13 +125,13 @@ Result<WalWriter> WalWriter::Open(Env* env, const std::string& dir,
 Status WalWriter::OpenSegment(uint64_t index) {
   PROVDB_ASSIGN_OR_RETURN(file_,
                           env_->NewWritableFile(SegmentFileName(dir_, index)));
-  PROVDB_RETURN_IF_ERROR(file_->Append(BuildSegmentHeader(index)));
+  PROVDB_RETURN_IF_ERROR(file_->Append(EncodeFileHeader(kWalMagic, index)));
   PROVDB_RETURN_IF_ERROR(file_->Flush());
   // Make the segment's directory entry itself crash-durable; otherwise a
   // power cut could forget the file while keeping later ones.
   PROVDB_RETURN_IF_ERROR(env_->SyncDir(dir_));
   segment_index_ = index;
-  segment_bytes_ = kWalHeaderSize;
+  segment_bytes_ = kFileHeaderSize;
   segment_records_ = 0;
   return Status::OK();
 }
@@ -217,10 +169,7 @@ Status WalWriter::Append(ByteView payload) {
         "WAL payload of " + std::to_string(payload.size()) +
         " bytes exceeds the 32-bit frame length limit");
   }
-  Bytes frame;
-  AppendVarint64(&frame, payload.size());
-  AppendBytes(&frame, payload);
-  AppendFixed32(&frame, Crc32(payload));
+  const Bytes frame = EncodeFrame(payload);
 
   if (segment_records_ > 0 &&
       segment_bytes_ + frame.size() > options_.segment_size_limit) {
@@ -425,7 +374,7 @@ Result<WalReader> WalReader::Open(Env* env, const std::string& dir,
                               std::to_string(dropped) + " byte(s) at offset " +
                               std::to_string(tear_at);
       if (options.repair_torn_tail) {
-        if (tear_at < kWalHeaderSize) {
+        if (tear_at < kFileHeaderSize) {
           // The salvaged prefix is not even a full header: the segment
           // holds no records. Truncating would leave a headerless file
           // that a later recovery — once newer segments exist and it is
@@ -440,63 +389,39 @@ Result<WalReader> WalReader::Open(Env* env, const std::string& dir,
       return Status::OK();
     };
 
-    if (content.size() < kWalHeaderSize) {
+    if (content.size() < kFileHeaderSize) {
       // An empty (or half-written-header) segment can only be the one
       // being created when the crash hit.
       PROVDB_RETURN_IF_ERROR(
           torn_or_corrupt(0, "short segment header", /*salvageable=*/true));
       continue;
     }
-    if (std::memcmp(content.data(), kWalMagic, sizeof(kWalMagic)) != 0 ||
-        ReadFixed32(content, 16) != Crc32(ByteView(content.data(), 16)) ||
-        ReadFixed64(content, 8) != seg_index) {
+    if (ReadFileHeader(content, kWalMagic) != seg_index) {
       // A complete header that fails validation was not torn — the bytes
       // are all there, they are just wrong.
       return Status::Corruption("bad WAL segment header in " + path);
     }
 
-    size_t pos = kWalHeaderSize;
-    while (pos < content.size()) {
-      const size_t frame_start = pos;
-      uint64_t len = 0;
-      int varint_state = TryReadVarint(content, &pos, &len);
-      if (varint_state <= 0) {
+    for (size_t pos = kFileHeaderSize; pos < content.size();) {
+      const DecodedFrame frame =
+          DecodeFrame(ByteView(content).subview(pos), kWalMaxPayload);
+      if (frame.result != FrameResult::kFrame) {
+        // Need-more and a bad length are what a torn append leaves. A
+        // structurally complete frame with a bad CRC is only a plausible
+        // tear when nothing follows it; with more log after it, the
+        // bytes were fully written and later damaged.
         PROVDB_RETURN_IF_ERROR(torn_or_corrupt(
-            frame_start,
-            varint_state == 0 ? "truncated frame length"
-                              : "malformed frame length",
-            /*salvageable=*/true));
+            pos, frame.what,
+            /*salvageable=*/frame.result != FrameResult::kBadCrc ||
+                pos + frame.size == content.size()));
         break;
       }
-      if (len > kWalMaxPayload) {
-        PROVDB_RETURN_IF_ERROR(torn_or_corrupt(
-            frame_start, "frame length exceeds 32-bit limit",
-            /*salvageable=*/true));
-        break;
-      }
-      if (len + 4 > content.size() - pos) {
-        PROVDB_RETURN_IF_ERROR(torn_or_corrupt(
-            frame_start, "frame overruns end of segment",
-            /*salvageable=*/true));
-        break;
-      }
-      ByteView payload(content.data() + pos, static_cast<size_t>(len));
-      pos += static_cast<size_t>(len);
-      uint32_t stored_crc = ReadFixed32(content, pos);
-      pos += 4;
-      if (stored_crc != Crc32(payload)) {
-        // A structurally complete frame with a bad CRC is only a
-        // plausible tear when nothing follows it; with more log after
-        // it, the bytes were fully written and later damaged.
-        PROVDB_RETURN_IF_ERROR(torn_or_corrupt(
-            frame_start, "frame CRC mismatch",
-            /*salvageable=*/pos == content.size()));
-        break;
-      }
-      PROVDB_RETURN_IF_ERROR(reader.log_.Append(payload).status());
+      reader.payloads_.push_back(frame.payload);
+      pos += frame.size;
       ++reader.report_.records;
       recovered_records->Increment();
     }
+    reader.segments_.push_back(std::move(content));
   }
   return reader;
 }

@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
 #include "observability/metrics.h"
 #include "storage/env.h"
-#include "storage/record_log.h"
 
 namespace provdb::storage {
 
@@ -25,13 +25,11 @@ namespace provdb::storage {
 ///   | varint(len) | payload bytes | crc32(payload)  |   frame, repeated
 ///   +-------------+---------------+-----------------+
 ///
-/// Frames reuse RecordLog's framing so a recovered WAL replays through
-/// the same code path as a snapshot file. A writer never appends to an
-/// existing segment: each WalWriter::Open starts segment max+1, so the
-/// only file that can legally end mid-frame is the one that was being
-/// appended when the process (or the power) died.
+/// Header and frames are the common codec's (common/frame.h). A writer
+/// never appends to an existing segment: each WalWriter::Open starts
+/// segment max+1, so the only file that can legally end mid-frame is the
+/// one that was being appended when the process (or the power) died.
 inline constexpr char kWalMagic[8] = {'P', 'V', 'D', 'B', 'W', 'A', 'L', '1'};
-inline constexpr size_t kWalHeaderSize = 8 + 8 + 4;
 
 /// Largest payload a frame can carry (the length field is persisted as a
 /// 32-bit quantity everywhere downstream).
@@ -83,8 +81,8 @@ struct WalOptions {
   uint64_t checkpoint_horizon = 0;
 };
 
-/// Incremental appender. Unlike RecordLog::SaveToFile (which rewrites the
-/// world), WalWriter makes each record durable in O(record) I/O.
+/// Incremental appender: WalWriter makes each record durable in
+/// O(record) I/O.
 ///
 /// Externally synchronized: a WalWriter holds no mutex of its own.
 /// Exactly one owner drives it at a time — in the sharded pipeline that
@@ -255,17 +253,18 @@ class WalReader {
   static Result<WalReader> Open(Env* env, const std::string& dir,
                                 WalReaderOptions options = WalReaderOptions());
 
-  /// The recovered records, in append order, as a RecordLog — so existing
-  /// consumers (ProvenanceStore::LoadFromLog) replay it unchanged.
-  const RecordLog& log() const { return log_; }
-  RecordLog&& TakeLog() { return std::move(log_); }
+  /// The recovered payloads, in append order. They view segment bytes
+  /// the reader owns, so they stay valid as long as the reader, moves
+  /// included.
+  const std::vector<ByteView>& payloads() const { return payloads_; }
 
   const WalRecoveryReport& report() const { return report_; }
 
  private:
   WalReader() = default;
 
-  RecordLog log_;
+  std::vector<Bytes> segments_;  // the bytes `payloads_` view
+  std::vector<ByteView> payloads_;
   WalRecoveryReport report_;
 };
 

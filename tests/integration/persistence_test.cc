@@ -1,16 +1,19 @@
 // Durable-provenance integration: TrackedDatabase -> ProvenanceStore ->
-// RecordLog -> disk -> reload -> extraction -> verification, with
+// sealed checkpoint -> disk -> reload -> extraction -> verification, with
 // corruption injected at each layer.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
+#include <string>
+#include <vector>
 
+#include "common/frame.h"
 #include "provenance/auditor.h"
+#include "provenance/checkpoint.h"
 #include "provenance/serialization.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
-#include "storage/record_log.h"
 #include "testing/differential.h"
 #include "testing/test_pki.h"
 
@@ -19,17 +22,19 @@ namespace {
 
 using provdb::testing::OneShardCopy;
 using provdb::testing::TestPki;
+using storage::Env;
 using storage::ObjectId;
 using storage::Value;
 
 class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // One file per test: ctest runs the tests of this fixture as
-    // parallel processes, and one of them corrupts its file on purpose.
-    path_ = ::testing::TempDir() + "/provdb_persist_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".log";
+    // One directory per test: ctest runs the tests of this fixture as
+    // parallel processes, and some of them corrupt their file on purpose.
+    dir_ = ::testing::TempDir() + "/provdb_persist_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    ASSERT_TRUE(env_->CreateDir(dir_).ok());
+    path_ = CheckpointFileName(dir_, 1);
     root_ = *db_.Insert(p(1), Value::String("db"));
     row_ = *db_.Insert(p(1), Value::Int(0), root_);
     cell_ = *db_.Insert(p(2), Value::Int(5), row_);
@@ -39,39 +44,87 @@ class PersistenceTest : public ::testing::Test {
     agg_ = *agg;
   }
 
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override {
+    auto names = env_->ListDir(dir_);
+    if (!names.ok()) return;
+    for (const std::string& name : *names) {
+      EXPECT_TRUE(env_->RemoveFile(dir_ + "/" + name).ok());
+    }
+  }
 
   const crypto::Participant& p(int i) {
     return TestPki::Instance().participant(i - 1);
   }
 
+  /// Seals the live provenance store into the checkpoint at `path_`.
+  void Seal() {
+    ASSERT_TRUE(CheckpointWriter::Write(env_, dir_, db_.provenance(),
+                                        /*wal_horizon=*/1, p(1).signer(),
+                                        p(1).id())
+                    .ok());
+  }
+
+  Result<LoadedCheckpoint> Load() {
+    crypto::RsaSignatureVerifier verifier(p(1).public_key());
+    return CheckpointReader::Load(env_, path_, verifier);
+  }
+
+  Bytes ReadAll() { return env_->ReadFileToBytes(path_).value(); }
+
+  void WriteAll(const Bytes& content) {
+    auto file = env_->NewWritableFile(path_);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append(content).ok());
+    ASSERT_TRUE((*file)->Close().ok());
+  }
+
+  /// The checkpoint's frame payloads in file order: manifest, one per
+  /// live record, chain tails, seal.
+  std::vector<Bytes> Frames(const Bytes& content) {
+    std::vector<Bytes> frames;
+    for (size_t pos = kFileHeaderSize; pos < content.size();) {
+      DecodedFrame frame =
+          DecodeFrame(ByteView(content).subview(pos), content.size());
+      EXPECT_EQ(frame.result, FrameResult::kFrame) << frame.what;
+      if (frame.result != FrameResult::kFrame) break;
+      frames.push_back(frame.payload.ToBytes());
+      pos += frame.size;
+    }
+    return frames;
+  }
+
+  /// A checkpoint file with the header of `content` and `frames`.
+  Bytes Reframe(const Bytes& content, const std::vector<Bytes>& frames) {
+    Bytes out(content.begin(), content.begin() + kFileHeaderSize);
+    for (const Bytes& frame : frames) AppendFrame(&out, frame);
+    return out;
+  }
+
+  Env* env_ = Env::Default();
   TrackedDatabase db_;
   ObjectId root_, row_, cell_, agg_;
+  std::string dir_;
   std::string path_;
 };
 
 TEST_F(PersistenceTest, FullRoundTripVerifies) {
-  storage::RecordLog log;
-  ASSERT_TRUE(db_.provenance().SaveToLog(&log).ok());
-  ASSERT_TRUE(log.SaveToFile(path_).ok());
-
-  auto loaded_log = storage::RecordLog::LoadFromFile(path_);
-  ASSERT_TRUE(loaded_log.ok());
-  auto restored = ProvenanceStore::LoadFromLog(*loaded_log);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->record_count(), db_.provenance().record_count());
+  Seal();
+  auto loaded = Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ProvenanceStore& restored = loaded->store;
+  EXPECT_EQ(restored.record_count(), db_.provenance().record_count());
 
   // Bundle built from the restored store + a live snapshot verifies.
   RecipientBundle bundle;
   bundle.subject = agg_;
   bundle.data = *SubtreeSnapshot::Capture(db_.tree(), agg_);
-  bundle.records = *restored->ExtractProvenance(agg_);
+  bundle.records = *restored.ExtractProvenance(agg_);
   ProvenanceVerifier verifier(&TestPki::Instance().registry());
   auto report = verifier.Verify(bundle);
   EXPECT_TRUE(report.ok()) << report.ToString();
 
   // The restored store audits clean against the live tree.
-  auto adopted = OneShardCopy(*restored);
+  auto adopted = OneShardCopy(restored);
   ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
   StoreAuditor auditor(&TestPki::Instance().registry());
   auto audit = auditor.Audit(adopted->OpenSnapshot(), db_.tree());
@@ -79,88 +132,68 @@ TEST_F(PersistenceTest, FullRoundTripVerifies) {
 }
 
 TEST_F(PersistenceTest, RestoredStorePreservesChainsAndAccounting) {
-  storage::RecordLog log;
-  ASSERT_TRUE(db_.provenance().SaveToLog(&log).ok());
-  auto restored = ProvenanceStore::LoadFromLog(log);
-  ASSERT_TRUE(restored.ok());
+  Seal();
+  auto loaded = Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ProvenanceStore& restored = loaded->store;
   for (ObjectId object : {root_, row_, cell_, agg_}) {
-    EXPECT_EQ(restored->ChainOf(object).size(),
+    EXPECT_EQ(restored.ChainOf(object).size(),
               db_.provenance().ChainOf(object).size())
         << object;
   }
-  EXPECT_EQ(restored->PaperSchemaBytes(), db_.provenance().PaperSchemaBytes());
-  EXPECT_EQ(restored->SerializedBytes(), db_.provenance().SerializedBytes());
+  EXPECT_EQ(restored.PaperSchemaBytes(), db_.provenance().PaperSchemaBytes());
+  EXPECT_EQ(restored.SerializedBytes(), db_.provenance().SerializedBytes());
 }
 
 TEST_F(PersistenceTest, OnDiskBitFlipCaughtByCrc) {
-  storage::RecordLog log;
-  ASSERT_TRUE(db_.provenance().SaveToLog(&log).ok());
-  ASSERT_TRUE(log.SaveToFile(path_).ok());
+  Seal();
+  Bytes content = ReadAll();
+  content[40] ^= 0x20;  // inside the first record frame's payload
+  WriteAll(content);
 
-  std::FILE* f = std::fopen(path_.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 40, SEEK_SET);
-  int c = std::fgetc(f);
-  std::fseek(f, 40, SEEK_SET);
-  std::fputc(c ^ 0x20, f);
-  std::fclose(f);
-
-  auto loaded = storage::RecordLog::LoadFromFile(path_);
+  auto loaded = Load();
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(PersistenceTest, TamperedRecordInLogCaughtCryptographically) {
   // An attacker who rewrites a record *and* fixes the CRC still cannot
-  // fix the signature: re-frame a modified record through a fresh log.
-  storage::RecordLog log;
-  ASSERT_TRUE(db_.provenance().SaveToLog(&log).ok());
+  // fix the seal: re-frame a modified record into the checkpoint.
+  Seal();
+  const Bytes content = ReadAll();
+  std::vector<Bytes> frames = Frames(content);
+  ASSERT_GT(frames.size(), 3u);
+  auto rec = DecodeRecord(frames[2]);  // the second record
+  ASSERT_TRUE(rec.ok());
+  rec->output.state_hash.mutable_data()[0] ^= 1;
+  frames[2] = EncodeRecord(*rec);  // valid encoding, valid CRC
+  WriteAll(Reframe(content, frames));
 
-  storage::RecordLog tampered_log;
-  for (uint64_t i = 0; i < log.record_count(); ++i) {
-    Bytes payload = log.Get(i)->ToBytes();
-    if (i == 1) {
-      auto rec = DecodeRecord(payload);
-      ASSERT_TRUE(rec.ok());
-      rec->output.state_hash.mutable_data()[0] ^= 1;
-      payload = EncodeRecord(*rec);  // valid encoding, valid CRC
-    }
-    ASSERT_TRUE(tampered_log.Append(payload).ok());
-  }
-  ASSERT_TRUE(tampered_log.SaveToFile(path_).ok());
-
-  auto loaded_log = storage::RecordLog::LoadFromFile(path_);
-  ASSERT_TRUE(loaded_log.ok());  // CRC passes — framing is intact
-  auto restored = ProvenanceStore::LoadFromLog(*loaded_log);
-  ASSERT_TRUE(restored.ok());
-
-  auto adopted = OneShardCopy(*restored);
-  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
-  StoreAuditor auditor(&TestPki::Instance().registry());
-  auto audit = auditor.Audit(adopted->OpenSnapshot(), db_.tree());
-  EXPECT_FALSE(audit.ok());  // signatures catch what CRC cannot
+  auto loaded = Load();  // framing is intact; the seal refuses it
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kVerificationFailed)
+      << loaded.status().ToString();
 }
 
 TEST_F(PersistenceTest, ReorderedLogStillRejectedOrDetected) {
-  // Reordering records of one object violates the store's seq
-  // monotonicity on load.
-  storage::RecordLog log;
-  ASSERT_TRUE(db_.provenance().SaveToLog(&log).ok());
-  storage::RecordLog reordered;
-  // Append in reverse order.
-  for (uint64_t i = log.record_count(); i-- > 0;) {
-    ASSERT_TRUE(reordered.Append(*log.Get(i)).ok());
-  }
-  auto restored = ProvenanceStore::LoadFromLog(reordered);
-  EXPECT_FALSE(restored.ok());
+  // Reordering the record frames changes the sealed root, and the
+  // reversed chains break the store's seq monotonicity besides.
+  Seal();
+  const Bytes content = ReadAll();
+  std::vector<Bytes> frames = Frames(content);
+  ASSERT_GT(frames.size(), 4u);
+  std::reverse(frames.begin() + 1, frames.end() - 2);
+  WriteAll(Reframe(content, frames));
+
+  auto loaded = Load();
+  EXPECT_FALSE(loaded.ok());
 }
 
 TEST_F(PersistenceTest, SnapshotOfStaleStateFailsVerification) {
   // Verification against restored records requires the *current* data:
   // roll the data forward after saving and the old bundle's snapshot
   // stays consistent, but a stale snapshot with the new records fails.
-  storage::RecordLog log;
-  ASSERT_TRUE(db_.provenance().SaveToLog(&log).ok());
+  Seal();
   SubtreeSnapshot stale = *SubtreeSnapshot::Capture(db_.tree(), agg_);
 
   // Advance the aggregate after the snapshot.

@@ -126,7 +126,7 @@ TEST(LintRulesTest, R05FiresOnlyWithCorpusAndHonorsBothReferenceKinds) {
 TEST(LintRulesTest, R06FiresOnRawFileIoOutsideEnvLayer) {
   Linter linter;
   std::string content = ReadFixture("r06_raw_file_io.cc");
-  auto findings = linter.LintContent("src/storage/record_log.cc", content);
+  auto findings = linter.LintContent("src/storage/wal.cc", content);
   ASSERT_EQ(findings.size(), 3u);
   for (const Finding& finding : findings) {
     EXPECT_EQ(finding.rule_id, "R06");

@@ -1,9 +1,8 @@
-// Wire protocol codec tests: frame round trips, the need-more vs
-// corruption distinction the connection layer depends on, and the strict
-// encode/decode bijection for requests and responses (every decodable
-// message re-encodes to the identical bytes, and every malformed variant
-// is typed kCorruption — the tamper matrix in server_corruption_test.cc
-// builds on these per-message guarantees).
+// Wire protocol codec tests: the strict encode/decode bijection for
+// requests and responses (every decodable message re-encodes to the
+// identical bytes, and every malformed variant is typed kCorruption — the
+// tamper matrix in server_corruption_test.cc builds on these per-message
+// guarantees). Framing is the common codec's (tests/common/frame_test.cc).
 
 #include "net/wire.h"
 
@@ -55,100 +54,6 @@ void ExpectSubmitEq(const SubmitRequest& a, const SubmitRequest& b) {
   }
   EXPECT_EQ(a.input_prev_checksums, b.input_prev_checksums);
   EXPECT_EQ(a.aggregate_seq, b.aggregate_seq);
-}
-
-// -- Framing -----------------------------------------------------------
-
-TEST(WireFrameTest, RoundTrip) {
-  Bytes payload{1, 2, 3, 4, 5};
-  Bytes frame = EncodeFrame(payload);
-  size_t consumed = 0;
-  Bytes decoded;
-  auto ok = TryDecodeFrame(frame, kMaxFramePayload, &consumed, &decoded);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_TRUE(*ok);
-  EXPECT_EQ(consumed, frame.size());
-  EXPECT_EQ(decoded, payload);
-}
-
-TEST(WireFrameTest, EmptyPayloadRoundTrip) {
-  Bytes frame = EncodeFrame(ByteView());
-  size_t consumed = 0;
-  Bytes decoded;
-  auto ok = TryDecodeFrame(frame, kMaxFramePayload, &consumed, &decoded);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(*ok);
-  EXPECT_EQ(consumed, frame.size());
-  EXPECT_TRUE(decoded.empty());
-}
-
-TEST(WireFrameTest, EveryTruncationIsNeedMoreNeverError) {
-  Bytes payload(300, 0x5A);  // 2-byte length varint
-  Bytes frame = EncodeFrame(payload);
-  for (size_t len = 0; len < frame.size(); ++len) {
-    size_t consumed = 0;
-    Bytes decoded;
-    auto ok = TryDecodeFrame(ByteView(frame.data(), len), kMaxFramePayload,
-                             &consumed, &decoded);
-    ASSERT_TRUE(ok.ok()) << "prefix length " << len << ": "
-                         << ok.status().ToString();
-    EXPECT_FALSE(*ok) << "prefix length " << len;
-  }
-}
-
-TEST(WireFrameTest, TrailingBytesAreNotConsumed) {
-  Bytes payload{9, 8, 7};
-  Bytes frame = EncodeFrame(payload);
-  const size_t frame_size = frame.size();
-  frame.push_back(0xEE);  // start of the next frame
-  size_t consumed = 0;
-  Bytes decoded;
-  auto ok = TryDecodeFrame(frame, kMaxFramePayload, &consumed, &decoded);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(*ok);
-  EXPECT_EQ(consumed, frame_size);
-  EXPECT_EQ(decoded, payload);
-}
-
-TEST(WireFrameTest, CrcMismatchIsCorruption) {
-  Bytes payload{1, 2, 3, 4};
-  Bytes frame = EncodeFrame(payload);
-  frame[1] ^= 0x01;  // payload byte
-  size_t consumed = 0;
-  Bytes decoded;
-  auto ok = TryDecodeFrame(frame, kMaxFramePayload, &consumed, &decoded);
-  ASSERT_FALSE(ok.ok());
-  EXPECT_EQ(ok.status().code(), StatusCode::kCorruption);
-}
-
-TEST(WireFrameTest, OversizedLengthPrefixIsCorruptionBeforeBuffering) {
-  Bytes frame;
-  AppendVarint64(&frame, kMaxFramePayload + 1);
-  // No payload bytes at all: the bound must trip on the prefix alone.
-  size_t consumed = 0;
-  Bytes decoded;
-  auto ok = TryDecodeFrame(frame, kMaxFramePayload, &consumed, &decoded);
-  ASSERT_FALSE(ok.ok());
-  EXPECT_EQ(ok.status().code(), StatusCode::kCorruption);
-}
-
-TEST(WireFrameTest, OverlongLengthVarintIsCorruption) {
-  const Bytes frame{0x85, 0x00};  // 5 encoded with a redundant byte
-  size_t consumed = 0;
-  Bytes decoded;
-  auto ok = TryDecodeFrame(frame, kMaxFramePayload, &consumed, &decoded);
-  ASSERT_FALSE(ok.ok());
-  EXPECT_EQ(ok.status().code(), StatusCode::kCorruption);
-}
-
-TEST(WireFrameTest, LengthVarintOver64BitsIsCorruption) {
-  const Bytes frame{0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
-                    0xFF, 0xFF, 0xFF, 0xFF, 0x7F};
-  size_t consumed = 0;
-  Bytes decoded;
-  auto ok = TryDecodeFrame(frame, kMaxFramePayload, &consumed, &decoded);
-  ASSERT_FALSE(ok.ok());
-  EXPECT_EQ(ok.status().code(), StatusCode::kCorruption);
 }
 
 // -- Requests ----------------------------------------------------------

@@ -8,16 +8,30 @@
 // iteration-order-dependent serialization path flips the digest and fails
 // this test, even if verification still happens to pass.
 //
+// The same workload also pins the framed formats byte for byte: the WAL
+// segments and sealed checkpoint it leaves on disk, and framed network
+// requests and responses built from it.
+//
 // If this test fails because you *intentionally* changed the wire format,
 // treat it as a compatibility break: bump the format, then re-pin the
 // constant from the test's failure output.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/hex.h"
+#include "common/varint.h"
 #include "crypto/hash.h"
+#include "net/wire.h"
+#include "provenance/serialization.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
+#include "storage/env.h"
+#include "storage/wal.h"
 #include "testing/test_pki.h"
 
 namespace provdb::provenance {
@@ -34,45 +48,66 @@ using storage::Value;
 constexpr char kGoldenBundleSha256[] =
     "bcca8d0f95604b6196af16574a5e94eafcc3776dfaae84bfab8085b0bd84d358";
 
+/// SHA-256 over the WAL directory WalAndCheckpointBytesArePinned leaves
+/// behind: every file's name, size, and bytes, in name order. Pinned
+/// 2026-10-17; covers the 20-byte segment and checkpoint headers, every
+/// record and prune-marker frame, and the checkpoint seal.
+constexpr char kGoldenWalDirSha256[] =
+    "20099f26eb38627677125f8e332e4f56d94b77e4feef7e4859f311d47a2ea9ad";
+
+/// SHA-256 of the framed submit, query-chain, and response messages of
+/// WireFramesArePinned, concatenated. Pinned 2026-10-17.
+constexpr char kGoldenWireFramesSha256[] =
+    "e3af731aa5d30a6173e0e17d44a9591e8ffb1eb7891cc108312480cae3430b37";
+
 /// The fixed workload: three chains (insert + updates), one aggregation
 /// across them, and a compound object, exercising every record kind the
-/// wire format encodes.
-RecipientBundle BuildBundle() {
+/// wire format encodes. `midway` runs between the chains and the compound
+/// object. Returns the aggregate's object id.
+ObjectId RunWorkload(TrackedDatabase* db,
+                     const std::function<void()>& midway = {}) {
   const TestPki& pki = TestPki::Instance();
   const auto& alice = pki.participant(0);
   const auto& bob = pki.participant(1);
   const auto& carol = pki.participant(2);
 
-  TrackedDatabase db;
-  ObjectId a = db.Insert(alice, Value::String("alpha-0")).value();
-  ObjectId b = db.Insert(bob, Value::Int(42)).value();
-  ObjectId c = db.Insert(carol, Value::Double(2.5)).value();
+  ObjectId a = db->Insert(alice, Value::String("alpha-0")).value();
+  ObjectId b = db->Insert(bob, Value::Int(42)).value();
+  ObjectId c = db->Insert(carol, Value::Double(2.5)).value();
 
-  EXPECT_TRUE(db.Update(bob, a, Value::String("alpha-1")).ok());
-  EXPECT_TRUE(db.Update(alice, a, Value::String("alpha-2")).ok());
-  EXPECT_TRUE(db.Update(carol, b, Value::Int(43)).ok());
+  EXPECT_TRUE(db->Update(bob, a, Value::String("alpha-1")).ok());
+  EXPECT_TRUE(db->Update(alice, a, Value::String("alpha-2")).ok());
+  EXPECT_TRUE(db->Update(carol, b, Value::Int(43)).ok());
+  if (midway) midway();
 
   // A compound object under a fresh root, then one nested update.
-  ObjectId root = db.Insert(alice, Value::String("table")).value();
-  ObjectId row = db.Insert(alice, Value::Int(1), root).value();
-  ObjectId cell = db.Insert(bob, Value::String("cell"), row).value();
-  EXPECT_TRUE(db.Update(bob, cell, Value::String("cell'")).ok());
+  ObjectId root = db->Insert(alice, Value::String("table")).value();
+  ObjectId row = db->Insert(alice, Value::Int(1), root).value();
+  ObjectId cell = db->Insert(bob, Value::String("cell"), row).value();
+  EXPECT_TRUE(db->Update(bob, cell, Value::String("cell'")).ok());
 
   // Aggregate the three chains into a report object.
   ObjectId report =
-      db.Aggregate(carol, {a, b, c}, Value::String("summary")).value();
-  EXPECT_TRUE(db.Update(carol, report, Value::String("summary-v2")).ok());
+      db->Aggregate(carol, {a, b, c}, Value::String("summary")).value();
+  EXPECT_TRUE(db->Update(carol, report, Value::String("summary-v2")).ok());
+  return report;
+}
 
+RecipientBundle BuildBundle() {
+  TrackedDatabase db;
+  ObjectId report = RunWorkload(&db);
   return db.ExportForRecipient(report).value();
+}
+
+std::string Sha256Hex(ByteView bytes) {
+  return HexEncode(
+      crypto::HashBytes(crypto::HashAlgorithm::kSha256, bytes).view());
 }
 
 TEST(GoldenDigestTest, BundleEncodingIsPinned) {
   RecipientBundle bundle = BuildBundle();
   Bytes wire = bundle.Serialize();
-  std::string digest =
-      HexEncode(crypto::HashBytes(crypto::HashAlgorithm::kSha256, wire)
-                    .view());
-  EXPECT_EQ(digest, kGoldenBundleSha256)
+  EXPECT_EQ(Sha256Hex(wire), kGoldenBundleSha256)
       << "canonical bundle encoding drifted (" << wire.size()
       << " wire bytes). If intentional, re-pin kGoldenBundleSha256.";
 }
@@ -104,6 +139,102 @@ TEST(GoldenDigestTest, PinnedBundleVerifiesSequentiallyAndParallel) {
   EXPECT_EQ(seq_report.ToString(), par_report.ToString());
   EXPECT_EQ(seq_report.records_checked, par_report.records_checked);
   EXPECT_EQ(seq_report.signatures_verified, par_report.signatures_verified);
+}
+
+TEST(GoldenDigestTest, WalAndCheckpointBytesArePinned) {
+  storage::Env* env = storage::Env::Default();
+  const std::string dir = ::testing::TempDir() + "/provdb_golden_wal";
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  const std::vector<std::string> leftovers = env->ListDir(dir).value();
+  for (const std::string& name : leftovers) {
+    ASSERT_TRUE(env->RemoveFile(dir + "/" + name).ok());
+  }
+
+  // A small segment limit rolls the log every few records, so the
+  // directory ends with a sealed checkpoint and at least two segments.
+  storage::WalOptions options;
+  options.segment_size_limit = 512;
+  auto wal = storage::WalWriter::Open(env, dir, options);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  const crypto::Participant& sealer = TestPki::Instance().participant(0);
+  TrackedDatabase db;
+  ASSERT_TRUE(db.AttachWal(&*wal).ok());
+  RunWorkload(&db, [&] {
+    EXPECT_TRUE(db.CheckpointWal(sealer.signer(), sealer.id()).ok());
+  });
+  // A prune marker: a standalone object inserted and then pruned.
+  ObjectId solo = db.Insert(sealer, Value::Int(7)).value();
+  ASSERT_TRUE(db.mutable_provenance()->PruneObject(solo).ok());
+  ASSERT_TRUE(wal->Close().ok());
+
+  std::vector<std::string> names = env->ListDir(dir).value();
+  std::sort(names.begin(), names.end());
+  size_t segments = 0;
+  size_t checkpoints = 0;
+  Bytes corpus;
+  for (const std::string& name : names) {
+    uint64_t index = 0;
+    if (storage::ParseWalSegmentName(name, &index) ==
+        storage::WalSegmentNameKind::kSegment) {
+      ++segments;
+    } else if (name.rfind("checkpoint-", 0) == 0) {
+      ++checkpoints;
+    }
+    Bytes content = env->ReadFileToBytes(dir + "/" + name).value();
+    AppendLengthPrefixed(&corpus, ByteView(name));
+    AppendLengthPrefixed(&corpus, content);
+  }
+  ASSERT_GE(segments, 2u);
+  ASSERT_EQ(checkpoints, 1u);
+  EXPECT_EQ(Sha256Hex(corpus), kGoldenWalDirSha256)
+      << "WAL segment or checkpoint bytes drifted (" << names.size()
+      << " files, " << corpus.size()
+      << " bytes). If intentional, re-pin kGoldenWalDirSha256.";
+}
+
+TEST(GoldenDigestTest, WireFramesArePinned) {
+  TrackedDatabase db;
+  ObjectId report = RunWorkload(&db);
+  StoreSnapshot snapshot = db.OpenSnapshot();
+  const ProvenanceRecord& latest = *snapshot.ChainRecords(report).back();
+
+  // A submit shaped like the report's latest record.
+  net::Request submit;
+  submit.op = net::NetOp::kSubmitRecord;
+  submit.submit.participant_id = latest.participant;
+  submit.submit.op = latest.op;
+  submit.submit.object = latest.output.object_id;
+  submit.submit.post_hash = latest.output.state_hash;
+  submit.submit.has_pre_hash = true;
+  submit.submit.pre_hash = latest.inputs.front().state_hash;
+  submit.submit.inputs = latest.inputs;
+  submit.submit.input_prev_checksums = {latest.checksum};
+  submit.submit.aggregate_seq = latest.seq_id;
+
+  net::Request query;
+  query.op = net::NetOp::kQueryChain;
+  query.object = report;
+
+  // The query's answer: the report's chain, as the server encodes it.
+  net::Response chain;
+  std::vector<ProvenanceRecord> records =
+      snapshot.ExtractProvenance(report).value();
+  AppendVarint64(&chain.body, records.size());
+  for (const ProvenanceRecord& record : records) {
+    AppendLengthPrefixed(&chain.body, EncodeRecord(record));
+  }
+  net::Response refusal;
+  refusal.code = StatusCode::kCorruption;
+  refusal.message = "frame checksum mismatch";
+
+  Bytes stream;
+  AppendBytes(&stream, net::EncodeFrame(net::EncodeRequest(submit)));
+  AppendBytes(&stream, net::EncodeFrame(net::EncodeRequest(query)));
+  AppendBytes(&stream, net::EncodeFrame(net::EncodeResponse(chain)));
+  AppendBytes(&stream, net::EncodeFrame(net::EncodeResponse(refusal)));
+  EXPECT_EQ(Sha256Hex(stream), kGoldenWireFramesSha256)
+      << "wire frame bytes drifted (" << stream.size()
+      << " bytes). If intentional, re-pin kGoldenWireFramesSha256.";
 }
 
 }  // namespace

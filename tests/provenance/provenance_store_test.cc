@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "storage/record_log.h"
 
 namespace provdb::provenance {
 namespace {
@@ -143,27 +142,6 @@ TEST(ProvenanceStoreTest, ExtractHandlesSharedHistoryDiamonds) {
 TEST(ProvenanceStoreTest, ExtractUnknownSubjectFails) {
   ProvenanceStore store;
   EXPECT_FALSE(store.ExtractProvenance(1).ok());
-}
-
-TEST(ProvenanceStoreTest, SaveLoadThroughRecordLog) {
-  ProvenanceStore store;
-  store.AddRecord(Rec(1, 0, OperationType::kInsert, 0x01)).value();
-  store.AddRecord(Rec(1, 1, OperationType::kUpdate, 0x02, 0x01)).value();
-  store.AddRecord(Rec(2, 0, OperationType::kInsert, 0x03)).value();
-
-  storage::RecordLog log;
-  ASSERT_TRUE(store.SaveToLog(&log).ok());
-  EXPECT_EQ(log.record_count(), 3u);
-
-  auto restored = ProvenanceStore::LoadFromLog(log);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->record_count(), 3u);
-  EXPECT_EQ(restored->ChainOf(1).size(), 2u);
-  EXPECT_EQ(restored->ChainOf(2).size(), 1u);
-  EXPECT_EQ(restored->PaperSchemaBytes(), store.PaperSchemaBytes());
-  auto latest = restored->LatestFor(1);
-  ASSERT_TRUE(latest.ok());
-  EXPECT_EQ((*latest)->output.state_hash, D(0x02));
 }
 
 TEST(ProvenanceStoreTest, SerializedBytesIsPositiveAndConsistent) {

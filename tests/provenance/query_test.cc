@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "provenance/checkpoint.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
 #include "testing/test_pki.h"
@@ -144,9 +145,18 @@ TEST_F(QueryTest, PruningUpdatesSpaceAccounting) {
 TEST_F(QueryTest, PrunedRecordsExcludedFromPersistence) {
   ObjectId solo = *db_.Insert(p(1), Value::Int(7));
   db_.mutable_provenance()->PruneObject(solo).value();
-  storage::RecordLog log;
-  ASSERT_TRUE(db_.provenance().SaveToLog(&log).ok());
-  EXPECT_EQ(log.record_count(), db_.provenance().live_record_count());
+  storage::Env* env = storage::Env::Default();
+  const std::string dir = ::testing::TempDir() + "/provdb_query_pruned";
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  ASSERT_TRUE(CheckpointWriter::Write(env, dir, db_.provenance(), 1,
+                                      p(1).signer(), p(1).id())
+                  .ok());
+  crypto::RsaSignatureVerifier verifier(p(1).public_key());
+  auto loaded = CheckpointReader::Load(env, CheckpointFileName(dir, 1),
+                                       verifier);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->store.record_count(),
+            db_.provenance().live_record_count());
 }
 
 TEST_F(QueryTest, PruneIsIdempotentAndSafeOnUnknown) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/varint.h"
+
 namespace provdb::provenance {
 namespace {
 
@@ -114,6 +116,73 @@ TEST(SerializationTest, HugeClaimedInputCountFails) {
   // varint 2^40 as the input count
   for (uint8_t b : {0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) wire.push_back(b);
   EXPECT_FALSE(DecodeRecord(wire).ok());
+}
+
+// The encoder writes each flag as 0 or 1 and each digest at its true
+// width, so any other byte string must fail to decode: a decoder that
+// read 0x02 as "true", or kept the first 32 bytes of a 40-byte digest,
+// would map distinct byte strings to one record (DESIGN.md §14's
+// one-encoding rule), and recipient bundles carry records with no CRC.
+
+TEST(SerializationTest, InheritedFlagOtherThanZeroOrOneFails) {
+  ProvenanceRecord rec = MakeSampleRecord();
+  rec.participant = 1;
+  rec.seq_id = 1;
+  Bytes wire = EncodeRecord(rec);
+  ASSERT_EQ(wire[4], 1);  // version, seq, participant, op, then the flag
+  for (uint8_t flag : {0x02, 0x81, 0xFF}) {
+    Bytes tampered = wire;
+    tampered[4] = flag;
+    auto back = DecodeRecord(tampered);
+    ASSERT_FALSE(back.ok()) << "inherited byte " << int{flag} << " decoded";
+    EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST(SerializationTest, SnapshotFlagOtherThanZeroOrOneFails) {
+  ProvenanceRecord rec = MakeSampleRecord();
+  Bytes wire = EncodeRecord(rec);
+  rec.has_output_snapshot = false;
+  // Everything before the flag encodes the same with or without it.
+  const size_t flag_at = EncodeRecord(rec).size() - 1;
+  ASSERT_EQ(wire[flag_at], 1);
+  for (uint8_t flag : {0x02, 0x81, 0xFF}) {
+    Bytes tampered = wire;
+    tampered[flag_at] = flag;
+    auto back = DecodeRecord(tampered);
+    ASSERT_FALSE(back.ok()) << "snapshot byte " << int{flag} << " decoded";
+    EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+  }
+}
+
+/// An update record with one input (none when `input_hash` is empty),
+/// encoded by hand so digests can be wider than any Digest holds.
+Bytes HandEncodedRecord(const Bytes& input_hash, const Bytes& output_hash) {
+  Bytes wire{1, 0, 0, static_cast<uint8_t>(OperationType::kUpdate), 0};
+  AppendVarint64(&wire, input_hash.empty() ? 0 : 1);
+  if (!input_hash.empty()) {
+    AppendVarint64(&wire, 5);
+    AppendLengthPrefixed(&wire, input_hash);
+  }
+  AppendVarint64(&wire, 5);
+  AppendLengthPrefixed(&wire, output_hash);
+  AppendLengthPrefixed(&wire, Bytes(4, 0xDD));  // checksum
+  wire.push_back(0);                             // no snapshot
+  return wire;
+}
+
+TEST(SerializationTest, DigestWiderThanDigestWidthFails) {
+  const Bytes ok_hash(crypto::Digest::kMaxSize, 0xAB);
+  const Bytes wide_hash(40, 0xAB);
+  ASSERT_TRUE(DecodeRecord(HandEncodedRecord(ok_hash, ok_hash)).ok());
+
+  auto wide_output = DecodeRecord(HandEncodedRecord(ok_hash, wide_hash));
+  ASSERT_FALSE(wide_output.ok()) << "40-byte output hash decoded";
+  EXPECT_EQ(wide_output.status().code(), StatusCode::kCorruption);
+
+  auto wide_input = DecodeRecord(HandEncodedRecord(wide_hash, ok_hash));
+  ASSERT_FALSE(wide_input.ok()) << "40-byte input hash decoded";
+  EXPECT_EQ(wide_input.status().code(), StatusCode::kCorruption);
 }
 
 TEST(SerializationTest, EncodingIsDeterministic) {

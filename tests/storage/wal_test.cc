@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/crc32.h"
+#include "common/frame.h"
 #include "storage/fault_injection_env.h"
 
 namespace provdb::storage {
@@ -74,7 +75,7 @@ class WalTest : public ::testing::Test {
 
 // Each "rec-N" frame is varint(5)=1 + 5 payload + 4 crc = 10 bytes, so
 // frame k spans [20 + 10k, 30 + 10k) of segment 1.
-constexpr long kFrame0 = static_cast<long>(kWalHeaderSize);
+constexpr long kFrame0 = static_cast<long>(kFileHeaderSize);
 
 TEST_F(WalTest, AppendAndRecoverRoundTrip) {
   WriteFiveRecords();
@@ -83,8 +84,8 @@ TEST_F(WalTest, AppendAndRecoverRoundTrip) {
   EXPECT_TRUE(reader->report().clean());
   EXPECT_EQ(reader->report().segments, 1u);
   EXPECT_EQ(reader->report().records, 5u);
-  ASSERT_EQ(reader->log().record_count(), 5u);
-  EXPECT_EQ(reader->log().Get(3)->ToString(), "rec-3");
+  ASSERT_EQ(reader->payloads().size(), 5u);
+  EXPECT_EQ(reader->payloads()[3].ToString(), "rec-3");
 }
 
 TEST_F(WalTest, ReopenStartsFreshSegmentAndRecoveryMergesAll) {
@@ -100,8 +101,8 @@ TEST_F(WalTest, ReopenStartsFreshSegmentAndRecoveryMergesAll) {
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader->report().segments, 2u);
-  ASSERT_EQ(reader->log().record_count(), 7u);
-  EXPECT_EQ(reader->log().Get(5)->ToString(), "later-0");
+  ASSERT_EQ(reader->payloads().size(), 7u);
+  EXPECT_EQ(reader->payloads()[5].ToString(), "later-0");
 }
 
 TEST_F(WalTest, RolloverSplitsSegmentsAtSizeLimit) {
@@ -119,9 +120,9 @@ TEST_F(WalTest, RolloverSplitsSegmentsAtSizeLimit) {
   ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(reader->report().clean());
   EXPECT_GT(reader->report().segments, 1u);
-  ASSERT_EQ(reader->log().record_count(), 10u);
+  ASSERT_EQ(reader->payloads().size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(reader->log().Get(i)->ToString(), "rec-" + std::to_string(i));
+    EXPECT_EQ(reader->payloads()[i].ToString(), "rec-" + std::to_string(i));
   }
 }
 
@@ -138,8 +139,8 @@ TEST_F(WalTest, PayloadLargerThanSegmentLimitStillFits) {
 
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok());
-  ASSERT_EQ(reader->log().record_count(), 3u);
-  EXPECT_EQ(reader->log().Get(1)->size(), 500u);
+  ASSERT_EQ(reader->payloads().size(), 3u);
+  EXPECT_EQ(reader->payloads()[1].size(), 500u);
 }
 
 TEST_F(WalTest, OversizedPayloadRejected) {
@@ -158,7 +159,7 @@ TEST_F(WalTest, EmptyDirectoryRecoversToEmptyLog) {
   ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(reader->report().clean());
   EXPECT_EQ(reader->report().segments, 0u);
-  EXPECT_EQ(reader->log().record_count(), 0u);
+  EXPECT_EQ(reader->payloads().size(), 0u);
 }
 
 TEST_F(WalTest, MissingDirectoryIsAnError) {
@@ -175,7 +176,7 @@ TEST_F(WalTest, EmptyFinalSegmentFileIsSalvagedClean) {
 
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->log().record_count(), 5u);
+  EXPECT_EQ(reader->payloads().size(), 5u);
   EXPECT_EQ(reader->report().dropped_bytes, 0u);
 }
 
@@ -188,7 +189,7 @@ TEST_F(WalTest, TornTailSalvagedWithByteCountReported) {
 
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader->log().record_count(), 5u);
+  EXPECT_EQ(reader->payloads().size(), 5u);
   EXPECT_EQ(reader->report().dropped_bytes, 3u);
   EXPECT_EQ(reader->report().salvaged_segment, 1u);
   EXPECT_NE(reader->report().detail.find("dropped 3"), std::string::npos);
@@ -210,8 +211,8 @@ TEST_F(WalTest, RepairedTornTailStaysRecoverableAfterNewSegments) {
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_TRUE(reader->report().clean());
-  ASSERT_EQ(reader->log().record_count(), 6u);
-  EXPECT_EQ(reader->log().Get(5)->ToString(), "after-crash");
+  ASSERT_EQ(reader->payloads().size(), 6u);
+  EXPECT_EQ(reader->payloads()[5].ToString(), "after-crash");
 }
 
 // Without repair, the same sequence must hard-fail: the tear is now
@@ -253,7 +254,7 @@ TEST_F(WalTest, CorruptCrcOnFinalFrameIsSalvaged) {
 
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader->log().record_count(), 4u);
+  EXPECT_EQ(reader->payloads().size(), 4u);
   EXPECT_EQ(reader->report().dropped_bytes, 10u);
 }
 
@@ -265,7 +266,7 @@ TEST_F(WalTest, FrameLengthOverrunningFileIsSalvagedAtTail) {
 
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader->log().record_count(), 5u);
+  EXPECT_EQ(reader->payloads().size(), 5u);
   EXPECT_EQ(reader->report().dropped_bytes, 4u);
 }
 
@@ -325,7 +326,7 @@ TEST_F(WalTest, HalfWrittenHeaderOnFinalSegmentIsSalvaged) {
   }
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader->log().record_count(), 5u);
+  EXPECT_EQ(reader->payloads().size(), 5u);
   EXPECT_EQ(reader->report().dropped_bytes, 5u);
   EXPECT_EQ(reader->report().salvaged_segment, 2u);
   // Repair removes the headerless remnant (a zero-byte truncation would
@@ -357,8 +358,8 @@ TEST_F(WalTest, HeaderTearThenNewSegmentsStaysRecoverable) {
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_TRUE(reader->report().clean());
-  ASSERT_EQ(reader->log().record_count(), 6u);
-  EXPECT_EQ(reader->log().Get(5)->ToString(), "after-crash");
+  ASSERT_EQ(reader->payloads().size(), 6u);
+  EXPECT_EQ(reader->payloads()[5].ToString(), "after-crash");
 }
 
 // Same crash, but the writer restarts *without* recovery running first
@@ -381,7 +382,7 @@ TEST_F(WalTest, WriterRemovesHeaderlessTrailingSegment) {
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_TRUE(reader->report().clean());
-  ASSERT_EQ(reader->log().record_count(), 6u);
+  ASSERT_EQ(reader->payloads().size(), 6u);
 }
 
 // An over-long frame-length varint whose 10th byte carries bits above
@@ -399,7 +400,7 @@ TEST_F(WalTest, OverlongVarintFrameLengthIsMalformedNotPhantomRecord) {
 
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader->log().record_count(), 5u);
+  EXPECT_EQ(reader->payloads().size(), 5u);
   EXPECT_EQ(reader->report().dropped_bytes, 14u);
 }
 
@@ -416,7 +417,7 @@ TEST_F(WalTest, NonCanonicalFrameLengthAtTailIsSalvaged) {
 
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader->log().record_count(), 5u);
+  EXPECT_EQ(reader->payloads().size(), 5u);
   EXPECT_EQ(reader->report().dropped_bytes, 11u);
 }
 
@@ -463,8 +464,8 @@ TEST_F(WalTest, SyncedRecordsSurvivePowerCut) {
   auto reader = WalReader::Open(&fault_env, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_TRUE(reader->report().clean());
-  ASSERT_EQ(reader->log().record_count(), 5u);
-  EXPECT_EQ(reader->log().Get(4)->ToString(), "durable-4");
+  ASSERT_EQ(reader->payloads().size(), 5u);
+  EXPECT_EQ(reader->payloads()[4].ToString(), "durable-4");
 }
 
 TEST_F(WalTest, SyncEveryAppendLosesNothing) {
@@ -482,7 +483,7 @@ TEST_F(WalTest, SyncEveryAppendLosesNothing) {
   ASSERT_TRUE(fault_env.DropUnsyncedFileData().ok());
   auto reader = WalReader::Open(&fault_env, dir_);
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->log().record_count(), 4u);
+  EXPECT_EQ(reader->payloads().size(), 4u);
 }
 
 TEST_F(WalTest, TornAppendIsSalvagedNeverResurrected) {
@@ -501,8 +502,8 @@ TEST_F(WalTest, TornAppendIsSalvagedNeverResurrected) {
   // still drop it and report the tear.
   auto reader = WalReader::Open(&fault_env, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ASSERT_EQ(reader->log().record_count(), 1u);
-  EXPECT_EQ(reader->log().Get(0)->ToString(), "complete-record");
+  ASSERT_EQ(reader->payloads().size(), 1u);
+  EXPECT_EQ(reader->payloads()[0].ToString(), "complete-record");
   EXPECT_GT(reader->report().dropped_bytes, 0u);
 }
 
@@ -614,7 +615,7 @@ TEST_F(WalTest, FailedRolloverPoisonsWriter) {
   // The prefix sealed before the failed rollover recovers intact.
   auto reader = WalReader::Open(&fault_env, dir_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader->log().record_count(), 4u);
+  EXPECT_EQ(reader->payloads().size(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -663,7 +664,7 @@ TEST_F(WalTest, RollSegmentSealsCurrentSegment) {
 
   auto reader = WalReader::Open(env_, dir_);
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->log().record_count(), 2u);
+  EXPECT_EQ(reader->payloads().size(), 2u);
 }
 
 TEST_F(WalTest, RollSegmentOnEmptyLogReturnsZero) {
@@ -700,8 +701,8 @@ TEST_F(WalTest, GarbageCollectRemovesOnlyCoveredSegments) {
   horizon_options.checkpoint_horizon = 2;
   auto reader = WalReader::Open(env_, dir_, horizon_options);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ASSERT_EQ(reader->log().record_count(), 1u);
-  EXPECT_EQ(reader->log().Get(0)->ToString(), "new-0");
+  ASSERT_EQ(reader->payloads().size(), 1u);
+  EXPECT_EQ(reader->payloads()[0].ToString(), "new-0");
 
   // A reader *not* told about the horizon must refuse the truncated log:
   // segments vanishing without a sealed checkpoint is a truncation

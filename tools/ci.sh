@@ -18,8 +18,8 @@
 #                  under ASan+UBSan so torn-write salvage is also
 #                  memory-clean
 #   checkpoint     signed checkpoints (DESIGN.md §13) under ASan+UBSan:
-#                  seal/load round trip, the every-byte-flip tamper
-#                  matrix, checkpoint-bounded recovery, and the crash
+#                  seal/load round trip, seal refusal of a re-framed
+#                  record, checkpoint-bounded recovery, and the crash
 #                  sweep over every mutating op of seal + segment GC
 #   server         the network provenance service under ASan+UBSan: the
 #                  wire-codec bijection suites, the loopback integration
@@ -48,10 +48,13 @@
 #                  suite, the randomized kernel cross-checks, and the
 #                  golden-digest corpus — byte-identical signatures under
 #                  every kernel, with no UB executed (docs/CRYPTO.md)
-#   asan           ASan+UBSan over the wire-format decoder fuzz tests
-#                  and the snapshot read path (snapshot, auditor, query,
-#                  TrackedDatabase and deep-export suites), whose reads
-#                  hold record pointers only while a snapshot is pinned
+#   asan           ASan+UBSan over the wire-format decoder fuzz tests,
+#                  the common frame codec's unit tests (common/frame.h,
+#                  which every WAL, checkpoint and wire frame goes
+#                  through), and the snapshot read path (snapshot,
+#                  auditor, query, TrackedDatabase and deep-export
+#                  suites), whose reads hold record pointers only while
+#                  a snapshot is pinned
 #   ubsan          strict UBSan (PROVDB_SANITIZE=undefined,
 #                  -fno-sanitize-recover) over the full release-test
 #                  suite: any diagnosed undefined behavior aborts the
@@ -59,7 +62,9 @@
 #   differential   the randomized differential + tamper-matrix harness
 #                  (ctest -L differential) under ASan+UBSan: sequential
 #                  store vs sharded pipeline byte-equality, single-field
-#                  tamper detection, WAL byte-flip refusal
+#                  tamper detection, and the frame tamper matrix (every
+#                  byte flip, truncation and seeded overwrite of a WAL
+#                  directory, a checkpoint, and request/response frames)
 #   docs           markdown link check plus the src/ <-> OBSERVABILITY.md
 #                  metric-name cross-check (both directions)
 #   tidy           clang-tidy (.clang-tidy profile) over src/
@@ -269,9 +274,10 @@ stage_asan() {
     -DPROVDB_SANITIZE=address -DPROVDB_BUILD_BENCHMARKS=OFF \
     -DPROVDB_BUILD_EXAMPLES=OFF
   run cmake --build "$OUT/asan" -j "$JOBS" --target provenance_property_test \
-    provenance_snapshot_test provenance_ext_test provenance_tracked_test
+    provenance_snapshot_test provenance_ext_test provenance_tracked_test \
+    common_test
   run ctest --test-dir "$OUT/asan" --output-on-failure -j "$JOBS" \
-    -R 'Decoder|Fuzz|Property|Snapshot|Auditor|Query|TrackedDatabase|DeepExport'
+    -R 'Decoder|Fuzz|Property|Snapshot|Auditor|Query|TrackedDatabase|DeepExport|Frame'
 }
 
 stage_ubsan() {
@@ -289,8 +295,9 @@ stage_ubsan() {
 
 stage_differential() {
   # The randomized differential + tamper-matrix harness under ASan+UBSan:
-  # it deliberately mutates serialized records and raw WAL bytes, exactly
-  # where an out-of-bounds read in the decoder or verifier would hide.
+  # it deliberately mutates serialized records and the bytes of every
+  # framed format, exactly where an out-of-bounds read in the decoder or
+  # verifier would hide.
   run cmake -S "$ROOT" -B "$OUT/asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPROVDB_SANITIZE=address -DPROVDB_BUILD_BENCHMARKS=OFF \
     -DPROVDB_BUILD_EXAMPLES=OFF
