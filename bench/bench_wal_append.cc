@@ -1,15 +1,15 @@
 // Append throughput of the durable write-ahead provenance log: what one
 // fsync per record costs against batched durability points. No paper
-// figure — this quantifies the WalOptions group-commit trade-off
-// documented in DESIGN.md §8/§12 so deployments can pick a batch size.
+// figure — this quantifies the group-commit trade-off documented in
+// DESIGN.md §8/§12 so deployments can pick a batch size.
 //
-// Batched modes exercise the real group-commit machinery
-// (WalOptions::group_commit_records), not a hand-rolled modulo loop, so
-// the bench measures exactly what the ingest pipeline ships. After every
-// mode a WalReader verify pass replays the log; a recovery error, an
-// unclean report, or a recovered payload that differs from the one
-// appended fails the bench — a throughput number for a log that does not
-// recover is worthless.
+// A batched mode calls WalWriter::Sync after every `batch` appends,
+// which is the durability point the ingest pipeline places once per
+// flushed batch (IngestOptions::max_batch_records). After every mode a
+// WalReader verify pass replays the log; a recovery error, an unclean
+// report, or a recovered payload that differs from the one appended
+// fails the bench — a throughput number for a log that does not recover
+// is worthless.
 
 // A second pass measures checkpoint-bounded recovery (DESIGN.md §13):
 // the same store is recovered behind checkpoints taken at different
@@ -23,6 +23,7 @@
 #include "crypto/signer.h"
 #include "provenance/checkpoint.h"
 #include "provenance/provenance_store.h"
+#include "provenance/serialization.h"
 #include "storage/env.h"
 #include "storage/wal.h"
 
@@ -33,7 +34,6 @@ using provdb::provenance::CheckpointWriter;
 using provdb::provenance::ProvenanceStore;
 using provdb::provenance::ProvenanceRecord;
 using storage::Env;
-using storage::WalOptions;
 using storage::WalReader;
 using storage::WalRecoveryReport;
 using storage::WalWriter;
@@ -43,32 +43,25 @@ struct ModeResult {
   uint64_t syncs = 0;
 };
 
-/// Appends every payload under the given durability policy: `sync_every`
-/// fsyncs inside Append; otherwise WalOptions::group_commit_records
-/// auto-syncs every `batch` records (batch 0 = only the final Sync in
-/// Close).
+/// Appends every payload, syncing after every `batch` appends (batch 1 =
+/// an fsync per record; batch 0 = only the final Sync in Close).
 ModeResult RunMode(Env* env, const std::string& dir,
-                   const std::vector<Bytes>& payloads, bool sync_every,
-                   uint64_t batch) {
-  WalOptions options;
-  options.sync_every_append = sync_every;
-  options.group_commit_records = sync_every ? 0 : batch;
-  WalWriter wal = WalWriter::Open(env, dir, options).value();
+                   const std::vector<Bytes>& payloads, uint64_t batch) {
+  WalWriter wal = WalWriter::Open(env, dir).value();
   ModeResult result;
   Stopwatch watch;
   for (const Bytes& payload : payloads) {
     OrAbort(wal.Append(payload));
+    if (batch > 0 && wal.appended_records() % batch == 0) {
+      OrAbort(wal.Sync());
+      ++result.syncs;
+    }
   }
-  uint64_t synced_inline = wal.synced_records();
+  if (wal.synced_records() < wal.appended_records()) {
+    ++result.syncs;  // the Close below syncs the tail
+  }
   OrAbort(wal.Close());  // Close syncs: every mode ends fully durable
   result.seconds = watch.ElapsedSeconds();
-  if (sync_every) {
-    result.syncs = payloads.size();
-  } else if (batch > 0) {
-    result.syncs = synced_inline / batch + 1;  // group commits + Close
-  } else {
-    result.syncs = 1;  // only the Close
-  }
   return result;
 }
 
@@ -132,10 +125,16 @@ void RecoveryPass(Env* env, const std::string& dir, uint64_t total,
   {
     ProvenanceStore store;
     WalWriter wal = WalWriter::Open(env, dir).value();
-    OrAbort(store.AttachWal(&wal, /*checkpoint_existing=*/false));
-    for (uint64_t i = 0; i < prefix; ++i) OrAbort(store.AddRecord(MakeRecord(i)).status());
+    // Write-ahead by hand, as an ingest pipeline flush does: the record
+    // frame reaches the log before the record reaches the store.
+    auto add = [&](uint64_t i) {
+      ProvenanceRecord rec = MakeRecord(i);
+      OrAbort(wal.Append(provenance::EncodeWalRecordEntry(rec)));
+      OrAbort(store.AddRecord(std::move(rec)).status());
+    };
+    for (uint64_t i = 0; i < prefix; ++i) add(i);
     if (prefix > 0) {
-      // Roll -> seal -> GC, the same order as TrackedDatabase::CheckpointWal.
+      // Roll -> seal -> GC, the same order as IngestPipeline::CheckpointNow.
       uint64_t horizon = wal.RollSegment().value();
       OrAbort(CheckpointWriter::Write(env, dir, store, horizon,
                                       pki.participant->signer(),
@@ -143,9 +142,7 @@ void RecoveryPass(Env* env, const std::string& dir, uint64_t total,
       OrAbort(provenance::RemoveStaleCheckpoints(env, dir, horizon));
       OrAbort(wal.GarbageCollect(horizon));
     }
-    for (uint64_t i = prefix; i < total; ++i) {
-      OrAbort(store.AddRecord(MakeRecord(i)).status());
-    }
+    for (uint64_t i = prefix; i < total; ++i) add(i);
     OrAbort(wal.Close());
   }
 
@@ -196,15 +193,14 @@ int Run(int argc, char** argv) {
   Env* env = Env::Default();
   struct Mode {
     const char* name;
-    bool sync_every;
     uint64_t batch;
   };
   const Mode kModes[] = {
-      {"sync every append", true, 0},
-      {"group commit 10", false, 10},
-      {"group commit 100", false, 100},
-      {"group commit 1000", false, 1000},
-      {"sync at close only", false, 0},
+      {"sync every append", 1},
+      {"group commit 10", 10},
+      {"group commit 100", 100},
+      {"group commit 1000", 1000},
+      {"sync at close only", 0},
   };
 
   std::printf("%-22s %10s %12s %12s %8s %8s\n", "mode", "seconds",
@@ -212,8 +208,7 @@ int Run(int argc, char** argv) {
   const double total_mb = static_cast<double>(records * payload_bytes) / 1e6;
   for (const Mode& mode : kModes) {
     CleanDir(env, dir);
-    ModeResult result =
-        RunMode(env, dir, payloads, mode.sync_every, mode.batch);
+    ModeResult result = RunMode(env, dir, payloads, mode.batch);
     VerifyLog(env, dir, payloads, mode.name);
     std::printf("%-22s %10.3f %12.0f %12.1f %8llu %8s\n", mode.name,
                 result.seconds,

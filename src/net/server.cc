@@ -52,23 +52,11 @@ Result<std::unique_ptr<ProvenanceServer>> ProvenanceServer::Start(
     const crypto::ParticipantRegistry* registry,
     std::map<crypto::ParticipantId, const crypto::Participant*> participants,
     ServerOptions options) {
-  // Drain so the seeding snapshot holds every submitted record.
-  PROVDB_RETURN_IF_ERROR(pipeline->Drain());
   std::unique_ptr<ProvenanceServer> server(new ProvenanceServer(
       pipeline, registry, std::move(participants), options));
   PROVDB_ASSIGN_OR_RETURN(server->listener_,
                           ListenSocket::Listen(options.port));
   PROVDB_ASSIGN_OR_RETURN(server->wake_, WakePipe::Create());
-  // Seed the chain-tail guard from the recovered store: the executor must
-  // know every existing chain or a remote insert could collide with one
-  // and poison the pipeline.
-  const provenance::StoreSnapshot snapshot = pipeline->OpenSnapshot();
-  for (size_t s = 0; s < snapshot.num_shards(); ++s) {
-    snapshot.shard_view(s).ForEachChain(
-        [&](storage::ObjectId object, const provenance::ChainNode* head) {
-          server->tails_[object] = head->record->seq_id;
-        });
-  }
   server->loop_pool_ = std::make_unique<ThreadPool>(1);
   server->exec_pool_ = std::make_unique<ThreadPool>(1);
   ProvenanceServer* raw = server.get();
@@ -377,10 +365,16 @@ void ProvenanceServer::ProcessBatch(std::deque<ExecItem> batch) {
   for (auto& item : batch) {
     observability::TraceSpan span("server.request");
     if (item.request.op == NetOp::kSubmitRecord) {
-      provenance::SeqId assigned = 0;
-      Status valid = ValidateSubmit(item.request.submit, &assigned);
-      if (valid.ok()) {
-        const SubmitRequest& submit = item.request.submit;
+      // The pipeline checks the request's shape and chain at Submit and
+      // refuses a bad one without buffering it, so no remote request can
+      // poison ingest for everyone. Only the participant is ours to map.
+      const SubmitRequest& submit = item.request.submit;
+      auto participant = participants_.find(submit.participant_id);
+      Status valid = Status::OK();
+      if (participant == participants_.end()) {
+        valid = Status::NotFound("unknown participant id " +
+                                 std::to_string(submit.participant_id));
+      } else {
         provenance::IngestRequest ingest;
         ingest.op = submit.op;
         ingest.object = submit.object;
@@ -391,8 +385,9 @@ void ProvenanceServer::ProcessBatch(std::deque<ExecItem> batch) {
         ingest.input_prev_checksums = submit.input_prev_checksums;
         ingest.aggregate_seq = submit.aggregate_seq;
         ingest.inherited = submit.inherited;
-        ingest.participant = participants_.at(submit.participant_id);
-        valid = pipeline_->Submit(ingest);
+        ingest.participant = participant->second;
+        provenance::SeqId assigned = 0;
+        valid = pipeline_->Submit(ingest, &assigned);
         if (valid.ok()) {
           awaiting.emplace_back(std::move(item), assigned);
           continue;
@@ -440,63 +435,6 @@ void ProvenanceServer::DrainAndAck(
     out->push_back(std::move(done));
   }
   awaiting->clear();
-}
-
-Status ProvenanceServer::ValidateSubmit(const SubmitRequest& submit,
-                                        provenance::SeqId* assigned) {
-  if (participants_.find(submit.participant_id) == participants_.end()) {
-    return Status::NotFound("unknown participant id " +
-                            std::to_string(submit.participant_id));
-  }
-  if (submit.object == storage::kInvalidObjectId) {
-    return Status::InvalidArgument("submit has no output object");
-  }
-  auto tail = tails_.find(submit.object);
-  const bool exists = tail != tails_.end();
-  switch (submit.op) {
-    case provenance::OperationType::kInsert:
-      if (!submit.inputs.empty() || !submit.input_prev_checksums.empty()) {
-        return Status::InvalidArgument("insert carries explicit inputs");
-      }
-      if (exists) {
-        return Status::FailedPrecondition(
-            "object " + std::to_string(submit.object) +
-            " already has a chain");
-      }
-      *assigned = 0;
-      break;
-    case provenance::OperationType::kUpdate:
-      if (!submit.inputs.empty() || !submit.input_prev_checksums.empty()) {
-        return Status::InvalidArgument("update carries explicit inputs");
-      }
-      // Bootstrap objects (no chain yet) legitimately start at seq 0.
-      *assigned = exists ? tail->second + 1 : 0;
-      break;
-    case provenance::OperationType::kAggregate:
-      if (exists) {
-        return Status::FailedPrecondition(
-            "aggregate output " + std::to_string(submit.object) +
-            " already has a chain");
-      }
-      if (submit.inputs.empty()) {
-        return Status::InvalidArgument(
-            "aggregate requires at least one input");
-      }
-      if (submit.input_prev_checksums.size() != submit.inputs.size()) {
-        return Status::InvalidArgument(
-            "aggregate prev-checksum count does not match its inputs");
-      }
-      for (size_t i = 1; i < submit.inputs.size(); ++i) {
-        if (submit.inputs[i].object_id <= submit.inputs[i - 1].object_id) {
-          return Status::InvalidArgument(
-              "aggregate inputs must be strictly ascending by object id");
-        }
-      }
-      *assigned = submit.aggregate_seq;
-      break;
-  }
-  tails_[submit.object] = *assigned;
-  return Status::OK();
 }
 
 Response ProvenanceServer::ExecuteRead(const Request& request) {

@@ -5,7 +5,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -61,12 +60,13 @@ struct ServerOptions {
 ///   * the POLL thread owns every socket, every session buffer, and all
 ///     admission accounting; it parses frames, sheds overload, and
 ///     flushes responses,
-///   * the EXECUTOR strand owns the pipeline and its store: it validates
-///     submits against its chain-tail map (rejecting anything that would
-///     poison the pipeline — a remote peer must not be able to wedge
-///     ingest for everyone), submits a run of accepted records, then
-///     issues ONE Drain() and only then acks them. An acked record is
-///     therefore durable per the group-commit batch it rode in — the
+///   * the EXECUTOR strand owns the pipeline and its store: it maps each
+///     submit's participant and submits it — the pipeline refuses a
+///     request that would break its chain at Submit, typed and without
+///     buffering it, so a remote peer cannot wedge ingest for everyone —
+///     then issues ONE Drain() for the run and only then acks each
+///     accepted record with the seq id Submit reported. An acked record
+///     is therefore durable per the group-commit batch it rode in — the
 ///     pipeline's write-ahead contract extends to the wire. Reads
 ///     (query/verify/stats) run on the same strand after the drain that
 ///     precedes them; query and verify read a pinned snapshot.
@@ -78,8 +78,7 @@ struct ServerOptions {
 /// thread. Any thread may read it through `pipeline->OpenSnapshot()`.
 class ProvenanceServer {
  public:
-  /// Drains `pipeline`, seeds the chain-tail map from a snapshot of it,
-  /// binds the listen socket, and starts the poll loop. `registry`
+  /// Binds the listen socket and starts the poll loop. `registry`
   /// resolves participants for verify-object; `participants` maps the ids
   /// remote submitters may act as to their signing material. All three
   /// are borrowed and must outlive the server.
@@ -178,11 +177,6 @@ class ProvenanceServer {
   void DrainAndAck(std::vector<DoneItem>* out,
                    std::vector<std::pair<ExecItem, provenance::SeqId>>*
                        awaiting);
-  /// Pre-validates a submit against the chain-tail map so no remote
-  /// request can reach the pipeline's poison path; assigns the seq id
-  /// the pipeline will give the record.
-  Status ValidateSubmit(const SubmitRequest& submit,
-                        provenance::SeqId* assigned);
   Response ExecuteRead(const Request& request);
   void PushDone(std::vector<DoneItem> items);
 
@@ -200,10 +194,6 @@ class ProvenanceServer {
   std::map<uint64_t, Session> sessions_;
   uint64_t next_session_id_ = 1;
   AdmissionController admission_;
-
-  // Executor-strand-only state: the chain-tail guard. ObjectId -> last
-  // committed (or validated-in-batch) seq id; absent = no chain.
-  std::unordered_map<storage::ObjectId, provenance::SeqId> tails_;
 
   /// Guards the cross-thread handoff queues and the stop flag.
   mutable Mutex mu_;

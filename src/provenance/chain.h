@@ -27,23 +27,23 @@ class LocalChainState {
   /// Tail for `id`; `exists == false` when the object has no chain yet
   /// (fresh object, or bootstrap data predating provenance collection).
   Tail Get(storage::ObjectId id) const {
-    auto it = tails_.find(id);
-    return it == tails_.end() ? Tail{} : it->second;
+    auto it = by_object_.find(id);
+    return it == by_object_.end() ? Tail{} : it->second;
   }
 
   /// Advances the chain for `id`.
   void Set(storage::ObjectId id, SeqId seq, Bytes checksum) {
-    tails_[id] = Tail{seq, std::move(checksum), true};
+    by_object_[id] = Tail{seq, std::move(checksum), true};
   }
 
   /// Drops the chain of a deleted object (§2.1 footnote: a deleted
   /// object's provenance object is no longer relevant).
-  void Erase(storage::ObjectId id) { tails_.erase(id); }
+  void Erase(storage::ObjectId id) { by_object_.erase(id); }
 
-  size_t size() const { return tails_.size(); }
+  size_t size() const { return by_object_.size(); }
 
  private:
-  std::unordered_map<storage::ObjectId, Tail> tails_;
+  std::unordered_map<storage::ObjectId, Tail> by_object_;
 };
 
 /// The rejected *global* chaining alternative of §3.2, implemented as an

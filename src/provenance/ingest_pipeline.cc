@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <future>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -59,6 +60,43 @@ Status ValidateRequest(const IngestRequest& request) {
   return Status::OK();
 }
 
+/// The seq id `request` gets on top of its object's chain, whose newest
+/// seq id is `tail` (empty when the object has no chain). Inserts and
+/// aggregates start a chain, so onto an existing one they are refused.
+Result<SeqId> NextSeqId(const IngestRequest& request,
+                        std::optional<SeqId> tail) {
+  switch (request.op) {
+    case OperationType::kInsert:
+      if (tail) {
+        return Status::FailedPrecondition(
+            "insert for object " + std::to_string(request.object) +
+            " which already has a chain");
+      }
+      return SeqId{0};
+    case OperationType::kUpdate:
+      // Bootstrap objects (no chain yet) start at seq 0.
+      return tail ? *tail + 1 : 0;
+    case OperationType::kAggregate:
+      if (tail) {
+        return Status::FailedPrecondition(
+            "aggregate output object " + std::to_string(request.object) +
+            " already has a chain");
+      }
+      return request.aggregate_seq;
+  }
+  return Status::InvalidArgument("unknown ingest operation");
+}
+
+Status CheckOptions(const IngestOptions& options) {
+  if (options.num_shards == 0) {
+    return Status::InvalidArgument("ingest pipeline needs at least 1 shard");
+  }
+  if (options.max_batch_records == 0) {
+    return Status::InvalidArgument("max_batch_records must be at least 1");
+  }
+  return Status::OK();
+}
+
 /// Runs `task(0)` .. `task(n - 1)` and returns their statuses by index.
 /// With a pool and more than one task they fan out across it and only
 /// this (calling) thread waits on the futures, since a pool task must
@@ -99,6 +137,10 @@ Result<ProvenanceRecord> BuildSignedIngestRecord(
   record.op = request.op;
   record.inherited = request.inherited;
   record.output = ObjectState{request.object, request.post_hash};
+  if (request.has_output_snapshot) {
+    record.output_snapshot = request.output_snapshot;
+    record.has_output_snapshot = true;
+  }
 
   Bytes payload;
   switch (request.op) {
@@ -243,11 +285,13 @@ uint64_t ShardedProvenanceStore::live_record_count() const {
 // ---------------------------------------------------------------------------
 
 IngestPipeline::IngestPipeline(storage::Env* env, std::string root_dir,
-                               IngestOptions options)
+                               IngestOptions options,
+                               ShardedProvenanceStore store)
     : env_(env),
       root_dir_(std::move(root_dir)),
       options_(options),
       engine_(options.hash_algorithm),
+      store_(std::make_unique<ShardedProvenanceStore>(std::move(store))),
       submitted_(observability::GlobalMetrics().counter("ingest.submitted")),
       committed_(observability::GlobalMetrics().counter("ingest.committed")),
       batches_(observability::GlobalMetrics().counter("ingest.batches")),
@@ -259,7 +303,16 @@ IngestPipeline::IngestPipeline(storage::Env* env, std::string root_dir,
       flush_latency_(observability::GlobalMetrics().histogram(
           "ingest.flush.latency_us")),
       drain_latency_(observability::GlobalMetrics().histogram(
-          "ingest.drain.latency_us")) {}
+          "ingest.drain.latency_us")) {
+  MutexLock lock(&mu_);
+  for (size_t i = 0; i < store_->num_shards(); ++i) {
+    shards_.push_back(std::make_unique<Shard>());
+  }
+  if (!options_.signing.sequential()) {
+    pool_ = std::make_unique<ThreadPool>(
+        static_cast<size_t>(options_.signing.num_threads));
+  }
+}
 
 // No Close in the destructor: like WalWriter, destruction without Close
 // models a crash (nothing un-synced becomes durable), which the
@@ -269,18 +322,7 @@ IngestPipeline::~IngestPipeline() = default;
 Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Open(
     storage::Env* env, const std::string& root_dir, IngestOptions options,
     std::vector<storage::WalRecoveryReport>* recovery_reports) {
-  if (options.num_shards == 0) {
-    return Status::InvalidArgument("ingest pipeline needs at least 1 shard");
-  }
-  if (options.max_batch_records == 0) {
-    return Status::InvalidArgument("max_batch_records must be at least 1");
-  }
-  // The pipeline places every durability point itself — one Sync per
-  // flushed batch — so WAL-level auto-sync must stay off.
-  options.wal.sync_every_append = false;
-  options.wal.group_commit_records = 0;
-  options.wal.group_commit_bytes = 0;
-
+  PROVDB_RETURN_IF_ERROR(CheckOptions(options));
   PROVDB_RETURN_IF_ERROR(env->CreateDir(root_dir));
   std::vector<storage::WalRecoveryReport> reports;
   PROVDB_ASSIGN_OR_RETURN(
@@ -290,40 +332,31 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Open(
                                       options.checkpoint.verifier));
 
   std::unique_ptr<IngestPipeline> pipeline(
-      new IngestPipeline(env, root_dir, options));
-  pipeline->store_ =
-      std::make_unique<ShardedProvenanceStore>(std::move(recovered));
-
+      new IngestPipeline(env, root_dir, options, std::move(recovered)));
   {
     // The pipeline is not yet published, but shards_ is guarded by mu_,
     // so seed it under the (uncontended) lock to keep the analysis exact.
     MutexLock lock(&pipeline->mu_);
     for (size_t i = 0; i < options.num_shards; ++i) {
+      Shard& shard = *pipeline->shards_[i];
       // The recovered horizon flows into the writer so fresh segments are
       // numbered past GC'd history and never resurrect a deleted index.
       storage::WalOptions wal_options = options.wal;
       wal_options.checkpoint_horizon = reports[i].checkpoint_horizon;
       PROVDB_ASSIGN_OR_RETURN(
-          storage::WalWriter wal,
+          shard.wal,
           storage::WalWriter::Open(
               env, ShardedProvenanceStore::ShardDirName(root_dir, i),
               wal_options));
-      auto shard = std::make_unique<Shard>(std::move(wal));
       // Seed every chain tail from the recovered records so reopened
       // chains continue exactly where the durable log left them.
       const ProvenanceStore& store = pipeline->store_->shard(i);
       for (uint64_t r = 0; r < store.record_count(); ++r) {
         if (store.is_pruned(r)) continue;
         const ProvenanceRecord& rec = store.record(r);
-        shard->chains.Set(rec.output.object_id, rec.seq_id, rec.checksum);
+        shard.chains.Set(rec.output.object_id, rec.seq_id, rec.checksum);
       }
-      pipeline->shards_.push_back(std::move(shard));
     }
-  }
-
-  if (!options.signing.sequential()) {
-    pipeline->pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options.signing.num_threads));
   }
   if (recovery_reports != nullptr) {
     for (size_t i = 0; i < reports.size(); ++i) {
@@ -333,13 +366,24 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Open(
   return pipeline;
 }
 
+Result<std::unique_ptr<IngestPipeline>> IngestPipeline::OpenInMemory(
+    IngestOptions options) {
+  PROVDB_RETURN_IF_ERROR(CheckOptions(options));
+  if (options.checkpoint.enabled()) {
+    return Status::InvalidArgument(
+        "a memory-only ingest pipeline has no WAL to checkpoint");
+  }
+  return std::unique_ptr<IngestPipeline>(new IngestPipeline(
+      nullptr, "", options, ShardedProvenanceStore(options.num_shards)));
+}
+
 const storage::WalWriter* IngestPipeline::shard_wal(size_t index) const {
   MutexLock lock(&mu_);
   const Shard& shard = *shards_[index];
-  return shard.wal_open ? &shard.wal : nullptr;
+  return shard.wal ? &*shard.wal : nullptr;
 }
 
-Status IngestPipeline::Submit(const IngestRequest& request) {
+Status IngestPipeline::Submit(const IngestRequest& request, SeqId* seq_id) {
   MutexLock lock(&mu_);
   if (!failed_.ok()) return failed_;
   if (closed_) {
@@ -350,6 +394,19 @@ Status IngestPipeline::Submit(const IngestRequest& request) {
   const size_t index =
       ShardedProvenanceStore::ShardOf(request.object, shards_.size());
   Shard* shard = shards_[index].get();
+  // The chain tail counts pending requests: a second insert of an object
+  // still in the batch is refused here, not at its flush.
+  std::optional<SeqId> tail;
+  auto pending = shard->pending_seqs.find(request.object);
+  if (pending != shard->pending_seqs.end()) {
+    tail = pending->second;
+  } else if (const auto committed = shard->chains.Get(request.object);
+             committed.exists) {
+    tail = committed.seq_id;
+  }
+  PROVDB_ASSIGN_OR_RETURN(SeqId seq, NextSeqId(request, tail));
+  if (seq_id != nullptr) *seq_id = seq;
+  shard->pending_seqs[request.object] = seq;
   shard->pending.push_back(request);
   shard->pending_bytes += EstimateRequestBytes(request);
   ++submitted_count_;
@@ -398,6 +455,7 @@ Status IngestPipeline::FlushLocked(const std::vector<size_t>& indices) {
     flush.batch = std::move(shard->pending);
     flush.records.resize(flush.batch.size());
     shard->pending.clear();
+    shard->pending_seqs.clear();
     shard->pending_bytes = 0;
     pending_->Sub(static_cast<int64_t>(flush.batch.size()));
     flushes.push_back(std::move(flush));
@@ -441,8 +499,10 @@ Status IngestPipeline::FlushLocked(const std::vector<size_t>& indices) {
     }
     return Status::OK();
   };
+  Stopwatch step_watch;
   const std::vector<Status> signed_groups =
       RunTasks(pool_.get(), groups.size(), sign_group);
+  sign_seconds_ += step_watch.ElapsedSeconds();
   if (pool_ != nullptr && groups.size() > 1) {
     sign_tasks_->Add(groups.size());
   }
@@ -455,17 +515,21 @@ Status IngestPipeline::FlushLocked(const std::vector<size_t>& indices) {
   // Step 2, write ahead: each signed shard appends its frames and issues
   // the batch's single durability point, one pool task per shard so the
   // fsyncs overlap. (sync_every_record flushes at every Submit, so its
-  // batches hold one record: this is its per-record append and sync.)
+  // batches hold one record: this is its per-record append and sync.) A
+  // memory-only pipeline has nothing to write ahead.
   auto write_ahead = [&flushes](size_t i) -> Status {
     ShardFlush& flush = flushes[i];
     PROVDB_RETURN_IF_ERROR(flush.status);
+    std::optional<storage::WalWriter>& wal = flush.shard->wal;
+    if (!wal) return Status::OK();
     for (const ProvenanceRecord& rec : flush.records) {
       Bytes entry = EncodeWalRecordEntry(rec);
       flush.bytes += entry.size();
-      PROVDB_RETURN_IF_ERROR(flush.shard->wal.Append(entry));
+      PROVDB_RETURN_IF_ERROR(wal->Append(entry));
     }
-    return flush.shard->wal.Sync();
+    return wal->Sync();
   };
+  step_watch.Restart();
   const std::vector<Status> synced =
       RunTasks(pool_.get(), flushes.size(), write_ahead);
 
@@ -505,6 +569,7 @@ Status IngestPipeline::FlushLocked(const std::vector<size_t>& indices) {
   }
   // Frees only superseded nodes no pinned reader can reach.
   store_->epoch_domain()->Collect();
+  store_seconds_ += step_watch.ElapsedSeconds();
   PROVDB_RETURN_IF_ERROR(first_error);
 
   // Step 4, seal every shard whose checkpoint policy fired, one after
@@ -533,19 +598,20 @@ Status IngestPipeline::CheckpointShardLocked(Shard* shard,
   // recovery already prefers the new checkpoint and skips the not-yet-
   // deleted history; mid-GC, the survivors sit behind the horizon and
   // are skipped too.
-  PROVDB_ASSIGN_OR_RETURN(uint64_t horizon, shard->wal.RollSegment());
-  if (horizon <= shard->wal.checkpoint_horizon()) {
+  storage::WalWriter& wal = *shard->wal;
+  PROVDB_ASSIGN_OR_RETURN(uint64_t horizon, wal.RollSegment());
+  if (horizon <= wal.checkpoint_horizon()) {
     // Nothing durable past the last checkpoint; the existing seal stands.
     shard->records_since_checkpoint = 0;
     shard->bytes_since_checkpoint = 0;
     return Status::OK();
   }
-  const std::string& dir = shard->wal.dir();
+  const std::string& dir = wal.dir();
   PROVDB_RETURN_IF_ERROR(CheckpointWriter::Write(
       env_, dir, *store, horizon, *options_.checkpoint.signer,
       options_.checkpoint.sealer_id, options_.hash_algorithm));
   PROVDB_RETURN_IF_ERROR(RemoveStaleCheckpoints(env_, dir, horizon));
-  PROVDB_RETURN_IF_ERROR(shard->wal.GarbageCollect(horizon));
+  PROVDB_RETURN_IF_ERROR(wal.GarbageCollect(horizon));
   shard->records_since_checkpoint = 0;
   shard->bytes_since_checkpoint = 0;
   ++shard->checkpoints;
@@ -557,6 +623,10 @@ Status IngestPipeline::CheckpointNow() {
   if (!failed_.ok()) return failed_;
   if (closed_) {
     return Status::FailedPrecondition("checkpoint on closed ingest pipeline");
+  }
+  if (env_ == nullptr) {
+    return Status::FailedPrecondition(
+        "a memory-only ingest pipeline has no WAL to checkpoint");
   }
   if (options_.checkpoint.signer == nullptr) {
     return Status::FailedPrecondition(
@@ -571,6 +641,43 @@ Status IngestPipeline::CheckpointNow() {
     }
   }
   return Status::OK();
+}
+
+Result<size_t> IngestPipeline::Prune(storage::ObjectId id) {
+  MutexLock lock(&mu_);
+  return PruneLocked(id);
+}
+
+Result<size_t> IngestPipeline::PruneLocked(storage::ObjectId id) {
+  if (closed_) {
+    return Status::FailedPrecondition("prune on closed ingest pipeline");
+  }
+  PROVDB_RETURN_IF_ERROR(DrainLocked());
+  const size_t index = ShardedProvenanceStore::ShardOf(id, shards_.size());
+  Shard* shard = shards_[index].get();
+  ProvenanceStore* store = &store_->shard(index);
+  // Refused before anything is logged: recovery replays every marker and
+  // fails on a prune the store refuses, so a refused marker on disk
+  // would leave the directory unrecoverable.
+  PROVDB_RETURN_IF_ERROR(store->CheckPrunable(id));
+  if (!store->LatestFor(id).ok()) return size_t{0};  // no chain: no marker
+  if (shard->wal) {
+    // Write-ahead, like a batch: the marker is durable before the store
+    // forgets the records, so recovery replays the prune instead of
+    // resurrecting pruned history.
+    Status logged = shard->wal->Append(EncodeWalPruneEntry(id));
+    if (logged.ok()) logged = shard->wal->Sync();
+    if (!logged.ok()) {
+      failed_ = logged;
+      return failed_;
+    }
+  }
+  PROVDB_ASSIGN_OR_RETURN(size_t dropped, store->PruneObject(id));
+  // As a reopen would: recovery seeds no tail from pruned records.
+  shard->chains.Erase(id);
+  store->PublishSnapshot();
+  store_->epoch_domain()->Collect();
+  return dropped;
 }
 
 Status IngestPipeline::Drain() {
@@ -598,9 +705,10 @@ Status IngestPipeline::Close() {
   Status drain = failed_.ok() ? DrainLocked() : failed_;
   Status close_status = Status::OK();
   for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]->wal_open) continue;
-    Status c = shards_[i]->wal.Close();
-    shards_[i]->wal_open = false;
+    std::optional<storage::WalWriter>& wal = shards_[i]->wal;
+    if (!wal) continue;
+    Status c = wal->Close();
+    wal.reset();
     if (close_status.ok()) close_status = c;
   }
   closed_ = true;

@@ -2,7 +2,9 @@
 #define PROVDB_PROVENANCE_INGEST_PIPELINE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/hashmix.h"
@@ -48,6 +50,11 @@ struct IngestRequest {
   /// inputs may live on other shards).
   SeqId aggregate_seq = 0;
   bool inherited = false;
+  /// The output's new value, stored with the record for display
+  /// (TrackedDatabaseOptions::store_value_snapshots). Outside the signed
+  /// payload: verification never needs it.
+  bool has_output_snapshot = false;
+  storage::Value output_snapshot;
   /// The acting participant (borrowed; must outlive the ingest).
   const crypto::Participant* participant = nullptr;
 };
@@ -56,7 +63,8 @@ struct IngestRequest {
 /// tail of its output object's chain. Pure function of its arguments —
 /// RSA signing is deterministic — so the sharded pipeline and a
 /// sequential reference ingest produce bit-identical records; the
-/// differential test harness is built on exactly this property.
+/// differential test harness is built on exactly this property. The
+/// pipeline's only signing site.
 Result<ProvenanceRecord> BuildSignedIngestRecord(
     const ChecksumEngine& engine, const LocalChainState::Tail& tail,
     const IngestRequest& request);
@@ -121,8 +129,8 @@ class ShardedProvenanceStore {
   /// nodes no snapshot can still reach (writer-side; requires the same
   /// external serialization as mutating the shards). The ingest pipeline
   /// publishes per-shard at each group-commit fsync instead; this entry
-  /// point is for recovery seeding, TrackedDatabase's end of operation,
-  /// and directly-driven stores (tests, tools).
+  /// point is for recovery seeding, TrackedDatabase::OpenSnapshot, and
+  /// directly-driven stores (tests, tools).
   void PublishAll();
 
   /// The domain protecting this store's snapshots.
@@ -186,27 +194,33 @@ struct IngestOptions {
 
   crypto::HashAlgorithm hash_algorithm = crypto::HashAlgorithm::kSha1;
 
-  /// Segment sizing for the per-shard WALs. `sync_every_append` and the
-  /// WAL-level group-commit thresholds are ignored: the pipeline places
-  /// every durability point itself (one Sync per batch).
+  /// Segment sizing for the per-shard WALs. The pipeline places every
+  /// durability point itself (one Sync per batch).
   storage::WalOptions wal;
 
   /// Periodic per-shard checkpoint + WAL compaction policy.
   CheckpointPolicy checkpoint;
 };
 
-/// The sharded batched ingest engine. Requests are routed to a shard by
-/// stable hash of their output object, buffered per shard, then flushed
-/// as a batch: record signing fans out across the thread pool (grouped
-/// by object, so a chain's records sign in order against the running
-/// tail), the signed records are appended to the shard's WAL, *one*
-/// fsync makes the whole batch durable, and only then is anything
-/// committed in memory. Write-ahead ordering is therefore preserved
-/// batch-wide: no in-memory commit ever precedes its durability point.
-/// A Submit threshold flushes its one shard; Drain/Close/CheckpointNow
-/// flush every shard together in one round — one signing fan-out over
-/// all their batches, the shards' fsyncs overlapping on the pool — and
-/// then commit and publish shard by shard on the calling thread.
+/// The sharded batched ingest engine, and the system's only write path:
+/// the one place that signs records, writes WAL entries, seals
+/// checkpoints and keeps chain tails. The ProvenanceServer and
+/// TrackedDatabase are both producers of its requests.
+///
+/// Requests are checked against their output object's chain at Submit,
+/// routed to a shard by stable hash of that object, buffered per shard,
+/// then flushed as a batch: record signing fans out across the thread
+/// pool (grouped by object, so a chain's records sign in order against
+/// the running tail), the signed records are appended to the shard's
+/// WAL, *one* fsync makes the whole batch durable, and only then is
+/// anything committed in memory. Write-ahead ordering is therefore
+/// preserved batch-wide: no in-memory commit ever precedes its
+/// durability point. A Submit threshold flushes its one shard;
+/// Drain/Close/CheckpointNow/Prune flush every shard together in one
+/// round — one signing fan-out over all their batches, the shards'
+/// fsyncs overlapping on the pool — and then commit and publish shard by
+/// shard on the calling thread. A memory-only pipeline (OpenInMemory)
+/// runs the same steps without the write-ahead one.
 ///
 /// Thread-safe, serialized: every public operation acquires the
 /// pipeline-wide mutex `mu_`, so concurrent producers may call
@@ -216,11 +230,14 @@ struct IngestOptions {
 /// the lock, waits on its futures). A single producer pays only an
 /// uncontended lock and produces byte-identical output to the
 /// pre-locking pipeline. Records are read through OpenSnapshot(), from
-/// any thread, without the lock. After any flush error the pipeline is
-/// poisoned — every later Submit/Drain returns the same status, that of
-/// the lowest-numbered failing shard — because a failed WAL append
-/// leaves no safe way to keep ordering guarantees for subsequent records
-/// of the same chain.
+/// any thread, without the lock. A request that would break its chain
+/// is refused at Submit and never buffered, so no producer can make a
+/// flush fail by what it submits. After any flush error (sign, WAL
+/// append, fsync) the pipeline is poisoned — every later
+/// Submit/Drain/Prune returns the same status, that of the
+/// lowest-numbered failing shard — because a failed WAL append leaves
+/// no safe way to keep ordering guarantees for subsequent records of the
+/// same chain.
 class IngestPipeline {
  public:
   /// Opens (or reopens) a pipeline rooted at `root_dir`: recovers any
@@ -231,15 +248,27 @@ class IngestPipeline {
       storage::Env* env, const std::string& root_dir, IngestOptions options,
       std::vector<storage::WalRecoveryReport>* recovery_reports = nullptr);
 
+  /// Opens an empty pipeline with no Env, no directory and no WAL: a
+  /// flush signs, commits and publishes, and nothing survives the
+  /// process. `options.wal` is unused, and an enabled checkpoint policy
+  /// is kInvalidArgument (there is no WAL to compact).
+  static Result<std::unique_ptr<IngestPipeline>> OpenInMemory(
+      IngestOptions options);
+
   ~IngestPipeline();
 
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// Buffers one request on its shard, flushing the shard when a batch
-  /// threshold fires. The request is neither durable nor visible in the
-  /// store until its batch is flushed (Drain forces that).
-  Status Submit(const IngestRequest& request);
+  /// Checks `request` against its output object's chain — committed or
+  /// still pending — and buffers it on its shard, flushing the shard when
+  /// a batch threshold fires. An insert or aggregate whose object already
+  /// has a chain is kFailedPrecondition; like a malformed request it is
+  /// not buffered and does not poison the pipeline. `seq_id`, when
+  /// non-null, receives the seq id the record will carry. The request is
+  /// neither durable nor visible in the store until its batch is flushed
+  /// (Drain forces that).
+  Status Submit(const IngestRequest& request, SeqId* seq_id = nullptr);
 
   /// Barrier: flushes every shard's pending batch (sign, append, fsync,
   /// commit) in one round. On return everything submitted is durable
@@ -254,7 +283,17 @@ class IngestPipeline {
   /// WAL is rolled, a sealed snapshot written at the rolled horizon, and
   /// the covered segments garbage-collected. Shards with nothing new
   /// since their last checkpoint are skipped without I/O.
+  /// kFailedPrecondition on a memory-only pipeline.
   Status CheckpointNow();
+
+  /// Durable footnote-3 prune (ProvenanceStore::PruneObject): drains,
+  /// appends a prune marker to the owning shard's WAL and syncs it, then
+  /// prunes the store, drops the object's chain tail and publishes.
+  /// A prune the store would refuse (an aggregation input) is refused
+  /// before the marker is written — recovery replays every marker and
+  /// fails on a refused one — and does not poison the pipeline; a
+  /// failed append or sync does. Returns the number of records pruned.
+  Result<size_t> Prune(storage::ObjectId id);
 
   /// Checkpoints sealed for shard `index` since this pipeline opened.
   uint64_t shard_checkpoints(size_t index) const {
@@ -276,9 +315,9 @@ class IngestPipeline {
   /// after each group commit's fsync + in-memory commit.
   StoreSnapshot OpenSnapshot() const { return store_->OpenSnapshot(); }
 
-  /// The shard's WAL writer (null after Close) — exposed for the
-  /// fault-injection crash sweep, which asserts synced_records against
-  /// committed counts.
+  /// The shard's WAL writer (null after Close and in a memory-only
+  /// pipeline) — exposed for the fault-injection crash sweep, which
+  /// asserts synced_records against committed counts.
   const storage::WalWriter* shard_wal(size_t index) const;
 
   uint64_t submitted() const {
@@ -289,15 +328,29 @@ class IngestPipeline {
     MutexLock lock(&mu_);
     return committed_count_;
   }
+  /// Wall time spent in flushes since Open: in the sign step, and in the
+  /// write-ahead and commit steps together (publish included).
+  /// TrackedDatabase reads their change across one operation into its
+  /// OperationMetrics.
+  double sign_seconds() const {
+    MutexLock lock(&mu_);
+    return sign_seconds_;
+  }
+  double store_seconds() const {
+    MutexLock lock(&mu_);
+    return store_seconds_;
+  }
   const IngestOptions& options() const { return options_; }
   const std::string& root_dir() const { return root_dir_; }
 
  private:
   struct Shard {
-    explicit Shard(storage::WalWriter w) : wal(std::move(w)) {}
-    storage::WalWriter wal;
-    bool wal_open = true;
+    /// Empty in a memory-only pipeline and after Close.
+    std::optional<storage::WalWriter> wal;
     LocalChainState chains;
+    /// The seq id each object's newest pending request will get: with
+    /// `chains`, the tail Submit checks a request against.
+    std::unordered_map<storage::ObjectId, SeqId> pending_seqs;
     std::vector<IngestRequest> pending;
     uint64_t pending_bytes = 0;
     Stopwatch since_flush;
@@ -308,8 +361,10 @@ class IngestPipeline {
     uint64_t checkpoints = 0;
   };
 
+  /// An empty pipeline over `store`, one shard (WAL-less until Open
+  /// attaches one) per store shard.
   IngestPipeline(storage::Env* env, std::string root_dir,
-                 IngestOptions options);
+                 IngestOptions options, ShardedProvenanceStore store);
 
   /// Group-commits the pending batches of the shards listed in
   /// `indices` (ascending) as one round: every batch's per-object groups
@@ -330,10 +385,14 @@ class IngestPipeline {
       PROVDB_REQUIRES(mu_);
 
   /// Flushes every shard in one round; the body of Drain(), factored
-  /// out so Close() and CheckpointNow() can drain under their own lock.
+  /// out so Close(), CheckpointNow() and Prune() can drain under their
+  /// own lock.
   Status DrainLocked() PROVDB_REQUIRES(mu_);
 
-  storage::Env* env_;
+  /// The body of Prune().
+  Result<size_t> PruneLocked(storage::ObjectId id) PROVDB_REQUIRES(mu_);
+
+  storage::Env* env_;  // null in a memory-only pipeline
   std::string root_dir_;
   IngestOptions options_;
   ChecksumEngine engine_;
@@ -350,6 +409,8 @@ class IngestPipeline {
   bool closed_ PROVDB_GUARDED_BY(mu_) = false;
   uint64_t submitted_count_ PROVDB_GUARDED_BY(mu_) = 0;
   uint64_t committed_count_ PROVDB_GUARDED_BY(mu_) = 0;
+  double sign_seconds_ PROVDB_GUARDED_BY(mu_) = 0;
+  double store_seconds_ PROVDB_GUARDED_BY(mu_) = 0;
 
   // Ingest observability (docs/OBSERVABILITY.md).
   observability::Counter* submitted_;

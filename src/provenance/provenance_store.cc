@@ -35,8 +35,6 @@ ProvenanceStore& ProvenanceStore::operator=(ProvenanceStore&& other) noexcept {
   other.paper_schema_bytes_ = 0;
   checksum_bytes_ = other.checksum_bytes_;
   other.checksum_bytes_ = 0;
-  wal_ = other.wal_;
-  other.wal_ = nullptr;
   domain_ = other.domain_;
   other.domain_ = nullptr;
   published_.store(other.published_.exchange(nullptr,
@@ -134,12 +132,6 @@ Result<uint64_t> ProvenanceStore::AddRecord(ProvenanceRecord record) {
           std::to_string(record.seq_id) + ")");
     }
   }
-  if (wal_ != nullptr) {
-    // Write-ahead: the record reaches the durable log before the
-    // in-memory store. If the WAL rejects it, the store stays unchanged
-    // and the caller sees the I/O failure instead of diverging from disk.
-    PROVDB_RETURN_IF_ERROR(wal_->Append(EncodeWalRecordEntry(record)));
-  }
   const uint64_t index = record_count_;
   paper_schema_bytes_ += 12 + record.checksum.size();
   checksum_bytes_ += record.checksum.size();
@@ -164,7 +156,7 @@ Result<uint64_t> ProvenanceStore::AddRecord(ProvenanceRecord record) {
   return index;
 }
 
-Result<size_t> ProvenanceStore::PruneObject(storage::ObjectId id) {
+Status ProvenanceStore::CheckPrunable(storage::ObjectId id) const {
   auto refs = aggregation_input_refs_.find(id);
   if (refs != aggregation_input_refs_.end() && refs->second > 0) {
     return Status::FailedPrecondition(
@@ -172,15 +164,14 @@ Result<size_t> ProvenanceStore::PruneObject(storage::ObjectId id) {
         std::to_string(refs->second) +
         " record(s); its provenance is still referenced downstream");
   }
+  return Status::OK();
+}
+
+Result<size_t> ProvenanceStore::PruneObject(storage::ObjectId id) {
+  PROVDB_RETURN_IF_ERROR(CheckPrunable(id));
   const ChainNode* head = HeadOf(id);
   if (head == nullptr) {
     return static_cast<size_t>(0);
-  }
-  if (wal_ != nullptr) {
-    // Write-ahead, mirroring AddRecord: the prune marker reaches the
-    // durable log before the store forgets the records, so recovery
-    // replays the prune instead of resurrecting pruned history.
-    PROVDB_RETURN_IF_ERROR(wal_->Append(EncodeWalPruneEntry(id)));
   }
   size_t dropped = 0;
   for (const ChainNode* cell = head; cell != nullptr; cell = cell->prev) {
@@ -279,24 +270,6 @@ uint64_t ProvenanceStore::SerializedBytes() const {
     }
   }
   return total;
-}
-
-Status ProvenanceStore::AttachWal(storage::WalWriter* wal,
-                                  bool checkpoint_existing) {
-  if (wal_ != nullptr) {
-    return Status::FailedPrecondition("a WAL is already attached");
-  }
-  if (checkpoint_existing) {
-    // Only live records are checkpointed, so already-pruned history needs
-    // no prune markers: the WAL starts from the post-prune state.
-    for (uint64_t i = 0; i < record_count_; ++i) {
-      if (!pruned_[i]) {
-        PROVDB_RETURN_IF_ERROR(wal->Append(EncodeWalRecordEntry(record(i))));
-      }
-    }
-  }
-  wal_ = wal;
-  return Status::OK();
 }
 
 Result<ProvenanceStore> ProvenanceStore::RecoverFromWal(

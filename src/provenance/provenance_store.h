@@ -27,6 +27,11 @@ namespace provdb::provenance {
 /// materialized on demand by ExtractProvenance, which follows aggregation
 /// edges transitively (the non-linear DAG of Figure 2).
 ///
+/// The store is in-memory only and knows nothing of durability: the
+/// ingest pipeline (ingest_pipeline.h), the one write path, logs every
+/// record and prune marker to its WAL and syncs before it mutates a
+/// store, and RecoverFromWal rebuilds a store from that log.
+///
 /// Concurrency model (DESIGN.md §16): the store is single-writer. Records
 /// live in chunked stable storage (a record, once added, never moves) and
 /// the per-object chain index is a copy-on-write radix trie whose
@@ -104,21 +109,6 @@ class ProvenanceStore {
   /// frames carry.
   uint64_t SerializedBytes() const;
 
-  /// Write-ahead logging: after this, every AddRecord (and PruneObject)
-  /// first appends a typed WAL entry — record append or prune marker,
-  /// see serialization.h — to `wal` and fails (without mutating the
-  /// store) if the WAL append fails. With `checkpoint_existing`, the
-  /// store's current live records are appended to the WAL first, so a
-  /// WAL attached to a non-empty store still replays to the full store.
-  /// Recovery flows (store already rebuilt *from* this WAL) pass false.
-  /// `wal` is borrowed, not owned, and must outlive the store or be
-  /// detached.
-  Status AttachWal(storage::WalWriter* wal, bool checkpoint_existing = true);
-
-  void DetachWal() { wal_ = nullptr; }
-
-  storage::WalWriter* attached_wal() const { return wal_; }
-
   /// Crash recovery: replays the WAL directory at `dir` into a fresh
   /// store — record entries re-add, prune markers re-prune, so pruned
   /// history stays pruned after recovery. Torn-tail salvage details
@@ -141,13 +131,18 @@ class ProvenanceStore {
 
   /// Footnote-3 optimization: after an object is deleted, its provenance
   /// object is no longer relevant and its records may be dropped. Refuses
-  /// (kFailedPrecondition) when the object is an aggregation input of any
-  /// record — that history *is* still referenced by downstream provenance
-  /// and pruning it would break verification of the aggregate (this is
-  /// also why local chaining makes pruning safe at all, §3.2). With a
-  /// WAL attached, a prune marker is logged write-ahead so the prune
-  /// survives crash recovery. Returns the number of records pruned.
+  /// (kFailedPrecondition, see CheckPrunable) when the object is an
+  /// aggregation input of any record. In-memory only: the durable prune,
+  /// which logs a prune marker write-ahead so the prune survives crash
+  /// recovery, is IngestPipeline::Prune. Returns the number of records
+  /// pruned.
   Result<size_t> PruneObject(storage::ObjectId id);
+
+  /// kFailedPrecondition when `id` is an aggregation input of a live
+  /// record: that history *is* still referenced by downstream provenance
+  /// and pruning it would break verification of the aggregate (this is
+  /// also why local chaining makes pruning safe at all, §3.2).
+  Status CheckPrunable(storage::ObjectId id) const;
 
   /// True when `index` refers to a pruned (tombstoned) record.
   bool is_pruned(uint64_t index) const { return pruned_[index]; }
@@ -218,7 +213,6 @@ class ProvenanceStore {
   uint64_t live_count_ = 0;
   uint64_t paper_schema_bytes_ = 0;
   uint64_t checksum_bytes_ = 0;
-  storage::WalWriter* wal_ = nullptr;  // borrowed; see AttachWal
 
   EpochDomain* domain_ = nullptr;  // borrowed; see AttachEpochDomain
   std::atomic<StoreVersion*> published_{nullptr};

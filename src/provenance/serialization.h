@@ -24,8 +24,8 @@ Result<ProvenanceRecord> DecodeRecord(ByteView data);
 /// two distinct byte strings decode to the same value.
 Result<crypto::Digest> ReadDigest(VarintReader* reader);
 
-/// WAL entry framing. A ProvenanceStore-attached WAL carries more than
-/// bare records: prunes must reach the log too, or crash recovery would
+/// WAL entry framing. The ingest pipeline's WAL carries more than bare
+/// records: prunes must reach the log too, or crash recovery would
 /// replay the appends and resurrect pruned history. Every WAL payload is
 /// therefore one entry — a leading type byte, then a type-specific body.
 /// (Checkpoint record frames carry bare EncodeRecord payloads.)

@@ -1,9 +1,9 @@
 #include "provenance/tracked_database.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/stopwatch.h"
-#include "provenance/checkpoint.h"
 
 namespace provdb::provenance {
 
@@ -25,11 +25,53 @@ void OperationMetrics::Accumulate(const OperationMetrics& other) {
   nodes_hashed += other.nodes_hashed;
 }
 
+namespace {
+
+std::unique_ptr<IngestPipeline> OpenOwnedPipeline(
+    crypto::HashAlgorithm hash_algorithm) {
+  IngestOptions options;
+  options.hash_algorithm = hash_algorithm;
+  // One batch per operation: every operation drains at its end, and a
+  // threshold flush inside it would only publish part of the operation
+  // (and costs tracked_mixed throughput, docs/BENCHMARKS.md).
+  options.max_batch_records = std::numeric_limits<size_t>::max();
+  options.max_batch_bytes = std::numeric_limits<uint64_t>::max();
+  // One shard, sequential signing, no checkpoint policy: OpenInMemory
+  // cannot refuse these options.
+  return IngestPipeline::OpenInMemory(options).value();
+}
+
+}  // namespace
+
 TrackedDatabase::TrackedDatabase(TrackedDatabaseOptions options)
+    : TrackedDatabase(options, OpenOwnedPipeline(options.hash_algorithm),
+                      nullptr) {}
+
+TrackedDatabase::TrackedDatabase(
+    TrackedDatabaseOptions options,
+    std::unique_ptr<IngestPipeline> owned_pipeline, IngestPipeline* pipeline)
     : options_(options),
-      engine_(options.hash_algorithm),
+      owned_pipeline_(std::move(owned_pipeline)),
+      pipeline_(owned_pipeline_ != nullptr ? owned_pipeline_.get()
+                                           : pipeline),
+      store_(&pipeline_->mutable_store()->shard(0)),
       basic_hasher_(&tree_, options.hash_algorithm),
-      economical_hasher_(&tree_, options.hash_algorithm) {}
+      economical_hasher_(&tree_, options.hash_algorithm),
+      finished_(Totals()) {}
+
+Result<std::unique_ptr<TrackedDatabase>> TrackedDatabase::Open(
+    IngestPipeline* pipeline, TrackedDatabaseOptions options) {
+  if (pipeline->options().num_shards != 1) {
+    return Status::InvalidArgument(
+        "TrackedDatabase needs a one-shard ingest pipeline");
+  }
+  if (pipeline->options().hash_algorithm != options.hash_algorithm) {
+    return Status::InvalidArgument(
+        "the ingest pipeline's hash algorithm differs from the database's");
+  }
+  return std::unique_ptr<TrackedDatabase>(
+      new TrackedDatabase(options, nullptr, pipeline));
+}
 
 storage::TreeStore& TrackedDatabase::bootstrap_tree() { return tree_; }
 
@@ -95,48 +137,34 @@ Status TrackedDatabase::EmitRecord(const crypto::Participant& p,
                                    storage::ObjectId id,
                                    const crypto::Digest* pre_hash,
                                    const crypto::Digest& post_hash,
-                                   const storage::Value* snapshot,
-                                   OperationMetrics* metrics) {
-  LocalChainState::Tail tail = chains_.Get(id);
-
-  ProvenanceRecord record;
-  record.participant = p.id();
-  record.op = op;
-  record.inherited = inherited;
-  record.output = ObjectState{id, post_hash};
+                                   const storage::Value* snapshot) {
+  IngestRequest request;
+  request.op = op;
+  request.object = id;
+  request.post_hash = post_hash;
+  if (pre_hash != nullptr) {
+    request.has_pre_hash = true;
+    request.pre_hash = *pre_hash;
+  }
+  request.inherited = inherited;
   if (snapshot != nullptr) {
-    record.output_snapshot = *snapshot;
-    record.has_output_snapshot = true;
+    request.has_output_snapshot = true;
+    request.output_snapshot = *snapshot;
   }
+  request.participant = &p;
+  return Submit(request);
+}
 
-  Bytes payload;
-  if (op == OperationType::kInsert) {
-    record.seq_id = 0;
-    payload = engine_.BuildInsertPayload(post_hash);
-  } else {
-    // Update (actual or inherited). Bootstrap objects start their chain at
-    // seq 0 with an empty previous-checksum slot.
-    record.seq_id = tail.exists ? tail.seq_id + 1 : 0;
-    crypto::Digest in_hash =
-        pre_hash != nullptr ? *pre_hash : crypto::Digest();
-    record.inputs.push_back(ObjectState{id, in_hash});
-    payload = engine_.BuildUpdatePayload(in_hash, post_hash, tail.checksum);
+Status TrackedDatabase::Submit(const IngestRequest& request) {
+  Status submitted = pipeline_->Submit(request);
+  if (!submitted.ok()) {
+    // The operation fails here, but the records it already submitted
+    // stand: they commit now, not with the next operation. The drain's
+    // own status adds nothing — on a poisoned pipeline it is the poison
+    // the submit returned.
+    (void)pipeline_->Drain();
   }
-
-  Stopwatch sign_watch;
-  PROVDB_ASSIGN_OR_RETURN(record.checksum,
-                          engine_.SignPayload(p.signer(), payload));
-  metrics->sign_seconds += sign_watch.ElapsedSeconds();
-
-  Stopwatch store_watch;
-  SeqId seq = record.seq_id;
-  Bytes checksum_copy = record.checksum;
-  PROVDB_RETURN_IF_ERROR(
-      store_.shard(0).AddRecord(std::move(record)).status());
-  chains_.Set(id, seq, std::move(checksum_copy));
-  metrics->store_seconds += store_watch.ElapsedSeconds();
-  ++metrics->checksums;
-  return Status::OK();
+  return submitted;
 }
 
 // ---------------------------------------------------------------------
@@ -145,7 +173,6 @@ Status TrackedDatabase::EmitRecord(const crypto::Participant& p,
 Result<storage::ObjectId> TrackedDatabase::Insert(const crypto::Participant& p,
                                                   const storage::Value& value,
                                                   storage::ObjectId parent) {
-  any_tracked_op_ = true;
   if (complex_ != nullptr) {
     if (complex_->participant->id() != p.id()) {
       return Status::FailedPrecondition(
@@ -214,21 +241,20 @@ Result<storage::ObjectId> TrackedDatabase::Insert(const crypto::Participant& p,
       options_.store_value_snapshots ? &value : nullptr;
   PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kInsert,
                                     /*inherited=*/false, id, nullptr,
-                                    self_post, snapshot, &metrics));
+                                    self_post, snapshot));
   for (size_t i = 0; i < ancestors.size(); ++i) {
     PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kUpdate,
                                       /*inherited=*/true, ancestors[i],
                                       &ancestor_pre[i], ancestor_post[i],
-                                      nullptr, &metrics));
+                                      nullptr));
   }
-  FinishOperation(metrics);
+  PROVDB_RETURN_IF_ERROR(FinishOperation(metrics));
   return id;
 }
 
 Status TrackedDatabase::Update(const crypto::Participant& p,
                                storage::ObjectId id,
                                const storage::Value& value) {
-  any_tracked_op_ = true;
   PROVDB_RETURN_IF_ERROR(tree_.GetNode(id).status());
   if (complex_ != nullptr) {
     if (complex_->participant->id() != p.id()) {
@@ -295,20 +321,18 @@ Status TrackedDatabase::Update(const crypto::Participant& p,
       options_.store_value_snapshots ? &value : nullptr;
   PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kUpdate,
                                     /*inherited=*/false, id, &self_pre,
-                                    self_post, snapshot, &metrics));
+                                    self_post, snapshot));
   for (size_t i = 0; i < ancestors.size(); ++i) {
     PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kUpdate,
                                       /*inherited=*/true, ancestors[i],
                                       &ancestor_pre[i], ancestor_post[i],
-                                      nullptr, &metrics));
+                                      nullptr));
   }
-  FinishOperation(metrics);
-  return Status::OK();
+  return FinishOperation(metrics);
 }
 
 Status TrackedDatabase::Delete(const crypto::Participant& p,
                                storage::ObjectId id) {
-  any_tracked_op_ = true;
   PROVDB_ASSIGN_OR_RETURN(const storage::TreeNode* node, tree_.GetNode(id));
   if (!node->is_leaf()) {
     return Status::FailedPrecondition(
@@ -393,18 +417,15 @@ Status TrackedDatabase::Delete(const crypto::Participant& p,
     PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kUpdate,
                                       /*inherited=*/true, ancestors[i],
                                       &ancestor_pre[i], ancestor_post[i],
-                                      nullptr, &metrics));
+                                      nullptr));
   }
-  chains_.Erase(id);
-  FinishOperation(metrics);
-  return Status::OK();
+  return FinishOperation(metrics);
 }
 
 Result<storage::ObjectId> TrackedDatabase::Aggregate(
     const crypto::Participant& p,
     const std::vector<storage::ObjectId>& inputs,
     const storage::Value& root_value) {
-  any_tracked_op_ = true;
   if (complex_ != nullptr) {
     return Status::FailedPrecondition(
         "Aggregate is not allowed inside a complex operation");
@@ -422,51 +443,31 @@ Result<storage::ObjectId> TrackedDatabase::Aggregate(
       std::unique(sorted_inputs.begin(), sorted_inputs.end()),
       sorted_inputs.end());
 
-  std::vector<crypto::Digest> input_hashes;
-  std::vector<Bytes> prev_checksums;
-  std::vector<ObjectState> input_states;
+  IngestRequest request;
+  request.op = OperationType::kAggregate;
   SeqId max_seq = 0;
   for (storage::ObjectId in : sorted_inputs) {
     PROVDB_RETURN_IF_ERROR(tree_.GetNode(in).status());
     PROVDB_ASSIGN_OR_RETURN(crypto::Digest h, ComputeHash(in, &metrics));
-    input_hashes.push_back(h);
-    input_states.push_back(ObjectState{in, h});
-    LocalChainState::Tail tail = chains_.Get(in);
-    prev_checksums.push_back(tail.checksum);  // empty when untracked
-    if (tail.exists && tail.seq_id > max_seq) {
-      max_seq = tail.seq_id;
+    request.inputs.push_back(ObjectState{in, h});
+    // The store is exact here: it has one shard, and every operation
+    // drained its records into it. Untracked inputs have no checksum.
+    Result<const ProvenanceRecord*> latest = store_->LatestFor(in);
+    request.input_prev_checksums.push_back(
+        latest.ok() ? (*latest)->checksum : Bytes());
+    if (latest.ok() && (*latest)->seq_id > max_seq) {
+      max_seq = (*latest)->seq_id;
     }
   }
 
   PROVDB_ASSIGN_OR_RETURN(storage::ObjectId out_id,
                           tree_.Aggregate(sorted_inputs, root_value));
-  PROVDB_ASSIGN_OR_RETURN(crypto::Digest out_hash,
-                          ComputeHash(out_id, &metrics));
-
-  ProvenanceRecord record;
-  record.seq_id = max_seq + 1;
-  record.participant = p.id();
-  record.op = OperationType::kAggregate;
-  record.inputs = std::move(input_states);
-  record.output = ObjectState{out_id, out_hash};
-
-  Bytes payload =
-      engine_.BuildAggregatePayload(input_hashes, out_hash, prev_checksums);
-  Stopwatch sign_watch;
-  PROVDB_ASSIGN_OR_RETURN(record.checksum,
-                          engine_.SignPayload(p.signer(), payload));
-  metrics.sign_seconds += sign_watch.ElapsedSeconds();
-
-  Stopwatch store_watch;
-  SeqId seq = record.seq_id;
-  Bytes checksum_copy = record.checksum;
-  PROVDB_RETURN_IF_ERROR(
-      store_.shard(0).AddRecord(std::move(record)).status());
-  chains_.Set(out_id, seq, std::move(checksum_copy));
-  metrics.store_seconds += store_watch.ElapsedSeconds();
-  ++metrics.checksums;
-
-  FinishOperation(metrics);
+  PROVDB_ASSIGN_OR_RETURN(request.post_hash, ComputeHash(out_id, &metrics));
+  request.object = out_id;
+  request.aggregate_seq = max_seq + 1;
+  request.participant = &p;
+  PROVDB_RETURN_IF_ERROR(Submit(request));
+  PROVDB_RETURN_IF_ERROR(FinishOperation(metrics));
   return out_id;
 }
 
@@ -583,25 +584,20 @@ Status TrackedDatabase::EndComplexOperation() {
     if (was_inserted) {
       PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kInsert,
                                         /*inherited=*/!is_direct, id, nullptr,
-                                        post_hash, nullptr, &state.metrics));
+                                        post_hash, nullptr));
     } else {
       auto pre_it = state.pre_hashes.find(id);
       const crypto::Digest* pre =
           pre_it != state.pre_hashes.end() ? &pre_it->second : nullptr;
       PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kUpdate,
                                         /*inherited=*/!is_direct, id, pre,
-                                        post_hash, nullptr, &state.metrics));
+                                        post_hash, nullptr));
     }
-  }
-
-  for (storage::ObjectId id : state.deleted) {
-    chains_.Erase(id);
   }
 
   OperationMetrics metrics = state.metrics;
   complex_.reset();
-  FinishOperation(metrics);
-  return Status::OK();
+  return FinishOperation(metrics);
 }
 
 // ---------------------------------------------------------------------
@@ -646,54 +642,31 @@ Result<RecipientBundle> TrackedDatabase::ExportForRecipientDeep(
   return bundle;
 }
 
-void TrackedDatabase::FinishOperation(OperationMetrics metrics) {
-  store_.PublishAll();
+TrackedDatabase::PipelineTotals TrackedDatabase::Totals() const {
+  return PipelineTotals{pipeline_->committed(), pipeline_->sign_seconds(),
+                        pipeline_->store_seconds()};
+}
+
+Status TrackedDatabase::FinishOperation(OperationMetrics metrics) {
+  PROVDB_RETURN_IF_ERROR(pipeline_->Drain());
+  const PipelineTotals now = Totals();
+  metrics.sign_seconds += now.sign_seconds - finished_.sign_seconds;
+  metrics.store_seconds += now.store_seconds - finished_.store_seconds;
+  metrics.checksums += now.committed - finished_.committed;
+  finished_ = now;
   last_metrics_ = metrics;
   cumulative_metrics_.Accumulate(metrics);
+  return Status::OK();
 }
 
 StoreSnapshot TrackedDatabase::OpenSnapshot() {
-  store_.PublishAll();
-  return store_.OpenSnapshot();
+  pipeline_->mutable_store()->PublishAll();
+  return pipeline_->OpenSnapshot();
 }
 
 void TrackedDatabase::ResetMetrics() {
   last_metrics_ = OperationMetrics{};
   cumulative_metrics_ = OperationMetrics{};
-}
-
-Status TrackedDatabase::AttachWal(storage::WalWriter* wal) {
-  return store_.shard(0).AttachWal(wal, /*checkpoint_existing=*/true);
-}
-
-Status TrackedDatabase::SyncWal() {
-  storage::WalWriter* wal = store_.shard(0).attached_wal();
-  if (wal == nullptr) {
-    return Status::FailedPrecondition("no WAL attached to this database");
-  }
-  return wal->Sync();
-}
-
-Status TrackedDatabase::CheckpointWal(const crypto::Signer& signer,
-                                      uint64_t sealer_id,
-                                      crypto::HashAlgorithm alg) {
-  storage::WalWriter* wal = store_.shard(0).attached_wal();
-  if (wal == nullptr) {
-    return Status::FailedPrecondition("no WAL attached to this database");
-  }
-  // Roll → seal → GC, the same crash-safe order as the ingest pipeline
-  // (see IngestPipeline::CheckpointShard and DESIGN.md §13).
-  PROVDB_ASSIGN_OR_RETURN(uint64_t horizon, wal->RollSegment());
-  if (horizon <= wal->checkpoint_horizon()) {
-    return Status::OK();
-  }
-  PROVDB_RETURN_IF_ERROR(CheckpointWriter::Write(wal->env(), wal->dir(),
-                                                 store_.shard(0), horizon,
-                                                 signer,
-                                                 sealer_id, alg));
-  PROVDB_RETURN_IF_ERROR(
-      RemoveStaleCheckpoints(wal->env(), wal->dir(), horizon));
-  return wal->GarbageCollect(horizon);
 }
 
 }  // namespace provdb::provenance

@@ -9,8 +9,6 @@
 #include "common/result.h"
 #include "crypto/pki.h"
 #include "provenance/bundle.h"
-#include "provenance/chain.h"
-#include "provenance/checksum.h"
 #include "provenance/ingest_pipeline.h"
 #include "provenance/record.h"
 #include "provenance/snapshot.h"
@@ -38,12 +36,13 @@ struct TrackedDatabaseOptions {
 };
 
 /// Phase timing and work counters for tracked operations — the metrics
-/// behind Figures 7, 8, and 10.
+/// behind Figures 7, 8, and 10. Signing and storing happen in the ingest
+/// pipeline; their fields are its step times across the operation.
 struct OperationMetrics {
   double hash_seconds = 0;   // subtree hashing (input + output states)
   double sign_seconds = 0;   // payload building + RSA signing ("encrypting")
-  double store_seconds = 0;  // inserting records into the provenance store
-  uint64_t checksums = 0;    // records (and thus signatures) emitted
+  double store_seconds = 0;  // write-ahead + commit into the provenance store
+  uint64_t checksums = 0;    // records (and thus signatures) committed
   uint64_t nodes_hashed = 0; // node-hash computations performed
 
   double total_seconds() const {
@@ -68,14 +67,38 @@ struct OperationMetrics {
 /// All tracked mutation is attributed to a crypto::Participant whose key
 /// signs the checksums.
 ///
-/// Records live in a one-shard ShardedProvenanceStore, so the database
-/// owns an epoch domain and is read like the sharded service: through
-/// OpenSnapshot() (DESIGN.md §16). Every operation ends by publishing,
-/// so snapshots cut at operation boundaries, and the index nodes it
-/// retired are freed there unless a snapshot still pins them.
+/// The database hashes and decides which records an operation emits;
+/// it neither signs nor stores them. Each record becomes an
+/// IngestRequest submitted to a one-shard IngestPipeline, the system's
+/// only write path, and every operation ends by draining it: an
+/// operation returns only after its records are signed, committed and
+/// published — and, on a durable pipeline, fsynced. Records are read
+/// like the sharded service's, through OpenSnapshot() (DESIGN.md §16).
+/// The pipeline publishes at every flush; the database's own pipeline
+/// flushes once per operation, so its snapshots cut at operation
+/// boundaries, while a borrowed pipeline's batch thresholds may also
+/// flush inside a large operation.
+///
+/// Not movable: the hashers point into the database's own tree.
 class TrackedDatabase {
  public:
+  /// A database over its own memory-only pipeline with sequential
+  /// signing and one batch per operation: nothing touches the disk.
   explicit TrackedDatabase(TrackedDatabaseOptions options = {});
+
+  /// A database over `pipeline`, borrowed: it must outlive the database,
+  /// and the database must be its only producer (its Aggregate reads
+  /// chain tails from the store, which is exact only while every record
+  /// in it came through this database and was drained). The pipeline's
+  /// IngestOptions supply the WAL directory, segment size, checkpoint
+  /// policy and signing pool; prune and checkpoint through it directly
+  /// between operations. kInvalidArgument unless the pipeline has one
+  /// shard and `options.hash_algorithm`.
+  static Result<std::unique_ptr<TrackedDatabase>> Open(
+      IngestPipeline* pipeline, TrackedDatabaseOptions options = {});
+
+  TrackedDatabase(const TrackedDatabase&) = delete;
+  TrackedDatabase& operator=(const TrackedDatabase&) = delete;
 
   // -- Bootstrap -------------------------------------------------------
 
@@ -127,44 +150,17 @@ class TrackedDatabase {
 
   const storage::TreeStore& tree() const { return tree_; }
 
-  /// The writer's own store (counts and sizes; records are read through
-  /// OpenSnapshot).
-  const ProvenanceStore& provenance() const { return store_.shard(0); }
+  /// The pipeline's shard-0 store, the writer's own (counts and sizes;
+  /// records are read through OpenSnapshot).
+  const ProvenanceStore& provenance() const { return *store_; }
 
   /// For the attack simulator and tests only.
-  ProvenanceStore* mutable_provenance() { return &store_.shard(0); }
+  ProvenanceStore* mutable_provenance() { return store_; }
 
   /// Publishes, then pins a snapshot of every record so far — including
   /// changes made through mutable_provenance(). Valid until released;
   /// must not outlive the database.
   StoreSnapshot OpenSnapshot();
-
-  // -- Durability (WAL) --------------------------------------------------
-
-  /// Attaches a write-ahead log: every provenance record emitted from now
-  /// on is appended (and, under WalOptions::sync_every_append, fsync'd)
-  /// to `wal` *before* it is applied to the in-memory store. Records
-  /// already in the store are checkpointed into the WAL first, so
-  /// recovery replays the complete store. `wal` is borrowed and must
-  /// outlive this database (or be detached via mutable_provenance()).
-  Status AttachWal(storage::WalWriter* wal);
-
-  /// Forces every record emitted so far onto stable storage. A record is
-  /// only guaranteed to survive a crash once a Sync covering it returned
-  /// OK.
-  Status SyncWal();
-
-  /// Seals a signed checkpoint of the provenance store into the attached
-  /// WAL's directory and garbage-collects the segments it covers
-  /// (DESIGN.md §13): the WAL is rolled, a snapshot sealed with `signer`
-  /// (as participant `sealer_id`) at the rolled horizon, stale
-  /// checkpoints removed, and covered segments deleted. Recovery from
-  /// that directory then needs the checkpoint plus the WAL suffix only.
-  /// A no-op when nothing was appended since the last checkpoint;
-  /// kFailedPrecondition without an attached WAL.
-  Status CheckpointWal(const crypto::Signer& signer, uint64_t sealer_id,
-                       crypto::HashAlgorithm alg =
-                           crypto::HashAlgorithm::kSha1);
 
   const TrackedDatabaseOptions& options() const { return options_; }
 
@@ -221,36 +217,54 @@ class TrackedDatabase {
       std::unordered_map<storage::ObjectId, crypto::Digest>* out,
       OperationMetrics* metrics);
 
+  /// The pipeline's cumulative work counters.
+  struct PipelineTotals {
+    uint64_t committed = 0;
+    double sign_seconds = 0;
+    double store_seconds = 0;
+  };
+
+  TrackedDatabase(TrackedDatabaseOptions options,
+                  std::unique_ptr<IngestPipeline> owned_pipeline,
+                  IngestPipeline* pipeline);
+
   /// Notifies the economical cache of a mutation at `id`.
   void InvalidatePath(storage::ObjectId id);
 
-  /// Builds, signs, and stores one record; updates the chain tail.
+  /// Submits one record's request; the pipeline signs and stores it.
   /// For kInsert, `pre_hash` must be null; for kUpdate it may be null only
   /// for objects predating provenance collection (bootstrap data).
   Status EmitRecord(const crypto::Participant& p, OperationType op,
                     bool inherited, storage::ObjectId id,
                     const crypto::Digest* pre_hash,
                     const crypto::Digest& post_hash,
-                    const storage::Value* snapshot,
-                    OperationMetrics* metrics);
+                    const storage::Value* snapshot);
+
+  /// Submits `request`. When the pipeline refuses it, drains what the
+  /// failing operation already submitted: its earlier records stand.
+  Status Submit(const IngestRequest& request);
 
   /// Captures pre-hashes of `id` and its ancestors into the complex batch
   /// if not yet captured. Must run before the mutation.
   Status CapturePreHashes(storage::ObjectId id);
 
-  void FinishOperation(OperationMetrics metrics);
+  PipelineTotals Totals() const;
+
+  /// Drains the pipeline, then records `metrics` plus the pipeline's
+  /// work since the last finished operation.
+  Status FinishOperation(OperationMetrics metrics);
 
   TrackedDatabaseOptions options_;
   storage::TreeStore tree_;
-  ShardedProvenanceStore store_{1};
-  ChecksumEngine engine_;
+  std::unique_ptr<IngestPipeline> owned_pipeline_;  // null when borrowed
+  IngestPipeline* pipeline_;
+  ProvenanceStore* store_;  // pipeline_'s shard 0
   SubtreeHasher basic_hasher_;
   EconomicalHasher economical_hasher_;
-  LocalChainState chains_;
   std::unique_ptr<ComplexState> complex_;
+  PipelineTotals finished_;  // Totals() when the last operation finished
   OperationMetrics last_metrics_;
   OperationMetrics cumulative_metrics_;
-  bool any_tracked_op_ = false;
 };
 
 }  // namespace provdb::provenance

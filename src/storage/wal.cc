@@ -180,18 +180,8 @@ Status WalWriter::Append(ByteView payload) {
   segment_bytes_ += frame.size();
   ++segment_records_;
   ++appended_records_;
-  unsynced_bytes_ += frame.size();
   appends_->Increment();
   append_bytes_->Add(frame.size());
-  if (options_.sync_every_append) {
-    PROVDB_RETURN_IF_ERROR(Sync());
-  } else if ((options_.group_commit_records > 0 &&
-              appended_records_ - synced_records_ >=
-                  options_.group_commit_records) ||
-             (options_.group_commit_bytes > 0 &&
-              unsynced_bytes_ >= options_.group_commit_bytes)) {
-    PROVDB_RETURN_IF_ERROR(Sync());
-  }
   return Status::OK();
 }
 
@@ -216,7 +206,6 @@ Status WalWriter::Sync() {
   observability::TraceSpan span("wal.sync");
   PROVDB_RETURN_IF_ERROR(file_->Sync());
   synced_records_ = appended_records_;
-  unsynced_bytes_ = 0;
   syncs_->Increment();
   return Status::OK();
 }

@@ -57,22 +57,6 @@ struct WalOptions {
   /// so payloads larger than the limit still fit.
   uint64_t segment_size_limit = 64ull << 20;
 
-  /// When true, every Append also Syncs — the paper-grade durability
-  /// setting (nothing acknowledged can be lost). When false the caller
-  /// batches durability points by calling Sync explicitly (or via the
-  /// group-commit thresholds below).
-  bool sync_every_append = false;
-
-  /// Group commit: when > 0, Append Syncs automatically once this many
-  /// records have accumulated since the last durability point. Ignored
-  /// under sync_every_append (which is the degenerate batch of 1).
-  uint64_t group_commit_records = 0;
-
-  /// Group commit: when > 0, Append Syncs automatically once this many
-  /// frame bytes have accumulated since the last durability point.
-  /// Either threshold firing triggers the Sync.
-  uint64_t group_commit_bytes = 0;
-
   /// Index of the last WAL segment covered by a sealed checkpoint (0 =
   /// none). Segments at or below the horizon are checkpoint history: the
   /// writer numbers new segments past it even when they have been
@@ -108,7 +92,8 @@ class WalWriter {
 
   /// Appends one record frame. Rejects payloads over kWalMaxPayload with
   /// kInvalidArgument. The record is durable only after the next
-  /// successful Sync (immediately, under sync_every_append).
+  /// successful Sync: the caller places every durability point (the
+  /// ingest pipeline syncs once per flushed batch).
   Status Append(ByteView payload);
 
   /// Pushes buffered frames to the OS (survives process crash only).
@@ -144,10 +129,6 @@ class WalWriter {
   /// guarantee the fault-injection sweep checks against.
   uint64_t synced_records() const { return synced_records_; }
 
-  /// Frame bytes appended since the last durability point. The
-  /// group-commit thresholds fire against this.
-  uint64_t unsynced_bytes() const { return unsynced_bytes_; }
-
   uint64_t current_segment_index() const { return segment_index_; }
   uint64_t current_segment_bytes() const { return segment_bytes_; }
   uint64_t current_segment_records() const { return segment_records_; }
@@ -182,7 +163,6 @@ class WalWriter {
   uint64_t segment_records_ = 0;
   uint64_t appended_records_ = 0;
   uint64_t synced_records_ = 0;
-  uint64_t unsynced_bytes_ = 0;
   bool closed_ = false;
   Status poisoned_ = Status::OK();  // see poisoned()
 

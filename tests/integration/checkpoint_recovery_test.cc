@@ -31,7 +31,9 @@ namespace {
 
 using provdb::testing::DifferentialWorkloadOptions;
 using provdb::testing::EncodedInCommitOrder;
+using provdb::testing::DurableTrackedDatabase;
 using provdb::testing::IngestWorkloadBuilder;
+using provdb::testing::OpenDurableTrackedDatabase;
 using provdb::testing::RandomDifferentialWorkload;
 using provdb::testing::SubmitWithDrainCadence;
 using provdb::testing::TestPki;
@@ -51,38 +53,43 @@ crypto::RsaSignatureVerifier SealVerifier() {
   return crypto::RsaSignatureVerifier(P(1).public_key());
 }
 
-/// Empties `dir` of both flat WAL/checkpoint files (TrackedDatabase
-/// layout) and shard-NNN subdirectories (ingest layout), so reruns never
-/// recover a previous run's history.
 std::string FreshDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "/provdb_ckpt_recovery_" + tag;
-  EXPECT_TRUE(WipeIngestRoot(Env::Default(), dir).ok());
-  auto names = Env::Default()->ListDir(dir);
-  if (names.ok()) {
-    for (const std::string& name : *names) {
-      if (name.rfind("shard-", 0) == 0) continue;
-      EXPECT_TRUE(Env::Default()->RemoveFile(dir + "/" + name).ok());
-    }
-  }
-  return dir;
+  std::string root = ::testing::TempDir() + "/provdb_ckpt_recovery_" + tag;
+  EXPECT_TRUE(WipeIngestRoot(Env::Default(), root).ok());
+  return root;
+}
+
+/// The WAL directory of the one-shard pipeline rooted at `root`.
+std::string ShardDir(const std::string& root) {
+  return ShardedProvenanceStore::ShardDirName(root, 0);
+}
+
+/// Seals a checkpoint only when asked (CheckpointNow), with P(1)'s key.
+IngestOptions ManualCheckpoints() {
+  IngestOptions options;
+  options.checkpoint.signer = &P(1).signer();
+  options.checkpoint.sealer_id = P(1).id();
+  return options;
 }
 
 // ---------------------------------------------------------------------------
-// TrackedDatabase::CheckpointWal: bounded recovery and compaction.
+// TrackedDatabase over a one-shard pipeline: CheckpointNow's bounded
+// recovery and compaction.
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointRecoveryTest, RecoveryReplaysOnlyTheSuffix) {
-  std::string dir = FreshDir("suffix");
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(Env::Default(), dir);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
+  std::string root = FreshDir("suffix");
+  auto durable =
+      OpenDurableTrackedDatabase(Env::Default(), root, ManualCheckpoints());
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  TrackedDatabase& db = *durable->db;
+  const std::string dir = ShardDir(root);
 
   std::vector<ObjectId> docs;
   for (int i = 0; i < 12; ++i) {
     docs.push_back(db.Insert(P(1), Value::Int(i)).value());
   }
-  ASSERT_TRUE(db.CheckpointWal(P(1).signer(), P(1).id()).ok());
+  ASSERT_TRUE(durable->pipeline->CheckpointNow().ok());
   // The sealed history is compacted away: segment 1 must be gone.
   EXPECT_FALSE(Env::Default()->FileExists(WalWriter::SegmentFileName(dir, 1)));
   EXPECT_TRUE(Env::Default()->FileExists(CheckpointFileName(dir, 1)));
@@ -92,7 +99,6 @@ TEST(CheckpointRecoveryTest, RecoveryReplaysOnlyTheSuffix) {
                           Value::Int(100 + i))
                     .ok());
   }
-  ASSERT_TRUE(db.SyncWal().ok());
 
   auto verifier = SealVerifier();
   WalRecoveryReport report;
@@ -114,31 +120,30 @@ TEST(CheckpointRecoveryTest, RecoveryReplaysOnlyTheSuffix) {
 }
 
 TEST(CheckpointRecoveryTest, CheckpointWithoutVerifierIsRefused) {
-  std::string dir = FreshDir("no_verifier");
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(Env::Default(), dir);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
-  ASSERT_TRUE(db.Insert(P(1), Value::Int(1)).ok());
-  ASSERT_TRUE(db.CheckpointWal(P(1).signer(), P(1).id()).ok());
+  std::string root = FreshDir("no_verifier");
+  auto durable =
+      OpenDurableTrackedDatabase(Env::Default(), root, ManualCheckpoints());
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  ASSERT_TRUE(durable->db->Insert(P(1), Value::Int(1)).ok());
+  ASSERT_TRUE(durable->pipeline->CheckpointNow().ok());
 
   // Recovering *around* an unverifiable snapshot would silently drop its
   // history — refuse instead.
-  auto recovered = ProvenanceStore::RecoverFromWal(Env::Default(), dir);
+  auto recovered =
+      ProvenanceStore::RecoverFromWal(Env::Default(), ShardDir(root));
   EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(CheckpointRecoveryTest, TamperedCheckpointIsRefusedAtRecovery) {
-  std::string dir = FreshDir("tampered");
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(Env::Default(), dir);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
-  ASSERT_TRUE(db.Insert(P(1), Value::Int(1)).ok());
-  ASSERT_TRUE(db.Insert(P(1), Value::Int(2)).ok());
-  ASSERT_TRUE(db.CheckpointWal(P(1).signer(), P(1).id()).ok());
+  std::string root = FreshDir("tampered");
+  auto durable =
+      OpenDurableTrackedDatabase(Env::Default(), root, ManualCheckpoints());
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  ASSERT_TRUE(durable->db->Insert(P(1), Value::Int(1)).ok());
+  ASSERT_TRUE(durable->db->Insert(P(1), Value::Int(2)).ok());
+  ASSERT_TRUE(durable->pipeline->CheckpointNow().ok());
 
-  const std::string path = CheckpointFileName(dir, 1);
+  const std::string path = CheckpointFileName(ShardDir(root), 1);
   auto content = Env::Default()->ReadFileToBytes(path);
   ASSERT_TRUE(content.ok());
   (*content)[content->size() / 2] ^= 0x01;
@@ -148,8 +153,8 @@ TEST(CheckpointRecoveryTest, TamperedCheckpointIsRefusedAtRecovery) {
   ASSERT_TRUE((*file)->Close().ok());
 
   auto verifier = SealVerifier();
-  auto recovered = ProvenanceStore::RecoverFromWal(Env::Default(), dir,
-                                                   nullptr, &verifier);
+  auto recovered = ProvenanceStore::RecoverFromWal(
+      Env::Default(), ShardDir(root), nullptr, &verifier);
   ASSERT_FALSE(recovered.ok());
   EXPECT_TRUE(recovered.status().code() == StatusCode::kCorruption ||
               recovered.status().code() == StatusCode::kVerificationFailed)
@@ -157,24 +162,23 @@ TEST(CheckpointRecoveryTest, TamperedCheckpointIsRefusedAtRecovery) {
 }
 
 TEST(CheckpointRecoveryTest, PrunedHistoryStaysPrunedAcrossCheckpoint) {
-  std::string dir = FreshDir("pruned");
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(Env::Default(), dir);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
+  std::string root = FreshDir("pruned");
+  auto durable =
+      OpenDurableTrackedDatabase(Env::Default(), root, ManualCheckpoints());
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  TrackedDatabase& db = *durable->db;
 
   ObjectId keep = db.Insert(P(1), Value::Int(1)).value();
   ObjectId doomed = db.Insert(P(1), Value::Int(2)).value();
   ASSERT_TRUE(db.Update(P(2), doomed, Value::Int(3)).ok());
   ASSERT_TRUE(db.Delete(P(2), doomed).ok());
-  ASSERT_TRUE(db.mutable_provenance()->PruneObject(doomed).ok());
-  ASSERT_TRUE(db.CheckpointWal(P(1).signer(), P(1).id()).ok());
+  ASSERT_TRUE(durable->pipeline->Prune(doomed).ok());
+  ASSERT_TRUE(durable->pipeline->CheckpointNow().ok());
   ASSERT_TRUE(db.Update(P(2), keep, Value::Int(4)).ok());
-  ASSERT_TRUE(db.SyncWal().ok());
 
   auto verifier = SealVerifier();
-  auto recovered = ProvenanceStore::RecoverFromWal(Env::Default(), dir,
-                                                   nullptr, &verifier);
+  auto recovered = ProvenanceStore::RecoverFromWal(
+      Env::Default(), ShardDir(root), nullptr, &verifier);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(recovered->ChainOf(doomed).empty())
       << "checkpoint resurrection of pruned history";
@@ -182,20 +186,22 @@ TEST(CheckpointRecoveryTest, PrunedHistoryStaysPrunedAcrossCheckpoint) {
 }
 
 TEST(CheckpointRecoveryTest, SecondCheckpointSupersedesTheFirst) {
-  std::string dir = FreshDir("supersede");
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(Env::Default(), dir);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
+  std::string root = FreshDir("supersede");
+  auto durable =
+      OpenDurableTrackedDatabase(Env::Default(), root, ManualCheckpoints());
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  TrackedDatabase& db = *durable->db;
+  IngestPipeline& pipeline = *durable->pipeline;
+  const std::string dir = ShardDir(root);
 
   ObjectId doc = db.Insert(P(1), Value::Int(1)).value();
-  ASSERT_TRUE(db.CheckpointWal(P(1).signer(), P(1).id()).ok());
+  ASSERT_TRUE(pipeline.CheckpointNow().ok());
   // Nothing new: re-checkpointing is a no-op, not a fresh seal.
-  ASSERT_TRUE(db.CheckpointWal(P(1).signer(), P(1).id()).ok());
+  ASSERT_TRUE(pipeline.CheckpointNow().ok());
   EXPECT_TRUE(Env::Default()->FileExists(CheckpointFileName(dir, 1)));
 
   ASSERT_TRUE(db.Update(P(2), doc, Value::Int(2)).ok());
-  ASSERT_TRUE(db.CheckpointWal(P(1).signer(), P(1).id()).ok());
+  ASSERT_TRUE(pipeline.CheckpointNow().ok());
   // The old seal and every covered segment are gone; only the newest
   // checkpoint plus the fresh (empty) active segment remain.
   EXPECT_FALSE(Env::Default()->FileExists(CheckpointFileName(dir, 1)));
@@ -215,30 +221,30 @@ TEST(CheckpointRecoveryTest, SecondCheckpointSupersedesTheFirst) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash sweep over TrackedDatabase::CheckpointWal — every mutating
+// Crash sweep over a TrackedDatabase's checkpoints — every mutating
 // filesystem op of the seal (tmp write, sync, rename) and the GC
 // (segment removes, dir syncs) fails in turn, then the power cut hits.
 // ---------------------------------------------------------------------------
 
 /// Phase A (never faulted): a base workload with a durable prune.
 /// Returns the ids of the surviving object and the pruned one.
-void RunCheckpointSweepBase(TrackedDatabase& db, ObjectId* keep,
-                            ObjectId* doomed) {
+void RunCheckpointSweepBase(const DurableTrackedDatabase& durable,
+                            ObjectId* keep, ObjectId* doomed) {
+  TrackedDatabase& db = *durable.db;
   *keep = db.Insert(P(1), Value::Int(1)).value();
   *doomed = db.Insert(P(1), Value::Int(2)).value();
   ASSERT_TRUE(db.Update(P(2), *keep, Value::Int(3)).ok());
   ASSERT_TRUE(db.Delete(P(2), *doomed).ok());
-  ASSERT_TRUE(db.mutable_provenance()->PruneObject(*doomed).ok());
-  ASSERT_TRUE(db.SyncWal().ok());
+  ASSERT_TRUE(durable.pipeline->Prune(*doomed).ok());
 }
 
 /// Phase B (swept): checkpoint, more updates, second checkpoint.
-Status RunCheckpointSweepPhaseB(TrackedDatabase& db, ObjectId keep) {
-  PROVDB_RETURN_IF_ERROR(db.CheckpointWal(P(1).signer(), P(1).id()));
-  PROVDB_RETURN_IF_ERROR(db.Update(P(2), keep, Value::Int(4)));
-  PROVDB_RETURN_IF_ERROR(db.Update(P(1), keep, Value::Int(5)));
-  PROVDB_RETURN_IF_ERROR(db.SyncWal());
-  return db.CheckpointWal(P(1).signer(), P(1).id());
+Status RunCheckpointSweepPhaseB(const DurableTrackedDatabase& durable,
+                                ObjectId keep) {
+  PROVDB_RETURN_IF_ERROR(durable.pipeline->CheckpointNow());
+  PROVDB_RETURN_IF_ERROR(durable.db->Update(P(2), keep, Value::Int(4)));
+  PROVDB_RETURN_IF_ERROR(durable.db->Update(P(1), keep, Value::Int(5)));
+  return durable.pipeline->CheckpointNow();
 }
 
 TEST(CheckpointCrashSweepTest, CrashAtEveryCheckpointAndGcOp) {
@@ -249,16 +255,14 @@ TEST(CheckpointCrashSweepTest, CrashAtEveryCheckpointAndGcOp) {
   uint64_t total_ops = 0;
   {
     FaultInjectionEnv env(Env::Default());
-    std::string dir = FreshDir("sweep_dry");
-    TrackedDatabase db;
-    auto wal = WalWriter::Open(&env, dir);
-    ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE(db.AttachWal(&*wal).ok());
+    auto durable = OpenDurableTrackedDatabase(&env, FreshDir("sweep_dry"),
+                                              ManualCheckpoints());
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
     ObjectId keep = 0, doomed = 0;
-    RunCheckpointSweepBase(db, &keep, &doomed);
+    RunCheckpointSweepBase(*durable, &keep, &doomed);
     if (::testing::Test::HasFatalFailure()) return;
     phase_a_ops = env.mutating_ops();
-    ASSERT_TRUE(RunCheckpointSweepPhaseB(db, keep).ok());
+    ASSERT_TRUE(RunCheckpointSweepPhaseB(*durable, keep).ok());
     total_ops = env.mutating_ops();
   }
   ASSERT_GT(total_ops, phase_a_ops + 10)
@@ -267,20 +271,19 @@ TEST(CheckpointCrashSweepTest, CrashAtEveryCheckpointAndGcOp) {
   for (uint64_t k = phase_a_ops + 1; k <= total_ops; ++k) {
     SCOPED_TRACE("crash at mutating op " + std::to_string(k));
     FaultInjectionEnv env(Env::Default());
-    std::string dir = FreshDir("sweep_" + std::to_string(k));
+    std::string root = FreshDir("sweep_" + std::to_string(k));
     ObjectId keep = 0, doomed = 0;
     uint64_t live_at_crash = 0;
     {
-      TrackedDatabase db;
-      auto wal = WalWriter::Open(&env, dir);
-      ASSERT_TRUE(wal.ok());
-      ASSERT_TRUE(db.AttachWal(&*wal).ok());
-      RunCheckpointSweepBase(db, &keep, &doomed);
+      auto durable = OpenDurableTrackedDatabase(&env, root,
+                                                ManualCheckpoints());
+      ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+      RunCheckpointSweepBase(*durable, &keep, &doomed);
       if (::testing::Test::HasFatalFailure()) return;
       env.ScheduleCrashAtOp(k - env.mutating_ops());
       // The workload stops at its first I/O error, like a real writer.
-      RunCheckpointSweepPhaseB(db, keep).ok();
-      live_at_crash = db.provenance().live_record_count();
+      RunCheckpointSweepPhaseB(*durable, keep).ok();
+      live_at_crash = durable->db->provenance().live_record_count();
       // Scope exit without Close(): the crash.
     }
     env.ClearFaults();
@@ -288,8 +291,8 @@ TEST(CheckpointCrashSweepTest, CrashAtEveryCheckpointAndGcOp) {
 
     auto verifier = SealVerifier();
     WalRecoveryReport report;
-    auto recovered =
-        ProvenanceStore::RecoverFromWal(&env, dir, &report, &verifier);
+    auto recovered = ProvenanceStore::RecoverFromWal(&env, ShardDir(root),
+                                                     &report, &verifier);
     ASSERT_TRUE(recovered.ok())
         << "crash point must salvage or report, never fail to recover: "
         << recovered.status().ToString();

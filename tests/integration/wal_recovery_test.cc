@@ -1,6 +1,7 @@
-// Durable lifecycle integration: TrackedDatabase -> WAL -> crash ->
-// RecoverFromWal -> verification, including a fault-injection sweep that
-// crashes the workload at every single file write.
+// Durable lifecycle integration: TrackedDatabase -> one-shard ingest
+// pipeline WAL -> crash -> RecoverFromWal -> verification, including a
+// fault-injection sweep that crashes the workload at every single file
+// write.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@ using provdb::testing::DifferentialWorkloadOptions;
 using provdb::testing::EncodedInCommitOrder;
 using provdb::testing::IngestWorkloadBuilder;
 using provdb::testing::OneShardCopy;
+using provdb::testing::OpenDurableTrackedDatabase;
 using provdb::testing::RandomDifferentialWorkload;
 using provdb::testing::SubmitWithDrainCadence;
 using provdb::testing::TestPki;
@@ -34,7 +36,6 @@ using storage::Env;
 using storage::FaultInjectionEnv;
 using storage::ObjectId;
 using storage::Value;
-using storage::WalOptions;
 using storage::WalRecoveryReport;
 using storage::WalWriter;
 
@@ -43,31 +44,39 @@ const crypto::Participant& P(int i) {
 }
 
 std::string FreshDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "/provdb_wal_recovery_" + tag;
+  std::string root = ::testing::TempDir() + "/provdb_wal_recovery_" + tag;
   // Leftover segments from a previous run would be recovered as live
   // history; every caller starts from an empty log directory.
-  auto names = Env::Default()->ListDir(dir);
-  if (names.ok()) {
-    for (const std::string& name : *names) {
-      EXPECT_TRUE(Env::Default()->RemoveFile(dir + "/" + name).ok());
-    }
-  }
-  return dir;
+  EXPECT_TRUE(WipeIngestRoot(Env::Default(), root).ok());
+  return root;
+}
+
+/// The WAL directory of the one-shard pipeline rooted at `root`.
+std::string ShardDir(const std::string& root) {
+  return ShardedProvenanceStore::ShardDirName(root, 0);
 }
 
 /// The tracked workload every crash point is injected into: a small tree,
 /// updates, an aggregation, and a post-aggregation update. Mirrors the
 /// persistence integration test so the recovered store faces the same
 /// verifier and auditor. Stops at the first failed operation, exactly as
-/// a real writer hitting an I/O error would.
-Status RunWorkload(TrackedDatabase& db, ObjectId* agg_out = nullptr) {
+/// a real writer hitting an I/O error would. `after_op` runs after each
+/// operation that succeeded.
+Status RunWorkload(TrackedDatabase& db, ObjectId* agg_out = nullptr,
+                   const std::function<void()>& after_op = [] {}) {
   PROVDB_ASSIGN_OR_RETURN(ObjectId root, db.Insert(P(1), Value::String("db")));
+  after_op();
   PROVDB_ASSIGN_OR_RETURN(ObjectId row, db.Insert(P(1), Value::Int(0), root));
+  after_op();
   PROVDB_ASSIGN_OR_RETURN(ObjectId cell, db.Insert(P(2), Value::Int(5), row));
+  after_op();
   PROVDB_RETURN_IF_ERROR(db.Update(P(1), cell, Value::Int(6)));
+  after_op();
   PROVDB_ASSIGN_OR_RETURN(ObjectId agg,
                           db.Aggregate(P(2), {root}, Value::String("agg")));
+  after_op();
   PROVDB_RETURN_IF_ERROR(db.Update(P(2), agg, Value::String("agg-v2")));
+  after_op();
   if (agg_out != nullptr) {
     *agg_out = agg;
   }
@@ -75,17 +84,16 @@ Status RunWorkload(TrackedDatabase& db, ObjectId* agg_out = nullptr) {
 }
 
 TEST(WalRecoveryTest, DurableLifecycleRoundTripVerifies) {
-  std::string dir = FreshDir("lifecycle");
+  std::string root = FreshDir("lifecycle");
   ObjectId agg = storage::kInvalidObjectId;
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(Env::Default(), dir);
-  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
+  auto durable = OpenDurableTrackedDatabase(Env::Default(), root);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  TrackedDatabase& db = *durable->db;
   ASSERT_TRUE(RunWorkload(db, &agg).ok());
-  ASSERT_TRUE(db.SyncWal().ok());
 
   WalRecoveryReport report;
-  auto restored = ProvenanceStore::RecoverFromWal(Env::Default(), dir, &report);
+  auto restored =
+      ProvenanceStore::RecoverFromWal(Env::Default(), ShardDir(root), &report);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(restored->record_count(), db.provenance().record_count());
@@ -107,107 +115,68 @@ TEST(WalRecoveryTest, DurableLifecycleRoundTripVerifies) {
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
-TEST(WalRecoveryTest, AttachCheckpointsPreexistingRecords) {
-  std::string dir = FreshDir("checkpoint");
-  TrackedDatabase db;
-  // Half the workload happens before the WAL exists...
-  ASSERT_TRUE(RunWorkload(db).ok());
-  uint64_t before_attach = db.provenance().record_count();
-  ASSERT_GT(before_attach, 0u);
-
-  auto wal = WalWriter::Open(Env::Default(), dir);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
-  // ...and more after. Recovery must replay both halves.
-  ASSERT_TRUE(db.Update(P(1), *db.Insert(P(1), Value::Int(1)),
-                        Value::Int(2)).ok());
-  ASSERT_TRUE(db.SyncWal().ok());
-
-  auto restored = ProvenanceStore::RecoverFromWal(Env::Default(), dir);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_GT(db.provenance().record_count(), before_attach);
-  EXPECT_EQ(restored->record_count(), db.provenance().record_count());
-}
-
-TEST(WalRecoveryTest, FailedAttachCheckpointLeavesStoreUsableAndUnattached) {
-  // If the attach-time checkpoint of pre-existing records fails partway
-  // through its WAL appends, the attach must not half-happen: the store
-  // stays detached (no write-ahead contract against a log holding a
-  // partial history) and remains fully usable in memory.
-  std::string dir = FreshDir("attach_fault");
+TEST(WalRecoveryTest, EveryOperationIsDurableWhenItReturns) {
+  // An operation returns only after its records are fsynced: a power cut
+  // right after any operation loses none of them.
+  std::string root = FreshDir("per_op");
   FaultInjectionEnv env(Env::Default());
-  TrackedDatabase db;
-  ASSERT_TRUE(RunWorkload(db).ok());
-  uint64_t before_attach = db.provenance().record_count();
-  ASSERT_GT(before_attach, 1u);
-
-  auto wal = WalWriter::Open(&env, dir);
-  ASSERT_TRUE(wal.ok());
-  env.ScheduleAppendFailure(2);  // fail mid-checkpoint, not on record 1
-  EXPECT_EQ(db.AttachWal(&*wal).code(), StatusCode::kIoError);
-  env.ClearFaults();
-
-  // Unattached: durability calls refuse, mutations bypass the WAL.
-  EXPECT_EQ(db.SyncWal().code(), StatusCode::kFailedPrecondition);
-  uint64_t appended = wal->appended_records();
-  ASSERT_TRUE(db.Insert(P(1), Value::Int(42)).ok());
-  EXPECT_EQ(db.provenance().record_count(), before_attach + 1);
-  EXPECT_EQ(wal->appended_records(), appended)
-      << "a failed attach must not leave the WAL wired to the store";
-
-  // A later attach to a fresh log works and checkpoints everything.
-  std::string dir2 = FreshDir("attach_fault_retry");
-  auto wal2 = WalWriter::Open(Env::Default(), dir2);
-  ASSERT_TRUE(wal2.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal2).ok());
-  ASSERT_TRUE(db.SyncWal().ok());
-  auto restored = ProvenanceStore::RecoverFromWal(Env::Default(), dir2);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->record_count(), db.provenance().record_count());
-}
-
-TEST(WalRecoveryTest, SecondAttachRejected) {
-  std::string dir = FreshDir("reattach");
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(Env::Default(), dir);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
-  EXPECT_EQ(db.AttachWal(&*wal).code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(WalRecoveryTest, SyncWithoutAttachedWalFails) {
-  TrackedDatabase db;
-  EXPECT_EQ(db.SyncWal().code(), StatusCode::kFailedPrecondition);
+  auto durable = OpenDurableTrackedDatabase(&env, root);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  const ProvenanceStore& live = durable->db->provenance();
+  size_t checked = 0;
+  auto power_cut_and_recover = [&] {
+    ++checked;
+    ASSERT_TRUE(env.DropUnsyncedFileData().ok());
+    WalRecoveryReport report;
+    auto restored = ProvenanceStore::RecoverFromWal(&env, ShardDir(root),
+                                                    &report);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_TRUE(report.clean()) << report.detail;
+    // Every record any operation emitted so far, not only the committed
+    // ones: nothing an operation emitted is still pending when it returns.
+    ASSERT_EQ(restored->record_count(), durable->pipeline->submitted())
+        << "records lost to a power cut after operation " << checked;
+    ASSERT_EQ(live.record_count(), durable->pipeline->submitted());
+    for (uint64_t i = 0; i < live.record_count(); ++i) {
+      EXPECT_EQ(EncodeRecord(restored->record(i)), EncodeRecord(live.record(i)))
+          << "record " << i << " after operation " << checked;
+    }
+  };
+  ASSERT_TRUE(RunWorkload(*durable->db, nullptr, power_cut_and_recover).ok());
+  EXPECT_EQ(checked, 6u);
 }
 
 TEST(WalRecoveryTest, FailedWalAppendLeavesStoreUnchanged) {
   // The write-ahead contract: if the log cannot take the record, the
   // in-memory store must not either (no divergence from disk).
-  std::string dir = FreshDir("rejected");
+  std::string root = FreshDir("rejected");
   FaultInjectionEnv env(Env::Default());
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(&env, dir);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
+  auto durable = OpenDurableTrackedDatabase(&env, root);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  TrackedDatabase& db = *durable->db;
   ASSERT_TRUE(db.Insert(P(1), Value::String("db")).ok());
   uint64_t committed = db.provenance().record_count();
 
   env.ScheduleAppendFailure(1);
-  EXPECT_FALSE(db.Insert(P(1), Value::Int(7)).ok());
+  Status failed = db.Insert(P(1), Value::Int(7)).status();
+  EXPECT_FALSE(failed.ok());
   EXPECT_EQ(db.provenance().record_count(), committed);
   env.ClearFaults();
 
-  // The store is usable again once the fault clears.
-  EXPECT_TRUE(db.Insert(P(1), Value::Int(8)).ok());
-  EXPECT_EQ(db.provenance().record_count(), committed + 1);
+  // The failed append poisoned the pipeline: later operations return its
+  // status, even once the fault clears, and store nothing.
+  Status later = db.Insert(P(1), Value::Int(8)).status();
+  EXPECT_EQ(later.code(), failed.code());
+  EXPECT_EQ(later.message(), failed.message());
+  EXPECT_EQ(db.provenance().record_count(), committed);
 }
 
 TEST(WalRecoveryTest, PruneSurvivesCrashRecovery) {
-  std::string dir = FreshDir("prune");
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(Env::Default(), dir);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
+  std::string root = FreshDir("prune");
+  auto durable = OpenDurableTrackedDatabase(Env::Default(), root);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  TrackedDatabase& db = *durable->db;
+  IngestPipeline& pipeline = *durable->pipeline;
 
   ObjectId solo = *db.Insert(P(1), Value::String("solo"));
   ASSERT_TRUE(db.Update(P(1), solo, Value::String("solo-v2")).ok());
@@ -216,13 +185,13 @@ TEST(WalRecoveryTest, PruneSurvivesCrashRecovery) {
   // Pruning the aggregate releases its input refs, which is what makes
   // pruning `solo` legal — an ordering a replay of appends alone cannot
   // reproduce: it would re-inflate the refs and refuse the second prune.
-  ASSERT_TRUE(db.mutable_provenance()->PruneObject(agg).ok());
-  auto dropped = db.mutable_provenance()->PruneObject(solo);
+  ASSERT_TRUE(pipeline.Prune(agg).ok());
+  auto dropped = pipeline.Prune(solo);
   ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
   EXPECT_GT(*dropped, 0u);
-  ASSERT_TRUE(db.SyncWal().ok());
 
-  auto restored = ProvenanceStore::RecoverFromWal(Env::Default(), dir);
+  auto restored = ProvenanceStore::RecoverFromWal(Env::Default(),
+                                                  ShardDir(root));
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->record_count(), db.provenance().record_count());
   EXPECT_EQ(restored->live_record_count(),
@@ -231,60 +200,36 @@ TEST(WalRecoveryTest, PruneSurvivesCrashRecovery) {
   EXPECT_TRUE(restored->ChainOf(agg).empty()) << "prune resurrected";
 }
 
-TEST(WalRecoveryTest, BatchedSyncPowerCutRecoversExactlySyncedPrefix) {
-  std::string dir = FreshDir("batched");
-  FaultInjectionEnv env(Env::Default());
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(&env, dir);  // sync_every_append = false
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
-
-  ObjectId root = *db.Insert(P(1), Value::String("db"));
-  ASSERT_TRUE(db.Insert(P(1), Value::Int(0), root).ok());
-  ASSERT_TRUE(db.SyncWal().ok());
-  uint64_t synced = wal->synced_records();
-  // More records after the durability point, never synced.
-  ASSERT_TRUE(db.Insert(P(2), Value::Int(1), root).ok());
-  ASSERT_TRUE(db.Update(P(2), root, Value::String("db-v2")).ok());
-  ASSERT_GT(wal->appended_records(), synced);
-
-  ASSERT_TRUE(env.DropUnsyncedFileData().ok());
-
-  WalRecoveryReport report;
-  auto restored = ProvenanceStore::RecoverFromWal(&env, dir, &report);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(report.clean()) << report.detail;
-  EXPECT_EQ(restored->record_count(), synced);
-  EXPECT_LT(restored->record_count(), db.provenance().record_count());
+/// The paper-grade write path: a flush, an append and an fsync per record.
+IngestOptions SyncEveryRecord() {
+  IngestOptions options;
+  options.sync_every_record = true;
+  return options;
 }
 
 /// One sweep iteration: run the workload against a WAL whose `k`-th file
 /// write fails (optionally tearing mid-write), optionally power-cut the
 /// machine (dropping unsynced data), then recover and check the two
-/// invariants of ISSUE acceptance: every record appended before a
-/// successful Sync survives, and no half-written frame is resurrected.
+/// durability invariants: every record appended before a successful
+/// Sync survives, and no half-written frame is resurrected.
 void CrashAtWrite(uint64_t k, bool torn, bool power_cut) {
   SCOPED_TRACE("crash at write " + std::to_string(k) +
                (torn ? " (torn)" : " (clean)") +
                (power_cut ? " + power cut" : ""));
-  std::string dir = FreshDir("sweep_" + std::to_string(k) +
-                             (torn ? "t" : "c") + (power_cut ? "p" : ""));
+  std::string root = FreshDir("sweep_" + std::to_string(k) +
+                              (torn ? "t" : "c") + (power_cut ? "p" : ""));
   FaultInjectionEnv env(Env::Default());
   env.ScheduleAppendFailure(k, torn);
 
-  WalOptions options;
-  options.sync_every_append = true;
-  TrackedDatabase db;
-  auto wal = WalWriter::Open(&env, dir, options);
-  if (wal.ok()) {
-    ASSERT_TRUE(db.AttachWal(&*wal).ok());
-    Status crash = RunWorkload(db);  // expected to die at crash point k
+  auto durable =
+      OpenDurableTrackedDatabase(&env, root, SyncEveryRecord());
+  uint64_t committed = 0;
+  if (durable.ok()) {
+    Status crash = RunWorkload(*durable->db);  // expected to die at k
     (void)crash;
-  }
-  // Every record the store committed was synced before commit.
-  uint64_t committed = db.provenance().record_count();
-  if (wal.ok()) {
-    EXPECT_EQ(wal->synced_records(), committed);
+    // Every record the store committed was synced before commit.
+    committed = durable->db->provenance().record_count();
+    EXPECT_EQ(durable->pipeline->shard_wal(0)->synced_records(), committed);
   }
 
   env.ClearFaults();
@@ -293,7 +238,8 @@ void CrashAtWrite(uint64_t k, bool torn, bool power_cut) {
   }
 
   WalRecoveryReport report;
-  auto restored = ProvenanceStore::RecoverFromWal(&env, dir, &report);
+  auto restored =
+      ProvenanceStore::RecoverFromWal(&env, ShardDir(root), &report);
   ASSERT_TRUE(restored.ok())
       << "crash point must salvage or report, never fail to recover: "
       << restored.status().ToString();
@@ -315,11 +261,12 @@ void CrashAtWrite(uint64_t k, bool torn, bool power_cut) {
   // where the crash tore a segment *header* — the remnant must not
   // survive as a headerless segment stranded before the new tail.
   {
-    auto wal2 = WalWriter::Open(&env, dir, options);
-    ASSERT_TRUE(wal2.ok()) << wal2.status().ToString();
-    ASSERT_TRUE(wal2->Close().ok());
+    auto restarted = IngestPipeline::Open(&env, root, SyncEveryRecord());
+    ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+    ASSERT_TRUE((*restarted)->Close().ok());
   }
-  auto restored2 = ProvenanceStore::RecoverFromWal(&env, dir, &report);
+  auto restored2 =
+      ProvenanceStore::RecoverFromWal(&env, ShardDir(root), &report);
   ASSERT_TRUE(restored2.ok())
       << "recovery after restart must stay clean: "
       << restored2.status().ToString();
@@ -333,14 +280,11 @@ TEST(WalCrashSweepTest, CrashAtEveryWrite) {
   uint64_t total_writes = 0;
   {
     FaultInjectionEnv env(Env::Default());
-    WalOptions options;
-    options.sync_every_append = true;
-    TrackedDatabase db;
-    auto wal = WalWriter::Open(&env, FreshDir("sweep_dry"), options);
-    ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE(db.AttachWal(&*wal).ok());
-    ASSERT_TRUE(RunWorkload(db).ok());
-    ASSERT_TRUE(wal->Close().ok());
+    auto durable = OpenDurableTrackedDatabase(&env, FreshDir("sweep_dry"),
+                                              SyncEveryRecord());
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    ASSERT_TRUE(RunWorkload(*durable->db).ok());
+    ASSERT_TRUE(durable->pipeline->Close().ok());
     total_writes = env.append_count();
   }
   ASSERT_GT(total_writes, 5u) << "workload too small to be a sweep";

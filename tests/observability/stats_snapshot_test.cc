@@ -61,10 +61,12 @@ class StatsSnapshotTest : public ::testing::Test {
                       std::to_string(::getpid());
     std::filesystem::remove_all(dir);
 
-    provenance::TrackedDatabase db;
-    auto wal = storage::WalWriter::Open(storage::Env::Default(), dir);
-    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-    ASSERT_TRUE(db.AttachWal(&*wal).ok());
+    auto pipeline = provenance::IngestPipeline::Open(
+        storage::Env::Default(), dir, provenance::IngestOptions());
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    auto tracked = provenance::TrackedDatabase::Open(pipeline->get());
+    ASSERT_TRUE(tracked.ok()) << tracked.status().ToString();
+    provenance::TrackedDatabase& db = **tracked;
 
     auto a = db.Insert(p1, Value::Int(1));
     auto b = db.Insert(p1, Value::Int(2));
@@ -72,7 +74,6 @@ class StatsSnapshotTest : public ::testing::Test {
     ASSERT_TRUE(db.Update(p2, *a, Value::Int(3)).ok());
     auto agg = db.Aggregate(p2, {*a, *b}, Value::String("agg"));
     ASSERT_TRUE(agg.ok());
-    ASSERT_TRUE(db.SyncWal().ok());
 
     auto bundle = db.ExportForRecipient(*agg);
     ASSERT_TRUE(bundle.ok());
@@ -86,7 +87,8 @@ class StatsSnapshotTest : public ::testing::Test {
 
     storage::WalRecoveryReport report;
     auto restored = provenance::ProvenanceStore::RecoverFromWal(
-        storage::Env::Default(), dir, &report);
+        storage::Env::Default(),
+        provenance::ShardedProvenanceStore::ShardDirName(dir, 0), &report);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     EXPECT_TRUE(report.clean());
     std::filesystem::remove_all(dir);

@@ -9,8 +9,9 @@
 // this test, even if verification still happens to pass.
 //
 // The same workload also pins the framed formats byte for byte: the WAL
-// segments and sealed checkpoint it leaves on disk, and framed network
-// requests and responses built from it.
+// segments and sealed checkpoint it leaves in a one-shard ingest
+// pipeline's shard directory, and framed network requests and responses
+// built from it.
 //
 // If this test fails because you *intentionally* changed the wire format,
 // treat it as a compatibility break: bump the format, then re-pin the
@@ -27,6 +28,7 @@
 #include "common/varint.h"
 #include "crypto/hash.h"
 #include "net/wire.h"
+#include "provenance/ingest_pipeline.h"
 #include "provenance/serialization.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
@@ -48,10 +50,10 @@ using storage::Value;
 constexpr char kGoldenBundleSha256[] =
     "bcca8d0f95604b6196af16574a5e94eafcc3776dfaae84bfab8085b0bd84d358";
 
-/// SHA-256 over the WAL directory WalAndCheckpointBytesArePinned leaves
-/// behind: every file's name, size, and bytes, in name order. Pinned
-/// 2026-10-17; covers the 20-byte segment and checkpoint headers, every
-/// record and prune-marker frame, and the checkpoint seal.
+/// SHA-256 over the shard WAL directory WalAndCheckpointBytesArePinned
+/// leaves behind: every file's name, size, and bytes, in name order.
+/// Pinned 2026-10-17; covers the 20-byte segment and checkpoint headers,
+/// every record and prune-marker frame, and the checkpoint seal.
 constexpr char kGoldenWalDirSha256[] =
     "20099f26eb38627677125f8e332e4f56d94b77e4feef7e4859f311d47a2ea9ad";
 
@@ -143,7 +145,9 @@ TEST(GoldenDigestTest, PinnedBundleVerifiesSequentiallyAndParallel) {
 
 TEST(GoldenDigestTest, WalAndCheckpointBytesArePinned) {
   storage::Env* env = storage::Env::Default();
-  const std::string dir = ::testing::TempDir() + "/provdb_golden_wal";
+  const std::string root = ::testing::TempDir() + "/provdb_golden_pipeline";
+  const std::string dir = ShardedProvenanceStore::ShardDirName(root, 0);
+  ASSERT_TRUE(env->CreateDir(root).ok());
   ASSERT_TRUE(env->CreateDir(dir).ok());
   const std::vector<std::string> leftovers = env->ListDir(dir).value();
   for (const std::string& name : leftovers) {
@@ -152,20 +156,21 @@ TEST(GoldenDigestTest, WalAndCheckpointBytesArePinned) {
 
   // A small segment limit rolls the log every few records, so the
   // directory ends with a sealed checkpoint and at least two segments.
-  storage::WalOptions options;
-  options.segment_size_limit = 512;
-  auto wal = storage::WalWriter::Open(env, dir, options);
-  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   const crypto::Participant& sealer = TestPki::Instance().participant(0);
-  TrackedDatabase db;
-  ASSERT_TRUE(db.AttachWal(&*wal).ok());
-  RunWorkload(&db, [&] {
-    EXPECT_TRUE(db.CheckpointWal(sealer.signer(), sealer.id()).ok());
-  });
+  IngestOptions options;
+  options.wal.segment_size_limit = 512;
+  options.checkpoint.signer = &sealer.signer();
+  options.checkpoint.sealer_id = sealer.id();
+  auto pipeline = IngestPipeline::Open(env, root, options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  auto db = TrackedDatabase::Open(pipeline->get());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  RunWorkload(db->get(),
+              [&] { EXPECT_TRUE((*pipeline)->CheckpointNow().ok()); });
   // A prune marker: a standalone object inserted and then pruned.
-  ObjectId solo = db.Insert(sealer, Value::Int(7)).value();
-  ASSERT_TRUE(db.mutable_provenance()->PruneObject(solo).ok());
-  ASSERT_TRUE(wal->Close().ok());
+  ObjectId solo = (*db)->Insert(sealer, Value::Int(7)).value();
+  ASSERT_TRUE((*pipeline)->Prune(solo).ok());
+  ASSERT_TRUE((*pipeline)->Close().ok());
 
   std::vector<std::string> names = env->ListDir(dir).value();
   std::sort(names.begin(), names.end());
@@ -190,6 +195,31 @@ TEST(GoldenDigestTest, WalAndCheckpointBytesArePinned) {
       << "WAL segment or checkpoint bytes drifted (" << names.size()
       << " files, " << corpus.size()
       << " bytes). If intentional, re-pin kGoldenWalDirSha256.";
+}
+
+// The golden workload over a borrowed pipeline that signs on a pool of
+// four gives the default database's records, byte for byte and in the
+// same store order. ("Parallel" in the name opts it into the TSan CI
+// stage's filter.)
+TEST(GoldenDigestTest, ParallelSigningPoolKeepsRecordBytes) {
+  TrackedDatabase reference;
+  RunWorkload(&reference);
+
+  IngestOptions options;
+  options.signing = ParallelismConfig{4};
+  auto pipeline = IngestPipeline::OpenInMemory(options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  auto db = TrackedDatabase::Open(pipeline->get());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  RunWorkload(db->get());
+
+  const ProvenanceStore& expected = reference.provenance();
+  const ProvenanceStore& actual = (*db)->provenance();
+  ASSERT_EQ(actual.record_count(), expected.record_count());
+  for (uint64_t i = 0; i < expected.record_count(); ++i) {
+    EXPECT_EQ(EncodeRecord(actual.record(i)), EncodeRecord(expected.record(i)))
+        << "record " << i;
+  }
 }
 
 TEST(GoldenDigestTest, WireFramesArePinned) {

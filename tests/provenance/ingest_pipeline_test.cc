@@ -9,12 +9,14 @@
 
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/hashmix.h"
 #include "common/thread_pool.h"
+#include "observability/metrics.h"
 #include "provenance/serialization.h"
 #include "provenance/verifier.h"
 #include "storage/fault_injection_env.h"
@@ -75,6 +77,20 @@ IngestRequest Update(ObjectId id, uint8_t pre, uint8_t post, size_t p = 0) {
   r.pre_hash = D(pre);
   r.post_hash = D(post);
   r.participant = &P(p);
+  return r;
+}
+
+/// Aggregate of one untracked-looking input (empty prev checksum) into
+/// `id`, carrying the producer-computed `seq`.
+IngestRequest Aggregate(ObjectId id, ObjectId input, uint8_t tag, SeqId seq) {
+  IngestRequest r;
+  r.op = OperationType::kAggregate;
+  r.object = id;
+  r.post_hash = D(tag);
+  r.inputs = {ObjectState{input, D(static_cast<uint8_t>(tag + 1))}};
+  r.input_prev_checksums = {Bytes{}};
+  r.aggregate_seq = seq;
+  r.participant = &P(0);
   return r;
 }
 
@@ -455,6 +471,159 @@ TEST(IngestPipelineTest, SubmitValidatesAggregateShape) {
   // Validation failures do not poison the pipeline.
   EXPECT_TRUE((*pipeline)->Submit(Insert(6, 0x06)).ok());
   ASSERT_TRUE((*pipeline)->Close().ok());
+}
+
+// Submit checks each request against its object's chain, pending
+// requests included, and refuses a chain break without buffering it: the
+// next Drain still succeeds.
+TEST(IngestPipelineTest, SubmitRefusesChainBreaksWithoutPoisoning) {
+  std::string root = FreshDir("chain_check");
+  IngestOptions options;
+  options.num_shards = 1;
+  auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  ASSERT_TRUE((*pipeline)->Submit(Insert(1, 0x01)).ok());
+  ASSERT_TRUE((*pipeline)->Drain().ok());  // object 1: a committed chain
+  ASSERT_TRUE((*pipeline)->Submit(Insert(2, 0x02)).ok());  // 2: pending
+
+  // A second insert of an object already pending in the same batch.
+  EXPECT_EQ((*pipeline)->Submit(Insert(2, 0x12)).code(),
+            StatusCode::kFailedPrecondition);
+  // An insert of an object with a committed chain.
+  EXPECT_EQ((*pipeline)->Submit(Insert(1, 0x11)).code(),
+            StatusCode::kFailedPrecondition);
+  // An aggregate whose output has a chain, committed or pending.
+  EXPECT_EQ((*pipeline)->Submit(Aggregate(1, 9, 0x91, 1)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*pipeline)->Submit(Aggregate(2, 9, 0x92, 1)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*pipeline)->submitted(), 2u) << "a refused request was buffered";
+
+  ASSERT_TRUE((*pipeline)->Submit(Update(2, 0x02, 0x22)).ok());
+  ASSERT_TRUE((*pipeline)->Drain().ok());
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  EXPECT_EQ(snapshot.record_count(), 3u);
+  auto report = ProvenanceVerifier(&TestPki::Instance().registry())
+                    .VerifyStore(snapshot);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  ASSERT_TRUE((*pipeline)->Close().ok());
+}
+
+// The seq id Submit reports is the one the committed record carries:
+// chains continue across pending requests, a bootstrap update starts at
+// 0, and an aggregate takes its producer-computed seq id.
+TEST(IngestPipelineTest, SubmitReportsTheCommittedSeqIds) {
+  std::string root = FreshDir("seq_ids");
+  IngestOptions options;
+  options.num_shards = 2;
+  options.max_batch_records = 2;  // some requests flush, some stay pending
+  auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+
+  const std::vector<IngestRequest> requests = {
+      Update(5, 0x50, 0x51),  // bootstrap: no chain yet
+      Insert(6, 0x60),
+      Update(6, 0x60, 0x61),
+      Update(5, 0x51, 0x52),
+      Update(6, 0x61, 0x62),
+      Aggregate(7, 6, 0x70, 3),  // 1 + the input's seq id 2
+      Update(7, 0x70, 0x71),
+  };
+  std::map<ObjectId, std::vector<SeqId>> reported;
+  for (const IngestRequest& request : requests) {
+    SeqId seq = 99;
+    ASSERT_TRUE((*pipeline)->Submit(request, &seq).ok());
+    reported[request.object].push_back(seq);
+  }
+  ASSERT_TRUE((*pipeline)->Drain().ok());
+  EXPECT_EQ(reported[5], (std::vector<SeqId>{0, 1}));
+  EXPECT_EQ(reported[6], (std::vector<SeqId>{0, 1, 2}));
+  EXPECT_EQ(reported[7], (std::vector<SeqId>{3, 4}));
+
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  for (const auto& [object, seqs] : reported) {
+    SCOPED_TRACE("object " + std::to_string(object));
+    auto chain = snapshot.ChainRecords(object);
+    ASSERT_EQ(chain.size(), seqs.size());
+    for (size_t i = 0; i < seqs.size(); ++i) {
+      EXPECT_EQ(chain[i]->seq_id, seqs[i]);
+    }
+  }
+  ASSERT_TRUE((*pipeline)->Close().ok());
+}
+
+// A prune the store refuses (an aggregation input) is refused before its
+// marker reaches the WAL: recovery replays every marker, so a refused one
+// on disk would leave the directory unrecoverable.
+TEST(IngestPipelineTest, RefusedPruneAppendsNothing) {
+  std::string root = FreshDir("refused_prune");
+  IngestOptions options;
+  options.num_shards = 1;
+  auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  ASSERT_TRUE((*pipeline)->Submit(Insert(1, 0x01)).ok());
+  ASSERT_TRUE((*pipeline)->Submit(Aggregate(2, 1, 0x20, 1)).ok());
+  ASSERT_TRUE((*pipeline)->Drain().ok());
+
+  const uint64_t appended = (*pipeline)->shard_wal(0)->appended_records();
+  EXPECT_EQ((*pipeline)->Prune(1).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*pipeline)->shard_wal(0)->appended_records(), appended);
+  // Not poisoned: ingest goes on.
+  ASSERT_TRUE((*pipeline)->Submit(Update(1, 0x01, 0x11)).ok());
+  ASSERT_TRUE((*pipeline)->Close().ok());
+
+  std::vector<storage::WalRecoveryReport> reports;
+  auto recovered =
+      ShardedProvenanceStore::Recover(Env::Default(), root, 1, &reports);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(reports[0].clean()) << reports[0].detail;
+  EXPECT_EQ(recovered->shard(0).live_record_count(), 3u);
+}
+
+// A memory-only pipeline signs, commits and publishes with no Env: no
+// WAL exists, nothing is appended or synced, and there is nothing to
+// checkpoint.
+TEST(IngestPipelineTest, MemoryOnlyPipelineWritesNothing) {
+  observability::Counter* appends =
+      observability::GlobalMetrics().counter("wal.appends");
+  observability::Counter* syncs =
+      observability::GlobalMetrics().counter("wal.syncs");
+  const uint64_t appends_before = appends->value();
+  const uint64_t syncs_before = syncs->value();
+
+  IngestOptions options;
+  options.num_shards = 2;
+  options.max_batch_records = 2;
+  auto pipeline = IngestPipeline::OpenInMemory(options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  for (ObjectId id = 1; id <= 4; ++id) {
+    const uint8_t tag = static_cast<uint8_t>(id);
+    ASSERT_TRUE((*pipeline)->Submit(Insert(id, tag)).ok());
+    ASSERT_TRUE((*pipeline)
+                    ->Submit(Update(id, tag, static_cast<uint8_t>(tag + 10)))
+                    .ok());
+  }
+  ASSERT_TRUE((*pipeline)->Drain().ok());
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  EXPECT_EQ(snapshot.record_count(), 8u);
+  auto report = ProvenanceVerifier(&TestPki::Instance().registry())
+                    .VerifyStore(snapshot);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ((*pipeline)->shard_wal(0), nullptr);
+  EXPECT_EQ((*pipeline)->shard_wal(1), nullptr);
+  EXPECT_EQ(appends->value(), appends_before);
+  EXPECT_EQ(syncs->value(), syncs_before);
+
+  EXPECT_EQ((*pipeline)->CheckpointNow().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE((*pipeline)->Close().ok());
+
+  // A checkpoint policy needs a WAL to compact.
+  options.checkpoint.every_records = 4;
+  options.checkpoint.signer = &P(0).signer();
+  EXPECT_EQ(IngestPipeline::OpenInMemory(options).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Parallel signing must be bit-identical to sequential signing: RSA

@@ -202,11 +202,40 @@ TEST_F(TrackedDatabaseTest, ValueSnapshotsStoredWhenEnabled) {
   TrackedDatabaseOptions opts;
   opts.store_value_snapshots = true;
   TrackedDatabase db(opts);
-  auto a = db.Insert(p1(), Value::Int(7));
+  ObjectId a = db.Insert(p1(), Value::Int(7)).value();
   const ProvenanceRecord& rec = db.provenance().record(0);
   ASSERT_TRUE(rec.has_output_snapshot);
   EXPECT_EQ(rec.output_snapshot, Value::Int(7));
-  (void)a;
+
+  // An update's record carries the new value too; the inherited record
+  // it causes on the parent carries none.
+  ObjectId cell = db.Insert(p1(), Value::Int(8), a).value();
+  ASSERT_TRUE(db.Update(p1(), cell, Value::Int(9)).ok());
+  const ProvenanceRecord& update =
+      db.provenance().record(db.provenance().ChainOf(cell).back());
+  ASSERT_TRUE(update.has_output_snapshot);
+  EXPECT_EQ(update.output_snapshot, Value::Int(9));
+  const ProvenanceRecord& inherited =
+      db.provenance().record(db.provenance().ChainOf(a).back());
+  EXPECT_TRUE(inherited.inherited);
+  EXPECT_FALSE(inherited.has_output_snapshot);
+}
+
+TEST_F(TrackedDatabaseTest, OpenRefusesAPipelineItCannotWriteThrough) {
+  IngestOptions sharded;
+  sharded.num_shards = 2;
+  auto two_shards = IngestPipeline::OpenInMemory(sharded);
+  ASSERT_TRUE(two_shards.ok());
+  EXPECT_EQ(TrackedDatabase::Open(two_shards->get()).status().code(),
+            StatusCode::kInvalidArgument);
+
+  auto sha1 = IngestPipeline::OpenInMemory(IngestOptions());
+  ASSERT_TRUE(sha1.ok());
+  TrackedDatabaseOptions sha256;
+  sha256.hash_algorithm = crypto::HashAlgorithm::kSha256;
+  EXPECT_EQ(TrackedDatabase::Open(sha1->get(), sha256).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(TrackedDatabase::Open(sha1->get()).ok());
 }
 
 TEST_F(TrackedDatabaseTest, OperationsOnMissingObjectsFail) {

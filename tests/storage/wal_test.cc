@@ -468,24 +468,6 @@ TEST_F(WalTest, SyncedRecordsSurvivePowerCut) {
   EXPECT_EQ(reader->payloads()[4].ToString(), "durable-4");
 }
 
-TEST_F(WalTest, SyncEveryAppendLosesNothing) {
-  FaultInjectionEnv fault_env(Env::Default());
-  WalOptions options;
-  options.sync_every_append = true;
-  {
-    auto wal = WalWriter::Open(&fault_env, dir_, options);
-    ASSERT_TRUE(wal.ok());
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(wal->Append(B("r" + std::to_string(i))).ok());
-    }
-    EXPECT_EQ(wal->synced_records(), 4u);
-  }
-  ASSERT_TRUE(fault_env.DropUnsyncedFileData().ok());
-  auto reader = WalReader::Open(&fault_env, dir_);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->payloads().size(), 4u);
-}
-
 TEST_F(WalTest, TornAppendIsSalvagedNeverResurrected) {
   FaultInjectionEnv fault_env(Env::Default());
   {

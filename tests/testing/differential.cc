@@ -206,6 +206,17 @@ Status WipeIngestRoot(storage::Env* env, const std::string& root) {
   return Status::OK();
 }
 
+Result<DurableTrackedDatabase> OpenDurableTrackedDatabase(
+    storage::Env* env, const std::string& root,
+    const provenance::IngestOptions& options) {
+  DurableTrackedDatabase durable;
+  PROVDB_ASSIGN_OR_RETURN(durable.pipeline,
+                          provenance::IngestPipeline::Open(env, root, options));
+  PROVDB_ASSIGN_OR_RETURN(
+      durable.db, provenance::TrackedDatabase::Open(durable.pipeline.get()));
+  return durable;
+}
+
 std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
 ChainsByIndex(const provenance::ProvenanceStore& store) {
   std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>> chains;

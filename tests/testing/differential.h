@@ -13,6 +13,7 @@
 #include "provenance/ingest_pipeline.h"
 #include "provenance/provenance_store.h"
 #include "provenance/subtree_hasher.h"
+#include "provenance/tracked_database.h"
 #include "storage/env.h"
 #include "storage/tree_store.h"
 #include "storage/value.h"
@@ -117,6 +118,19 @@ Status RandomDifferentialWorkload(IngestWorkloadBuilder* builder,
 /// The directories themselves may remain; an empty shard dir recovers to
 /// an empty shard.
 Status WipeIngestRoot(storage::Env* env, const std::string& root);
+
+/// A TrackedDatabase over the durable one-shard pipeline it borrows. The
+/// WAL lives in ShardedProvenanceStore::ShardDirName(root, 0).
+struct DurableTrackedDatabase {
+  std::unique_ptr<provenance::IngestPipeline> pipeline;
+  std::unique_ptr<provenance::TrackedDatabase> db;
+};
+
+/// Opens (or reopens) a one-shard pipeline at `root` with `options`
+/// (num_shards stays 1) and a TrackedDatabase over it.
+Result<DurableTrackedDatabase> OpenDurableTrackedDatabase(
+    storage::Env* env, const std::string& root,
+    const provenance::IngestOptions& options = provenance::IngestOptions());
 
 /// Submits `requests` in order and, when `drain_every` > 0, calls
 /// Drain() after every `drain_every` submits — the network server's

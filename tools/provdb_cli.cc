@@ -240,13 +240,26 @@ int Stats(bool as_json) {
   std::error_code ec;
   std::filesystem::remove_all(wal_dir, ec);
 
-  provenance::TrackedDatabase db;
-  auto wal = storage::WalWriter::Open(storage::Env::Default(),
-                                      wal_dir.string());
-  if (!wal.ok() || !db.AttachWal(&*wal).ok()) {
+  // A durable tracked database: every operation returns once its records
+  // are fsynced into the one-shard pipeline's WAL. The pipeline seals
+  // checkpoints with alice's key when asked (CheckpointNow below).
+  crypto::RsaSignatureVerifier seal_verifier(alice.public_key());
+  provenance::IngestOptions wal_options;
+  wal_options.checkpoint.signer = &alice.signer();
+  wal_options.checkpoint.sealer_id = alice.id();
+  wal_options.checkpoint.verifier = &seal_verifier;
+  auto pipeline_or = provenance::IngestPipeline::Open(
+      storage::Env::Default(), wal_dir.string(), wal_options);
+  if (!pipeline_or.ok()) {
     std::fprintf(stderr, "cannot open WAL under %s\n", wal_dir.c_str());
     return 1;
   }
+  std::unique_ptr<provenance::IngestPipeline> durable =
+      std::move(pipeline_or).value();
+  // One shard and the default hash algorithm: Open cannot refuse these.
+  std::unique_ptr<provenance::TrackedDatabase> tracked =
+      provenance::TrackedDatabase::Open(durable.get()).value();
+  provenance::TrackedDatabase& db = *tracked;
 
   std::vector<storage::ObjectId> docs;
   for (int i = 0; i < 8; ++i) {
@@ -262,10 +275,6 @@ int Stats(bool as_json) {
       db.Aggregate(bob, {docs[0], docs[1], docs[2]},
                    storage::Value::String("archive"))
           .value();
-  if (!db.SyncWal().ok()) {
-    std::fprintf(stderr, "WAL sync failed\n");
-    return 1;
-  }
 
   auto bundle = db.ExportForRecipient(archive).value();
   provenance::ProvenanceVerifier verifier(&registry,
@@ -280,8 +289,7 @@ int Stats(bool as_json) {
   // WAL and garbage-collecting the segments it covers), append a small
   // suffix, then recover from checkpoint + suffix — populating the
   // checkpoint.* and wal.gc.* instruments.
-  crypto::RsaSignatureVerifier seal_verifier(alice.public_key());
-  if (!db.CheckpointWal(alice.signer(), alice.id()).ok()) {
+  if (!durable->CheckpointNow().ok()) {
     std::fprintf(stderr, "WAL checkpoint failed\n");
     return 1;
   }
@@ -290,12 +298,10 @@ int Stats(bool as_json) {
               storage::Value::Int(200 + i))
         .ok();
   }
-  if (!db.SyncWal().ok()) {
-    std::fprintf(stderr, "WAL sync failed\n");
-    return 1;
-  }
   auto recovered = provenance::ProvenanceStore::RecoverFromWal(
-      storage::Env::Default(), wal_dir.string(), nullptr, &seal_verifier);
+      storage::Env::Default(),
+      provenance::ShardedProvenanceStore::ShardDirName(wal_dir.string(), 0),
+      nullptr, &seal_verifier);
   std::filesystem::remove_all(wal_dir, ec);
   if (!report.ok() || !audit.ok() || !recovered.ok() ||
       recovered->record_count() != db.provenance().record_count()) {
