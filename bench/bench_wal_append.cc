@@ -5,11 +5,11 @@
 //
 // A batched mode calls WalWriter::Sync after every `batch` appends,
 // which is the durability point the ingest pipeline places once per
-// flushed batch (IngestOptions::max_batch_records). After every mode a
-// WalReader verify pass replays the log; a recovery error, an unclean
-// report, or a recovered payload that differs from the one appended
-// fails the bench — a throughput number for a log that does not recover
-// is worthless.
+// shard and write-ahead (IngestOptions::max_batch_records caps a batch).
+// After every mode a WalReader verify pass replays the log; a recovery
+// error, an unclean report, or a recovered payload that differs from the
+// one appended fails the bench — a throughput number for a log that does
+// not recover is worthless.
 
 // A second pass measures checkpoint-bounded recovery (DESIGN.md §13):
 // the same store is recovered behind checkpoints taken at different

@@ -30,6 +30,7 @@ ProvenanceServer::ProvenanceServer(
       engine_(pipeline->options().hash_algorithm),
       admission_(options.max_inflight_bytes,
                  &observability::GlobalMetrics()),
+      awaiting_(pipeline->options().num_shards),
       connections_accepted_(observability::GlobalMetrics().counter(
           "server.connections.accepted")),
       connections_active_(observability::GlobalMetrics().gauge(
@@ -60,6 +61,15 @@ Result<std::unique_ptr<ProvenanceServer>> ProvenanceServer::Start(
   server->loop_pool_ = std::make_unique<ThreadPool>(1);
   server->exec_pool_ = std::make_unique<ThreadPool>(1);
   ProvenanceServer* raw = server.get();
+  // Completions must name only this server's submits: whatever an
+  // earlier producer left pending commits first. A poisoned pipeline
+  // answers every submit with its poison anyway.
+  (void)pipeline->Drain();
+  pipeline->SetProducerHooks(
+      [raw] { raw->OnPipelineReady(); },
+      [raw](const provenance::BatchCompletion& completion) {
+        raw->OnBatchDone(completion);
+      });
   raw->loop_pool_->Submit([raw] { raw->PollLoop(); });
   return server;
 }
@@ -69,6 +79,8 @@ ProvenanceServer::~ProvenanceServer() { Stop(); }
 void ProvenanceServer::Stop() {
   if (stopped_) return;
   stopped_ = true;
+  // No pipeline thread may reach this server once Stop returns.
+  pipeline_->SetProducerHooks(nullptr, nullptr);
   {
     MutexLock lock(&mu_);
     stop_ = true;
@@ -339,102 +351,126 @@ void ProvenanceServer::ExecutorRun() {
     std::deque<ExecItem> batch;
     {
       MutexLock lock(&mu_);
-      if (exec_queue_.empty()) {
+      if (exec_queue_.empty() && !pipeline_ready_) {
         exec_scheduled_ = false;
         return;
       }
       batch.swap(exec_queue_);
+      pipeline_ready_ = false;
     }
-    ProcessBatch(std::move(batch));
+    for (ExecItem& item : batch) {
+      Execute(std::move(item));
+      // Hand over the answers a completion produced on the way, so acks
+      // do not wait for the rest of the pass.
+      if (!done_.empty()) FlushDone();
+    }
+    // Keep filling the open batches while requests keep arriving (the
+    // pipeline's thresholds cap them); close them once the queue runs
+    // dry. The acks come from the completions either call reports.
+    bool dry = false;
+    {
+      MutexLock lock(&mu_);
+      dry = exec_queue_.empty();
+    }
+    (void)(dry ? pipeline_->Flush() : pipeline_->Poll());
+    FlushDone();
   }
 }
 
-void ProvenanceServer::ProcessBatch(std::deque<ExecItem> batch) {
-  std::vector<DoneItem> out;
-  std::vector<std::pair<ExecItem, provenance::SeqId>> awaiting;
-  auto make_done = [](const ExecItem& item, Response response) {
-    DoneItem done;
-    done.session = item.session;
-    done.seq = item.seq;
-    done.charge = item.charge;
-    done.arrival_micros = item.arrival_micros;
-    done.ok = response.ok();
-    done.frame = EncodeFrame(EncodeResponse(response));
-    return done;
-  };
-  for (auto& item : batch) {
-    observability::TraceSpan span("server.request");
-    if (item.request.op == NetOp::kSubmitRecord) {
-      // The pipeline checks the request's shape and chain at Submit and
-      // refuses a bad one without buffering it, so no remote request can
-      // poison ingest for everyone. Only the participant is ours to map.
-      const SubmitRequest& submit = item.request.submit;
-      auto participant = participants_.find(submit.participant_id);
-      Status valid = Status::OK();
-      if (participant == participants_.end()) {
-        valid = Status::NotFound("unknown participant id " +
-                                 std::to_string(submit.participant_id));
-      } else {
-        provenance::IngestRequest ingest;
-        ingest.op = submit.op;
-        ingest.object = submit.object;
-        ingest.post_hash = submit.post_hash;
-        ingest.has_pre_hash = submit.has_pre_hash;
-        ingest.pre_hash = submit.pre_hash;
-        ingest.inputs = submit.inputs;
-        ingest.input_prev_checksums = submit.input_prev_checksums;
-        ingest.aggregate_seq = submit.aggregate_seq;
-        ingest.inherited = submit.inherited;
-        ingest.participant = participant->second;
-        provenance::SeqId assigned = 0;
-        valid = pipeline_->Submit(ingest, &assigned);
-        if (valid.ok()) {
-          awaiting.emplace_back(std::move(item), assigned);
-          continue;
-        }
-      }
-      Response response;
-      response.code = valid.code();
-      response.message = valid.message();
-      out.push_back(make_done(item, std::move(response)));
-    } else {
-      // A read observes everything submitted before it on this
-      // connection ordering: commit the pending run first.
-      DrainAndAck(&out, &awaiting);
-      out.push_back(make_done(item, ExecuteRead(item.request)));
-    }
-  }
-  DrainAndAck(&out, &awaiting);
-  PushDone(std::move(out));
+void ProvenanceServer::Respond(const ExecItem& item,
+                               const Response& response) {
+  DoneItem done;
+  done.session = item.session;
+  done.seq = item.seq;
+  done.charge = item.charge;
+  done.arrival_micros = item.arrival_micros;
+  done.ok = response.ok();
+  done.frame = EncodeFrame(EncodeResponse(response));
+  done_.push_back(std::move(done));
 }
 
-void ProvenanceServer::DrainAndAck(
-    std::vector<DoneItem>* out,
-    std::vector<std::pair<ExecItem, provenance::SeqId>>* awaiting) {
-  if (awaiting->empty()) return;
-  // ONE fsync point for the whole run — the group-commit batch these
-  // submits rode in. Only after it do the acks exist at all: an accepted
-  // record is durable, unconditionally.
-  Status drained = pipeline_->Drain();
-  for (auto& [item, assigned] : *awaiting) {
+void ProvenanceServer::Execute(ExecItem item) {
+  observability::TraceSpan span("server.request");
+  if (item.request.op != NetOp::kSubmitRecord) {
+    // A read observes everything submitted before it: the Drain makes
+    // those submits durable, and their completions answer them first.
+    (void)pipeline_->Drain();
+    Respond(item, ExecuteRead(item.request));
+    return;
+  }
+  // The pipeline checks the request's shape and chain at Submit and
+  // refuses a bad one without buffering it, so no remote request can
+  // poison ingest for everyone. Only the participant is ours to map.
+  const SubmitRequest& submit = item.request.submit;
+  auto participant = participants_.find(submit.participant_id);
+  if (participant == participants_.end()) {
     Response response;
-    if (drained.ok()) {
-      AppendVarint64(&response.body, assigned);
+    response.code = StatusCode::kNotFound;
+    response.message =
+        "unknown participant id " + std::to_string(submit.participant_id);
+    Respond(item, response);
+    return;
+  }
+  provenance::IngestRequest ingest;
+  ingest.op = submit.op;
+  ingest.object = submit.object;
+  ingest.post_hash = submit.post_hash;
+  ingest.has_pre_hash = submit.has_pre_hash;
+  ingest.pre_hash = submit.pre_hash;
+  ingest.inputs = submit.inputs;
+  ingest.input_prev_checksums = submit.input_prev_checksums;
+  ingest.aggregate_seq = submit.aggregate_seq;
+  ingest.inherited = submit.inherited;
+  ingest.participant = participant->second;
+  // Queued before Submit: a completion reported inside the call (an
+  // inline commit, or a poison) may already answer it. Completions
+  // answer from the front, so it is still queued exactly when the queue
+  // is not empty.
+  const size_t shard = provenance::ShardedProvenanceStore::ShardOf(
+      submit.object, awaiting_.size());
+  std::deque<Awaiting>& queue = awaiting_[shard];
+  queue.push_back(Awaiting{std::move(item), 0});
+  Status submitted = pipeline_->Submit(ingest, &queue.back().seq);
+  if (!submitted.ok() && !queue.empty()) {
+    // Refused: no completion will ever name it.
+    Response response;
+    response.code = submitted.code();
+    response.message = submitted.message();
+    Respond(queue.back().item, response);
+    queue.pop_back();
+  }
+}
+
+void ProvenanceServer::OnBatchDone(
+    const provenance::BatchCompletion& completion) {
+  std::deque<Awaiting>& queue = awaiting_[completion.shard];
+  for (size_t i = 0; i < completion.records && !queue.empty(); ++i) {
+    const Awaiting& awaiting = queue.front();
+    Response response;
+    if (completion.status.ok()) {
+      AppendVarint64(&response.body, awaiting.seq);
       records_committed_->Increment();
     } else {
-      response.code = drained.code();
-      response.message = drained.message();
+      response.code = completion.status.code();
+      response.message = completion.status.message();
     }
-    DoneItem done;
-    done.session = item.session;
-    done.seq = item.seq;
-    done.charge = item.charge;
-    done.arrival_micros = item.arrival_micros;
-    done.ok = response.ok();
-    done.frame = EncodeFrame(EncodeResponse(response));
-    out->push_back(std::move(done));
+    Respond(awaiting.item, response);
+    queue.pop_front();
   }
-  awaiting->clear();
+}
+
+void ProvenanceServer::OnPipelineReady() {
+  bool kick = false;
+  {
+    MutexLock lock(&mu_);
+    if (stop_) return;
+    pipeline_ready_ = true;
+    if (!exec_scheduled_) {
+      exec_scheduled_ = true;
+      kick = true;
+    }
+  }
+  if (kick) exec_pool_->Submit([this] { ExecutorRun(); });
 }
 
 Response ProvenanceServer::ExecuteRead(const Request& request) {
@@ -442,8 +478,8 @@ Response ProvenanceServer::ExecuteRead(const Request& request) {
   switch (request.op) {
     case NetOp::kQueryChain: {
       // Reads run against a pinned batch-boundary snapshot, not the live
-      // store: the connection-ordering drain above guarantees this
-      // client's own submits are committed (and therefore published),
+      // store: the drain before every read guarantees this client's own
+      // submits are committed (and therefore published),
       // while concurrent writers from other connections keep ingesting
       // without being blocked by — or racing — this traversal.
       provenance::StoreSnapshot snapshot = pipeline_->OpenSnapshot();
@@ -504,12 +540,13 @@ Response ProvenanceServer::ExecuteRead(const Request& request) {
   return response;
 }
 
-void ProvenanceServer::PushDone(std::vector<DoneItem> items) {
-  if (items.empty()) return;
+void ProvenanceServer::FlushDone() {
+  if (done_.empty()) return;
   {
     MutexLock lock(&mu_);
-    for (auto& item : items) done_queue_.push_back(std::move(item));
+    for (DoneItem& item : done_) done_queue_.push_back(std::move(item));
   }
+  done_.clear();
   wake_.Wake();
 }
 

@@ -60,16 +60,19 @@ struct ServerOptions {
 ///   * the POLL thread owns every socket, every session buffer, and all
 ///     admission accounting; it parses frames, sheds overload, and
 ///     flushes responses,
-///   * the EXECUTOR strand owns the pipeline and its store: it maps each
+///   * the EXECUTOR strand is the pipeline's producer: it maps each
 ///     submit's participant and submits it — the pipeline refuses a
 ///     request that would break its chain at Submit, typed and without
 ///     buffering it, so a remote peer cannot wedge ingest for everyone —
-///     then issues ONE Drain() for the run and only then acks each
-///     accepted record with the seq id Submit reported. An acked record
-///     is therefore durable per the group-commit batch it rode in — the
-///     pipeline's write-ahead contract extends to the wire. Reads
-///     (query/verify/stats) run on the same strand after the drain that
-///     precedes them; query and verify read a pinned snapshot.
+///     and closes the open batches (Flush) whenever its queue runs dry.
+///     The pipeline wakes it when producer work is ready; it then Polls,
+///     and each batch completion acks that batch's records with the seq
+///     ids Submit reported, or answers them with the poison. An acked
+///     record is therefore durable per the group-commit batch it rode in
+///     — the pipeline's write-ahead contract extends to the wire. Reads
+///     (query/verify/stats) run on the strand behind a Drain, so they see
+///     every submit before them; query and verify read a pinned
+///     snapshot.
 /// The two communicate through locked queues and a self-pipe; per-
 /// connection response order is request order (a reorder buffer holds
 /// executor completions that finish ahead of an earlier request's).
@@ -99,8 +102,9 @@ class ProvenanceServer {
   uint16_t port() const { return listener_.bound_port(); }
 
   /// Idempotent graceful stop. In-flight requests already handed to the
-  /// executor still commit (durably), but their responses are dropped
-  /// with the connections; quiesce clients first when that matters.
+  /// executor are still submitted and commit at the pipeline's next
+  /// Drain or Close, but their responses are dropped with the
+  /// connections; quiesce clients first when that matters.
   void Stop();
 
  private:
@@ -121,6 +125,12 @@ class ProvenanceServer {
     uint64_t charge = 0;
     uint64_t arrival_micros = 0;
     bool ok = false;
+  };
+
+  /// An accepted submit waiting for its batch's completion.
+  struct Awaiting {
+    ExecItem item;
+    provenance::SeqId seq = 0;
   };
 
   /// A response frame waiting for its turn in the connection's order.
@@ -171,14 +181,20 @@ class ProvenanceServer {
 
   // -- Executor strand -------------------------------------------------
   void ExecutorRun();
-  void ProcessBatch(std::deque<ExecItem> batch);
-  /// Flushes the pipeline and acks `awaiting` (or fails them all when
-  /// the drain fails — none of them is durable then).
-  void DrainAndAck(std::vector<DoneItem>* out,
-                   std::vector<std::pair<ExecItem, provenance::SeqId>>*
-                       awaiting);
+  /// Submits one request, or runs a read behind a Drain.
+  void Execute(ExecItem item);
+  /// Queues `response` as the answer to `item`.
+  void Respond(const ExecItem& item, const Response& response);
+  /// The pipeline's completion hook: acks (or fails) the batch's
+  /// records, oldest first.
+  void OnBatchDone(const provenance::BatchCompletion& completion);
   Response ExecuteRead(const Request& request);
-  void PushDone(std::vector<DoneItem> items);
+  /// Hands the strand's answers so far to the poll thread.
+  void FlushDone();
+
+  /// The pipeline's wake hook (any pipeline thread): schedules the
+  /// strand so it Polls.
+  void OnPipelineReady();
 
   provenance::IngestPipeline* pipeline_;
   const crypto::ParticipantRegistry* registry_;
@@ -195,12 +211,20 @@ class ProvenanceServer {
   uint64_t next_session_id_ = 1;
   AdmissionController admission_;
 
+  // Strand-only state: accepted submits awaiting their batch's
+  // completion, per shard in Submit order, and the responses of the
+  // strand's current pass.
+  std::vector<std::deque<Awaiting>> awaiting_;
+  std::vector<DoneItem> done_;
+
   /// Guards the cross-thread handoff queues and the stop flag.
   mutable Mutex mu_;
   bool stop_ PROVDB_GUARDED_BY(mu_) = false;
   std::deque<ExecItem> exec_queue_ PROVDB_GUARDED_BY(mu_);
   std::deque<DoneItem> done_queue_ PROVDB_GUARDED_BY(mu_);
   bool exec_scheduled_ PROVDB_GUARDED_BY(mu_) = false;
+  /// The pipeline has producer work for the strand.
+  bool pipeline_ready_ PROVDB_GUARDED_BY(mu_) = false;
 
   // Single-thread executors; loop_pool_ runs PollLoop as one long task,
   // exec_pool_ runs ExecutorRun strand activations.

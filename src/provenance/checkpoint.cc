@@ -23,6 +23,9 @@ struct ChainTail {
 
 constexpr char kTmpSuffix[] = ".tmp";
 
+/// Bytes of frames a seal gathers before appending them to its file.
+constexpr size_t kWriteChunk = 64 * 1024;
+
 /// "checkpoint-NNNNNN.pvck" -> horizon, or 0 when `name` is not a
 /// (non-temporary) checkpoint file. Unlike WAL segment names a horizon
 /// of 0 never appears in a file name, so 0 is unambiguous here.
@@ -90,17 +93,47 @@ Result<CheckpointManifest> DecodeManifest(ByteView payload) {
   return manifest;
 }
 
-/// The live chain tails of `store`, ascending by object id — the map
-/// iteration order *is* the sealed order.
-std::map<storage::ObjectId, ChainTail> CollectChainTails(
-    const ProvenanceStore& store) {
-  std::map<storage::ObjectId, ChainTail> tails;
+/// The live records of `store` in store index order: what a checkpoint
+/// seals, in the order it seals them.
+std::vector<const ProvenanceRecord*> LiveRecords(const ProvenanceStore& store) {
+  std::vector<const ProvenanceRecord*> records;
+  records.reserve(store.live_record_count());
   for (uint64_t i = 0; i < store.record_count(); ++i) {
-    if (store.is_pruned(i)) continue;
-    const ProvenanceRecord& rec = store.record(i);
-    // Index order is seqID order per chain, so the last live record of
-    // an object seen in this scan is its tail.
-    tails[rec.output.object_id] = ChainTail{rec.seq_id, rec.checksum};
+    if (!store.is_pruned(i)) records.push_back(&store.record(i));
+  }
+  return records;
+}
+
+/// The same for a published version: its live chains hold exactly the
+/// live records (a prune drops a whole chain), and each cell carries the
+/// record's store index.
+std::vector<const ProvenanceRecord*> LiveRecords(const StoreReadView& view) {
+  std::vector<const ChainNode*> cells;
+  cells.reserve(view.live_record_count());
+  view.ForEachChain([&cells](storage::ObjectId, const ChainNode* head) {
+    for (const ChainNode* cell = head; cell != nullptr; cell = cell->prev) {
+      cells.push_back(cell);
+    }
+  });
+  std::sort(cells.begin(), cells.end(),
+            [](const ChainNode* a, const ChainNode* b) {
+              return a->index < b->index;
+            });
+  std::vector<const ProvenanceRecord*> records;
+  records.reserve(cells.size());
+  for (const ChainNode* cell : cells) records.push_back(cell->record);
+  return records;
+}
+
+/// The chain tails of `records` (live, in store index order), ascending
+/// by object id — the map iteration order *is* the sealed order.
+std::map<storage::ObjectId, ChainTail> CollectChainTails(
+    const std::vector<const ProvenanceRecord*>& records) {
+  std::map<storage::ObjectId, ChainTail> tails;
+  for (const ProvenanceRecord* rec : records) {
+    // Index order is seqID order per chain, so the last record of an
+    // object seen in this scan is its tail.
+    tails[rec->output.object_id] = ChainTail{rec->seq_id, rec->checksum};
   }
   return tails;
 }
@@ -113,6 +146,83 @@ Bytes EncodeChainTails(const std::map<storage::ObjectId, ChainTail>& tails) {
     AppendLengthPrefixed(&out, tail.checksum);
   }
   return out;
+}
+
+/// Seals `records` (live, in store index order) at `wal_horizon`; the
+/// body of both CheckpointWriter::Write overloads.
+Status WriteSealed(storage::Env* env, const std::string& dir,
+                   const std::vector<const ProvenanceRecord*>& records,
+                   uint64_t wal_horizon, const crypto::Signer& signer,
+                   uint64_t sealer_id, crypto::HashAlgorithm root_hash) {
+  if (wal_horizon == 0) {
+    return Status::InvalidArgument(
+        "checkpoint horizon must cover at least WAL segment 1");
+  }
+  // Checkpoint observability (docs/OBSERVABILITY.md). Resolved here
+  // because sealing is a one-shot static pass, like WAL recovery.
+  observability::MetricsRegistry& metrics = observability::GlobalMetrics();
+  observability::ScopedLatencyTimer timer(
+      metrics.histogram("checkpoint.write.latency_us"));
+  observability::TraceSpan span("checkpoint.write");
+
+  const std::map<storage::ObjectId, ChainTail> tails =
+      CollectChainTails(records);
+  CheckpointManifest manifest;
+  manifest.wal_horizon = wal_horizon;
+  manifest.sealer = sealer_id;
+  manifest.root_hash = root_hash;
+  manifest.live_records = records.size();
+  manifest.chain_count = tails.size();
+
+  std::unique_ptr<crypto::Hasher> hasher = crypto::CreateHasher(root_hash);
+  hasher->Reset();
+
+  // tmp + fsync + atomic rename + directory fsync (inside RenameFile):
+  // a crash at any point leaves either no checkpoint or the complete
+  // sealed one — never a torn file that recovery must judge. The frames
+  // go out in chunks, so a seal holds one chunk of the image, not all of
+  // it.
+  const std::string final_path = CheckpointFileName(dir, wal_horizon);
+  const std::string tmp_path = final_path + kTmpSuffix;
+  PROVDB_ASSIGN_OR_RETURN(std::unique_ptr<storage::WritableFile> file,
+                          env->NewWritableFile(tmp_path));
+  uint64_t written = 0;
+  Bytes chunk = EncodeFileHeader(kCheckpointMagic, wal_horizon);
+  auto write_chunk = [&]() -> Status {
+    written += chunk.size();
+    Status appended = file->Append(chunk);
+    chunk.clear();
+    return appended;
+  };
+  auto emit = [&](ByteView payload) -> Status {
+    AbsorbFrame(hasher.get(), payload);
+    AppendFrame(&chunk, payload);
+    return chunk.size() >= kWriteChunk ? write_chunk() : Status::OK();
+  };
+  PROVDB_RETURN_IF_ERROR(emit(EncodeManifest(manifest)));
+  for (const ProvenanceRecord* rec : records) {
+    PROVDB_RETURN_IF_ERROR(emit(EncodeRecord(*rec)));
+  }
+  PROVDB_RETURN_IF_ERROR(emit(EncodeChainTails(tails)));
+
+  // The seal: sign the store-level root. The signature frame itself is
+  // outside the root (it cannot cover itself); its integrity comes from
+  // the frame CRC plus the fact that a swapped signature fails to
+  // verify.
+  crypto::Digest root = hasher->Finish();
+  PROVDB_ASSIGN_OR_RETURN(Bytes signature, signer.Sign(root.view()));
+  Bytes seal;
+  AppendLengthPrefixed(&seal, signature);
+  AppendFrame(&chunk, seal);
+  PROVDB_RETURN_IF_ERROR(write_chunk());
+  PROVDB_RETURN_IF_ERROR(file->Sync());
+  PROVDB_RETURN_IF_ERROR(file->Close());
+  PROVDB_RETURN_IF_ERROR(env->RenameFile(tmp_path, final_path));
+
+  metrics.counter("checkpoint.writes")->Increment();
+  metrics.counter("checkpoint.write.records")->Add(manifest.live_records);
+  metrics.counter("checkpoint.write.bytes")->Add(written);
+  return Status::OK();
 }
 
 }  // namespace
@@ -130,68 +240,18 @@ Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
                                const crypto::Signer& signer,
                                uint64_t sealer_id,
                                crypto::HashAlgorithm root_hash) {
-  if (wal_horizon == 0) {
-    return Status::InvalidArgument(
-        "checkpoint horizon must cover at least WAL segment 1");
-  }
-  // Checkpoint observability (docs/OBSERVABILITY.md). Resolved here
-  // because sealing is a one-shot static pass, like WAL recovery.
-  observability::MetricsRegistry& metrics = observability::GlobalMetrics();
-  observability::ScopedLatencyTimer timer(
-      metrics.histogram("checkpoint.write.latency_us"));
-  observability::TraceSpan span("checkpoint.write");
+  return WriteSealed(env, dir, LiveRecords(store), wal_horizon, signer,
+                     sealer_id, root_hash);
+}
 
-  const std::map<storage::ObjectId, ChainTail> tails =
-      CollectChainTails(store);
-  CheckpointManifest manifest;
-  manifest.wal_horizon = wal_horizon;
-  manifest.sealer = sealer_id;
-  manifest.root_hash = root_hash;
-  manifest.live_records = store.live_record_count();
-  manifest.chain_count = tails.size();
-
-  std::unique_ptr<crypto::Hasher> hasher = crypto::CreateHasher(root_hash);
-  hasher->Reset();
-
-  Bytes content = EncodeFileHeader(kCheckpointMagic, wal_horizon);
-  auto emit = [&](ByteView payload) {
-    AbsorbFrame(hasher.get(), payload);
-    AppendFrame(&content, payload);
-  };
-  emit(EncodeManifest(manifest));
-  for (uint64_t i = 0; i < store.record_count(); ++i) {
-    if (!store.is_pruned(i)) {
-      emit(EncodeRecord(store.record(i)));
-    }
-  }
-  emit(EncodeChainTails(tails));
-
-  // The seal: sign the store-level root. The signature frame itself is
-  // outside the root (it cannot cover itself); its integrity comes from
-  // the frame CRC plus the fact that a swapped signature fails to
-  // verify.
-  crypto::Digest root = hasher->Finish();
-  PROVDB_ASSIGN_OR_RETURN(Bytes signature, signer.Sign(root.view()));
-  Bytes seal;
-  AppendLengthPrefixed(&seal, signature);
-  AppendFrame(&content, seal);
-
-  // tmp + fsync + atomic rename + directory fsync (inside RenameFile):
-  // a crash at any point leaves either no checkpoint or the complete
-  // sealed one — never a torn file that recovery must judge.
-  const std::string final_path = CheckpointFileName(dir, wal_horizon);
-  const std::string tmp_path = final_path + kTmpSuffix;
-  PROVDB_ASSIGN_OR_RETURN(std::unique_ptr<storage::WritableFile> file,
-                          env->NewWritableFile(tmp_path));
-  PROVDB_RETURN_IF_ERROR(file->Append(content));
-  PROVDB_RETURN_IF_ERROR(file->Sync());
-  PROVDB_RETURN_IF_ERROR(file->Close());
-  PROVDB_RETURN_IF_ERROR(env->RenameFile(tmp_path, final_path));
-
-  metrics.counter("checkpoint.writes")->Increment();
-  metrics.counter("checkpoint.write.records")->Add(manifest.live_records);
-  metrics.counter("checkpoint.write.bytes")->Add(content.size());
-  return Status::OK();
+Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
+                               const StoreReadView& view,
+                               uint64_t wal_horizon,
+                               const crypto::Signer& signer,
+                               uint64_t sealer_id,
+                               crypto::HashAlgorithm root_hash) {
+  return WriteSealed(env, dir, LiveRecords(view), wal_horizon, signer,
+                     sealer_id, root_hash);
 }
 
 Result<LoadedCheckpoint> CheckpointReader::Load(
@@ -279,7 +339,7 @@ Result<LoadedCheckpoint> CheckpointReader::Load(
     PROVDB_RETURN_IF_ERROR(loaded.store.AddRecord(std::move(rec)).status());
   }
   const std::map<storage::ObjectId, ChainTail> rebuilt =
-      CollectChainTails(loaded.store);
+      CollectChainTails(LiveRecords(loaded.store));
   if (rebuilt.size() != manifest.chain_count) {
     return Status::Corruption("checkpoint " + path + " chain count " +
                               std::to_string(rebuilt.size()) +

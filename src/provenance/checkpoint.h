@@ -8,6 +8,7 @@
 #include "crypto/hash.h"
 #include "crypto/signer.h"
 #include "provenance/provenance_store.h"
+#include "provenance/snapshot.h"
 #include "storage/env.h"
 
 namespace provdb::provenance {
@@ -66,6 +67,17 @@ class CheckpointWriter {
   /// is fsynced before the atomic rename and the directory after it.
   static Status Write(storage::Env* env, const std::string& dir,
                       const ProvenanceStore& store, uint64_t wal_horizon,
+                      const crypto::Signer& signer, uint64_t sealer_id,
+                      crypto::HashAlgorithm root_hash =
+                          crypto::HashAlgorithm::kSha1);
+
+  /// The same seal written from one shard's published version, read
+  /// through `view` (whose snapshot must stay pinned for the call): the
+  /// bytes equal those of Write over the store state that version
+  /// published. This is how the ingest pipeline seals off its write
+  /// path, on another thread, while the writer keeps committing.
+  static Status Write(storage::Env* env, const std::string& dir,
+                      const StoreReadView& view, uint64_t wal_horizon,
                       const crypto::Signer& signer, uint64_t sealer_id,
                       crypto::HashAlgorithm root_hash =
                           crypto::HashAlgorithm::kSha1);

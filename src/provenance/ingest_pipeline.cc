@@ -1,8 +1,7 @@
 #include "provenance/ingest_pipeline.h"
 
+#include <cstdint>
 #include <cstdio>
-#include <future>
-#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -97,28 +96,25 @@ Status CheckOptions(const IngestOptions& options) {
   return Status::OK();
 }
 
-/// Runs `task(0)` .. `task(n - 1)` and returns their statuses by index.
-/// With a pool and more than one task they fan out across it and only
-/// this (calling) thread waits on the futures, since a pool task must
-/// never wait on its own pool; otherwise they run inline, in order.
+/// Records accepted and not yet committed beyond which Submit waits:
+/// 2 x num_shards x max_batch_records, saturating, so lifted thresholds
+/// (TrackedDatabase's) mean no bound rather than a wrapped one.
+uint64_t InflightBound(const IngestOptions& options) {
+  const uint64_t shards = options.num_shards;
+  const uint64_t records = options.max_batch_records;
+  if (records > UINT64_MAX / 2 / shards) return UINT64_MAX;
+  return 2 * shards * records;
+}
+
+/// Runs `task` on `pool`, or inline on the calling thread when there is
+/// none (a sequential pipeline): the same steps either way.
 template <typename Fn>
-std::vector<Status> RunTasks(ThreadPool* pool, size_t n, const Fn& task) {
-  std::vector<Status> statuses(n, Status::OK());
-  if (pool == nullptr || n < 2) {
-    for (size_t i = 0; i < n; ++i) {
-      statuses[i] = task(i);
-    }
-    return statuses;
+void Dispatch(ThreadPool* pool, Fn&& task) {
+  if (pool == nullptr) {
+    task();
+    return;
   }
-  std::vector<std::future<Status>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(pool->Submit([&task, i] { return task(i); }));
-  }
-  for (size_t i = 0; i < n; ++i) {
-    statuses[i] = futures[i].get();
-  }
-  return statuses;
+  (void)pool->Submit(std::forward<Fn>(task));
 }
 
 }  // namespace
@@ -291,33 +287,69 @@ IngestPipeline::IngestPipeline(storage::Env* env, std::string root_dir,
       root_dir_(std::move(root_dir)),
       options_(options),
       engine_(options.hash_algorithm),
+      max_inflight_(InflightBound(options)),
       store_(std::make_unique<ShardedProvenanceStore>(std::move(store))),
       submitted_(observability::GlobalMetrics().counter("ingest.submitted")),
       committed_(observability::GlobalMetrics().counter("ingest.committed")),
       batches_(observability::GlobalMetrics().counter("ingest.batches")),
       batch_bytes_(
           observability::GlobalMetrics().counter("ingest.batch_bytes")),
+      write_aheads_(
+          observability::GlobalMetrics().counter("ingest.write_aheads")),
       sign_tasks_(
           observability::GlobalMetrics().counter("ingest.sign_tasks")),
+      submit_waits_(
+          observability::GlobalMetrics().counter("ingest.submit_waits")),
       pending_(observability::GlobalMetrics().gauge("ingest.pending")),
+      seals_inflight_(
+          observability::GlobalMetrics().gauge("ingest.seals_inflight")),
       flush_latency_(observability::GlobalMetrics().histogram(
           "ingest.flush.latency_us")),
       drain_latency_(observability::GlobalMetrics().histogram(
           "ingest.drain.latency_us")) {
-  MutexLock lock(&mu_);
-  for (size_t i = 0; i < store_->num_shards(); ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+  const size_t num_shards = store_->num_shards();
+  {
+    MutexLock lock(&mu_);
+    for (size_t i = 0; i < num_shards; ++i) {
+      shards_.push_back(std::make_unique<Shard>());
+    }
+  }
+  {
+    MutexLock work(&work_mu_);
+    lanes_.resize(num_shards);
+    signed_tails_.resize(num_shards);
+    sync_results_.assign(num_shards, Status::OK());
   }
   if (!options_.signing.sequential()) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(options_.signing.num_threads));
+    if (env_ != nullptr) {
+      io_pool_ = std::make_unique<ThreadPool>(num_shards);
+    }
+    if (options_.checkpoint.enabled()) {
+      sealer_ = std::make_unique<ThreadPool>(1);
+    }
   }
 }
 
-// No Close in the destructor: like WalWriter, destruction without Close
-// models a crash (nothing un-synced becomes durable), which the
-// fault-injection sweep relies on. Clean shutdown is explicit Close().
-IngestPipeline::~IngestPipeline() = default;
+// No Close here: like WalWriter, destruction without Close models a
+// crash (nothing un-synced becomes durable), which the fault-injection
+// sweeps rely on. Clean shutdown is explicit Close(). The pools are
+// joined first, since their tasks reach into the members below. The
+// signing threads exit last: glibc hands the malloc arena of the thread
+// that exited last to the next thread that allocates, which is a signing
+// thread of the next pipeline — the one that needs the memory their
+// records freed.
+IngestPipeline::~IngestPipeline() {
+  {
+    MutexLock work(&work_mu_);
+    abandoned_ = true;
+    wake_ = nullptr;
+  }
+  for (ThreadPool* pool : {sealer_.get(), io_pool_.get(), pool_.get()}) {
+    if (pool != nullptr) pool->Shutdown();
+  }
+}
 
 Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Open(
     storage::Env* env, const std::string& root_dir, IngestOptions options,
@@ -334,9 +366,11 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Open(
   std::unique_ptr<IngestPipeline> pipeline(
       new IngestPipeline(env, root_dir, options, std::move(recovered)));
   {
-    // The pipeline is not yet published, but shards_ is guarded by mu_,
-    // so seed it under the (uncontended) lock to keep the analysis exact.
+    // The pipeline is not yet published, but its shards and tails are
+    // guarded, so seed them under the (uncontended) locks to keep the
+    // analysis exact.
     MutexLock lock(&pipeline->mu_);
+    MutexLock work(&pipeline->work_mu_);
     for (size_t i = 0; i < options.num_shards; ++i) {
       Shard& shard = *pipeline->shards_[i];
       // The recovered horizon flows into the writer so fresh segments are
@@ -354,7 +388,8 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Open(
       for (uint64_t r = 0; r < store.record_count(); ++r) {
         if (store.is_pruned(r)) continue;
         const ProvenanceRecord& rec = store.record(r);
-        shard.chains.Set(rec.output.object_id, rec.seq_id, rec.checksum);
+        pipeline->signed_tails_[i].Set(rec.output.object_id, rec.seq_id,
+                                       rec.checksum);
       }
     }
   }
@@ -383,6 +418,15 @@ const storage::WalWriter* IngestPipeline::shard_wal(size_t index) const {
   return shard.wal ? &*shard.wal : nullptr;
 }
 
+void IngestPipeline::SetProducerHooks(
+    std::function<void()> wake,
+    std::function<void(const BatchCompletion&)> completed) {
+  MutexLock lock(&mu_);
+  completed_ = std::move(completed);
+  MutexLock work(&work_mu_);
+  wake_ = std::move(wake);
+}
+
 Status IngestPipeline::Submit(const IngestRequest& request, SeqId* seq_id) {
   MutexLock lock(&mu_);
   if (!failed_.ok()) return failed_;
@@ -390,232 +434,456 @@ Status IngestPipeline::Submit(const IngestRequest& request, SeqId* seq_id) {
     return Status::FailedPrecondition("submit to closed ingest pipeline");
   }
   PROVDB_RETURN_IF_ERROR(ValidateRequest(request));
+  // Backpressure. Open batches hold fewer than num_shards x
+  // max_batch_records records, so past the bound some closed batch is in
+  // flight and commits without anyone closing a batch: waiting never
+  // moves a publish point.
+  if (inflight_ >= max_inflight_) {
+    submit_waits_->Increment();
+    while (inflight_ >= max_inflight_) {
+      PROVDB_RETURN_IF_ERROR(StepLocked());
+    }
+  }
 
   const size_t index =
       ShardedProvenanceStore::ShardOf(request.object, shards_.size());
   Shard* shard = shards_[index].get();
-  // The chain tail counts pending requests: a second insert of an object
-  // still in the batch is refused here, not at its flush.
-  std::optional<SeqId> tail;
-  auto pending = shard->pending_seqs.find(request.object);
-  if (pending != shard->pending_seqs.end()) {
-    tail = pending->second;
-  } else if (const auto committed = shard->chains.Get(request.object);
-             committed.exists) {
-    tail = committed.seq_id;
+  std::unique_ptr<Batch> fresh;
+  Batch* batch = !shard->batches.empty() && !shard->batches.back()->closed
+                     ? shard->batches.back().get()
+                     : (fresh = std::make_unique<Batch>()).get();
+  auto entry = std::make_unique<Entry>();
+  entry->request = request;
+  entry->batch = batch;
+  bool start_lane = false;
+  {
+    MutexLock work(&work_mu_);
+    // The chain tail counts every accepted request, signed or not: a
+    // second insert of an object still in flight is refused here.
+    std::unordered_map<storage::ObjectId, Lane>& lanes = lanes_[index];
+    auto lane = lanes.find(request.object);
+    std::optional<SeqId> tail;
+    if (lane != lanes.end()) {
+      tail = lane->second.last_seq;
+    } else if (const auto signed_tail = signed_tails_[index].Get(
+                   request.object);
+               signed_tail.exists) {
+      tail = signed_tail.seq_id;
+    }
+    PROVDB_ASSIGN_OR_RETURN(SeqId seq, NextSeqId(request, tail));
+    if (seq_id != nullptr) *seq_id = seq;
+    if (lane == lanes.end()) {
+      lane = lanes.emplace(request.object, Lane{}).first;
+      start_lane = true;
+    }
+    lane->second.queue.push_back(entry.get());
+    lane->second.last_seq = seq;
+    ++batch->unsigned_count;
   }
-  PROVDB_ASSIGN_OR_RETURN(SeqId seq, NextSeqId(request, tail));
-  if (seq_id != nullptr) *seq_id = seq;
-  shard->pending_seqs[request.object] = seq;
-  shard->pending.push_back(request);
-  shard->pending_bytes += EstimateRequestBytes(request);
+  if (fresh != nullptr) shard->batches.push_back(std::move(fresh));
+  batch->estimated_bytes += EstimateRequestBytes(request);
+  batch->entries.push_back(std::move(entry));
   ++submitted_count_;
+  ++inflight_;
   submitted_->Increment();
   pending_->Add(1);
 
-  const bool threshold =
-      options_.sync_every_record ||
-      shard->pending.size() >= options_.max_batch_records ||
-      shard->pending_bytes >= options_.max_batch_bytes ||
+  if (start_lane) {
+    if (pool_ != nullptr) sign_tasks_->Increment();
+    const storage::ObjectId object = request.object;
+    Dispatch(pool_.get(), [this, index, object] { SignLane(index, object); });
+  }
+  if (options_.sync_every_record ||
+      batch->entries.size() >= options_.max_batch_records ||
+      batch->estimated_bytes >= options_.max_batch_bytes ||
       (options_.flush_interval_seconds > 0 &&
        shard->since_flush.ElapsedSeconds() >=
-           options_.flush_interval_seconds);
-  if (threshold) {
-    Status s = FlushLocked({index});
-    if (!s.ok()) {
-      failed_ = s;
-      return failed_;
-    }
+           options_.flush_interval_seconds)) {
+    CloseBatchLocked(shard);
   }
+  PumpLocked();
+  return failed_;
+}
+
+void IngestPipeline::SignLane(size_t shard, storage::ObjectId object) {
+  LocalChainState::Tail tail;
+  Entry* entry = nullptr;
+  {
+    MutexLock work(&work_mu_);
+    tail = signed_tails_[shard].Get(object);
+    entry = NextInLaneLocked(shard, object);
+  }
+  while (entry != nullptr) {
+    Stopwatch watch;
+    Result<ProvenanceRecord> record =
+        BuildSignedIngestRecord(engine_, tail, entry->request);
+    const double seconds = watch.ElapsedSeconds();
+    MutexLock work(&work_mu_);
+    sign_seconds_ += seconds;
+    if (record.ok()) {
+      // The object's next record signs on top of this one.
+      signed_tails_[shard].Set(object, record->seq_id, record->checksum);
+      tail = signed_tails_[shard].Get(object);
+      entry->record = std::move(record).value();
+    } else {
+      entry->status = record.status();
+    }
+    Batch* batch = entry->batch;
+    if (--batch->unsigned_count == 0 && batch->closed) NoteEventLocked();
+    entry = NextInLaneLocked(shard, object);
+  }
+}
+
+IngestPipeline::Entry* IngestPipeline::NextInLaneLocked(
+    size_t shard, storage::ObjectId object) {
+  auto lane = lanes_[shard].find(object);
+  std::deque<Entry*>& queue = lane->second.queue;
+  // Abandoned (poisoned or destroyed): queued records are released
+  // unsigned.
+  while (abandoned_ && !queue.empty()) {
+    --queue.front()->batch->unsigned_count;
+    queue.pop_front();
+  }
+  if (queue.empty()) {
+    lanes_[shard].erase(lane);
+    work_cv_.SignalAll();  // PoisonLocked waits for idle lanes
+    return nullptr;
+  }
+  Entry* next = queue.front();
+  queue.pop_front();
+  return next;
+}
+
+void IngestPipeline::CloseBatchLocked(Shard* shard) {
+  shard->since_flush.Restart();
+  if (shard->batches.empty() || shard->batches.back()->closed) return;
+  MutexLock work(&work_mu_);
+  Batch& batch = *shard->batches.back();
+  batch.closed = true;
+  // A batch is ready to write once it is both closed and signed; the
+  // later of the two reports it.
+  if (batch.unsigned_count == 0) NoteEventLocked();
+}
+
+bool IngestPipeline::PumpLocked() {
+  bool progressed = false;
+  while (failed_.ok()) {
+    if (writing_) {
+      bool synced = false;
+      {
+        MutexLock work(&work_mu_);
+        synced = syncs_pending_ == 0;
+      }
+      if (!synced) break;
+      CommitWriteAheadLocked();
+    } else if (!FinishSealLocked() && !StartDueSealLocked() &&
+               !StartWriteAheadLocked()) {
+      break;
+    }
+    progressed = true;
+  }
+  return progressed;
+}
+
+Status IngestPipeline::StepLocked() {
+  uint64_t seen = 0;
+  {
+    MutexLock work(&work_mu_);
+    seen = events_;
+  }
+  const bool progressed = PumpLocked();
+  if (!failed_.ok()) return failed_;
+  if (progressed) return Status::OK();
+  if (pool_ == nullptr) {
+    // Inline work always finishes inside the pump, so nothing could
+    // ever wake this wait.
+    return Status::Internal("sequential ingest pipeline stalled");
+  }
+  MutexLock work(&work_mu_);
+  while (events_ == seen) work_cv_.Wait();
   return Status::OK();
 }
 
-Status IngestPipeline::FlushLocked(const std::vector<size_t>& indices) {
-  // One shard's share of the round. Pool tasks reach the shard only
-  // through this struct, never through the guarded shards_ vector.
-  struct ShardFlush {
-    Shard* shard = nullptr;
-    ProvenanceStore* store = nullptr;
-    std::vector<IngestRequest> batch;
-    std::vector<ProvenanceRecord> records;
-    uint64_t bytes = 0;
-    Status status = Status::OK();
-  };
-  std::vector<ShardFlush> flushes;
-  flushes.reserve(indices.size());
-  for (size_t index : indices) {
-    Shard* shard = shards_[index].get();
-    if (shard->pending.empty()) {
-      shard->since_flush.Restart();
-      continue;
-    }
-    ShardFlush flush;
-    flush.shard = shard;
-    flush.store = &store_->shard(index);
-    flush.batch = std::move(shard->pending);
-    flush.records.resize(flush.batch.size());
-    shard->pending.clear();
-    shard->pending_seqs.clear();
-    shard->pending_bytes = 0;
-    pending_->Sub(static_cast<int64_t>(flush.batch.size()));
-    flushes.push_back(std::move(flush));
-  }
-  if (flushes.empty()) {
-    return Status::OK();
-  }
-  observability::ScopedLatencyTimer timer(flush_latency_);
-  observability::TraceSpan span("ingest.flush");
+void IngestPipeline::NoteEventLocked() {
+  ++events_;
+  work_cv_.SignalAll();
+  if (wake_ && !abandoned_) wake_();
+}
 
-  // Step 1, sign: group every batch by output object, preserving
-  // first-appearance order. Records of one object must sign sequentially
-  // against the running chain tail; distinct objects' groups are
-  // independent (§3.2), across shards too, and fan out together.
-  struct SignGroup {
-    ShardFlush* flush;
-    std::vector<size_t> members;
-  };
-  std::vector<SignGroup> groups;
-  for (ShardFlush& flush : flushes) {
-    std::unordered_map<storage::ObjectId, size_t> group_of;
-    for (size_t i = 0; i < flush.batch.size(); ++i) {
-      auto [it, inserted] =
-          group_of.emplace(flush.batch[i].object, groups.size());
-      if (inserted) {
-        groups.push_back(SignGroup{&flush, {}});
+bool IngestPipeline::StartWriteAheadLocked() {
+  // Per shard, the closed batches at the front that finished signing.
+  std::vector<size_t> ready(shards_.size(), 0);
+  bool any = false;
+  {
+    MutexLock work(&work_mu_);
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      for (const std::unique_ptr<Batch>& batch : shards_[s]->batches) {
+        if (!batch->closed || batch->unsigned_count > 0) break;
+        ++ready[s];
       }
-      groups[it->second].members.push_back(i);
+      any = any || ready[s] > 0;
     }
   }
-  auto sign_group = [this, &groups](size_t g) -> Status {
-    ShardFlush& flush = *groups[g].flush;
-    LocalChainState::Tail tail =
-        flush.shard->chains.Get(flush.batch[groups[g].members[0]].object);
-    for (size_t idx : groups[g].members) {
-      PROVDB_ASSIGN_OR_RETURN(
-          ProvenanceRecord rec,
-          BuildSignedIngestRecord(engine_, tail, flush.batch[idx]));
-      tail = LocalChainState::Tail{rec.seq_id, rec.checksum, true};
-      flush.records[idx] = std::move(rec);
-    }
-    return Status::OK();
-  };
-  Stopwatch step_watch;
-  const std::vector<Status> signed_groups =
-      RunTasks(pool_.get(), groups.size(), sign_group);
-  sign_seconds_ += step_watch.ElapsedSeconds();
-  if (pool_ != nullptr && groups.size() > 1) {
-    sign_tasks_->Add(groups.size());
-  }
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (groups[g].flush->status.ok()) {
-      groups[g].flush->status = signed_groups[g];
-    }
+  if (!any) return false;
+  // A barrier's write-ahead covers every batch it closed: one fsync per
+  // shard, and one outcome for the whole Drain.
+  for (size_t s = 0; draining_ && s < shards_.size(); ++s) {
+    if (ready[s] < shards_[s]->batches.size()) return false;
   }
 
-  // Step 2, write ahead: each signed shard appends its frames and issues
-  // the batch's single durability point, one pool task per shard so the
-  // fsyncs overlap. (sync_every_record flushes at every Submit, so its
-  // batches hold one record: this is its per-record append and sync.) A
-  // memory-only pipeline has nothing to write ahead.
-  auto write_ahead = [&flushes](size_t i) -> Status {
-    ShardFlush& flush = flushes[i];
-    PROVDB_RETURN_IF_ERROR(flush.status);
-    std::optional<storage::WalWriter>& wal = flush.shard->wal;
-    if (!wal) return Status::OK();
-    for (const ProvenanceRecord& rec : flush.records) {
-      Bytes entry = EncodeWalRecordEntry(rec);
-      flush.bytes += entry.size();
-      PROVDB_RETURN_IF_ERROR(wal->Append(entry));
+  observability::TraceSpan span("ingest.write_ahead");
+  Stopwatch watch;
+  writing_ = true;
+  write_start_micros_ = observability::ScopedLatencyTimer::NowMicros();
+  write_aheads_->Increment();
+  // Append on this thread, each shard's batches in order; a shard whose
+  // record failed to sign or whose append failed takes no fsync and
+  // commits nothing. (sync_every_record closes a batch at every Submit,
+  // so there a shard's part is one record: its append and sync.)
+  std::vector<storage::WalWriter*> to_sync(shards_.size(), nullptr);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
+    shard.writing = ready[s];
+    shard.write_status = Status::OK();
+    for (size_t b = 0; b < ready[s] && shard.write_status.ok(); ++b) {
+      Batch& batch = *shard.batches[b];
+      for (const std::unique_ptr<Entry>& entry : batch.entries) {
+        shard.write_status = entry->status;
+        if (shard.write_status.ok() && shard.wal) {
+          Bytes frame = EncodeWalRecordEntry(entry->record);
+          batch.wal_bytes += frame.size();
+          shard.write_status = shard.wal->Append(frame);
+        }
+        if (!shard.write_status.ok()) break;
+      }
     }
-    return wal->Sync();
-  };
-  step_watch.Restart();
-  const std::vector<Status> synced =
-      RunTasks(pool_.get(), flushes.size(), write_ahead);
+    if (ready[s] > 0 && shard.write_status.ok() && shard.wal) {
+      to_sync[s] = &*shard.wal;
+    }
+  }
+  {
+    MutexLock work(&work_mu_);
+    syncs_pending_ = 0;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      if (to_sync[s] == nullptr) continue;
+      sync_results_[s] = Status::OK();
+      ++syncs_pending_;
+    }
+  }
+  // The fsyncs overlap on the I/O threads while later requests sign.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (to_sync[s] == nullptr) continue;
+    storage::WalWriter* wal = to_sync[s];
+    Dispatch(io_pool_.get(), [this, s, wal] { SyncShard(s, wal); });
+  }
+  store_seconds_ += watch.ElapsedSeconds();
+  return true;
+}
 
-  // Step 3, commit and publish, on this thread in shard order: the epoch
-  // domain's Retire/Advance/Collect must stay serialized, and a shard
-  // whose batch failed to sign or sync commits nothing, so on every
-  // shard synced_records == committed. Each publish is an epoch tick
-  // after that shard's fsync + commit; a concurrent snapshot therefore
-  // sees an exact prefix of every shard's durable batches.
+void IngestPipeline::SyncShard(size_t shard, storage::WalWriter* wal) {
+  bool abandoned = false;
+  {
+    MutexLock work(&work_mu_);
+    abandoned = abandoned_;
+  }
+  // A crash (or poison) drops a queued fsync: nothing it covers may
+  // become durable after the fact.
+  Status synced = abandoned ? Status::IoError("ingest pipeline abandoned "
+                                              "before its write-ahead synced")
+                            : wal->Sync();
+  MutexLock work(&work_mu_);
+  sync_results_[shard] = std::move(synced);
+  if (--syncs_pending_ == 0) NoteEventLocked();
+}
+
+void IngestPipeline::CommitWriteAheadLocked() {
+  observability::TraceSpan span("ingest.commit");
+  Stopwatch watch;
+  std::vector<Status> synced;
+  {
+    MutexLock work(&work_mu_);
+    synced = sync_results_;
+  }
+  // In shard order on this thread: the epoch domain's Retire/Advance/
+  // Collect must stay serialized, and a shard whose write-ahead failed
+  // commits nothing, so on every shard synced_records == committed. Each
+  // batch publishes on its own, so a concurrent snapshot sees an exact
+  // prefix of every shard's durable batches.
   Status first_error = Status::OK();
-  for (size_t i = 0; i < flushes.size(); ++i) {
-    ShardFlush& flush = flushes[i];
-    flush.status = synced[i];
-    for (size_t r = 0; flush.status.ok() && r < flush.records.size(); ++r) {
-      ProvenanceRecord& rec = flush.records[r];
-      const storage::ObjectId id = rec.output.object_id;
-      const SeqId seq = rec.seq_id;
-      Bytes checksum = rec.checksum;
-      flush.status = flush.store->AddRecord(std::move(rec)).status();
-      if (flush.status.ok()) {
-        flush.shard->chains.Set(id, seq, std::move(checksum));
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
+    if (shard.writing == 0) continue;
+    Status status = shard.write_status;
+    if (status.ok() && shard.wal) status = synced[s];
+    ProvenanceStore& store = store_->shard(s);
+    while (status.ok() && shard.writing > 0) {
+      const Batch& batch = *shard.batches.front();
+      for (const std::unique_ptr<Entry>& entry : batch.entries) {
+        status = store.AddRecord(std::move(entry->record)).status();
+        if (!status.ok()) break;
         ++committed_count_;
         committed_->Increment();
       }
+      if (!status.ok()) break;
+      const size_t records = batch.entries.size();
+      batches_->Increment();
+      batch_bytes_->Add(batch.wal_bytes);
+      shard.records_since_checkpoint += records;
+      shard.bytes_since_checkpoint += batch.wal_bytes;
+      inflight_ -= records;
+      pending_->Sub(static_cast<int64_t>(records));
+      // PublishSnapshot is allocation-free (preallocated version skeleton).
+      store.PublishSnapshot();
+      CompleteLocked(s, records, Status::OK());
+      shard.batches.pop_front();
+      --shard.writing;
     }
-    if (!flush.status.ok()) {
-      if (first_error.ok()) first_error = flush.status;
-      continue;
-    }
-    batches_->Increment();
-    batch_bytes_->Add(flush.bytes);
-    flush.shard->since_flush.Restart();
-    flush.shard->records_since_checkpoint += flush.records.size();
-    flush.shard->bytes_since_checkpoint += flush.bytes;
-    // PublishSnapshot is allocation-free (preallocated version skeleton).
-    flush.store->PublishSnapshot();
+    if (!status.ok() && first_error.ok()) first_error = status;
   }
   // Frees only superseded nodes no pinned reader can reach.
   store_->epoch_domain()->Collect();
-  store_seconds_ += step_watch.ElapsedSeconds();
-  PROVDB_RETURN_IF_ERROR(first_error);
-
-  // Step 4, seal every shard whose checkpoint policy fired, one after
-  // another: each seal buffers a whole-shard image, so sealing them
-  // concurrently would multiply peak memory.
-  const CheckpointPolicy& policy = options_.checkpoint;
-  for (ShardFlush& flush : flushes) {
-    const Shard& shard = *flush.shard;
-    if (policy.enabled() &&
-        ((policy.every_records > 0 &&
-          shard.records_since_checkpoint >= policy.every_records) ||
-         (policy.every_bytes > 0 &&
-          shard.bytes_since_checkpoint >= policy.every_bytes))) {
-      PROVDB_RETURN_IF_ERROR(CheckpointShardLocked(flush.shard, flush.store));
-    }
-  }
-  return Status::OK();
+  writing_ = false;
+  flush_latency_->Record(observability::ScopedLatencyTimer::NowMicros() -
+                         write_start_micros_);
+  store_seconds_ += watch.ElapsedSeconds();
+  if (!first_error.ok()) PoisonLocked(first_error);
 }
 
-Status IngestPipeline::CheckpointShardLocked(Shard* shard,
-                                             ProvenanceStore* store) {
+bool IngestPipeline::StartDueSealLocked() {
+  const CheckpointPolicy& policy = options_.checkpoint;
+  if (sealing_ || !policy.enabled()) return false;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    if ((policy.every_records > 0 &&
+         shard.records_since_checkpoint >= policy.every_records) ||
+        (policy.every_bytes > 0 &&
+         shard.bytes_since_checkpoint >= policy.every_bytes)) {
+      StartSealLocked(s);
+      return true;
+    }
+  }
+  return false;
+}
+
+void IngestPipeline::StartSealLocked(size_t index) {
   // Ordering is the crash-safety argument (DESIGN.md §13): roll first so
   // the horizon is a closed segment, seal the snapshot (tmp + rename,
-  // atomic), and only then delete covered segments and stale checkpoints.
-  // A crash after the roll costs an extra segment; after the seal,
-  // recovery already prefers the new checkpoint and skips the not-yet-
-  // deleted history; mid-GC, the survivors sit behind the horizon and
-  // are skipped too.
-  storage::WalWriter& wal = *shard->wal;
-  PROVDB_ASSIGN_OR_RETURN(uint64_t horizon, wal.RollSegment());
-  if (horizon <= wal.checkpoint_horizon()) {
-    // Nothing durable past the last checkpoint; the existing seal stands.
-    shard->records_since_checkpoint = 0;
-    shard->bytes_since_checkpoint = 0;
-    return Status::OK();
+  // atomic), and only once the seal is durable delete covered segments
+  // and stale checkpoints. A crash after the roll costs an extra segment;
+  // after the seal, recovery already prefers the new checkpoint and skips
+  // the not-yet-deleted history; mid-GC, the survivors sit behind the
+  // horizon and are skipped too.
+  Shard& shard = *shards_[index];
+  storage::WalWriter& wal = *shard.wal;
+  Result<uint64_t> horizon = wal.RollSegment();
+  if (!horizon.ok()) {
+    PoisonLocked(horizon.status());
+    return;
   }
-  const std::string& dir = wal.dir();
-  PROVDB_RETURN_IF_ERROR(CheckpointWriter::Write(
-      env_, dir, *store, horizon, *options_.checkpoint.signer,
-      options_.checkpoint.sealer_id, options_.hash_algorithm));
-  PROVDB_RETURN_IF_ERROR(RemoveStaleCheckpoints(env_, dir, horizon));
-  PROVDB_RETURN_IF_ERROR(wal.GarbageCollect(horizon));
-  shard->records_since_checkpoint = 0;
-  shard->bytes_since_checkpoint = 0;
-  ++shard->checkpoints;
-  return Status::OK();
+  shard.records_since_checkpoint = 0;
+  shard.bytes_since_checkpoint = 0;
+  if (*horizon <= wal.checkpoint_horizon()) {
+    return;  // nothing durable past the last checkpoint; its seal stands
+  }
+  sealing_ = true;
+  seal_shard_ = index;
+  seal_horizon_ = *horizon;
+  seals_inflight_->Add(1);
+  {
+    MutexLock work(&work_mu_);
+    seal_result_.reset();
+  }
+  // Nothing is appended but not committed, so the version just published
+  // holds exactly the WAL content up to the horizon. The pin keeps it
+  // readable while this thread commits on.
+  Dispatch(sealer_.get(),
+           [this, snapshot = store_->OpenSnapshot(), index, dir = wal.dir(),
+            horizon = *horizon] {
+             SealShard(snapshot.shard_view(index), dir, horizon);
+           });
+}
+
+void IngestPipeline::SealShard(const StoreReadView& view,
+                               const std::string& dir, uint64_t horizon) {
+  bool abandoned = false;
+  {
+    MutexLock work(&work_mu_);
+    abandoned = abandoned_;
+  }
+  Status sealed =
+      abandoned ? Status::IoError("ingest pipeline abandoned before its "
+                                  "seal was written")
+                : CheckpointWriter::Write(env_, dir, view, horizon,
+                                          *options_.checkpoint.signer,
+                                          options_.checkpoint.sealer_id,
+                                          options_.hash_algorithm);
+  MutexLock work(&work_mu_);
+  seal_result_ = std::move(sealed);
+  NoteEventLocked();
+}
+
+bool IngestPipeline::FinishSealLocked() {
+  if (!sealing_) return false;
+  Status status = Status::OK();
+  {
+    MutexLock work(&work_mu_);
+    if (!seal_result_) return false;
+    status = *seal_result_;
+  }
+  sealing_ = false;
+  seals_inflight_->Sub(1);
+  Shard& shard = *shards_[seal_shard_];
+  if (status.ok()) {
+    status = RemoveStaleCheckpoints(env_, shard.wal->dir(), seal_horizon_);
+  }
+  if (status.ok()) status = shard.wal->GarbageCollect(seal_horizon_);
+  if (!status.ok()) {
+    PoisonLocked(status);
+    return true;
+  }
+  ++shard.checkpoints;
+  return true;
+}
+
+void IngestPipeline::PoisonLocked(Status status) {
+  failed_ = std::move(status);
+  {
+    // Quiesce: queued signing, fsyncs and seals skip their work; wait
+    // for those already running, since they hold batches, WALs or files.
+    MutexLock work(&work_mu_);
+    abandoned_ = true;
+    for (;;) {
+      bool lanes_idle = true;
+      for (const auto& lanes : lanes_) lanes_idle = lanes_idle && lanes.empty();
+      if (lanes_idle && syncs_pending_ == 0 &&
+          (!sealing_ || seal_result_.has_value())) {
+        break;
+      }
+      work_cv_.Wait();
+    }
+  }
+  if (sealing_) {
+    sealing_ = false;
+    seals_inflight_->Sub(1);
+  }
+  writing_ = false;
+  // Every batch not yet committed fails with the poison.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
+    for (const std::unique_ptr<Batch>& batch : shard.batches) {
+      const size_t records = batch->entries.size();
+      inflight_ -= records;
+      pending_->Sub(static_cast<int64_t>(records));
+      CompleteLocked(s, records, failed_);
+    }
+    shard.batches.clear();
+    shard.writing = 0;
+  }
+}
+
+void IngestPipeline::CompleteLocked(size_t shard, size_t records,
+                                    const Status& status) {
+  if (completed_) completed_(BatchCompletion{shard, records, status});
 }
 
 Status IngestPipeline::CheckpointNow() {
@@ -633,12 +901,11 @@ Status IngestPipeline::CheckpointNow() {
         "ingest pipeline has no checkpoint signer configured");
   }
   PROVDB_RETURN_IF_ERROR(DrainLocked());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Status s = CheckpointShardLocked(shards_[i].get(), &store_->shard(i));
-    if (!s.ok()) {
-      failed_ = s;
-      return failed_;
-    }
+  // One seal at a time, each shard's once the previous one is durable.
+  for (size_t i = 0; i <= shards_.size(); ++i) {
+    while (sealing_) PROVDB_RETURN_IF_ERROR(StepLocked());
+    if (i < shards_.size()) StartSealLocked(i);
+    if (!failed_.ok()) return failed_;
   }
   return Status::OK();
 }
@@ -664,20 +931,39 @@ Result<size_t> IngestPipeline::PruneLocked(storage::ObjectId id) {
   if (shard->wal) {
     // Write-ahead, like a batch: the marker is durable before the store
     // forgets the records, so recovery replays the prune instead of
-    // resurrecting pruned history.
+    // resurrecting pruned history. Drained, so no fsync is in flight.
     Status logged = shard->wal->Append(EncodeWalPruneEntry(id));
     if (logged.ok()) logged = shard->wal->Sync();
     if (!logged.ok()) {
-      failed_ = logged;
+      PoisonLocked(std::move(logged));
       return failed_;
     }
   }
   PROVDB_ASSIGN_OR_RETURN(size_t dropped, store->PruneObject(id));
-  // As a reopen would: recovery seeds no tail from pruned records.
-  shard->chains.Erase(id);
+  {
+    // As a reopen would: recovery seeds no tail from pruned records.
+    MutexLock work(&work_mu_);
+    signed_tails_[index].Erase(id);
+  }
   store->PublishSnapshot();
   store_->epoch_domain()->Collect();
   return dropped;
+}
+
+Status IngestPipeline::Flush() {
+  MutexLock lock(&mu_);
+  if (!failed_.ok() || closed_) return failed_;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    CloseBatchLocked(shard.get());
+  }
+  PumpLocked();
+  return failed_;
+}
+
+Status IngestPipeline::Poll() {
+  MutexLock lock(&mu_);
+  PumpLocked();
+  return failed_;
 }
 
 Status IngestPipeline::Drain() {
@@ -690,29 +976,33 @@ Status IngestPipeline::DrainLocked() {
   if (closed_) return Status::OK();
   observability::ScopedLatencyTimer timer(drain_latency_);
   observability::TraceSpan span("ingest.drain");
-  std::vector<size_t> every_shard(shards_.size());
-  std::iota(every_shard.begin(), every_shard.end(), size_t{0});
-  Status s = FlushLocked(every_shard);
-  if (!s.ok()) {
-    failed_ = s;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    CloseBatchLocked(shard.get());
   }
-  return s;
+  draining_ = true;
+  Status status = Status::OK();
+  while (status.ok() && inflight_ > 0) status = StepLocked();
+  draining_ = false;
+  return status;
 }
 
 Status IngestPipeline::Close() {
   MutexLock lock(&mu_);
   if (closed_) return Status::OK();
-  Status drain = failed_.ok() ? DrainLocked() : failed_;
+  Status status = DrainLocked();
+  // Unlike Drain, Close waits for the seal in flight and the GC behind
+  // it, so the directory it leaves is compacted.
+  while (status.ok() && sealing_) status = StepLocked();
   Status close_status = Status::OK();
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::optional<storage::WalWriter>& wal = shards_[i]->wal;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::optional<storage::WalWriter>& wal = shard->wal;
     if (!wal) continue;
     Status c = wal->Close();
     wal.reset();
     if (close_status.ok()) close_status = c;
   }
   closed_ = true;
-  if (!drain.ok()) return drain;
+  if (!status.ok()) return status;
   return close_status;
 }
 

@@ -37,13 +37,14 @@ namespace provdb::provenance {
 /// the per-object chain index is a copy-on-write radix trie whose
 /// replaced nodes are retired through an attached epoch domain. The
 /// writer makes its state visible to concurrent readers only at explicit
-/// PublishSnapshot() points (the ingest pipeline calls one per
-/// group-commit fsync), so a published version is always an exact prefix
-/// of durable batches. Readers never touch writer state: they pin the
-/// epoch domain and traverse a published version (see StoreSnapshot),
-/// which is the only way to read records from another thread. The
-/// accessors below (record, ChainOf, LatestFor, ExtractProvenance*) are
-/// the writer reading its own state on its own thread. A store without
+/// PublishSnapshot() points (the ingest pipeline calls one per batch it
+/// commits, after the batch's fsync), so a published version is always
+/// an exact prefix of durable batches. Readers never touch writer state:
+/// they pin the epoch domain and traverse a published version (see
+/// StoreSnapshot), which is the only way to read records from another
+/// thread. The accessors below (record, ChainOf, LatestFor,
+/// ExtractProvenance*) are the writer reading its own state on its own
+/// thread. A store without
 /// an attached domain is a standalone one (recovery, checkpoint load,
 /// test references): it never publishes and frees superseded index
 /// nodes immediately.
@@ -165,8 +166,9 @@ class ProvenanceStore {
   /// version skeleton is preallocated by the mutation that dirtied the
   /// store; pinned by the alloc test). Writer-side: must be externally
   /// serialized with mutations. No-op when nothing changed or no domain
-  /// is attached. The ingest pipeline calls this once per group-commit
-  /// fsync, so published versions are always durable-batch prefixes.
+  /// is attached. The ingest pipeline calls this once per batch it
+  /// commits after the batch's fsync, so published versions are always
+  /// durable-batch prefixes.
   void PublishSnapshot();
 
   /// Last published version (null before the first publish). Readers

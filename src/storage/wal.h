@@ -93,7 +93,7 @@ class WalWriter {
   /// Appends one record frame. Rejects payloads over kWalMaxPayload with
   /// kInvalidArgument. The record is durable only after the next
   /// successful Sync: the caller places every durability point (the
-  /// ingest pipeline syncs once per flushed batch).
+  /// ingest pipeline syncs each shard once per write-ahead).
   Status Append(ByteView payload);
 
   /// Pushes buffered frames to the OS (survives process crash only).

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -410,6 +411,58 @@ TEST(CheckpointedIngestTest, CheckpointNowSealsEveryShard) {
   ASSERT_TRUE((*pipeline)->Close().ok());
 }
 
+/// An insert of object `id` by P(1).
+IngestRequest InsertRequest(ObjectId id) {
+  IngestRequest request;
+  request.object = id;
+  request.post_hash =
+      crypto::Digest::FromBytes(Bytes(20, static_cast<uint8_t>(id)));
+  request.participant = &P(1);
+  return request;
+}
+
+// Only a durable seal may delete anything. Here the background seal
+// fails to create its file while the disk otherwise works: the stale
+// checkpoint and every WAL segment must survive, and recovery must still
+// bring back every committed record.
+TEST(CheckpointedIngestTest, FailedBackgroundSealDeletesNothing) {
+  auto verifier = SealVerifier();
+  FaultInjectionEnv env(Env::Default());
+  const std::string root = FreshDir("failed_seal");
+  IngestOptions options = CheckpointedIngestOptions(&verifier);
+  options.num_shards = 1;
+  options.signing.num_threads = 4;
+  options.checkpoint.every_records = 1 << 20;  // only CheckpointNow seals
+  {
+    auto pipeline = IngestPipeline::Open(&env, root, options);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    for (ObjectId id = 1; id <= 16; ++id) {
+      ASSERT_TRUE((*pipeline)->Submit(InsertRequest(id)).ok());
+      if (id == 8) {
+        ASSERT_TRUE((*pipeline)->CheckpointNow().ok());
+      }
+    }
+    ASSERT_TRUE((*pipeline)->Drain().ok());
+    auto before = env.ListDir(ShardDir(root));
+    ASSERT_TRUE(before.ok());
+
+    // The roll creates the next segment; the seal's file is the second
+    // file created, and it fails.
+    env.ScheduleNewFileFailure(2);
+    EXPECT_EQ((*pipeline)->CheckpointNow().code(), StatusCode::kIoError);
+    auto after = env.ListDir(ShardDir(root));
+    ASSERT_TRUE(after.ok());
+    for (const std::string& name : *before) {
+      EXPECT_NE(std::find(after->begin(), after->end(), name), after->end())
+          << name << " was deleted behind a seal that never landed";
+    }
+  }
+  auto recovered = ShardedProvenanceStore::Recover(&env, root, 1, nullptr,
+                                                   &verifier);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->shard(0).record_count(), 16u);
+}
+
 /// Crashes the checkpointed ingest workload at every mutating op. With
 /// `signing_threads` > 1 and `drain_every` > 0, Drain() rounds cover both
 /// shards and their WAL appends and fsyncs overlap on the pool, so which
@@ -462,6 +515,9 @@ void SweepEveryMutatingOp(int signing_threads, size_t drain_every,
         // Expected to stop at the crash, poisoning the pipeline.
         Status crash =
             SubmitWithDrainCadence(pipeline->get(), requests, drain_every);
+        // A pipelined Submit may return with a write-ahead in flight; the
+        // Drain resolves it, so the checks below read a quiescent pipeline.
+        if (crash.ok()) crash = (*pipeline)->Drain();
         (void)crash;
         const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
         for (size_t s = 0; s < kSweepShards; ++s) {
@@ -522,6 +578,109 @@ TEST(CheckpointedIngestCrashSweepTest, CrashAtEveryMutatingOp) {
 
 TEST(CheckpointedIngestCrashSweepTest, PooledDrainsCrashAtEveryMutatingOp) {
   SweepEveryMutatingOp(/*signing_threads=*/4, /*drain_every=*/4, "pooled");
+}
+
+/// Drives `pipeline` the way the server's strand does: Submit each
+/// request, close the open batches (Flush) after every third, Poll in
+/// between, and count the records each OK completion acknowledges. An
+/// aggregate goes in behind a Drain, since a wire client learns its
+/// inputs' checksums only from a query-chain, which runs behind one:
+/// inputs on other shards are durable before it. Ends with a Drain;
+/// returns the first error.
+Status SubmitLikeTheServer(IngestPipeline* pipeline,
+                           const std::vector<IngestRequest>& requests,
+                           std::array<uint64_t, kSweepShards>* acked) {
+  pipeline->SetProducerHooks(nullptr,
+                             [acked](const BatchCompletion& completion) {
+                               if (completion.status.ok()) {
+                                 (*acked)[completion.shard] +=
+                                     completion.records;
+                               }
+                             });
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i].op == OperationType::kAggregate) {
+      PROVDB_RETURN_IF_ERROR(pipeline->Drain());
+    }
+    PROVDB_RETURN_IF_ERROR(pipeline->Submit(requests[i]));
+    PROVDB_RETURN_IF_ERROR(i % 3 == 2 ? pipeline->Flush() : pipeline->Poll());
+  }
+  return pipeline->Drain();
+}
+
+// Background seals under crashes: a pooled pipeline seals on its sealer
+// thread while the producer keeps writing ahead. The sweep crashes it at
+// every mutating op of the crash-free run — every roll, every write,
+// fsync and rename of a seal, every GC remove, and the write-aheads in
+// between — and cuts the power. Recovery must refuse nothing, hold every
+// acknowledged record as a prefix of the crash-free run, and verify
+// clean.
+TEST(CheckpointedIngestCrashSweepTest, BackgroundSealsSurviveACrashAtEveryOp) {
+  auto verifier = SealVerifier();
+  IngestOptions options = CheckpointedIngestOptions(&verifier);
+  options.signing.num_threads = 4;
+  options.max_batch_records = 2;
+  options.checkpoint.every_records = 3;
+  IngestWorkloadBuilder builder;
+  DifferentialWorkloadOptions wl;
+  wl.num_ops = 30;
+  ASSERT_TRUE(RandomDifferentialWorkload(&builder, 0xC4B5Au, wl).ok());
+  const std::vector<IngestRequest>& requests = builder.requests();
+
+  std::array<std::vector<Bytes>, kSweepShards> golden;
+  uint64_t total_ops = 0;
+  {
+    FaultInjectionEnv env(Env::Default());
+    auto pipeline =
+        IngestPipeline::Open(&env, FreshDir("background_golden"), options);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    std::array<uint64_t, kSweepShards> acked{};
+    ASSERT_TRUE(SubmitLikeTheServer(pipeline->get(), requests, &acked).ok());
+    ASSERT_TRUE((*pipeline)->Close().ok());
+    const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+    uint64_t checkpoints = 0;
+    for (size_t s = 0; s < kSweepShards; ++s) {
+      golden[s] = EncodedInCommitOrder(snapshot.shard_view(s));
+      EXPECT_EQ(acked[s], golden[s].size());
+      checkpoints += (*pipeline)->shard_checkpoints(s);
+    }
+    ASSERT_GT(checkpoints, 1u) << "too few seals to sweep";
+    total_ops = env.mutating_ops();
+  }
+
+  for (uint64_t k = 1; k <= total_ops; ++k) {
+    SCOPED_TRACE("crash at mutating op " + std::to_string(k));
+    FaultInjectionEnv env(Env::Default());
+    const std::string root = FreshDir("background_op" + std::to_string(k));
+    env.ScheduleCrashAtOp(k);
+    std::array<uint64_t, kSweepShards> acked{};
+    {
+      auto pipeline = IngestPipeline::Open(&env, root, options);
+      if (pipeline.ok()) {
+        (void)SubmitLikeTheServer(pipeline->get(), requests, &acked);
+      }
+      // Scope exit without Close(): the crash.
+    }
+    env.ClearFaults();
+    ASSERT_TRUE(env.DropUnsyncedFileData().ok());
+
+    auto recovered = ShardedProvenanceStore::Recover(&env, root, kSweepShards,
+                                                     nullptr, &verifier);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    for (size_t s = 0; s < kSweepShards; ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      const ProvenanceStore& shard = recovered->shard(s);
+      EXPECT_GE(shard.record_count(), acked[s]) << "an acked record is lost";
+      ASSERT_LE(shard.record_count(), golden[s].size());
+      for (uint64_t i = 0; i < shard.record_count(); ++i) {
+        EXPECT_EQ(EncodeRecord(shard.record(i)), golden[s][i])
+            << "recovered record " << i << " diverged from the golden run";
+      }
+    }
+    auto report = ProvenanceVerifier(&TestPki::Instance().registry())
+                      .VerifyStore(recovered->OpenSnapshot());
+    EXPECT_TRUE(report.ok()) << report.ToString();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

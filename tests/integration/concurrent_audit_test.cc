@@ -71,9 +71,9 @@ TEST(ConcurrentAuditDifferentialTest, CutsSurviveParallelSigningFanOut) {
 }
 
 TEST(ConcurrentAuditDifferentialTest, CutsAreDurablePrefixesUnderDrainCadence) {
-  // The writer drains every few submits, as the network server does, so
-  // most flush rounds cover every shard and publish them one after
-  // another while the auditor keeps opening cuts.
+  // The writer drains every few submits, so most write-aheads cover
+  // every shard and publish them one after another while the auditor
+  // keeps opening cuts.
   const size_t shard_counts[] = {4, 8};
   for (size_t shards : shard_counts) {
     RunConcurrentAudit(0xCA0D0004u, shards, /*signing_threads=*/4,

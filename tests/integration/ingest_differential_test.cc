@@ -131,8 +131,8 @@ TEST(IngestDifferentialTest, RandomWorkloadsAgreeAtEveryShardCount) {
   }
 }
 
-// The server's cadence: a Drain() every few submits, so most flush rounds
-// cover every shard at once (one signing fan-out, overlapped fsyncs),
+// A Drain() every few submits, so most write-aheads cover every shard at
+// once (overlapped fsyncs),
 // plus a checkpoint seal every few records per shard. Chains must still
 // match the sequential reference byte for byte, and recovery from the
 // sealed checkpoints plus WAL suffixes must rebuild the same chains.

@@ -314,8 +314,8 @@ constexpr size_t kSweepShards = 2;
 /// How the sweep drives the pipeline.
 struct SweepMode {
   IngestOptions options;
-  /// When > 0, Drain() after every this many submits (the server's
-  /// cadence), so flush rounds cover every shard at once.
+  /// When > 0, Drain() after every this many submits, so most
+  /// write-aheads cover every shard at once.
   size_t drain_every = 0;
 };
 
@@ -408,6 +408,9 @@ void RunShardedCrashCycle(const ShardedSweepFixture& fx,
       // Expected to stop at the injected fault, poisoning the pipeline.
       Status crash = SubmitWithDrainCadence(pipeline->get(), fx.requests,
                                             fx.mode.drain_every);
+      // A pipelined Submit may return with a write-ahead in flight; the
+      // Drain resolves it, so the checks below read a quiescent pipeline.
+      if (crash.ok()) crash = (*pipeline)->Drain();
       (void)crash;
       const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
       for (size_t s = 0; s < kSweepShards; ++s) {

@@ -21,6 +21,7 @@
 #include "provenance/ingest_pipeline.h"
 #include "provenance/serialization.h"
 #include "storage/env.h"
+#include "storage/fault_injection_env.h"
 #include "testing/test_pki.h"
 
 namespace provdb::net {
@@ -350,6 +351,94 @@ TEST(ServerIntegrationTest, PipelinedResponsesArriveInRequestOrder) {
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ((*records)[0].output.object_id, 100u);
+}
+
+// -- Acks follow durability --------------------------------------------
+
+/// A pipeline behind the server that signs on a pool, so acks come from
+/// completions that land after the strand moved on.
+std::unique_ptr<IngestPipeline> OpenPooledPipeline(Env* env,
+                                                   const std::string& root,
+                                                   size_t shards) {
+  IngestOptions options;
+  options.num_shards = shards;
+  options.signing.num_threads = 4;
+  auto pipeline = IngestPipeline::Open(env, root, options);
+  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  return std::move(pipeline).value();
+}
+
+TEST(ServerIntegrationTest, FailedFsyncAnswersEverySubmitWithTheError) {
+  storage::FaultInjectionEnv env(Env::Default());
+  auto pipeline = OpenPooledPipeline(&env, FreshDir("acks_fsync"), 1);
+  auto server = StartServer(pipeline.get());
+  auto client = Connect(*server);
+
+  // The first write-ahead's fsync fails: its batch is not durable, and
+  // every batch behind it fails with the poison. No submit may read OK.
+  env.ScheduleSyncFailure(1);
+  constexpr size_t kSubmits = 12;
+  for (size_t i = 0; i < kSubmits; ++i) {
+    ASSERT_TRUE(
+        client.SendRequest(Insert(300 + i, static_cast<uint8_t>(i))).ok());
+  }
+  for (size_t i = 0; i < kSubmits; ++i) {
+    auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->code, StatusCode::kIoError)
+        << "submit " << i << " answered " << response->message;
+  }
+  auto later = client.Call(Insert(400, 0x40));
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->code, StatusCode::kIoError);
+  server->Stop();
+  EXPECT_EQ(pipeline->committed(), 0u);
+  EXPECT_EQ(pipeline->OpenSnapshot().record_count(), 0u);
+  EXPECT_EQ(pipeline->shard_wal(0)->synced_records(), 0u);
+}
+
+TEST(ServerIntegrationTest, ReadsAfterPipelinedSubmitsSeeThem) {
+  auto pipeline =
+      OpenPooledPipeline(Env::Default(), FreshDir("read_own_writes"), 2);
+  auto server = StartServer(pipeline.get());
+  auto client = Connect(*server);
+
+  // Sent back to back, acks unread: each read still sees every submit
+  // before it on the connection.
+  ASSERT_TRUE(client.SendRequest(Insert(500, 0x50)).ok());
+  ASSERT_TRUE(client.SendRequest(Update(500, 0x50, 0x51)).ok());
+  ASSERT_TRUE(client.SendRequest(Insert(501, 0x52)).ok());
+  ASSERT_TRUE(client.SendRequest(Update(500, 0x51, 0x53)).ok());
+  ASSERT_TRUE(client.SendRequest(Read(NetOp::kQueryChain, 500)).ok());
+  ASSERT_TRUE(client.SendRequest(Read(NetOp::kVerifyObject, 500)).ok());
+  ASSERT_TRUE(client.SendRequest(Read(NetOp::kQueryChain, 501)).ok());
+
+  const std::vector<uint64_t> seqs = {0, 1, 0, 2};
+  for (uint64_t seq : seqs) {
+    auto ack = client.ReadResponse();
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    ASSERT_TRUE(ack->ok()) << ack->message;
+    EXPECT_EQ(SeqOf(*ack), seq);
+  }
+  auto chain = client.ReadResponse();
+  ASSERT_TRUE(chain.ok() && chain->ok());
+  auto records = DecodeChainBody(chain->body);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 3u);
+  EXPECT_EQ((*records)[2].output.state_hash, D(0x53));
+
+  auto verify = client.ReadResponse();
+  ASSERT_TRUE(verify.ok() && verify->ok());
+  auto summary = DecodeVerifySummary(verify->body);
+  ASSERT_TRUE(summary.ok());
+  EXPECT_TRUE(summary->ok);
+  EXPECT_EQ(summary->records_checked, 3u);
+
+  auto other = client.ReadResponse();
+  ASSERT_TRUE(other.ok() && other->ok());
+  records = DecodeChainBody(other->body);
+  ASSERT_TRUE(records.ok());
+  EXPECT_EQ(records->size(), 1u);
 }
 
 TEST(ServerIntegrationTest, ChainTailsSeededAcrossServerRestart) {

@@ -13,6 +13,7 @@
 #include "common/crc32.h"
 #include "common/frame.h"
 #include "crypto/signer.h"
+#include "provenance/ingest_pipeline.h"
 #include "testing/test_pki.h"
 
 namespace provdb::provenance {
@@ -101,6 +102,60 @@ size_t ReadVarintAt(const Bytes& bytes, size_t* pos) {
     shift += 7;
   }
   return static_cast<size_t>(value);
+}
+
+// The ingest pipeline seals from a pinned snapshot on a background
+// thread while its writer keeps committing. That seal must be the very
+// bytes a synchronous seal of the pinned store state writes: interleaved
+// chains, an aggregate, and a pruned object included, in an image large
+// enough to go out in several write chunks.
+TEST_F(CheckpointTest, PinnedSnapshotSealMatchesTheSynchronousSeal) {
+  ShardedProvenanceStore sharded(1);
+  ProvenanceStore& store = sharded.shard(0);
+  ASSERT_TRUE(store.AddRecord(Rec(7, 0, OperationType::kInsert, 1)).ok());
+  ASSERT_TRUE(store.AddRecord(Rec(13, 0, OperationType::kInsert, 2)).ok());
+  ASSERT_TRUE(store.AddRecord(Rec(9, 0, OperationType::kInsert, 3)).ok());
+  ASSERT_TRUE(store.AddRecord(Rec(7, 1, OperationType::kUpdate, 4)).ok());
+  ASSERT_TRUE(store.AddRecord(Rec(13, 1, OperationType::kUpdate, 5)).ok());
+  ProvenanceRecord aggregate = Rec(11, 2, OperationType::kAggregate, 6);
+  aggregate.inputs = {ObjectState{7, D(4)}, ObjectState{9, D(3)}};
+  ASSERT_TRUE(store.AddRecord(aggregate).ok());
+  ASSERT_TRUE(store.PruneObject(13).ok());
+  ASSERT_TRUE(store.AddRecord(Rec(9, 1, OperationType::kUpdate, 7)).ok());
+  constexpr storage::ObjectId kBulk = 600;
+  for (storage::ObjectId id = 100; id < 100 + kBulk; ++id) {
+    ASSERT_TRUE(store
+                    .AddRecord(Rec(id, 0, OperationType::kInsert,
+                                   static_cast<uint8_t>(id)))
+                    .ok());
+  }
+
+  constexpr uint64_t kHorizon = 4;
+  const std::string path = CheckpointFileName(dir_, kHorizon);
+  ASSERT_TRUE(
+      CheckpointWriter::Write(env_, dir_, store, kHorizon, Sealer(), 1).ok());
+  const Bytes synchronous = ReadAll(path);
+  EXPECT_GT(synchronous.size(), size_t{128} << 10);
+  ASSERT_TRUE(env_->RemoveFile(path).ok());
+
+  // Pin the published state, then keep writing: the seal must not see
+  // the later records or the later prune.
+  sharded.PublishAll();
+  const StoreSnapshot snapshot = sharded.OpenSnapshot();
+  ASSERT_TRUE(store.AddRecord(Rec(9, 2, OperationType::kUpdate, 8)).ok());
+  ASSERT_TRUE(store.AddRecord(Rec(15, 0, OperationType::kInsert, 9)).ok());
+  ASSERT_TRUE(store.PruneObject(15).ok());
+  sharded.PublishAll();
+  ASSERT_TRUE(CheckpointWriter::Write(env_, dir_, snapshot.shard_view(0),
+                                      kHorizon, Sealer(), 1)
+                  .ok());
+  EXPECT_EQ(ReadAll(path), synchronous);
+
+  auto verifier = SealVerifier();
+  auto loaded = CheckpointReader::Load(env_, path, verifier);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->manifest.live_records, 5 + kBulk);
+  EXPECT_EQ(loaded->manifest.chain_count, 3 + kBulk);
 }
 
 TEST_F(CheckpointTest, RoundTripRestoresStoreAndManifest) {

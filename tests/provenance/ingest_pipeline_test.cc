@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -356,9 +358,10 @@ TEST(IngestPipelineTest, FlushErrorPoisonsThePipeline) {
   EXPECT_EQ((*pipeline)->Drain().code(), flush.code());
 }
 
-// A Drain flushes every shard in one round: signing fans out across the
-// pool for all of them and each shard's append + fsync runs as its own
-// pool task. These open a 4-shard pooled pipeline over `env` with two
+// A Drain is one write-ahead over every shard: once every batch it
+// closed has signed on the pool, each shard appends and fsyncs, the
+// fsyncs overlapping on the I/O threads. These open a 4-shard pooled
+// pipeline over `env` with two
 // inserts buffered on every shard (the batch threshold never fires), so
 // the next Drain touches all four. ("Ingest" in the suite name opts them
 // into the TSan CI stage's filter.)
@@ -454,6 +457,199 @@ TEST(IngestPipelineParallelTest, DrainFailureReportsTheLowestFailingShard) {
   EXPECT_EQ(pipeline->committed(), 0u);
   env.SetFilesystemActive(true);
   EXPECT_EQ(pipeline->Drain().message(), drain.message());
+}
+
+/// Forwards to `base`, but every WAL fsync waits at a gate the test
+/// opens: it holds a write-ahead in flight while the test submits more.
+class GatedSyncEnv final : public storage::Env {
+ public:
+  explicit GatedSyncEnv(storage::Env* base) : base_(base) {}
+
+  /// Blocks until `n` fsyncs have reached the gate.
+  void AwaitSyncsAtGate(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return at_gate_ >= n; });
+  }
+  void OpenGate() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  Result<std::unique_ptr<storage::WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    PROVDB_ASSIGN_OR_RETURN(std::unique_ptr<storage::WritableFile> file,
+                            base_->NewWritableFile(path));
+    return std::unique_ptr<storage::WritableFile>(
+        new GatedFile(this, std::move(file)));
+  }
+  Result<Bytes> ReadFileToBytes(const std::string& path) override {
+    return base_->ReadFileToBytes(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status CreateDir(const std::string& path) override {
+    return base_->CreateDir(path);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
+    return base_->ListDir(dir);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status TruncateFile(const std::string& path, uint64_t size) override {
+    return base_->TruncateFile(path, size);
+  }
+  Status SyncDir(const std::string& dir) override {
+    return base_->SyncDir(dir);
+  }
+
+ private:
+  class GatedFile final : public storage::WritableFile {
+   public:
+    GatedFile(GatedSyncEnv* env, std::unique_ptr<storage::WritableFile> file)
+        : env_(env), file_(std::move(file)) {}
+    Status Append(ByteView data) override { return file_->Append(data); }
+    Status Flush() override { return file_->Flush(); }
+    Status Sync() override {
+      {
+        std::unique_lock<std::mutex> lock(env_->mu_);
+        ++env_->at_gate_;
+        env_->cv_.notify_all();
+        env_->cv_.wait(lock, [this] { return env_->open_; });
+      }
+      return file_->Sync();
+    }
+    Status Close() override { return file_->Close(); }
+
+   private:
+    GatedSyncEnv* env_;
+    std::unique_ptr<storage::WritableFile> file_;
+  };
+
+  storage::Env* base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int at_gate_ = 0;
+  bool open_ = false;
+};
+
+/// Records what a producer sees: wake calls and batch completions.
+struct ProducerLog {
+  std::mutex mu;
+  std::condition_variable cv;
+  int wakes = 0;
+  std::vector<BatchCompletion> completions;
+
+  void Hook(IngestPipeline* pipeline) {
+    pipeline->SetProducerHooks(
+        [this] {
+          std::lock_guard<std::mutex> lock(mu);
+          ++wakes;
+          cv.notify_all();
+        },
+        [this](const BatchCompletion& completion) {
+          std::lock_guard<std::mutex> lock(mu);
+          completions.push_back(completion);
+        });
+  }
+  int Wakes() {
+    std::lock_guard<std::mutex> lock(mu);
+    return wakes;
+  }
+  void AwaitWakes(int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return wakes >= n; });
+  }
+};
+
+// A write-ahead's fsync fails while the next batches — one of them
+// signed on top of the failing batch's records — wait signed behind it.
+// None of them may commit: every batch still in flight completes with the
+// failing shard's error, which later calls repeat. ("Parallel" in the
+// name opts it into the TSan CI stage's filter.)
+TEST(IngestPipelineParallelTest, SignedBatchesBehindAFailedWriteAheadFail) {
+  std::string root = FreshDir("poison_pipelined");
+  FaultInjectionEnv faults(Env::Default());
+  GatedSyncEnv env(&faults);
+  IngestOptions options;
+  options.num_shards = 2;
+  options.max_batch_records = 2;
+  options.signing.num_threads = 4;
+  auto opened = IngestPipeline::Open(&env, root, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  IngestPipeline& pipeline = **opened;
+  ProducerLog log;
+  log.Hook(&pipeline);
+  std::vector<ObjectId> on_shard[2];
+  for (ObjectId id = 1; on_shard[0].size() < 2 || on_shard[1].size() < 2;
+       ++id) {
+    std::vector<ObjectId>& ids = on_shard[ShardedProvenanceStore::ShardOf(id, 2)];
+    if (ids.size() < 2) ids.push_back(id);
+  }
+
+  // Batch A: shard 1's two inserts. Once signed, a Poll starts its
+  // write-ahead, whose fsync fails at the gate.
+  faults.ScheduleSyncFailure(1);
+  for (ObjectId id : on_shard[1]) {
+    ASSERT_TRUE(pipeline.Submit(Insert(id, static_cast<uint8_t>(id))).ok());
+  }
+  log.AwaitWakes(1);
+  ASSERT_TRUE(pipeline.Poll().ok());
+  env.AwaitSyncsAtGate(1);
+
+  // Batches B: updates of A's objects, signed on A's records, and two
+  // inserts on shard 0. Each closed batch reports once it has signed.
+  const int woken = log.Wakes();
+  for (ObjectId id : on_shard[1]) {
+    const uint8_t tag = static_cast<uint8_t>(id);
+    ASSERT_TRUE(
+        pipeline.Submit(Update(id, tag, static_cast<uint8_t>(tag + 50))).ok());
+  }
+  for (ObjectId id : on_shard[0]) {
+    ASSERT_TRUE(pipeline.Submit(Insert(id, static_cast<uint8_t>(id))).ok());
+  }
+  log.AwaitWakes(woken + 2);
+  EXPECT_TRUE(log.completions.empty());
+
+  // A's fsync fails: the pipeline is poisoned with shard 1's error.
+  env.OpenGate();
+  log.AwaitWakes(woken + 3);
+  Status poison = pipeline.Poll();
+  ASSERT_EQ(poison.code(), StatusCode::kIoError) << poison.ToString();
+  EXPECT_NE(
+      poison.message().find(ShardedProvenanceStore::ShardDirName(root, 1)),
+      std::string::npos)
+      << poison.ToString();
+  size_t failed_records = 0;
+  for (const BatchCompletion& completion : log.completions) {
+    EXPECT_EQ(completion.status.code(), poison.code());
+    EXPECT_EQ(completion.status.message(), poison.message());
+    failed_records += completion.records;
+  }
+  EXPECT_EQ(log.completions.size(), 3u) << "A, and B on either shard";
+  EXPECT_EQ(failed_records, 6u);
+
+  // Nothing committed or became visible; B never reached a WAL.
+  EXPECT_EQ(pipeline.committed(), 0u);
+  EXPECT_EQ(pipeline.OpenSnapshot().record_count(), 0u);
+  for (size_t s = 0; s < 2; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ASSERT_NE(pipeline.shard_wal(s), nullptr);
+    EXPECT_EQ(pipeline.shard_wal(s)->synced_records(), 0u);
+    EXPECT_EQ(pipeline.shard_wal(s)->appended_records(), s == 1 ? 2u : 0u);
+  }
+  EXPECT_EQ(
+      pipeline.Submit(Insert(on_shard[0][0] + 1000, 0x70)).message(),
+      poison.message());
+  EXPECT_EQ(pipeline.Drain().message(), poison.message());
 }
 
 TEST(IngestPipelineTest, SubmitValidatesAggregateShape) {

@@ -133,8 +133,8 @@ Result<DurableTrackedDatabase> OpenDurableTrackedDatabase(
     const provenance::IngestOptions& options = provenance::IngestOptions());
 
 /// Submits `requests` in order and, when `drain_every` > 0, calls
-/// Drain() after every `drain_every` submits — the network server's
-/// cadence, whose flush rounds cover every shard at once. Stops at the
+/// Drain() after every `drain_every` submits, so most write-aheads
+/// cover every shard at once. Stops at the
 /// first error.
 Status SubmitWithDrainCadence(
     provenance::IngestPipeline* pipeline,
