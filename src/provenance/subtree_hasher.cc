@@ -45,8 +45,9 @@ crypto::Digest SubtreeHasher::HashAtomic(storage::ObjectId id,
   return HashNode(id, value, {});
 }
 
-Result<crypto::Digest> SubtreeHasher::HashSubtreeBasic(
-    storage::ObjectId root) const {
+Result<crypto::Digest> SubtreeHasher::HashSubtreeBasicInto(
+    storage::ObjectId root,
+    std::unordered_map<storage::ObjectId, crypto::Digest>* digests) const {
   subtree_calls_->Increment();
   PROVDB_RETURN_IF_ERROR(tree_->GetNode(root).status());
 
@@ -69,6 +70,9 @@ Result<crypto::Digest> SubtreeHasher::HashSubtreeBasic(
       continue;
     }
     crypto::Digest digest = HashNode(node.id, node.value, frame.child_hashes);
+    if (digests != nullptr) {
+      (*digests)[frame.id] = digest;
+    }
     stack.pop_back();
     if (stack.empty()) {
       result = digest;

@@ -57,7 +57,16 @@ class SubtreeHasher {
   /// several threads at once (the tree is only read; the work counter is
   /// atomic).
   [[nodiscard]] Result<crypto::Digest> HashSubtreeBasic(
-      storage::ObjectId root) const;
+      storage::ObjectId root) const {
+    return HashSubtreeBasicInto(root, nullptr);
+  }
+
+  /// The same single post-order walk, which also stores the digest of
+  /// every node under `root` into `digests` when non-null: one walk gives
+  /// an operation every state it needs from a tree (§4.3's Basic cost).
+  [[nodiscard]] Result<crypto::Digest> HashSubtreeBasicInto(
+      storage::ObjectId root,
+      std::unordered_map<storage::ObjectId, crypto::Digest>* digests) const;
 
   /// Basic walk fanned out over `pool`: the subtrees of root's children
   /// are hashed as independent pool tasks (child digests combine in

@@ -75,14 +75,15 @@ Result<std::unique_ptr<TrackedDatabase>> TrackedDatabase::Open(
 
 storage::TreeStore& TrackedDatabase::bootstrap_tree() { return tree_; }
 
-Result<crypto::Digest> TrackedDatabase::ComputeHash(storage::ObjectId id,
-                                                    OperationMetrics* metrics) {
+Result<crypto::Digest> TrackedDatabase::ComputeHash(
+    storage::ObjectId id, OperationMetrics* metrics,
+    std::unordered_map<storage::ObjectId, crypto::Digest>* digests) {
   Stopwatch watch;
   Result<crypto::Digest> result = Status::Internal("unreachable");
   uint64_t nodes_before;
   if (options_.hashing_mode == HashingMode::kBasic) {
     nodes_before = basic_hasher_.nodes_hashed();
-    result = basic_hasher_.HashSubtreeBasic(id);
+    result = basic_hasher_.HashSubtreeBasicInto(id, digests);
     metrics->nodes_hashed += basic_hasher_.nodes_hashed() - nodes_before;
   } else {
     nodes_before = economical_hasher_.nodes_hashed();
@@ -91,39 +92,6 @@ Result<crypto::Digest> TrackedDatabase::ComputeHash(storage::ObjectId id,
   }
   metrics->hash_seconds += watch.ElapsedSeconds();
   return result;
-}
-
-Status TrackedDatabase::ComputeAllHashes(
-    storage::ObjectId root,
-    std::unordered_map<storage::ObjectId, crypto::Digest>* out,
-    OperationMetrics* metrics) {
-  Stopwatch watch;
-  struct Frame {
-    storage::ObjectId id;
-    size_t next_child = 0;
-    std::vector<crypto::Digest> child_hashes;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({root, 0, {}});
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    PROVDB_ASSIGN_OR_RETURN(const storage::TreeNode* node,
-                            tree_.GetNode(frame.id));
-    if (frame.next_child < node->children.size()) {
-      stack.push_back({node->children[frame.next_child++], 0, {}});
-      continue;
-    }
-    crypto::Digest digest =
-        basic_hasher_.HashNode(node->id, node->value, frame.child_hashes);
-    ++metrics->nodes_hashed;
-    (*out)[frame.id] = digest;
-    stack.pop_back();
-    if (!stack.empty()) {
-      stack.back().child_hashes.push_back(digest);
-    }
-  }
-  metrics->hash_seconds += watch.ElapsedSeconds();
-  return Status::OK();
 }
 
 void TrackedDatabase::InvalidatePath(storage::ObjectId id) {
@@ -168,258 +136,95 @@ Status TrackedDatabase::Submit(const IngestRequest& request) {
 }
 
 // ---------------------------------------------------------------------
-// Primitive operations
+// Primitive operations: each body runs inside a complex operation
 
-Result<storage::ObjectId> TrackedDatabase::Insert(const crypto::Participant& p,
-                                                  const storage::Value& value,
-                                                  storage::ObjectId parent) {
+Status TrackedDatabase::RunPrimitive(const crypto::Participant& p,
+                                     const std::function<Status()>& body) {
   if (complex_ != nullptr) {
     if (complex_->participant->id() != p.id()) {
       return Status::FailedPrecondition(
           "complex operation belongs to another participant");
     }
+    return body();
+  }
+  PROVDB_RETURN_IF_ERROR(BeginComplexOperation(p));
+  Status done = body();
+  if (!done.ok()) {
+    // A body fails before it mutates the tree: there is nothing to record.
+    complex_.reset();
+    return done;
+  }
+  return EndComplexOperation();
+}
+
+void TrackedDatabase::MarkChanged(storage::ObjectId id) {
+  InvalidatePath(id);
+  complex_->direct.insert(id);
+  complex_->touched.insert(id);
+  for (storage::ObjectId anc : tree_.AncestorsOf(id)) {
+    complex_->touched.insert(anc);
+  }
+}
+
+Result<storage::ObjectId> TrackedDatabase::Insert(const crypto::Participant& p,
+                                                  const storage::Value& value,
+                                                  storage::ObjectId parent) {
+  storage::ObjectId id = storage::kInvalidObjectId;
+  Status done = RunPrimitive(p, [&]() -> Status {
     if (parent != storage::kInvalidObjectId) {
+      PROVDB_RETURN_IF_ERROR(tree_.GetNode(parent).status());
       PROVDB_RETURN_IF_ERROR(CapturePreHashes(parent));
     }
-    PROVDB_ASSIGN_OR_RETURN(storage::ObjectId id, tree_.Insert(value, parent));
-    InvalidatePath(id);
+    PROVDB_ASSIGN_OR_RETURN(id, tree_.Insert(value, parent));
     complex_->inserted.insert(id);
-    complex_->touched.insert(id);
-    complex_->direct.insert(id);
-    for (storage::ObjectId anc : tree_.AncestorsOf(id)) {
-      complex_->touched.insert(anc);
-    }
-    return id;
+    MarkChanged(id);
+    return Status::OK();
+  });
+  if (!done.ok()) {
+    return done;
   }
-
-  OperationMetrics metrics;
-  std::vector<storage::ObjectId> ancestors;
-  std::vector<crypto::Digest> ancestor_pre;
-  if (parent != storage::kInvalidObjectId) {
-    PROVDB_RETURN_IF_ERROR(tree_.GetNode(parent).status());
-    ancestors.push_back(parent);
-    for (storage::ObjectId anc : tree_.AncestorsOf(parent)) {
-      ancestors.push_back(anc);
-    }
-    if (options_.hashing_mode == HashingMode::kBasic) {
-      std::unordered_map<storage::ObjectId, crypto::Digest> all;
-      PROVDB_RETURN_IF_ERROR(
-          ComputeAllHashes(ancestors.back(), &all, &metrics));
-      for (storage::ObjectId anc : ancestors) {
-        ancestor_pre.push_back(all.at(anc));
-      }
-    } else {
-      for (storage::ObjectId anc : ancestors) {
-        PROVDB_ASSIGN_OR_RETURN(crypto::Digest d, ComputeHash(anc, &metrics));
-        ancestor_pre.push_back(d);
-      }
-    }
-  }
-
-  PROVDB_ASSIGN_OR_RETURN(storage::ObjectId id, tree_.Insert(value, parent));
-  InvalidatePath(id);
-
-  // Post-state hashes: the new object and every ancestor.
-  crypto::Digest self_post;
-  std::vector<crypto::Digest> ancestor_post(ancestors.size());
-  if (options_.hashing_mode == HashingMode::kBasic && !ancestors.empty()) {
-    std::unordered_map<storage::ObjectId, crypto::Digest> all;
-    PROVDB_RETURN_IF_ERROR(ComputeAllHashes(ancestors.back(), &all, &metrics));
-    self_post = all.at(id);
-    for (size_t i = 0; i < ancestors.size(); ++i) {
-      ancestor_post[i] = all.at(ancestors[i]);
-    }
-  } else {
-    PROVDB_ASSIGN_OR_RETURN(self_post, ComputeHash(id, &metrics));
-    for (size_t i = 0; i < ancestors.size(); ++i) {
-      PROVDB_ASSIGN_OR_RETURN(ancestor_post[i],
-                              ComputeHash(ancestors[i], &metrics));
-    }
-  }
-
-  const storage::Value* snapshot =
-      options_.store_value_snapshots ? &value : nullptr;
-  PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kInsert,
-                                    /*inherited=*/false, id, nullptr,
-                                    self_post, snapshot));
-  for (size_t i = 0; i < ancestors.size(); ++i) {
-    PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kUpdate,
-                                      /*inherited=*/true, ancestors[i],
-                                      &ancestor_pre[i], ancestor_post[i],
-                                      nullptr));
-  }
-  PROVDB_RETURN_IF_ERROR(FinishOperation(metrics));
   return id;
 }
 
 Status TrackedDatabase::Update(const crypto::Participant& p,
                                storage::ObjectId id,
                                const storage::Value& value) {
-  PROVDB_RETURN_IF_ERROR(tree_.GetNode(id).status());
-  if (complex_ != nullptr) {
-    if (complex_->participant->id() != p.id()) {
-      return Status::FailedPrecondition(
-          "complex operation belongs to another participant");
-    }
+  return RunPrimitive(p, [&]() -> Status {
+    PROVDB_RETURN_IF_ERROR(tree_.GetNode(id).status());
     PROVDB_RETURN_IF_ERROR(CapturePreHashes(id));
     PROVDB_RETURN_IF_ERROR(tree_.Update(id, value));
-    InvalidatePath(id);
-    complex_->touched.insert(id);
-    complex_->direct.insert(id);
-    for (storage::ObjectId anc : tree_.AncestorsOf(id)) {
-      complex_->touched.insert(anc);
-    }
+    MarkChanged(id);
     return Status::OK();
-  }
-
-  OperationMetrics metrics;
-  std::vector<storage::ObjectId> ancestors = tree_.AncestorsOf(id);
-
-  crypto::Digest self_pre;
-  std::vector<crypto::Digest> ancestor_pre(ancestors.size());
-  PROVDB_ASSIGN_OR_RETURN(storage::ObjectId tree_root, tree_.RootOf(id));
-  if (options_.hashing_mode == HashingMode::kBasic) {
-    std::unordered_map<storage::ObjectId, crypto::Digest> all;
-    PROVDB_RETURN_IF_ERROR(ComputeAllHashes(tree_root, &all, &metrics));
-    self_pre = all.at(id);
-    for (size_t i = 0; i < ancestors.size(); ++i) {
-      ancestor_pre[i] = all.at(ancestors[i]);
-    }
-  } else {
-    // Hash the whole tree once (mostly cache hits when warm), then read
-    // the needed digests.
-    PROVDB_RETURN_IF_ERROR(ComputeHash(tree_root, &metrics).status());
-    PROVDB_ASSIGN_OR_RETURN(self_pre, economical_hasher_.CachedDigest(id));
-    for (size_t i = 0; i < ancestors.size(); ++i) {
-      PROVDB_ASSIGN_OR_RETURN(ancestor_pre[i],
-                              economical_hasher_.CachedDigest(ancestors[i]));
-    }
-  }
-
-  PROVDB_RETURN_IF_ERROR(tree_.Update(id, value));
-  InvalidatePath(id);
-
-  crypto::Digest self_post;
-  std::vector<crypto::Digest> ancestor_post(ancestors.size());
-  if (options_.hashing_mode == HashingMode::kBasic) {
-    std::unordered_map<storage::ObjectId, crypto::Digest> all;
-    PROVDB_RETURN_IF_ERROR(ComputeAllHashes(tree_root, &all, &metrics));
-    self_post = all.at(id);
-    for (size_t i = 0; i < ancestors.size(); ++i) {
-      ancestor_post[i] = all.at(ancestors[i]);
-    }
-  } else {
-    PROVDB_RETURN_IF_ERROR(ComputeHash(tree_root, &metrics).status());
-    PROVDB_ASSIGN_OR_RETURN(self_post, economical_hasher_.CachedDigest(id));
-    for (size_t i = 0; i < ancestors.size(); ++i) {
-      PROVDB_ASSIGN_OR_RETURN(ancestor_post[i],
-                              economical_hasher_.CachedDigest(ancestors[i]));
-    }
-  }
-
-  const storage::Value* snapshot =
-      options_.store_value_snapshots ? &value : nullptr;
-  PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kUpdate,
-                                    /*inherited=*/false, id, &self_pre,
-                                    self_post, snapshot));
-  for (size_t i = 0; i < ancestors.size(); ++i) {
-    PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kUpdate,
-                                      /*inherited=*/true, ancestors[i],
-                                      &ancestor_pre[i], ancestor_post[i],
-                                      nullptr));
-  }
-  return FinishOperation(metrics);
+  });
 }
 
 Status TrackedDatabase::Delete(const crypto::Participant& p,
                                storage::ObjectId id) {
-  PROVDB_ASSIGN_OR_RETURN(const storage::TreeNode* node, tree_.GetNode(id));
-  if (!node->is_leaf()) {
-    return Status::FailedPrecondition(
-        "only leaf objects can be deleted by the primitive Delete");
-  }
-  if (complex_ != nullptr) {
-    if (complex_->participant->id() != p.id()) {
+  return RunPrimitive(p, [&]() -> Status {
+    PROVDB_ASSIGN_OR_RETURN(const storage::TreeNode* node, tree_.GetNode(id));
+    if (!node->is_leaf()) {
       return Status::FailedPrecondition(
-          "complex operation belongs to another participant");
+          "only leaf objects can be deleted by the primitive Delete");
     }
-    PROVDB_RETURN_IF_ERROR(CapturePreHashes(id));
-    storage::ObjectId parent = node->parent;
+    // The deleted object gets no record, so only its ancestors' input
+    // states are needed: a root-level leaf is deleted without hashing.
+    const storage::ObjectId parent = node->parent;
+    if (parent != storage::kInvalidObjectId) {
+      PROVDB_RETURN_IF_ERROR(CapturePreHashes(parent));
+    }
     std::vector<storage::ObjectId> ancestors = tree_.AncestorsOf(id);
     PROVDB_RETURN_IF_ERROR(tree_.Delete(id));
-    if (options_.hashing_mode == HashingMode::kEconomical) {
-      economical_hasher_.Forget(id);
-      if (parent != storage::kInvalidObjectId) {
-        economical_hasher_.Invalidate(parent);
-      }
+    economical_hasher_.Forget(id);  // Basic mode leaves its cache empty
+    if (parent != storage::kInvalidObjectId) {
+      InvalidatePath(parent);
     }
     complex_->deleted.insert(id);
     complex_->inserted.erase(id);
     complex_->touched.erase(id);
     complex_->direct.erase(id);
-    for (storage::ObjectId anc : ancestors) {
-      complex_->touched.insert(anc);
-    }
+    complex_->touched.insert(ancestors.begin(), ancestors.end());
     return Status::OK();
-  }
-
-  OperationMetrics metrics;
-  std::vector<storage::ObjectId> ancestors = tree_.AncestorsOf(id);
-  storage::ObjectId parent = node->parent;
-
-  std::vector<crypto::Digest> ancestor_pre(ancestors.size());
-  if (!ancestors.empty()) {
-    if (options_.hashing_mode == HashingMode::kBasic) {
-      std::unordered_map<storage::ObjectId, crypto::Digest> all;
-      PROVDB_RETURN_IF_ERROR(
-          ComputeAllHashes(ancestors.back(), &all, &metrics));
-      for (size_t i = 0; i < ancestors.size(); ++i) {
-        ancestor_pre[i] = all.at(ancestors[i]);
-      }
-    } else {
-      PROVDB_RETURN_IF_ERROR(
-          ComputeHash(ancestors.back(), &metrics).status());
-      for (size_t i = 0; i < ancestors.size(); ++i) {
-        PROVDB_ASSIGN_OR_RETURN(ancestor_pre[i],
-                                economical_hasher_.CachedDigest(ancestors[i]));
-      }
-    }
-  }
-
-  PROVDB_RETURN_IF_ERROR(tree_.Delete(id));
-  if (options_.hashing_mode == HashingMode::kEconomical) {
-    economical_hasher_.Forget(id);
-    if (parent != storage::kInvalidObjectId) {
-      economical_hasher_.Invalidate(parent);
-    }
-  }
-
-  std::vector<crypto::Digest> ancestor_post(ancestors.size());
-  if (!ancestors.empty()) {
-    if (options_.hashing_mode == HashingMode::kBasic) {
-      std::unordered_map<storage::ObjectId, crypto::Digest> all;
-      PROVDB_RETURN_IF_ERROR(
-          ComputeAllHashes(ancestors.back(), &all, &metrics));
-      for (size_t i = 0; i < ancestors.size(); ++i) {
-        ancestor_post[i] = all.at(ancestors[i]);
-      }
-    } else {
-      PROVDB_RETURN_IF_ERROR(
-          ComputeHash(ancestors.back(), &metrics).status());
-      for (size_t i = 0; i < ancestors.size(); ++i) {
-        PROVDB_ASSIGN_OR_RETURN(ancestor_post[i],
-                                economical_hasher_.CachedDigest(ancestors[i]));
-      }
-    }
-  }
-
-  for (size_t i = 0; i < ancestors.size(); ++i) {
-    PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kUpdate,
-                                      /*inherited=*/true, ancestors[i],
-                                      &ancestor_pre[i], ancestor_post[i],
-                                      nullptr));
-  }
-  return FinishOperation(metrics);
+  });
 }
 
 Result<storage::ObjectId> TrackedDatabase::Aggregate(
@@ -485,39 +290,34 @@ Status TrackedDatabase::BeginComplexOperation(const crypto::Participant& p) {
 }
 
 Status TrackedDatabase::CapturePreHashes(storage::ObjectId id) {
-  std::vector<storage::ObjectId> targets;
-  targets.push_back(id);
-  for (storage::ObjectId anc : tree_.AncestorsOf(id)) {
-    targets.push_back(anc);
-  }
+  ComplexState& state = *complex_;
+  std::vector<storage::ObjectId> targets = tree_.AncestorsOf(id);
+  targets.insert(targets.begin(), id);
+  auto captured = [&state](storage::ObjectId t) {
+    return state.pre_hashes.count(t) > 0 || state.inserted.count(t) > 0;
+  };
 
   if (options_.hashing_mode == HashingMode::kBasic) {
     PROVDB_ASSIGN_OR_RETURN(storage::ObjectId root, tree_.RootOf(id));
-    if (complex_->basic_pre_walked_roots.insert(root).second) {
+    if (state.basic_pre_walked_roots.insert(root).second) {
       // First touch of this tree: one full input walk (§4.3's Basic cost).
-      PROVDB_RETURN_IF_ERROR(ComputeAllHashes(
-          root, &complex_->basic_pre_pool, &complex_->metrics));
+      PROVDB_RETURN_IF_ERROR(
+          ComputeHash(root, &state.metrics, &state.basic_pre_pool).status());
     }
     for (storage::ObjectId t : targets) {
-      if (complex_->pre_hashes.count(t) > 0 ||
-          complex_->inserted.count(t) > 0) {
-        continue;
-      }
-      auto it = complex_->basic_pre_pool.find(t);
-      if (it != complex_->basic_pre_pool.end()) {
-        complex_->pre_hashes.emplace(t, it->second);
+      auto it = state.basic_pre_pool.find(t);
+      if (!captured(t) && it != state.basic_pre_pool.end()) {
+        state.pre_hashes.emplace(t, it->second);
       }
     }
     return Status::OK();
   }
 
   for (storage::ObjectId t : targets) {
-    if (complex_->pre_hashes.count(t) > 0 || complex_->inserted.count(t) > 0) {
-      continue;
+    if (!captured(t)) {
+      PROVDB_ASSIGN_OR_RETURN(crypto::Digest d, ComputeHash(t, &state.metrics));
+      state.pre_hashes.emplace(t, d);
     }
-    PROVDB_ASSIGN_OR_RETURN(crypto::Digest d,
-                            ComputeHash(t, &complex_->metrics));
-    complex_->pre_hashes.emplace(t, d);
   }
   return Status::OK();
 }
@@ -526,24 +326,24 @@ Status TrackedDatabase::EndComplexOperation() {
   if (complex_ == nullptr) {
     return Status::FailedPrecondition("no complex operation in progress");
   }
-  ComplexState& state = *complex_;
-  const crypto::Participant& p = *state.participant;
+  // Closed before anything is submitted: an operation whose record is
+  // refused must not stay open for the next primitive to join.
+  const std::unique_ptr<ComplexState> closed = std::move(complex_);
+  ComplexState& state = *closed;
 
-  // The record set: every surviving touched or inserted object.
-  std::vector<storage::ObjectId> subjects;
-  for (storage::ObjectId id : state.touched) {
-    if (state.deleted.count(id) == 0 && tree_.Contains(id)) {
-      subjects.push_back(id);
-    }
-  }
-
-  // Deepest objects first: the actual records precede the inherited ones
-  // they cause, mirroring the conceptual §4.2 collection order.
+  // The record set: every surviving touched or inserted object, deepest
+  // first, so the actual records precede the inherited ones they cause,
+  // mirroring the conceptual §4.2 collection order.
   std::vector<std::pair<size_t, storage::ObjectId>> keyed;
-  keyed.reserve(subjects.size());
-  for (storage::ObjectId id : subjects) {
+  std::set<storage::ObjectId> roots;
+  for (storage::ObjectId id : state.touched) {
+    if (state.deleted.count(id) > 0 || !tree_.Contains(id)) {
+      continue;
+    }
     PROVDB_ASSIGN_OR_RETURN(size_t depth, tree_.DepthOf(id));
     keyed.emplace_back(depth, id);
+    PROVDB_ASSIGN_OR_RETURN(storage::ObjectId root, tree_.RootOf(id));
+    roots.insert(root);
   }
   std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
@@ -552,52 +352,34 @@ Status TrackedDatabase::EndComplexOperation() {
 
   // Output-state hashes: refresh each affected tree once, then read off.
   std::unordered_map<storage::ObjectId, crypto::Digest> post;
-  if (options_.hashing_mode == HashingMode::kBasic) {
-    std::set<storage::ObjectId> roots;
+  for (storage::ObjectId root : roots) {
+    PROVDB_RETURN_IF_ERROR(ComputeHash(root, &state.metrics, &post).status());
+  }
+  if (options_.hashing_mode == HashingMode::kEconomical) {
     for (const auto& [depth, id] : keyed) {
-      PROVDB_ASSIGN_OR_RETURN(storage::ObjectId root, tree_.RootOf(id));
-      roots.insert(root);
-    }
-    for (storage::ObjectId root : roots) {
-      PROVDB_RETURN_IF_ERROR(ComputeAllHashes(root, &post, &state.metrics));
-    }
-  } else {
-    std::set<storage::ObjectId> roots;
-    for (const auto& [depth, id] : keyed) {
-      PROVDB_ASSIGN_OR_RETURN(storage::ObjectId root, tree_.RootOf(id));
-      roots.insert(root);
-    }
-    for (storage::ObjectId root : roots) {
-      PROVDB_RETURN_IF_ERROR(ComputeHash(root, &state.metrics).status());
-    }
-    for (const auto& [depth, id] : keyed) {
-      PROVDB_ASSIGN_OR_RETURN(crypto::Digest d,
-                              economical_hasher_.CachedDigest(id));
-      post.emplace(id, d);
+      PROVDB_ASSIGN_OR_RETURN(post[id], economical_hasher_.CachedDigest(id));
     }
   }
 
   for (const auto& [depth, id] : keyed) {
-    bool was_inserted = state.inserted.count(id) > 0;
-    bool is_direct = state.direct.count(id) > 0;
-    const crypto::Digest& post_hash = post.at(id);
-    if (was_inserted) {
-      PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kInsert,
-                                        /*inherited=*/!is_direct, id, nullptr,
-                                        post_hash, nullptr));
-    } else {
-      auto pre_it = state.pre_hashes.find(id);
-      const crypto::Digest* pre =
-          pre_it != state.pre_hashes.end() ? &pre_it->second : nullptr;
-      PROVDB_RETURN_IF_ERROR(EmitRecord(p, OperationType::kUpdate,
-                                        /*inherited=*/!is_direct, id, pre,
-                                        post_hash, nullptr));
+    const bool is_direct = state.direct.count(id) > 0;
+    // Inserted objects have no input state: capture skips them.
+    auto pre_it = state.pre_hashes.find(id);
+    const crypto::Digest* pre =
+        pre_it != state.pre_hashes.end() ? &pre_it->second : nullptr;
+    const storage::Value* snapshot = nullptr;
+    if (is_direct && options_.store_value_snapshots) {
+      PROVDB_ASSIGN_OR_RETURN(const storage::TreeNode* node,
+                              tree_.GetNode(id));
+      snapshot = &node->value;
     }
+    PROVDB_RETURN_IF_ERROR(EmitRecord(
+        *state.participant,
+        state.inserted.count(id) > 0 ? OperationType::kInsert
+                                     : OperationType::kUpdate,
+        /*inherited=*/!is_direct, id, pre, post.at(id), snapshot));
   }
-
-  OperationMetrics metrics = state.metrics;
-  complex_.reset();
-  return FinishOperation(metrics);
+  return FinishOperation(state.metrics);
 }
 
 // ---------------------------------------------------------------------

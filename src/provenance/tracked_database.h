@@ -1,6 +1,7 @@
 #ifndef PROVDB_PROVENANCE_TRACKED_DATABASE_H_
 #define PROVDB_PROVENANCE_TRACKED_DATABASE_H_
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -30,8 +31,9 @@ struct TrackedDatabaseOptions {
   crypto::HashAlgorithm hash_algorithm = crypto::HashAlgorithm::kSha1;
   HashingMode hashing_mode = HashingMode::kEconomical;
 
-  /// When true, provenance records of atomic outputs also carry the new
-  /// value (for display; verification never needs it).
+  /// When true, the record of each object a primitive targets directly
+  /// also carries the object's new value (for display; verification
+  /// never needs it). Inherited records carry none.
   bool store_value_snapshots = false;
 };
 
@@ -55,14 +57,15 @@ struct OperationMetrics {
 /// instrumented so every operation emits provenance records with integrity
 /// checksums into a provenance database (ProvenanceStore).
 ///
-/// Two usage modes:
-///  * **Primitive operations** — Insert / Update / Delete / Aggregate emit
-///    their records immediately, including the inherited records of every
-///    ancestor (§4.2).
-///  * **Complex operations** (§4.4) — Begin/EndComplexOperation brackets a
-///    batch of primitives; one record per surviving touched object (and
-///    its ancestors) is emitted at End, documenting the object's
-///    before/after states across the whole batch.
+/// Records come from complex operations (§4.4):
+/// Begin/EndComplexOperation brackets a batch of Insert / Update / Delete
+/// primitives, and End emits one record per surviving touched object,
+/// documenting its before/after states across the whole batch, with the
+/// inherited records of every ancestor (§4.2). A primitive outside a
+/// complex operation runs as a one-primitive complex operation, so
+/// EndComplexOperation alone hashes the primitives' output states and
+/// emits their records. Aggregate, which a complex operation may not
+/// contain, emits its own record.
 ///
 /// All tracked mutation is attributed to a crypto::Participant whose key
 /// signs the checksums.
@@ -109,6 +112,14 @@ class TrackedDatabase {
   storage::TreeStore& bootstrap_tree();
 
   // -- Tracked primitive operations -------------------------------------
+  //
+  // Outside a complex operation, Insert, Update and Delete each run as a
+  // one-primitive complex operation, which ends before they return. One
+  // refused before it mutates the tree (a missing object, a non-leaf
+  // Delete, another participant's operation) changes neither the tree nor
+  // the store and leaves in_complex_operation() as it was. When the
+  // pipeline refuses a record, the records submitted before it stand and
+  // the operation is closed all the same.
 
   /// Insert(A, val[, parent]) with provenance (§2/§4.1). Returns the new
   /// object id. Inside a complex operation the record is deferred to End.
@@ -140,8 +151,9 @@ class TrackedDatabase {
   /// EndComplexOperation must pass the same participant.
   Status BeginComplexOperation(const crypto::Participant& p);
 
-  /// Emits the batched records (one per surviving touched object and
-  /// ancestor) and closes the operation.
+  /// Closes the operation, then emits the batched records (one per
+  /// surviving touched object and ancestor). Directly targeted objects'
+  /// records carry their final values when store_value_snapshots is set.
   Status EndComplexOperation();
 
   bool in_complex_operation() const { return complex_ != nullptr; }
@@ -206,16 +218,13 @@ class TrackedDatabase {
   };
 
   /// Current hash of subtree(id), honoring the hashing mode; adds elapsed
-  /// time and node-hash work to `metrics`.
-  Result<crypto::Digest> ComputeHash(storage::ObjectId id,
-                                     OperationMetrics* metrics);
-
-  /// One post-order walk computing the digest of *every* node under
-  /// `root` (the Basic strategy's single-walk form).
-  Status ComputeAllHashes(
-      storage::ObjectId root,
-      std::unordered_map<storage::ObjectId, crypto::Digest>* out,
-      OperationMetrics* metrics);
+  /// time and node-hash work to `metrics`. In Basic mode the walk also
+  /// stores every node's digest into `digests` when non-null; the
+  /// economical cache holds them otherwise.
+  Result<crypto::Digest> ComputeHash(
+      storage::ObjectId id, OperationMetrics* metrics,
+      std::unordered_map<storage::ObjectId, crypto::Digest>* digests =
+          nullptr);
 
   /// The pipeline's cumulative work counters.
   struct PipelineTotals {
@@ -244,9 +253,21 @@ class TrackedDatabase {
   /// failing operation already submitted: its earlier records stand.
   Status Submit(const IngestRequest& request);
 
+  /// Runs `body`, a primitive's complex-operation part (validate, capture
+  /// input states, mutate the tree, mark what it touched), in the open
+  /// complex operation, or in a one-primitive operation of its own that
+  /// ends with it. A body fails only before it mutates the tree; its own
+  /// operation is then discarded.
+  Status RunPrimitive(const crypto::Participant& p,
+                      const std::function<Status()>& body);
+
   /// Captures pre-hashes of `id` and its ancestors into the complex batch
   /// if not yet captured. Must run before the mutation.
   Status CapturePreHashes(storage::ObjectId id);
+
+  /// Records that a primitive changed `id` itself: a direct target,
+  /// touched along with its ancestors, whose cached digests go dirty.
+  void MarkChanged(storage::ObjectId id);
 
   PipelineTotals Totals() const;
 

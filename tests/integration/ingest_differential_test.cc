@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,7 @@ using provdb::testing::IngestWorkloadBuilder;
 using provdb::testing::OneShardCopy;
 using provdb::testing::RandomDifferentialWorkload;
 using provdb::testing::ReplayThroughPipeline;
+using provdb::testing::SubmitWithDrainCadence;
 using provdb::testing::TestPki;
 using provdb::testing::WipeIngestRoot;
 using storage::Env;
@@ -136,12 +139,44 @@ TEST(IngestDifferentialTest, RandomWorkloadsAgreeAtEveryShardCount) {
 // plus a checkpoint seal every few records per shard. Chains must still
 // match the sequential reference byte for byte, and recovery from the
 // sealed checkpoints plus WAL suffixes must rebuild the same chains.
+//
+// The policy seals alone do not fix their count: one background sealer
+// runs one seal at a time, and a shard's threshold resets when its WAL
+// rolls, so records that pile up behind another shard's seal share one
+// seal. Two CheckpointNow() calls make the count hold by construction:
+// one at the first Drain by which every shard has had a record, and one
+// before Close. Every shard also gets records between the two, so each
+// part ends with at least one seal per shard.
 void RunDrainAndSealDifferential(uint64_t seed, size_t num_shards) {
   SCOPED_TRACE("replay with seed=" + std::to_string(seed) +
                " num_shards=" + std::to_string(num_shards));
   IngestWorkloadBuilder builder;
   ASSERT_TRUE(RandomDifferentialWorkload(&builder, seed).ok());
   const ProvenanceStore& reference = builder.reference_store();
+
+  constexpr size_t kDrainEvery = 7;
+  const std::vector<IngestRequest>& requests = builder.requests();
+  auto shard_of = [num_shards](const IngestRequest& request) {
+    return ShardedProvenanceStore::ShardOf(request.object, num_shards);
+  };
+  std::set<size_t> shards_seen;
+  size_t split = 0;
+  while (split < requests.size() && shards_seen.size() < num_shards) {
+    shards_seen.insert(shard_of(requests[split++]));
+  }
+  split = std::min(requests.size(),
+                   (split + kDrainEvery - 1) / kDrainEvery * kDrainEvery);
+  const std::vector<IngestRequest> first(requests.begin(),
+                                         requests.begin() + split);
+  const std::vector<IngestRequest> second(requests.begin() + split,
+                                          requests.end());
+  for (size_t s = 0; s < num_shards; ++s) {
+    auto on_shard = [&](const IngestRequest& r) { return shard_of(r) == s; };
+    ASSERT_TRUE(std::any_of(first.begin(), first.end(), on_shard))
+        << "shard " << s << " gets no record before the first seal point";
+    ASSERT_TRUE(std::any_of(second.begin(), second.end(), on_shard))
+        << "shard " << s << " gets no record after the first seal point";
+  }
 
   const crypto::Participant& sealer = TestPki::Instance().participant(0);
   crypto::RsaSignatureVerifier seal_verifier(sealer.public_key());
@@ -156,10 +191,17 @@ void RunDrainAndSealDifferential(uint64_t seed, size_t num_shards) {
   std::string root = ::testing::TempDir() + "/provdb_diff_drainseal_" +
                      std::to_string(seed) + "_" + std::to_string(num_shards);
   ASSERT_TRUE(WipeIngestRoot(Env::Default(), root).ok());
-  auto pipeline = ReplayThroughPipeline(Env::Default(), root,
-                                        builder.requests(), options,
-                                        /*drain_every=*/7);
+  auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  for (const std::vector<IngestRequest>* part : {&first, &second}) {
+    Status submitted =
+        SubmitWithDrainCadence(pipeline->get(), *part, kDrainEvery);
+    ASSERT_TRUE(submitted.ok()) << submitted.ToString();
+    Status sealed = (*pipeline)->CheckpointNow();
+    ASSERT_TRUE(sealed.ok()) << sealed.ToString();
+  }
+  Status closed = (*pipeline)->Close();
+  ASSERT_TRUE(closed.ok()) << closed.ToString();
   uint64_t checkpoints = 0;
   for (size_t s = 0; s < num_shards; ++s) {
     checkpoints += (*pipeline)->shard_checkpoints(s);

@@ -169,6 +169,26 @@ TEST(WalRecoveryTest, FailedWalAppendLeavesStoreUnchanged) {
   EXPECT_EQ(later.code(), failed.code());
   EXPECT_EQ(later.message(), failed.message());
   EXPECT_EQ(db.provenance().record_count(), committed);
+
+  // A primitive runs as a one-primitive complex operation; a refused
+  // record closes it, so the next primitive is refused in turn instead
+  // of joining it and reporting OK.
+  EXPECT_FALSE(db.in_complex_operation());
+  Status third = db.Insert(P(1), Value::Int(9)).status();
+  EXPECT_EQ(third.code(), failed.code());
+  EXPECT_EQ(third.message(), failed.message());
+  EXPECT_FALSE(db.in_complex_operation());
+  EXPECT_EQ(db.provenance().record_count(), committed);
+
+  // An explicit complex operation closes too when End's record is
+  // refused.
+  ASSERT_TRUE(db.BeginComplexOperation(P(1)).ok());
+  ASSERT_TRUE(db.Insert(P(1), Value::Int(10)).ok());  // deferred to End
+  Status ended = db.EndComplexOperation();
+  EXPECT_EQ(ended.code(), failed.code());
+  EXPECT_EQ(ended.message(), failed.message());
+  EXPECT_FALSE(db.in_complex_operation());
+  EXPECT_EQ(db.provenance().record_count(), committed);
 }
 
 TEST(WalRecoveryTest, PruneSurvivesCrashRecovery) {

@@ -219,6 +219,27 @@ TEST_F(TrackedDatabaseTest, ValueSnapshotsStoredWhenEnabled) {
       db.provenance().record(db.provenance().ChainOf(a).back());
   EXPECT_TRUE(inherited.inherited);
   EXPECT_FALSE(inherited.has_output_snapshot);
+
+  // In a complex operation each direct target's record carries its
+  // final value, and the inherited records of its ancestors carry none.
+  ASSERT_TRUE(db.BeginComplexOperation(p1()).ok());
+  ObjectId added = db.Insert(p1(), Value::Int(10), a).value();
+  ASSERT_TRUE(db.Update(p1(), added, Value::Int(11)).ok());
+  ASSERT_TRUE(db.Update(p1(), cell, Value::Int(12)).ok());
+  ASSERT_TRUE(db.EndComplexOperation().ok());
+  const ProvenanceRecord& added_rec =
+      db.provenance().record(db.provenance().ChainOf(added).back());
+  EXPECT_EQ(added_rec.op, OperationType::kInsert);
+  ASSERT_TRUE(added_rec.has_output_snapshot);
+  EXPECT_EQ(added_rec.output_snapshot, Value::Int(11));
+  const ProvenanceRecord& cell_rec =
+      db.provenance().record(db.provenance().ChainOf(cell).back());
+  ASSERT_TRUE(cell_rec.has_output_snapshot);
+  EXPECT_EQ(cell_rec.output_snapshot, Value::Int(12));
+  const ProvenanceRecord& ancestor =
+      db.provenance().record(db.provenance().ChainOf(a).back());
+  EXPECT_TRUE(ancestor.inherited);
+  EXPECT_FALSE(ancestor.has_output_snapshot);
 }
 
 TEST_F(TrackedDatabaseTest, OpenRefusesAPipelineItCannotWriteThrough) {

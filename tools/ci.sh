@@ -61,7 +61,8 @@
 #                  test instead of printing and passing
 #   differential   the randomized differential + tamper-matrix harness
 #                  (ctest -L differential) under ASan+UBSan: sequential
-#                  store vs sharded pipeline byte-equality, single-field
+#                  store vs sharded pipeline byte-equality, bare vs
+#                  wrapped TrackedDatabase primitives, single-field
 #                  tamper detection, and the frame tamper matrix (every
 #                  byte flip, truncation and seeded overwrite of a WAL
 #                  directory, a checkpoint, and request/response frames)
