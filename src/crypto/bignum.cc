@@ -239,13 +239,13 @@ BigUInt BigUInt::Sub(const BigUInt& a, const BigUInt& b) {
   // RSA/CRT arithmetic (see header). Call-site audit as of this writing:
   //   - rsa.cc key generation: Sub(n, 1), Sub(n, 3), Sub(p, 1), Sub(q, 1)
   //     on primes >= 3 by construction;
-  //   - rsa.cc SignDigest CRT: Sub(s1, s2) behind an explicit Compare,
-  //     and Sub(lifted, s2_mod_p) where lifted = s1 + p > s2_mod_p
-  //     because s2_mod_p < p;
+  //   - signer.cc RsaSigner::SignDigest CRT: Sub(s1, s2) behind an
+  //     explicit Compare, and Sub(lifted, s2_mod_p) where lifted = s1 + p
+  //     > s2_mod_p because s2_mod_p < p;
   //   - ModInverse below: magnitude subtraction behind an explicit
   //     Compare, and Sub(m, reduced) with reduced = old_t mod m < m.
-  // MontgomeryContext no longer calls Sub: its conditional final
-  // subtraction runs on flat limbs inside MontMulInto, likewise behind
+  // MontgomeryContext does not call Sub: its conditional final
+  // subtraction runs on flat limbs inside MontMulIntoL, likewise behind
   // an explicit comparison.
   if (Compare(a, b) < 0) {
     std::fprintf(stderr,
@@ -609,28 +609,11 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigUInt& modulus) {
   context_counter->Increment();
   MontgomeryContext ctx;
   ctx.modulus_ = modulus;
-  ctx.num_limbs_ = modulus.limbs_.size();
 
-  // n' = -m^-1 mod 2^32 via Newton iteration (5 steps suffice for 32 bits).
-  uint32_t m0 = modulus.limbs_[0];
-  uint32_t inv = 1;
-  for (int i = 0; i < 5; ++i) {
-    inv *= 2 - m0 * inv;
-  }
-  ctx.n_prime_ = static_cast<uint32_t>(0u - inv);
-
-  BigUInt r = BigUInt(1).ShiftLeft(32 * ctx.num_limbs_);
-  PROVDB_ASSIGN_OR_RETURN(BigUInt r_mod, BigUInt::Mod(r, modulus));
-  PROVDB_ASSIGN_OR_RETURN(
-      BigUInt r2_mod, BigUInt::Mod(BigUInt::Mul(r_mod, r_mod), modulus));
-  ctx.r_mod_m_ = std::move(r_mod);
-  ctx.r2_mod_m_ = std::move(r2_mod);
-
-  // Engine-radix mirror for the exponentiation ladder (header comment on
-  // mont_m_): same modulus repacked into MontLimb limbs, with R_L and
-  // n' recomputed for that radix.
+  // The modulus repacked into engine limbs, with n' = -m^-1 mod
+  // 2^bits(MontLimb) by Newton iteration on the low limb.
   ctx.mont_limbs_ =
-      (ctx.num_limbs_ * 32 + kMontLimbBits - 1) / kMontLimbBits;
+      (modulus.limbs_.size() * 32 + kMontLimbBits - 1) / kMontLimbBits;
   ctx.mont_m_ = PackMontLimbs(modulus.limbs_, ctx.mont_limbs_);
   MontLimb inv_l = 1;
   for (size_t i = 0; kMontLimbBits >> i > 1; ++i) {
@@ -648,83 +631,16 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigUInt& modulus) {
   return ctx;
 }
 
-void MontgomeryContext::MontMulInto(const uint32_t* a, const uint32_t* b,
-                                    uint32_t* out, uint32_t* scratch) const {
+void MontgomeryContext::MontMulIntoL(const MontLimb* a, const MontLimb* b,
+                                     MontLimb* out,
+                                     MontLimb* scratch) const {
   // CIOS (coarsely integrated operand scanning) Montgomery multiplication
   // on flat limbs. The one-limb shift after each REDC round is fused into
   // the REDC pass (it writes t[j-1]), so each round is exactly two
   // multiply-accumulate sweeps. `out` is written only after both inputs
-  // have been fully consumed, which is what makes aliasing legal.
-  const size_t n = num_limbs_;
-  const uint32_t* m = modulus_.limbs_.data();
-  uint32_t* t = scratch;
-  std::fill(t, t + n + 2, 0u);
-  for (size_t i = 0; i < n; ++i) {
-    // t += a[i] * b
-    const uint64_t ai = a[i];
-    uint64_t carry = 0;
-    for (size_t j = 0; j < n; ++j) {
-      uint64_t cur = t[j] + ai * b[j] + carry;
-      t[j] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    uint64_t cur = t[n] + carry;
-    t[n] = static_cast<uint32_t>(cur);
-    t[n + 1] = static_cast<uint32_t>(t[n + 1] + (cur >> 32));
-
-    // t = (t + (t[0] * n') * m) >> 32. The low limb of the sum is zero
-    // by construction of n', so writing t[j-1] performs the shift.
-    const uint32_t u = static_cast<uint32_t>(t[0] * n_prime_);
-    uint64_t cur2 = t[0] + static_cast<uint64_t>(u) * m[0];
-    carry = cur2 >> 32;
-    for (size_t j = 1; j < n; ++j) {
-      cur2 = t[j] + static_cast<uint64_t>(u) * m[j] + carry;
-      t[j - 1] = static_cast<uint32_t>(cur2);
-      carry = cur2 >> 32;
-    }
-    cur = t[n] + carry;
-    t[n - 1] = static_cast<uint32_t>(cur);
-    t[n] = static_cast<uint32_t>(t[n + 1] + (cur >> 32));
-    t[n + 1] = 0;
-  }
-
-  // Conditional final subtraction: t in [0, 2m), t[n] <= 1. The branch
-  // is on the *value* of the product — accepted CIOS leakage, identical
-  // to the pre-kernel implementation (DESIGN.md §15).
-  bool ge = t[n] != 0;
-  if (!ge) {
-    ge = true;  // equal compares as >=, matching BigUInt::Compare
-    for (size_t j = n; j-- > 0;) {
-      if (t[j] != m[j]) {
-        ge = t[j] > m[j];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    int64_t borrow = 0;
-    for (size_t j = 0; j < n; ++j) {
-      int64_t diff = static_cast<int64_t>(t[j]) - borrow -
-                     static_cast<int64_t>(m[j]);
-      if (diff < 0) {
-        diff += static_cast<int64_t>(kLimbBase);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out[j] = static_cast<uint32_t>(diff);
-    }
-  } else {
-    std::copy(t, t + n, out);
-  }
-}
-
-void MontgomeryContext::MontMulIntoL(const MontLimb* a, const MontLimb* b,
-                                     MontLimb* out,
-                                     MontLimb* scratch) const {
-  // Same fused CIOS as MontMulInto, on the engine radix: with 64-bit
-  // limbs each multiply-accumulate sweep is a quarter the length, which
-  // is where the ladder's speedup over the 32-bit core comes from.
+  // have been fully consumed, which is what makes aliasing legal. 64-bit
+  // limbs halve both the round count and each sweep's length, a quarter
+  // of the multiply-accumulates of 32-bit limbs.
   const size_t n = mont_limbs_;
   const MontLimb* m = mont_m_.data();
   MontLimb* t = scratch;
@@ -757,6 +673,9 @@ void MontgomeryContext::MontMulIntoL(const MontLimb* a, const MontLimb* b,
     t[n + 1] = 0;
   }
 
+  // Conditional final subtraction: t in [0, 2m), t[n] <= 1. The branch
+  // is on the *value* of the product — accepted CIOS leakage
+  // (DESIGN.md §15).
   bool ge = t[n] != 0;
   if (!ge) {
     ge = true;  // equal compares as >=
@@ -775,7 +694,7 @@ void MontgomeryContext::MontMulIntoL(const MontLimb* a, const MontLimb* b,
       const MontLimb diff = tj - mj - borrow;
       // Borrow out of tj - mj - borrow_in, branch-free on the limb
       // values (the subtraction itself is taken on a value branch
-      // above, same as the 32-bit core).
+      // above).
       borrow = static_cast<MontLimb>((tj < mj) ||
                                      (tj == mj && borrow != 0) ? 1 : 0);
       out[j] = diff;
@@ -783,37 +702,6 @@ void MontgomeryContext::MontMulIntoL(const MontLimb* a, const MontLimb* b,
   } else {
     std::copy(t, t + n, out);
   }
-}
-
-BigUInt MontgomeryContext::MulReduce(const BigUInt& a, const BigUInt& b) const {
-  const size_t n = num_limbs_;
-  std::vector<uint32_t> ap(n, 0);
-  std::vector<uint32_t> bp(n, 0);
-  std::vector<uint32_t> out(n);
-  std::vector<uint32_t> scratch(n + 2);
-  const size_t na = std::min(n, a.limbs_.size());
-  std::copy(a.limbs_.begin(), a.limbs_.begin() + static_cast<ptrdiff_t>(na),
-            ap.begin());
-  const size_t nb = std::min(n, b.limbs_.size());
-  std::copy(b.limbs_.begin(), b.limbs_.begin() + static_cast<ptrdiff_t>(nb),
-            bp.begin());
-  MontMulInto(ap.data(), bp.data(), out.data(), scratch.data());
-  BigUInt result;
-  result.limbs_.assign(out.begin(), out.end());
-  result.Normalize();
-  return result;
-}
-
-BigUInt MontgomeryContext::ToMontgomery(const BigUInt& a) const {
-  BigUInt reduced = a;
-  if (BigUInt::Compare(reduced, modulus_) >= 0) {
-    reduced = BigUInt::Mod(reduced, modulus_).value();
-  }
-  return MulReduce(reduced, r2_mod_m_);
-}
-
-BigUInt MontgomeryContext::FromMontgomery(const BigUInt& a) const {
-  return MulReduce(a, BigUInt(1));
 }
 
 BigUInt MontgomeryContext::ModExp(const BigUInt& base,

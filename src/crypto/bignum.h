@@ -153,24 +153,15 @@ struct DivModResult {
   BigUInt remainder;
 };
 
-/// Precomputed context for repeated modular multiplication modulo a fixed
-/// odd modulus (Montgomery REDC form). Exposed so RSA-CRT can reuse the
-/// per-prime contexts across many signatures.
+/// Precomputed context for repeated modular exponentiation modulo a fixed
+/// odd modulus (Montgomery REDC form). Exposed so RSA keys can reuse
+/// their contexts across many signatures and verifications.
 class MontgomeryContext {
  public:
   /// `modulus` must be odd and > 1.
   static Result<MontgomeryContext> Create(const BigUInt& modulus);
 
   const BigUInt& modulus() const { return modulus_; }
-
-  /// Converts into Montgomery form: a * R mod m.
-  BigUInt ToMontgomery(const BigUInt& a) const;
-
-  /// Converts out of Montgomery form: a * R^-1 mod m.
-  BigUInt FromMontgomery(const BigUInt& a) const;
-
-  /// Montgomery product: a * b * R^-1 mod m (operands in Montgomery form).
-  BigUInt MulReduce(const BigUInt& a, const BigUInt& b) const;
 
   /// (base ^ exp) mod m, operands in ordinary (non-Montgomery) form.
   /// Dispatches to the process-selected ladder kernel
@@ -185,31 +176,21 @@ class MontgomeryContext {
  private:
   MontgomeryContext() = default;
 
-  /// Allocation-free CIOS Montgomery product on flat 32-bit limb arrays
-  /// (the MulReduce/ToMontgomery/FromMontgomery radix): out = a * b *
-  /// R^-1 mod m. `a`, `b`, `out` are num_limbs_ wide; `scratch` is
-  /// num_limbs_ + 2 wide. `out` may alias `a` and/or `b` (inputs are
-  /// consumed before `out` is written); `scratch` must not alias
-  /// anything.
-  void MontMulInto(const uint32_t* a, const uint32_t* b, uint32_t* out,
-                   uint32_t* scratch) const;
-
-  /// Same contract on the engine radix (detail::MontLimb, mont_limbs_
-  /// wide, scratch mont_limbs_ + 2): the ladder hot path — no heap, no
-  /// BigUInt.
+  /// Allocation-free CIOS Montgomery product on flat engine-radix limb
+  /// arrays (detail::MontLimb): out = a * b * R_L^-1 mod m, the ladder
+  /// hot path — no heap, no BigUInt. `a`, `b`, `out` are mont_limbs_
+  /// wide; `scratch` is mont_limbs_ + 2 wide. `out` may alias `a` and/or
+  /// `b` (inputs are consumed before `out` is written); `scratch` must
+  /// not alias anything.
   void MontMulIntoL(const detail::MontLimb* a, const detail::MontLimb* b,
                     detail::MontLimb* out, detail::MontLimb* scratch) const;
 
+  /// The modulus in the public radix: ModExp reduces its base by it.
   BigUInt modulus_;
-  BigUInt r_mod_m_;   // R mod m, R = 2^(32 * limbs)
-  BigUInt r2_mod_m_;  // R^2 mod m
-  uint32_t n_prime_ = 0;  // -m^-1 mod 2^32
-  size_t num_limbs_ = 0;
 
-  // Engine-radix mirror of the modulus (docs/CRYPTO.md). R_L =
-  // 2^(bits(MontLimb) * mont_limbs_) differs from R when the radix
-  // differs; that is invisible outside ModExp, which converts on entry
-  // and exit.
+  // The modulus repacked into engine limbs (docs/CRYPTO.md), with R_L =
+  // 2^(bits(MontLimb) * mont_limbs_). Montgomery form never leaves
+  // ModExp, which converts on entry and exit.
   std::vector<detail::MontLimb> mont_m_;
   std::vector<detail::MontLimb> mont_r_;   // R_L mod m
   std::vector<detail::MontLimb> mont_r2_;  // R_L^2 mod m

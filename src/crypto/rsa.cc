@@ -15,39 +15,6 @@ constexpr std::array<uint32_t, 54> kSmallPrimes = {
     109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
     191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251};
 
-// One-byte stand-in for the PKCS#1 DigestInfo algorithm identifier.
-uint8_t AlgorithmTag(HashAlgorithm alg) {
-  switch (alg) {
-    case HashAlgorithm::kSha1:
-      return 0x01;
-    case HashAlgorithm::kSha256:
-      return 0x02;
-    case HashAlgorithm::kMd5:
-      return 0x03;
-  }
-  return 0xFF;
-}
-
-// Builds the padded message representative EM for signing:
-//   0x00 || 0x01 || 0xFF..FF || 0x00 || tag || digest
-Result<Bytes> EncodeMessage(size_t modulus_bytes, HashAlgorithm alg,
-                            const Digest& digest) {
-  const size_t payload = digest.size() + 1;  // tag + digest
-  if (modulus_bytes < payload + 11) {
-    return Status::InvalidArgument("RSA modulus too small for digest");
-  }
-  Bytes em;
-  em.reserve(modulus_bytes);
-  em.push_back(0x00);
-  em.push_back(0x01);
-  size_t pad_len = modulus_bytes - payload - 3;
-  em.insert(em.end(), pad_len, 0xFF);
-  em.push_back(0x00);
-  em.push_back(AlgorithmTag(alg));
-  AppendBytes(&em, digest.view());
-  return em;
-}
-
 // Miller-Rabin witness loop for n with n-1 = d * 2^r.
 bool MillerRabinWitness(const BigUInt& n, const BigUInt& n_minus_1,
                         const BigUInt& d, size_t r, const BigUInt& a,
@@ -203,79 +170,6 @@ Result<RsaPublicKey> RsaPublicKey::Deserialize(ByteView data) {
   PROVDB_ASSIGN_OR_RETURN(Bytes e_bytes, reader.ReadLengthPrefixed());
   return RsaPublicKey{BigUInt::FromBytesBigEndian(n_bytes),
                       BigUInt::FromBytesBigEndian(e_bytes)};
-}
-
-Result<RsaSigningContext> RsaSigningContext::Create(const RsaPrivateKey& key) {
-  PROVDB_ASSIGN_OR_RETURN(MontgomeryContext p_ctx,
-                          MontgomeryContext::Create(key.p));
-  PROVDB_ASSIGN_OR_RETURN(MontgomeryContext q_ctx,
-                          MontgomeryContext::Create(key.q));
-  return RsaSigningContext(key, std::move(p_ctx), std::move(q_ctx));
-}
-
-Result<Bytes> RsaSigningContext::SignDigest(HashAlgorithm alg,
-                                            const Digest& digest) const {
-  const size_t k = key_.ModulusBytes();
-  PROVDB_ASSIGN_OR_RETURN(Bytes em, EncodeMessage(k, alg, digest));
-  BigUInt m = BigUInt::FromBytesBigEndian(em);
-
-  // CRT: s = s2 + q * ((qinv * (s1 - s2)) mod p)
-  BigUInt s1 = p_ctx_.ModExp(m, key_.dp);
-  BigUInt s2 = q_ctx_.ModExp(m, key_.dq);
-  BigUInt diff;
-  if (BigUInt::Compare(s1, s2) >= 0) {
-    diff = BigUInt::Sub(s1, s2);
-  } else {
-    // (s1 - s2) mod p: add enough multiples of p to make it non-negative.
-    PROVDB_ASSIGN_OR_RETURN(BigUInt s2_mod_p, BigUInt::Mod(s2, key_.p));
-    BigUInt lifted = BigUInt::Add(s1, key_.p);
-    if (BigUInt::Compare(lifted, s2_mod_p) < 0) {
-      lifted = BigUInt::Add(lifted, key_.p);
-    }
-    diff = BigUInt::Sub(lifted, s2_mod_p);
-  }
-  PROVDB_ASSIGN_OR_RETURN(BigUInt h,
-                          BigUInt::Mod(BigUInt::Mul(key_.qinv, diff), key_.p));
-  BigUInt s = BigUInt::Add(s2, BigUInt::Mul(key_.q, h));
-
-  return s.ToBytesBigEndianPadded(k);
-}
-
-Result<Bytes> RsaSignDigest(const RsaPrivateKey& key, HashAlgorithm alg,
-                            const Digest& digest) {
-  PROVDB_ASSIGN_OR_RETURN(RsaSigningContext ctx, RsaSigningContext::Create(key));
-  return ctx.SignDigest(alg, digest);
-}
-
-Status RsaVerifyDigest(const RsaPublicKey& key, HashAlgorithm alg,
-                       const Digest& digest, ByteView signature,
-                       const MontgomeryContext* n_ctx) {
-  const size_t k = key.ModulusBytes();
-  if (signature.size() != k) {
-    return Status::VerificationFailed("signature length mismatch");
-  }
-  BigUInt s = BigUInt::FromBytesBigEndian(signature);
-  if (BigUInt::Compare(s, key.n) >= 0) {
-    return Status::VerificationFailed("signature out of range");
-  }
-  Result<BigUInt> m_or = n_ctx != nullptr
-                             ? Result<BigUInt>(n_ctx->ModExp(s, key.e))
-                             : BigUInt::ModExp(s, key.e, key.n);
-  if (!m_or.ok()) {
-    return Status::VerificationFailed("RSA exponentiation failed");
-  }
-  auto em_or = m_or.value().ToBytesBigEndianPadded(k);
-  if (!em_or.ok()) {
-    return Status::VerificationFailed("recovered message malformed");
-  }
-  auto expected_or = EncodeMessage(k, alg, digest);
-  if (!expected_or.ok()) {
-    return Status::VerificationFailed(expected_or.status().message());
-  }
-  if (!ConstantTimeEqual(em_or.value(), expected_or.value())) {
-    return Status::VerificationFailed("signature does not match digest");
-  }
-  return Status::OK();
 }
 
 }  // namespace provdb::crypto

@@ -7,8 +7,6 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "crypto/bignum.h"
-#include "crypto/digest.h"
-#include "crypto/hash.h"
 
 namespace provdb::crypto {
 
@@ -64,46 +62,6 @@ Result<BigUInt> GeneratePrime(size_t bits, Rng* rng);
 /// tests and benchmarks reproducible. `modulus_bits` must be >= 128 and
 /// even. The paper's configuration is 1024.
 Result<RsaKeyPair> GenerateRsaKeyPair(size_t modulus_bits, Rng* rng);
-
-/// Signs a message digest: PKCS#1 v1.5-style encoding
-/// `0x00 01 FF..FF 00 <alg-tag byte> <digest>`, then RSA-CRT private-key
-/// exponentiation. (The alg tag is a 1-byte stand-in for the ASN.1
-/// DigestInfo header of full PKCS#1; the security argument is unchanged.)
-/// The result is exactly ModulusBytes() long.
-Result<Bytes> RsaSignDigest(const RsaPrivateKey& key, HashAlgorithm alg,
-                            const Digest& digest);
-
-/// Verifies a signature produced by RsaSignDigest. OK on success;
-/// kVerificationFailed when the signature does not match. Callers that
-/// verify repeatedly under one key should pass `n_ctx`, a Montgomery
-/// context for key.n (RsaSignatureVerifier does): without it every call
-/// re-derives the context from scratch.
-Status RsaVerifyDigest(const RsaPublicKey& key, HashAlgorithm alg,
-                       const Digest& digest, ByteView signature,
-                       const MontgomeryContext* n_ctx = nullptr);
-
-/// Precomputed signing context: builds the per-prime Montgomery contexts
-/// once and reuses them for every signature. Checksum generation signs
-/// thousands of records per complex operation, so this matters.
-class RsaSigningContext {
- public:
-  static Result<RsaSigningContext> Create(const RsaPrivateKey& key);
-
-  /// Same encoding/semantics as RsaSignDigest.
-  Result<Bytes> SignDigest(HashAlgorithm alg, const Digest& digest) const;
-
-  const RsaPrivateKey& key() const { return key_; }
-
- private:
-  RsaSigningContext(RsaPrivateKey key, MontgomeryContext p_ctx,
-                    MontgomeryContext q_ctx)
-      : key_(std::move(key)), p_ctx_(std::move(p_ctx)),
-        q_ctx_(std::move(q_ctx)) {}
-
-  RsaPrivateKey key_;
-  MontgomeryContext p_ctx_;
-  MontgomeryContext q_ctx_;
-};
 
 }  // namespace provdb::crypto
 

@@ -39,43 +39,64 @@ class SignatureVerifier {
   virtual Status Verify(ByteView message, ByteView signature) const = 0;
 };
 
-/// RSA hash-then-sign signer. Precomputes CRT Montgomery contexts once.
+/// RSA hash-then-sign signer. Owns the key's two CRT prime contexts,
+/// built once in Create and reused for every signature: checksum
+/// generation signs thousands of records per complex operation.
 class RsaSigner final : public Signer {
  public:
   static Result<RsaSigner> Create(const RsaPrivateKey& key,
                                   HashAlgorithm alg = HashAlgorithm::kSha1);
 
+  /// SignDigest of the message's hash under the signer's algorithm.
   Result<Bytes> Sign(ByteView message) const override;
+
+  /// Signs a digest: PKCS#1 v1.5-style encoding
+  /// `0x00 01 FF..FF 00 <alg-tag byte> <digest>` under the signer's
+  /// algorithm tag, then RSA-CRT private-key exponentiation. (The tag is
+  /// a 1-byte stand-in for the ASN.1 DigestInfo header of full PKCS#1;
+  /// the security argument is unchanged.) The result is exactly
+  /// signature_size() long.
+  Result<Bytes> SignDigest(const Digest& digest) const;
+
   size_t signature_size() const override;
   std::string scheme_name() const override;
 
   const RsaPublicKey& public_key() const { return public_key_; }
 
  private:
-  RsaSigner(RsaSigningContext ctx, RsaPublicKey pub, HashAlgorithm alg)
-      : ctx_(std::move(ctx)), public_key_(std::move(pub)), alg_(alg) {}
+  RsaSigner(RsaPrivateKey key, MontgomeryContext p_ctx,
+            MontgomeryContext q_ctx, HashAlgorithm alg)
+      : key_(std::move(key)), public_key_(key_.PublicKey()),
+        p_ctx_(std::move(p_ctx)), q_ctx_(std::move(q_ctx)), alg_(alg) {}
 
-  RsaSigningContext ctx_;
+  RsaPrivateKey key_;
   RsaPublicKey public_key_;
+  MontgomeryContext p_ctx_;
+  MontgomeryContext q_ctx_;
   HashAlgorithm alg_;
 };
 
 /// Verifier for RsaSigner signatures. Derives the Montgomery context for
-/// the key once at construction and reuses it for every Verify call —
-/// the verify-side analogue of RsaSigningContext (chain verification
-/// checks one signature per record under the same handful of keys).
+/// the key's modulus once at construction and reuses it for every call
+/// (chain verification checks one signature per record under the same
+/// handful of keys).
 class RsaSignatureVerifier final : public SignatureVerifier {
  public:
   RsaSignatureVerifier(RsaPublicKey key,
                        HashAlgorithm alg = HashAlgorithm::kSha1);
 
+  /// VerifyDigest of the message's hash under the verifier's algorithm.
   Status Verify(ByteView message, ByteView signature) const override;
+
+  /// OK when `signature` is RsaSigner::SignDigest of `digest` under this
+  /// key and the verifier's algorithm tag; kVerificationFailed otherwise.
+  Status VerifyDigest(const Digest& digest, ByteView signature) const;
 
  private:
   RsaPublicKey key_;
   HashAlgorithm alg_;
-  // nullopt only for a degenerate key (even modulus); Verify then falls
-  // back to the per-call path, which reports the failure.
+  // nullopt for a modulus that is not odd, which no RSA key has: every
+  // signature is then refused.
   std::optional<MontgomeryContext> n_ctx_;
 };
 

@@ -493,8 +493,7 @@ Status IngestPipeline::Submit(const IngestRequest& request, SeqId* seq_id) {
     const storage::ObjectId object = request.object;
     Dispatch(pool_.get(), [this, index, object] { SignLane(index, object); });
   }
-  if (options_.sync_every_record ||
-      batch->entries.size() >= options_.max_batch_records ||
+  if (batch->entries.size() >= options_.max_batch_records ||
       batch->estimated_bytes >= options_.max_batch_bytes ||
       (options_.flush_interval_seconds > 0 &&
        shard->since_flush.ElapsedSeconds() >=
@@ -638,8 +637,7 @@ bool IngestPipeline::StartWriteAheadLocked() {
   write_aheads_->Increment();
   // Append on this thread, each shard's batches in order; a shard whose
   // record failed to sign or whose append failed takes no fsync and
-  // commits nothing. (sync_every_record closes a batch at every Submit,
-  // so there a shard's part is one record: its append and sync.)
+  // commits nothing.
   std::vector<storage::WalWriter*> to_sync(shards_.size(), nullptr);
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
@@ -729,7 +727,6 @@ void IngestPipeline::CommitWriteAheadLocked() {
       batches_->Increment();
       batch_bytes_->Add(batch.wal_bytes);
       shard.records_since_checkpoint += records;
-      shard.bytes_since_checkpoint += batch.wal_bytes;
       inflight_ -= records;
       pending_->Sub(static_cast<int64_t>(records));
       // PublishSnapshot is allocation-free (preallocated version skeleton).
@@ -754,10 +751,7 @@ bool IngestPipeline::StartDueSealLocked() {
   if (sealing_ || !policy.enabled()) return false;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
-    if ((policy.every_records > 0 &&
-         shard.records_since_checkpoint >= policy.every_records) ||
-        (policy.every_bytes > 0 &&
-         shard.bytes_since_checkpoint >= policy.every_bytes)) {
+    if (shard.records_since_checkpoint >= policy.every_records) {
       StartSealLocked(s);
       return true;
     }
@@ -781,7 +775,6 @@ void IngestPipeline::StartSealLocked(size_t index) {
     return;
   }
   shard.records_since_checkpoint = 0;
-  shard.bytes_since_checkpoint = 0;
   if (*horizon <= wal.checkpoint_horizon()) {
     return;  // nothing durable past the last checkpoint; its seal stands
   }

@@ -154,16 +154,14 @@ class ShardedProvenanceStore {
 };
 
 /// Periodic signed checkpoints (DESIGN.md §13). Inactive unless a signer
-/// is set and at least one threshold is positive. When a shard has
-/// committed `every_records` records (or `every_bytes` of WAL frames)
-/// since its last checkpoint, the pipeline rolls the shard's WAL at the
-/// next commit point with no write-ahead in flight, seals a snapshot of
-/// the version it just published at the rolled horizon, and once the
-/// seal is durable garbage-collects the segments (and stale checkpoints)
-/// behind it.
+/// is set and `every_records` is positive. When a shard has committed
+/// `every_records` records since its last checkpoint, the pipeline rolls
+/// the shard's WAL at the next commit point with no write-ahead in
+/// flight, seals a snapshot of the version it just published at the
+/// rolled horizon, and once the seal is durable garbage-collects the
+/// segments (and stale checkpoints) behind it.
 struct CheckpointPolicy {
   uint64_t every_records = 0;
-  uint64_t every_bytes = 0;
   /// Seals each checkpoint's root digest (borrowed; must outlive the
   /// pipeline). Recorded in the manifest as participant `sealer_id`.
   const crypto::Signer* signer = nullptr;
@@ -172,7 +170,7 @@ struct CheckpointPolicy {
   const crypto::SignatureVerifier* verifier = nullptr;
 
   bool enabled() const {
-    return signer != nullptr && (every_records > 0 || every_bytes > 0);
+    return signer != nullptr && every_records > 0;
   }
 };
 
@@ -181,7 +179,10 @@ struct IngestOptions {
   size_t num_shards = 1;
 
   /// Group commit: a shard's open batch closes (and commits once it is
-  /// signed and durable) when it holds this many requests...
+  /// signed and durable) when it holds this many requests (at 1, a
+  /// sequential pipeline fsyncs every record on its own, while a pooled
+  /// one still joins every signed one-record batch into the next
+  /// write-ahead)...
   size_t max_batch_records = 64;
   /// ...or once its estimated WAL footprint reaches this many bytes...
   uint64_t max_batch_bytes = 1ull << 20;
@@ -189,11 +190,6 @@ struct IngestOptions {
   /// shard's last batch closed (checked on Submit; there is no timer
   /// thread).
   double flush_interval_seconds = 0;
-
-  /// Baseline mode for benchmarks: close a batch at every Submit and
-  /// fsync after every single record (the paper-grade sync-per-append
-  /// write path).
-  bool sync_every_record = false;
 
   /// The signing pool. Default sequential: no pipeline threads, and
   /// every step runs inline on the caller. With more than one thread,
@@ -447,10 +443,9 @@ class IngestPipeline {
     /// Append or sign failure of this shard's part of the write-ahead.
     Status write_status = Status::OK();
     Stopwatch since_flush;
-    /// Committed work since the shard's last checkpoint roll — what the
-    /// CheckpointPolicy thresholds fire against.
+    /// Records committed since the shard's last checkpoint roll — what
+    /// CheckpointPolicy::every_records fires against.
     uint64_t records_since_checkpoint = 0;
-    uint64_t bytes_since_checkpoint = 0;
     uint64_t checkpoints = 0;
   };
 

@@ -334,55 +334,42 @@ TEST(MontgomeryContextTest, RequiresOddModulus) {
   EXPECT_TRUE(MontgomeryContext::Create(BigUInt(9)).ok());
 }
 
-TEST(MontgomeryContextTest, RoundTripThroughMontgomeryForm) {
-  Rng rng(11);
-  BigUInt m = RandomBig(&rng, 32);
-  if (!m.IsOdd()) m = BigUInt::Add(m, BigUInt(1));
-  auto ctx = MontgomeryContext::Create(m);
-  ASSERT_TRUE(ctx.ok());
-  for (int i = 0; i < 50; ++i) {
-    BigUInt a = BigUInt::Mod(RandomBig(&rng, 32), m).value();
-    EXPECT_EQ(ctx->FromMontgomery(ctx->ToMontgomery(a)), a);
-  }
-}
-
-TEST(MontgomeryContextTest, MulReduceMatchesPlainModMul) {
-  Rng rng(12);
-  BigUInt m = RandomBig(&rng, 24);
-  if (!m.IsOdd()) m = BigUInt::Add(m, BigUInt(1));
-  auto ctx = MontgomeryContext::Create(m);
-  ASSERT_TRUE(ctx.ok());
-  for (int i = 0; i < 50; ++i) {
-    BigUInt a = BigUInt::Mod(RandomBig(&rng, 24), m).value();
-    BigUInt b = BigUInt::Mod(RandomBig(&rng, 24), m).value();
-    BigUInt mont = ctx->FromMontgomery(
-        ctx->MulReduce(ctx->ToMontgomery(a), ctx->ToMontgomery(b)));
-    BigUInt plain = BigUInt::Mod(BigUInt::Mul(a, b), m).value();
-    EXPECT_EQ(mont, plain);
-  }
-}
-
+// Every ladder against an independent square-and-multiply over Mod, on
+// moduli of 1 to 33 32-bit limbs. An odd limb count pads the 64-bit
+// engine radix with a zero half-limb, so R_L = 2^(64 * ceil(limbs / 2))
+// is not 2^(32 * limbs) there; exponents reach past the windowed ladders'
+// binary fallback.
 TEST(MontgomeryContextTest, ModExpMatchesGenericPath) {
   Rng rng(13);
-  BigUInt m = RandomBig(&rng, 16);
-  if (!m.IsOdd()) m = BigUInt::Add(m, BigUInt(1));
-  auto ctx = MontgomeryContext::Create(m);
-  ASSERT_TRUE(ctx.ok());
-  for (int i = 0; i < 20; ++i) {
-    BigUInt base = RandomBig(&rng, 16);
-    BigUInt exp = RandomBig(&rng, 4);
-    BigUInt via_ctx = ctx->ModExp(base, exp);
-    // Generic square-and-multiply reference.
-    BigUInt acc = BigUInt::Mod(base, m).value();
-    BigUInt expected(1);
-    expected = BigUInt::Mod(expected, m).value();
-    for (size_t bit = 0; bit < exp.BitLength(); ++bit) {
-      if (exp.GetBit(bit)) {
-        expected = BigUInt::Mod(BigUInt::Mul(expected, acc), m).value();
+  for (size_t limbs : {1u, 2u, 3u, 15u, 16u, 17u, 33u}) {
+    SCOPED_TRACE("modulus limbs " + std::to_string(limbs));
+    Bytes raw;
+    rng.NextBytes(&raw, 4 * limbs);
+    raw.front() |= 0x80;  // exactly `limbs` limbs
+    raw.back() |= 0x01;   // odd
+    const BigUInt m = BigUInt::FromBytesBigEndian(raw);
+    auto ctx = MontgomeryContext::Create(m);
+    ASSERT_TRUE(ctx.ok());
+    for (int i = 0; i < 6; ++i) {
+      BigUInt base = RandomBig(&rng, 4 * limbs + 3);
+      BigUInt exp = RandomBig(&rng, 1 + rng.NextBelow(24));
+      // Generic square-and-multiply reference.
+      BigUInt acc = BigUInt::Mod(base, m).value();
+      BigUInt expected = BigUInt::Mod(BigUInt(1), m).value();
+      for (size_t bit = 0; bit < exp.BitLength(); ++bit) {
+        if (exp.GetBit(bit)) {
+          expected = BigUInt::Mod(BigUInt::Mul(expected, acc), m).value();
+        }
+        acc = BigUInt::Mod(BigUInt::Mul(acc, acc), m).value();
       }
-      acc = BigUInt::Mod(BigUInt::Mul(acc, acc), m).value();
+      EXPECT_EQ(ctx->ModExp(base, exp), expected);
+      for (ModExpKernel kernel : {ModExpKernel::kBinary,
+                                  ModExpKernel::kWindow4,
+                                  ModExpKernel::kWindow5}) {
+        EXPECT_EQ(ctx->ModExpWithKernel(base, exp, kernel), expected)
+            << ModExpKernelName(kernel);
+      }
     }
-    EXPECT_EQ(via_ctx, expected);
   }
 }
 

@@ -48,6 +48,34 @@ TEST(RsaSignerTest, HashAlgorithmMustMatchBetweenSignerAndVerifier) {
   EXPECT_FALSE(wrong_alg.Verify(msg, *sig).ok());
 }
 
+// A modulus that is not odd has no Montgomery context, so the verifier
+// refuses every signature over it, even one that is valid arithmetic:
+// with n' = 2n and the key's own d, s^e = m (mod n') for every m, since
+// lambda(2pq) = lcm(p - 1, q - 1) divides the (p - 1)(q - 1) that d
+// inverts e modulo. A 510-bit n keeps n' at n's byte width, so the
+// message representative the signer encoded is the one checked under n'.
+TEST(RsaSignatureVerifierTest, EvenModulusRefusesEverySignature) {
+  Rng rng(0xE7E4);
+  const RsaKeyPair pair = GenerateRsaKeyPair(510, &rng).value();
+  const RsaPrivateKey& key = pair.private_key;
+  ByteView msg(std::string_view("even"));
+  auto sig = RsaSigner::Create(key)->Sign(msg);
+  ASSERT_TRUE(sig.ok());
+  const BigUInt em =
+      BigUInt::ModExp(BigUInt::FromBytesBigEndian(*sig), key.e, key.n).value();
+
+  const RsaPublicKey even{BigUInt::Add(key.n, key.n), key.e};
+  ASSERT_EQ(even.ModulusBytes(), pair.public_key.ModulusBytes());
+  const BigUInt s = BigUInt::ModExp(em, key.d, even.n).value();
+  ASSERT_EQ(BigUInt::ModExp(s, key.e, even.n).value(), em);
+  auto even_sig = s.ToBytesBigEndianPadded(even.ModulusBytes());
+  ASSERT_TRUE(even_sig.ok());
+
+  const Status status = RsaSignatureVerifier(even).Verify(msg, *even_sig);
+  EXPECT_EQ(status.code(), StatusCode::kVerificationFailed)
+      << status.ToString();
+}
+
 TEST(HmacSignerTest, SymmetricRoundTrip) {
   Bytes key = {1, 2, 3, 4, 5};
   HmacSigner signer(key);

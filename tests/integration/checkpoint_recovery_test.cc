@@ -393,8 +393,7 @@ TEST(CheckpointedIngestTest, CheckpointNowSealsEveryShard) {
 
   std::string root = FreshDir("now");
   IngestOptions options = CheckpointedIngestOptions(&verifier);
-  options.checkpoint.every_records = 0;  // thresholds off; manual only
-  options.checkpoint.every_bytes = 0;
+  options.checkpoint.every_records = 0;  // threshold off; manual only
   auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
   for (const IngestRequest& request : builder.requests()) {

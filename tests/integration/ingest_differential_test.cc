@@ -253,9 +253,9 @@ TEST(IngestDifferentialTest, DrainCadenceWithSealsAgreesAtFourAndEightShards) {
 }
 
 TEST(IngestDifferentialTest, SyncEveryRecordModeAlsoAgrees) {
-  // The baseline write path (fsync per record) must produce the same
-  // bytes as group commit — durability cadence must never change what
-  // gets signed.
+  // The baseline write path (one-record batches on a sequential
+  // pipeline: an fsync per record) must produce the same bytes as group
+  // commit — durability cadence must never change what gets signed.
   const uint64_t seed = 0xD1FFBEEF;
   IngestWorkloadBuilder builder;
   DifferentialWorkloadOptions wl;
@@ -264,7 +264,7 @@ TEST(IngestDifferentialTest, SyncEveryRecordModeAlsoAgrees) {
 
   IngestOptions options;
   options.num_shards = 2;
-  options.sync_every_record = true;
+  options.max_batch_records = 1;
   std::string root = ::testing::TempDir() + "/provdb_diff_synceach";
   ASSERT_TRUE(WipeIngestRoot(Env::Default(), root).ok());
   auto pipeline =

@@ -220,10 +220,11 @@ TEST(WalRecoveryTest, PruneSurvivesCrashRecovery) {
   EXPECT_TRUE(restored->ChainOf(agg).empty()) << "prune resurrected";
 }
 
-/// The paper-grade write path: a flush, an append and an fsync per record.
+/// The paper-grade write path: one-record batches on a sequential
+/// pipeline, so a flush, an append and an fsync per record.
 IngestOptions SyncEveryRecord() {
   IngestOptions options;
-  options.sync_every_record = true;
+  options.max_batch_records = 1;
   return options;
 }
 

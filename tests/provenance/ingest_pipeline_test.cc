@@ -246,13 +246,47 @@ TEST(IngestPipelineTest, SyncEveryRecordCommitsImmediately) {
   std::string root = FreshDir("synceach");
   IngestOptions options;
   options.num_shards = 1;
-  options.sync_every_record = true;
+  options.max_batch_records = 1;
   auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
   ASSERT_TRUE(pipeline.ok());
   ASSERT_TRUE((*pipeline)->Submit(Insert(1, 0x01)).ok());
   EXPECT_EQ((*pipeline)->OpenSnapshot().record_count(), 1u);
   EXPECT_EQ((*pipeline)->shard_wal(0)->synced_records(), 1u);
   ASSERT_TRUE((*pipeline)->Close().ok());
+}
+
+// One-record batches (max_batch_records = 1) fsync every record only in a
+// sequential pipeline: one wal.syncs per record, plus Close's. A pooled
+// pipeline joins every signed one-record batch into the next write-ahead,
+// so an fsync may cover several records; the in-flight bound of
+// 2 x num_shards x max_batch_records still caps that at two here.
+TEST(IngestPipelineTest, OneRecordBatchesSyncPerRecordOnlyWhenSequential) {
+  observability::Counter* syncs =
+      observability::GlobalMetrics().counter("wal.syncs");
+  constexpr uint64_t kRecords = 40;
+  auto count_syncs = [&](int threads, const std::string& tag) -> uint64_t {
+    IngestOptions options;
+    options.num_shards = 1;
+    options.max_batch_records = 1;
+    options.signing.num_threads = threads;
+    auto pipeline =
+        IngestPipeline::Open(Env::Default(), FreshDir(tag), options);
+    EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    if (!pipeline.ok()) return 0;
+    const uint64_t before = syncs->value();
+    for (ObjectId id = 1; id <= kRecords; ++id) {
+      EXPECT_TRUE(
+          (*pipeline)->Submit(Insert(id, static_cast<uint8_t>(id))).ok());
+    }
+    EXPECT_TRUE((*pipeline)->Close().ok());
+    EXPECT_EQ((*pipeline)->OpenSnapshot().record_count(), kRecords);
+    return syncs->value() - before;
+  };
+
+  EXPECT_EQ(count_syncs(1, "batch1_seq"), kRecords + 1);
+  const uint64_t pooled = count_syncs(4, "batch1_pool");
+  EXPECT_GE(pooled, kRecords / 2);
+  EXPECT_LE(pooled, kRecords + 1);
 }
 
 TEST(IngestPipelineTest, ReopenContinuesChainsFromRecoveredTails) {

@@ -398,7 +398,6 @@ Result<ConcurrentAuditStats> RunConcurrentAuditDifferential(
   // byte/time boundaries CheckSnapshotIsBatchPrefix cannot predict.
   options.max_batch_bytes = 1ull << 30;
   options.flush_interval_seconds = 0;
-  options.sync_every_record = false;
   PROVDB_RETURN_IF_ERROR(WipeIngestRoot(env, root));
   PROVDB_ASSIGN_OR_RETURN(
       std::unique_ptr<provenance::IngestPipeline> pipeline,
