@@ -18,7 +18,7 @@ namespace provdb {
 /// How much parallelism a verification/audit component may use. The
 /// default (one thread) is bit-for-bit equivalent to the historical
 /// sequential code path: no pool is created, no tasks are spawned, and
-/// every loop runs inline in the caller's thread.
+/// every loop runs inline in the caller's thread (OrderedFanOut).
 struct ParallelismConfig {
   int num_threads = 1;
 
@@ -103,6 +103,39 @@ class ThreadPool {
   observability::Gauge* queue_depth_;
   observability::Histogram* task_latency_;
 };
+
+/// Calls `fn` on every element of `items` and returns the results in
+/// `items` order. Runs inline, in the calling thread, when `pool` is null,
+/// has one worker, or `items` holds fewer than two elements; otherwise as
+/// one pool task per element. Results are collected in input order, so
+/// the output never depends on scheduling. The tasks share `fn` and
+/// `items` by reference and may run concurrently, so both must be safe
+/// to read from several threads. Must not be called from a task running
+/// on `pool` (no nested fan-out).
+template <typename Items, typename Fn>
+auto OrderedFanOut(ThreadPool* pool, const Items& items, const Fn& fn)
+    -> std::vector<
+        std::invoke_result_t<const Fn&, const typename Items::value_type&>> {
+  using R =
+      std::invoke_result_t<const Fn&, const typename Items::value_type&>;
+  std::vector<R> results;
+  results.reserve(items.size());
+  if (pool == nullptr || pool->size() <= 1 || items.size() < 2) {
+    for (const auto& item : items) {
+      results.push_back(fn(item));
+    }
+    return results;
+  }
+  std::vector<std::future<R>> futures;
+  futures.reserve(items.size());
+  for (const auto& item : items) {
+    futures.push_back(pool->Submit([&fn, &item] { return fn(item); }));
+  }
+  for (std::future<R>& future : futures) {
+    results.push_back(future.get());
+  }
+  return results;
+}
 
 }  // namespace provdb
 

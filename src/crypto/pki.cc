@@ -66,9 +66,13 @@ Result<ParticipantCertificate> ParticipantRegistry::Lookup(
   return it->second;
 }
 
-Result<RsaPublicKey> ParticipantRegistry::LookupKey(ParticipantId id) const {
-  PROVDB_ASSIGN_OR_RETURN(ParticipantCertificate cert, Lookup(id));
-  return cert.public_key;
+std::map<ParticipantId, RsaSignatureVerifier>
+ParticipantRegistry::MakeVerifiers(HashAlgorithm alg) const {
+  std::map<ParticipantId, RsaSignatureVerifier> verifiers;
+  for (const auto& [id, cert] : certs_) {
+    verifiers.try_emplace(id, cert.public_key, alg);
+  }
+  return verifiers;
 }
 
 Result<Participant> Participant::Create(ParticipantId id, std::string name,

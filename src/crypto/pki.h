@@ -72,8 +72,11 @@ class ParticipantRegistry {
   /// Certificate for `id`, or kNotFound.
   Result<ParticipantCertificate> Lookup(ParticipantId id) const;
 
-  /// Public key for `id`, or kNotFound.
-  Result<RsaPublicKey> LookupKey(ParticipantId id) const;
+  /// One signature verifier per registered participant, keyed by id, each
+  /// hashing under `alg`: built once per verification run, whose chains
+  /// then share them read-only.
+  std::map<ParticipantId, RsaSignatureVerifier> MakeVerifiers(
+      HashAlgorithm alg) const;
 
   size_t size() const { return certs_.size(); }
   const RsaPublicKey& ca_key() const { return ca_key_; }

@@ -6,7 +6,6 @@
 #include "common/varint.h"
 #include "observability/trace.h"
 #include "provenance/serialization.h"
-#include "provenance/verifier.h"
 
 namespace provdb::net {
 
@@ -24,10 +23,9 @@ ProvenanceServer::ProvenanceServer(
     std::map<crypto::ParticipantId, const crypto::Participant*> participants,
     ServerOptions options)
     : pipeline_(pipeline),
-      registry_(registry),
       participants_(std::move(participants)),
       options_(options),
-      engine_(pipeline->options().hash_algorithm),
+      verifier_(registry, pipeline->options().hash_algorithm),
       admission_(options.max_inflight_bytes,
                  &observability::GlobalMetrics()),
       awaiting_(pipeline->options().num_shards),
@@ -504,26 +502,18 @@ Response ProvenanceServer::ExecuteRead(const Request& request) {
       break;
     }
     case NetOp::kVerifyObject: {
-      provenance::StoreSnapshot snapshot = pipeline_->OpenSnapshot();
-      auto records = snapshot.ChainRecords(request.object);
-      if (records.empty()) {
-        response.code = StatusCode::kNotFound;
-        response.message =
-            "no chain for object " + std::to_string(request.object);
+      Result<provenance::VerificationReport> report = verifier_.VerifyObject(
+          pipeline_->OpenSnapshot(), request.object);
+      if (!report.ok()) {
+        response.code = report.status().code();
+        response.message = report.status().message();
         break;
       }
-      std::map<storage::ObjectId,
-               std::vector<const provenance::ProvenanceRecord*>>
-          chains;
-      chains.emplace(request.object, std::move(records));
-      provenance::VerificationReport report;
-      provenance::VerifyRecordChains(*registry_, engine_, chains, &report,
-                                     nullptr);
       VerifySummary summary;
-      summary.records_checked = report.records_checked;
-      summary.signatures_verified = report.signatures_verified;
-      summary.issues = report.issues.size();
-      summary.ok = report.ok();
+      summary.records_checked = report->records_checked;
+      summary.signatures_verified = report->signatures_verified;
+      summary.issues = report->issues.size();
+      summary.ok = report->ok();
       response.body = EncodeVerifySummary(summary);
       break;
     }

@@ -15,8 +15,8 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "observability/metrics.h"
-#include "provenance/checksum.h"
 #include "provenance/ingest_pipeline.h"
+#include "provenance/verifier.h"
 
 namespace provdb::net {
 
@@ -197,10 +197,9 @@ class ProvenanceServer {
   void OnPipelineReady();
 
   provenance::IngestPipeline* pipeline_;
-  const crypto::ParticipantRegistry* registry_;
   std::map<crypto::ParticipantId, const crypto::Participant*> participants_;
   ServerOptions options_;
-  provenance::ChecksumEngine engine_;
+  provenance::ProvenanceVerifier verifier_;
 
   ListenSocket listener_;
   WakePipe wake_;

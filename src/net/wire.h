@@ -85,7 +85,10 @@ struct Request {
 ///   kQueryChain:   varint record count, then length-prefixed
 ///                  EncodeRecord payloads in seqID order
 ///   kVerifyObject: varint records_checked, varint signatures_verified,
-///                  varint issue count, one byte ok flag
+///                  varint issue count, one byte ok flag, from check 2
+///                  over the subject's provenance object (its chain plus
+///                  every aggregation input's chain up to the matching
+///                  state), so records_checked counts that whole object
 ///   kStats:        MetricsRegistry::SnapshotJson bytes
 /// The body is empty whenever the status is not OK.
 struct Response {

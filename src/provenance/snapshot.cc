@@ -24,9 +24,7 @@ std::vector<const ProvenanceRecord*> StoreReadView::ChainRecords(
   return out;
 }
 
-void StoreReadView::AppendChains(
-    std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>* out)
-    const {
+void StoreReadView::AppendChains(RecordChains* out) const {
   ForEachChain([out](storage::ObjectId id, const ChainNode* head) {
     (*out)[id] = ChainRecords(head);
   });
@@ -48,9 +46,8 @@ uint64_t StoreSnapshot::live_record_count() const {
   return total;
 }
 
-std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
-StoreSnapshot::AllChains() const {
-  std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>> chains;
+RecordChains StoreSnapshot::AllChains() const {
+  RecordChains chains;
   for (const StoreReadView& view : views_) {
     view.AppendChains(&chains);
   }

@@ -14,6 +14,12 @@
 
 namespace provdb::provenance {
 
+/// Per-object record chains keyed (hence ordered) by object id, each in
+/// seqID order: what StoreSnapshot::AllChains returns and
+/// VerifyRecordChains checks.
+using RecordChains =
+    std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>;
+
 /// One shard's immutable state at a publish point (a group-commit batch
 /// boundary). The writer fills a preallocated spare and publishes it with
 /// a single atomic store — the ingest hot path's snapshot cost is that
@@ -62,12 +68,8 @@ class StoreReadView {
   static std::vector<const ProvenanceRecord*> ChainRecords(
       const ChainNode* head);
 
-  /// Every live chain, appended into `out` keyed by object id — the
-  /// exact shape VerifyRecordChains consumes. Within an object the chain
-  /// is in seqID order.
-  void AppendChains(
-      std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>* out)
-      const;
+  /// Every live chain, appended into `out`.
+  void AppendChains(RecordChains* out) const;
 
   /// Visits each live chain head (tombstones skipped).
   template <typename Fn>
@@ -130,11 +132,9 @@ class StoreSnapshot {
   uint64_t record_count() const;
   uint64_t live_record_count() const;
 
-  /// Every live chain across all shards, keyed (hence ordered) by
-  /// object id, each in seqID order — the shape VerifyRecordChains
-  /// consumes, so reports do not depend on the shard count.
-  std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
-  AllChains() const;
+  /// Every live chain across all shards; keyed by object id, so reports
+  /// do not depend on the shard count.
+  RecordChains AllChains() const;
 
   /// The live chain of one object (empty when unknown or pruned).
   std::vector<const ProvenanceRecord*> ChainRecords(storage::ObjectId id)

@@ -1,6 +1,5 @@
 #include "provenance/subtree_hasher.h"
 
-#include <future>
 #include <utility>
 #include <vector>
 
@@ -87,35 +86,17 @@ Result<crypto::Digest> SubtreeHasher::HashSubtreeBasic(
     storage::ObjectId root, ThreadPool* pool) const {
   PROVDB_ASSIGN_OR_RETURN(const storage::TreeNode* node,
                           tree_->GetNode(root));
-  if (pool == nullptr || pool->size() <= 1 || node->children.size() < 2) {
-    return HashSubtreeBasic(root);
-  }
-
-  // Fan out one task per child subtree (embarrassingly parallel: each
-  // task only reads the tree). node->children is sorted ascending, and
-  // futures are collected in that same order, so the combined digest is
-  // identical to the sequential walk's.
-  std::vector<std::future<Result<crypto::Digest>>> tasks;
-  tasks.reserve(node->children.size());
-  for (storage::ObjectId child : node->children) {
-    tasks.push_back(
-        pool->Submit([this, child] { return HashSubtreeBasic(child); }));
-  }
+  // One walk per child subtree; node->children is sorted ascending and
+  // the fan-out returns digests in that order, so the combined digest is
+  // the sequential walk's.
+  std::vector<Result<crypto::Digest>> walks = OrderedFanOut(
+      pool, node->children,
+      [this](storage::ObjectId child) { return HashSubtreeBasic(child); });
   std::vector<crypto::Digest> child_hashes;
-  child_hashes.reserve(tasks.size());
-  Status first_error;
-  for (std::future<Result<crypto::Digest>>& task : tasks) {
-    Result<crypto::Digest> digest = task.get();
-    if (!digest.ok()) {
-      if (first_error.ok()) {
-        first_error = digest.status();
-      }
-      continue;  // keep draining so no future outlives this call
-    }
+  child_hashes.reserve(walks.size());
+  for (Result<crypto::Digest>& digest : walks) {
+    PROVDB_RETURN_IF_ERROR(digest.status());
     child_hashes.push_back(std::move(digest).value());
-  }
-  if (!first_error.ok()) {
-    return first_error;
   }
   return HashNode(node->id, node->value, child_hashes);
 }

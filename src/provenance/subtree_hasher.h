@@ -68,12 +68,12 @@ class SubtreeHasher {
       storage::ObjectId root,
       std::unordered_map<storage::ObjectId, crypto::Digest>* digests) const;
 
-  /// Basic walk fanned out over `pool`: the subtrees of root's children
-  /// are hashed as independent pool tasks (child digests combine in
-  /// ascending-id order, §4.3, so the digest is identical to the
-  /// sequential walk). Falls back to the sequential walk when `pool` is
-  /// null, has a single worker, or the root has fewer than two children.
-  /// Must not be called from inside a task running on the same pool.
+  /// Basic walk fanned out over `pool` (OrderedFanOut): the subtrees of
+  /// root's children are hashed as independent walks (child digests
+  /// combine in ascending-id order, §4.3, so the digest is identical to
+  /// the sequential walk). The walks run inline when `pool` is null, has
+  /// a single worker, or the root has fewer than two children. Must not
+  /// be called from inside a task running on the same pool.
   [[nodiscard]] Result<crypto::Digest> HashSubtreeBasic(
       storage::ObjectId root, ThreadPool* pool) const;
 

@@ -1,11 +1,13 @@
 #include "provenance/verifier.h"
 
 #include <algorithm>
-#include <future>
 #include <map>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "observability/trace.h"
+#include "provenance/subtree_hasher.h"
 
 namespace provdb::provenance {
 
@@ -63,6 +65,275 @@ std::string VerificationReport::ToString() const {
   return out;
 }
 
+namespace {
+
+using VerifierMap =
+    std::map<crypto::ParticipantId, crypto::RsaSignatureVerifier>;
+
+/// Groups `records` into per-object chains keyed by output object, each
+/// in seqID order.
+RecordChains GroupChains(const std::vector<ProvenanceRecord>& records) {
+  RecordChains chains;
+  for (const ProvenanceRecord& rec : records) {
+    chains[rec.output.object_id].push_back(&rec);
+  }
+  for (auto& [id, chain] : chains) {
+    std::stable_sort(chain.begin(), chain.end(),
+                     [](const ProvenanceRecord* a, const ProvenanceRecord* b) {
+                       return a->seq_id < b->seq_id;
+                     });
+  }
+  return chains;
+}
+
+/// Verification result of one per-object chain. Chains are self-contained
+/// (§3.2): verifying one reads only its own records, the read-only `chains`
+/// map (for aggregate-input resolution), and the run's verifiers — so these
+/// results can be produced on any thread and merged in object-id order.
+struct ChainCheckResult {
+  std::vector<VerificationIssue> issues;
+  uint64_t records_checked = 0;
+  uint64_t signatures_verified = 0;
+};
+
+/// Per-chain instruments, shared by every run (all funnel through
+/// VerifyRecordChains). Resolved once; recording is lock-free, so pool
+/// workers verifying chains concurrently never contend.
+struct ChainMetrics {
+  observability::Counter* chains;
+  observability::Counter* records;
+  observability::Counter* signatures_ok;
+  observability::Counter* signatures_bad;
+  observability::Counter* issues;
+  observability::Histogram* chain_latency;
+};
+
+const ChainMetrics& GetChainMetrics() {
+  static const ChainMetrics* metrics = new ChainMetrics{
+      observability::GlobalMetrics().counter("verify.chains"),
+      observability::GlobalMetrics().counter("verify.records"),
+      observability::GlobalMetrics().counter("verify.signatures.ok"),
+      observability::GlobalMetrics().counter("verify.signatures.bad"),
+      observability::GlobalMetrics().counter("verify.issues"),
+      observability::GlobalMetrics().histogram("verify.chain.latency_us"),
+  };
+  return *metrics;
+}
+
+ChainCheckResult VerifyOneChain(
+    const VerifierMap& verifiers, const ChecksumEngine& engine,
+    const RecordChains& chains, storage::ObjectId object,
+    const std::vector<const ProvenanceRecord*>& chain) {
+  const ChainMetrics& metrics = GetChainMetrics();
+  observability::ScopedLatencyTimer timer(metrics.chain_latency);
+  ChainCheckResult report;
+  auto add_issue = [&](IssueKind kind, storage::ObjectId obj, SeqId seq,
+                       std::string message) {
+    report.issues.push_back(
+        VerificationIssue{kind, obj, seq, std::move(message)});
+  };
+
+  const ProvenanceRecord* prev = nullptr;
+  for (const ProvenanceRecord* rec : chain) {
+    ++report.records_checked;
+
+    // -- Structural validity ---------------------------------------
+    bool malformed = false;
+    if (rec->output.object_id != object) {
+      // The chain key is the object the store committed the record
+      // under; a record claiming a different output is re-attribution
+      // (R5). Honest groupings key chains by output id, so this can
+      // only fire when the stored record bytes were tampered after
+      // commit (e.g. under a pinned snapshot's chain index).
+      add_issue(IssueKind::kSubjectMismatch, object, rec->seq_id,
+                "record claims output object " +
+                    std::to_string(rec->output.object_id) +
+                    " but is filed in the chain of object " +
+                    std::to_string(object) + " (re-attribution, R5)");
+      malformed = true;
+    }
+    if (rec->op == OperationType::kInsert && !rec->inputs.empty()) {
+      add_issue(IssueKind::kMalformedRecord, object, rec->seq_id,
+                "insert record must have no inputs");
+      malformed = true;
+    }
+    if (rec->op == OperationType::kUpdate &&
+        (rec->inputs.size() != 1 || rec->inputs[0].object_id != object)) {
+      add_issue(IssueKind::kMalformedRecord, object, rec->seq_id,
+                "update record must have exactly the object itself as "
+                "input");
+      malformed = true;
+    }
+    if (rec->op == OperationType::kAggregate) {
+      if (rec->inputs.empty()) {
+        add_issue(IssueKind::kMalformedRecord, object, rec->seq_id,
+                  "aggregate record must have inputs");
+        malformed = true;
+      }
+      for (size_t i = 1; i < rec->inputs.size(); ++i) {
+        if (rec->inputs[i - 1].object_id >= rec->inputs[i].object_id) {
+          add_issue(IssueKind::kMalformedRecord, object, rec->seq_id,
+                    "aggregate inputs must follow the global total order");
+          malformed = true;
+          break;
+        }
+      }
+    }
+    if (malformed) {
+      prev = rec;
+      continue;
+    }
+
+    // -- seqID discipline (§2.1) ------------------------------------
+    if (prev == nullptr) {
+      if (rec->op == OperationType::kInsert && rec->seq_id != 0) {
+        add_issue(IssueKind::kSeqViolation, object, rec->seq_id,
+                  "insert must start its chain at seqID 0");
+      }
+    } else {
+      if (rec->op != OperationType::kUpdate) {
+        add_issue(IssueKind::kSeqViolation, object, rec->seq_id,
+                  "only updates may continue an existing chain");
+      } else if (rec->seq_id != prev->seq_id + 1) {
+        add_issue(IssueKind::kSeqViolation, object, rec->seq_id,
+                  "update seqID must increment by one (previous was " +
+                      std::to_string(prev->seq_id) + ")");
+      }
+    }
+
+    // -- Chain linkage (R2/R3/R6/R7) ---------------------------------
+    if (rec->op == OperationType::kUpdate && prev != nullptr &&
+        !(rec->inputs[0].state_hash == prev->output.state_hash)) {
+      add_issue(IssueKind::kChainLinkBroken, object, rec->seq_id,
+                "update input state does not match the previous record's "
+                "output state");
+    }
+
+    // -- Checksum payload reconstruction -----------------------------
+    Bytes payload;
+    if (rec->op == OperationType::kInsert) {
+      payload = engine.BuildInsertPayload(rec->output.state_hash);
+    } else if (rec->op == OperationType::kUpdate) {
+      Bytes prev_checksum = prev != nullptr ? prev->checksum : Bytes{};
+      payload = engine.BuildUpdatePayload(rec->inputs[0].state_hash,
+                                           rec->output.state_hash,
+                                           prev_checksum);
+    } else {
+      // Aggregate: resolve each input to the record that produced the
+      // exact recorded state; its checksum is the signed "previous".
+      std::vector<crypto::Digest> input_hashes;
+      std::vector<Bytes> prev_checksums;
+      SeqId max_input_seq = 0;
+      for (const ObjectState& input : rec->inputs) {
+        input_hashes.push_back(input.state_hash);
+        Bytes resolved;
+        auto in_chain = chains.find(input.object_id);
+        if (in_chain != chains.end()) {
+          bool found = false;
+          for (size_t i = in_chain->second.size(); i-- > 0;) {
+            const ProvenanceRecord* cand = in_chain->second[i];
+            if (cand->seq_id < rec->seq_id &&
+                cand->output.state_hash == input.state_hash) {
+              resolved = cand->checksum;
+              if (cand->seq_id > max_input_seq) {
+                max_input_seq = cand->seq_id;
+              }
+              found = true;
+              break;
+            }
+          }
+          if (!found) {
+            add_issue(IssueKind::kAggregateInputUnresolved, object,
+                      rec->seq_id,
+                      "aggregation input " +
+                          std::to_string(input.object_id) +
+                          " has records in the bundle but none matching "
+                          "the recorded input state");
+          }
+        }
+        prev_checksums.push_back(std::move(resolved));
+      }
+      if (rec->seq_id != max_input_seq + 1) {
+        add_issue(IssueKind::kSeqViolation, object, rec->seq_id,
+                  "aggregate seqID must be 1 + max input seqID (" +
+                      std::to_string(max_input_seq) + ")");
+      }
+      payload = engine.BuildAggregatePayload(
+          input_hashes, rec->output.state_hash, prev_checksums);
+    }
+
+    // -- Signature (R1, R8) ------------------------------------------
+    auto verifier = verifiers.find(rec->participant);
+    if (verifier == verifiers.end()) {
+      add_issue(IssueKind::kUnknownParticipant, object, rec->seq_id,
+                "participant " + std::to_string(rec->participant) +
+                    " has no CA-endorsed certificate");
+    } else {
+      Status sig = verifier->second.Verify(payload, rec->checksum);
+      if (!sig.ok()) {
+        metrics.signatures_bad->Increment();
+        add_issue(IssueKind::kBadSignature, object, rec->seq_id,
+                  "checksum signature does not verify: " + sig.message());
+      } else {
+        ++report.signatures_verified;
+      }
+    }
+
+    prev = rec;
+  }
+  metrics.chains->Increment();
+  metrics.records->Add(report.records_checked);
+  metrics.signatures_ok->Add(report.signatures_verified);
+  metrics.issues->Add(report.issues.size());
+  return report;
+}
+
+/// Check 1 for one live object: does subtree(object) still hash to the
+/// latest record's output state? Reads only the tree, via a const hasher,
+/// so it can run on any thread.
+std::optional<VerificationIssue> CheckLiveObject(
+    const SubtreeHasher& hasher, const storage::TreeStore& tree,
+    storage::ObjectId object,
+    const std::vector<const ProvenanceRecord*>& chain) {
+  if (!tree.Contains(object)) {
+    return std::nullopt;
+  }
+  Result<crypto::Digest> current = hasher.HashSubtreeBasic(object);
+  if (!current.ok()) {
+    return VerificationIssue{IssueKind::kSnapshotMalformed, object, 0,
+                             current.status().message()};
+  }
+  const ProvenanceRecord* latest = chain.back();
+  if (!(current.value() == latest->output.state_hash)) {
+    return VerificationIssue{
+        IssueKind::kDataHashMismatch, object, latest->seq_id,
+        "live object state does not match its most recent provenance "
+        "record (undocumented modification, R4)"};
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+void VerifyRecordChains(const crypto::ParticipantRegistry& registry,
+                        const ChecksumEngine& engine,
+                        const RecordChains& chains, VerificationReport* report,
+                        ThreadPool* pool) {
+  const VerifierMap verifiers = registry.MakeVerifiers(engine.algorithm());
+  std::vector<ChainCheckResult> results = OrderedFanOut(
+      pool, chains, [&](const RecordChains::value_type& entry) {
+        return VerifyOneChain(verifiers, engine, chains, entry.first,
+                              entry.second);
+      });
+  for (ChainCheckResult& result : results) {
+    for (VerificationIssue& issue : result.issues) {
+      report->issues.push_back(std::move(issue));
+    }
+    report->records_checked += result.records_checked;
+    report->signatures_verified += result.signatures_verified;
+  }
+}
+
 ProvenanceVerifier::ProvenanceVerifier(
     const crypto::ParticipantRegistry* registry, crypto::HashAlgorithm alg,
     ParallelismConfig parallelism)
@@ -70,7 +341,12 @@ ProvenanceVerifier::ProvenanceVerifier(
       engine_(alg),
       runs_(observability::GlobalMetrics().counter("verify.runs")),
       run_latency_(
-          observability::GlobalMetrics().histogram("verify.run.latency_us")) {
+          observability::GlobalMetrics().histogram("verify.run.latency_us")),
+      audit_runs_(observability::GlobalMetrics().counter("audit.runs")),
+      live_checks_(observability::GlobalMetrics().counter("audit.live_checks")),
+      audit_issues_(observability::GlobalMetrics().counter("audit.issues")),
+      audit_latency_(
+          observability::GlobalMetrics().histogram("audit.run.latency_us")) {
   if (!parallelism.sequential()) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(parallelism.num_threads));
@@ -88,18 +364,7 @@ VerificationReport ProvenanceVerifier::Verify(
     report.issues.push_back(
         VerificationIssue{kind, object, seq, std::move(message)});
   };
-
-  // Group the bundle's records into per-object chains, ordered by seqID.
-  std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>> chains;
-  for (const ProvenanceRecord& rec : bundle.records) {
-    chains[rec.output.object_id].push_back(&rec);
-  }
-  for (auto& [id, chain] : chains) {
-    std::stable_sort(chain.begin(), chain.end(),
-                     [](const ProvenanceRecord* a, const ProvenanceRecord* b) {
-                       return a->seq_id < b->seq_id;
-                     });
-  }
+  const RecordChains chains = GroupChains(bundle.records);
 
   // Check 1 (§3): the shipped data matches the most recent record.
   if (bundle.data.root() != bundle.subject) {
@@ -132,279 +397,70 @@ VerificationReport ProvenanceVerifier::Verify(
 
 VerificationReport ProvenanceVerifier::VerifyStore(
     const StoreSnapshot& snapshot) const {
+  return VerifyChains(snapshot.AllChains());
+}
+
+Result<VerificationReport> ProvenanceVerifier::VerifyObject(
+    const StoreSnapshot& snapshot, storage::ObjectId subject) const {
+  Result<std::vector<ProvenanceRecord>> records =
+      snapshot.ExtractProvenance(subject);
+  if (!records.ok()) {
+    return Status::NotFound("no chain for object " + std::to_string(subject));
+  }
+  const RecordChains chains = GroupChains(records.value());
+  VerificationReport report = VerifyChains(chains);
+  if (chains.count(subject) == 0) {
+    // Every record filed under the subject claims another output object.
+    // No signature covers an insert's object id, so only this shows it.
+    report.issues.insert(
+        report.issues.begin(),
+        VerificationIssue{IssueKind::kMissingRecords, subject, 0,
+                          "no provenance records for the subject object"});
+  }
+  return report;
+}
+
+VerificationReport ProvenanceVerifier::VerifyChains(
+    const RecordChains& chains) const {
   observability::ScopedLatencyTimer timer(run_latency_);
   observability::TraceSpan run_span("verify.run");
   runs_->Increment();
   VerificationReport report;
-  // Snapshot chains are already per-object in seqID order (AddRecord
-  // enforces monotonicity); no grouping or sorting pass is needed.
-  VerifyRecordChains(*registry_, engine_, snapshot.AllChains(), &report,
-                     pool_.get());
+  VerifyRecordChains(*registry_, engine_, chains, &report, pool_.get());
   return report;
 }
 
-namespace {
+VerificationReport ProvenanceVerifier::Audit(
+    const StoreSnapshot& snapshot, const storage::TreeStore& tree) const {
+  observability::ScopedLatencyTimer timer(audit_latency_);
+  observability::TraceSpan audit_span("audit.run");
+  audit_runs_->Increment();
+  VerificationReport report;
+  const RecordChains chains = snapshot.AllChains();
 
-/// Verification result of one per-object chain. Chains are self-contained
-/// (§3.2): verifying one reads only its own records, the read-only `chains`
-/// map (for aggregate-input resolution), and the registry — so these
-/// results can be produced on any thread and merged in object-id order.
-struct ChainCheckResult {
-  std::vector<VerificationIssue> issues;
-  uint64_t records_checked = 0;
-  uint64_t signatures_verified = 0;
-};
+  // Check 2 over every chain.
+  VerifyRecordChains(*registry_, engine_, chains, &report, pool_.get());
 
-/// Per-chain instruments, shared by ProvenanceVerifier and StoreAuditor
-/// (both funnel through VerifyRecordChains). Resolved once; recording is
-/// lock-free, so pool workers verifying chains concurrently never contend.
-struct ChainMetrics {
-  observability::Counter* chains;
-  observability::Counter* records;
-  observability::Counter* signatures_ok;
-  observability::Counter* signatures_bad;
-  observability::Counter* issues;
-  observability::Histogram* chain_latency;
-};
-
-const ChainMetrics& GetChainMetrics() {
-  static const ChainMetrics* metrics = new ChainMetrics{
-      observability::GlobalMetrics().counter("verify.chains"),
-      observability::GlobalMetrics().counter("verify.records"),
-      observability::GlobalMetrics().counter("verify.signatures.ok"),
-      observability::GlobalMetrics().counter("verify.signatures.bad"),
-      observability::GlobalMetrics().counter("verify.issues"),
-      observability::GlobalMetrics().histogram("verify.chain.latency_us"),
-  };
-  return *metrics;
-}
-
-ChainCheckResult VerifyOneChain(
-    const crypto::ParticipantRegistry& registry, const ChecksumEngine& engine,
-    const std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>&
-        chains,
-    storage::ObjectId object, const std::vector<const ProvenanceRecord*>& chain) {
-  const ChainMetrics& metrics = GetChainMetrics();
-  observability::ScopedLatencyTimer timer(metrics.chain_latency);
-  ChainCheckResult report;
-  auto add_issue = [&](IssueKind kind, storage::ObjectId obj, SeqId seq,
-                       std::string message) {
-    report.issues.push_back(
-        VerificationIssue{kind, obj, seq, std::move(message)});
-  };
-  const ChecksumEngine& engine_ = engine;  // keep the original loop body verbatim
-
-  // One RsaSignatureVerifier — and thus one Montgomery context — per
-  // participant seen in this chain, not one per record. Context
-  // derivation is the expensive part of setting a verifier up
-  // (crypto.bignum.montgomery_contexts counts them); a chain's records
-  // typically come from a handful of participants.
-  std::map<crypto::ParticipantId, crypto::RsaSignatureVerifier> verifiers;
-
-  {
-    const ProvenanceRecord* prev = nullptr;
-    for (const ProvenanceRecord* rec : chain) {
-      ++report.records_checked;
-
-      // -- Structural validity -------------------------------------
-      bool malformed = false;
-      if (rec->output.object_id != object) {
-        // The chain key is the object the store committed the record
-        // under; a record claiming a different output is re-attribution
-        // (R5). Honest groupings key chains by output id, so this can
-        // only fire when the stored record bytes were tampered after
-        // commit (e.g. under a pinned snapshot's chain index).
-        add_issue(IssueKind::kSubjectMismatch, object, rec->seq_id,
-                  "record claims output object " +
-                      std::to_string(rec->output.object_id) +
-                      " but is filed in the chain of object " +
-                      std::to_string(object) + " (re-attribution, R5)");
-        malformed = true;
-      }
-      if (rec->op == OperationType::kInsert && !rec->inputs.empty()) {
-        add_issue(IssueKind::kMalformedRecord, object, rec->seq_id,
-                  "insert record must have no inputs");
-        malformed = true;
-      }
-      if (rec->op == OperationType::kUpdate &&
-          (rec->inputs.size() != 1 || rec->inputs[0].object_id != object)) {
-        add_issue(IssueKind::kMalformedRecord, object, rec->seq_id,
-                  "update record must have exactly the object itself as "
-                  "input");
-        malformed = true;
-      }
-      if (rec->op == OperationType::kAggregate) {
-        if (rec->inputs.empty()) {
-          add_issue(IssueKind::kMalformedRecord, object, rec->seq_id,
-                    "aggregate record must have inputs");
-          malformed = true;
-        }
-        for (size_t i = 1; i < rec->inputs.size(); ++i) {
-          if (rec->inputs[i - 1].object_id >= rec->inputs[i].object_id) {
-            add_issue(IssueKind::kMalformedRecord, object, rec->seq_id,
-                      "aggregate inputs must follow the global total order");
-            malformed = true;
-            break;
-          }
-        }
-      }
-      if (malformed) {
-        prev = rec;
-        continue;
-      }
-
-      // -- seqID discipline (§2.1) ----------------------------------
-      if (prev == nullptr) {
-        if (rec->op == OperationType::kInsert && rec->seq_id != 0) {
-          add_issue(IssueKind::kSeqViolation, object, rec->seq_id,
-                    "insert must start its chain at seqID 0");
-        }
-      } else {
-        if (rec->op != OperationType::kUpdate) {
-          add_issue(IssueKind::kSeqViolation, object, rec->seq_id,
-                    "only updates may continue an existing chain");
-        } else if (rec->seq_id != prev->seq_id + 1) {
-          add_issue(IssueKind::kSeqViolation, object, rec->seq_id,
-                    "update seqID must increment by one (previous was " +
-                        std::to_string(prev->seq_id) + ")");
-        }
-      }
-
-      // -- Chain linkage (R2/R3/R6/R7) -------------------------------
-      if (rec->op == OperationType::kUpdate && prev != nullptr &&
-          !(rec->inputs[0].state_hash == prev->output.state_hash)) {
-        add_issue(IssueKind::kChainLinkBroken, object, rec->seq_id,
-                  "update input state does not match the previous record's "
-                  "output state");
-      }
-
-      // -- Checksum payload reconstruction ---------------------------
-      Bytes payload;
-      if (rec->op == OperationType::kInsert) {
-        payload = engine_.BuildInsertPayload(rec->output.state_hash);
-      } else if (rec->op == OperationType::kUpdate) {
-        Bytes prev_checksum = prev != nullptr ? prev->checksum : Bytes{};
-        payload = engine_.BuildUpdatePayload(rec->inputs[0].state_hash,
-                                             rec->output.state_hash,
-                                             prev_checksum);
-      } else {
-        // Aggregate: resolve each input to the record that produced the
-        // exact recorded state; its checksum is the signed "previous".
-        std::vector<crypto::Digest> input_hashes;
-        std::vector<Bytes> prev_checksums;
-        SeqId max_input_seq = 0;
-        for (const ObjectState& input : rec->inputs) {
-          input_hashes.push_back(input.state_hash);
-          Bytes resolved;
-          auto in_chain = chains.find(input.object_id);
-          if (in_chain != chains.end()) {
-            bool found = false;
-            for (size_t i = in_chain->second.size(); i-- > 0;) {
-              const ProvenanceRecord* cand = in_chain->second[i];
-              if (cand->seq_id < rec->seq_id &&
-                  cand->output.state_hash == input.state_hash) {
-                resolved = cand->checksum;
-                if (cand->seq_id > max_input_seq) {
-                  max_input_seq = cand->seq_id;
-                }
-                found = true;
-                break;
-              }
-            }
-            if (!found) {
-              add_issue(IssueKind::kAggregateInputUnresolved, object,
-                        rec->seq_id,
-                        "aggregation input " +
-                            std::to_string(input.object_id) +
-                            " has records in the bundle but none matching "
-                            "the recorded input state");
-            }
-          }
-          prev_checksums.push_back(std::move(resolved));
-        }
-        if (rec->seq_id != max_input_seq + 1) {
-          add_issue(IssueKind::kSeqViolation, object, rec->seq_id,
-                    "aggregate seqID must be 1 + max input seqID (" +
-                        std::to_string(max_input_seq) + ")");
-        }
-        payload = engine_.BuildAggregatePayload(
-            input_hashes, rec->output.state_hash, prev_checksums);
-      }
-
-      // -- Signature (R1, R8) ----------------------------------------
-      Result<crypto::RsaPublicKey> key = registry.LookupKey(rec->participant);
-      if (!key.ok()) {
-        add_issue(IssueKind::kUnknownParticipant, object, rec->seq_id,
-                  "participant " + std::to_string(rec->participant) +
-                      " has no CA-endorsed certificate");
-      } else {
-        auto it = verifiers.find(rec->participant);
-        if (it == verifiers.end()) {
-          it = verifiers
-                   .emplace(rec->participant,
-                            crypto::RsaSignatureVerifier(
-                                key.value(), engine_.algorithm()))
-                   .first;
-        }
-        Status sig = it->second.Verify(payload, rec->checksum);
-        if (!sig.ok()) {
-          metrics.signatures_bad->Increment();
-          add_issue(IssueKind::kBadSignature, object, rec->seq_id,
-                    "checksum signature does not verify: " + sig.message());
-        } else {
-          ++report.signatures_verified;
-        }
-      }
-
-      prev = rec;
+  // Check 1, in place: live tracked objects must hash to their latest
+  // record's output state. (Objects without chains are bootstrap data;
+  // chains whose object is gone correspond to deletions, which legally
+  // leave the final inherited ancestor records behind — those ancestors
+  // still exist, so a missing object with a chain tail means its whole
+  // subtree was removed; we only flag *live* mismatches, mirroring the
+  // recipient-side guarantee.)
+  const SubtreeHasher hasher(&tree, engine_.algorithm());
+  std::vector<std::optional<VerificationIssue>> live = OrderedFanOut(
+      pool_.get(), chains, [&](const RecordChains::value_type& entry) {
+        return CheckLiveObject(hasher, tree, entry.first, entry.second);
+      });
+  for (std::optional<VerificationIssue>& issue : live) {
+    live_checks_->Increment();
+    if (issue.has_value()) {
+      audit_issues_->Increment();
+      report.issues.push_back(std::move(*issue));
     }
   }
-  metrics.chains->Increment();
-  metrics.records->Add(report.records_checked);
-  metrics.signatures_ok->Add(report.signatures_verified);
-  metrics.issues->Add(report.issues.size());
   return report;
-}
-
-}  // namespace
-
-void VerifyRecordChains(
-    const crypto::ParticipantRegistry& registry, const ChecksumEngine& engine,
-    const std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>&
-        chains,
-    VerificationReport* report_out, ThreadPool* pool) {
-  VerificationReport& report = *report_out;
-  auto merge = [&report](ChainCheckResult result) {
-    for (VerificationIssue& issue : result.issues) {
-      report.issues.push_back(std::move(issue));
-    }
-    report.records_checked += result.records_checked;
-    report.signatures_verified += result.signatures_verified;
-  };
-
-  if (pool == nullptr || pool->size() <= 1 || chains.size() <= 1) {
-    for (const auto& [object, chain] : chains) {
-      merge(VerifyOneChain(registry, engine, chains, object, chain));
-    }
-    return;
-  }
-
-  // One task per chain; futures are collected in map (= ascending object
-  // id) order, so the merged report is byte-identical to the sequential
-  // one regardless of task completion order.
-  std::vector<std::future<ChainCheckResult>> results;
-  results.reserve(chains.size());
-  for (auto it = chains.begin(); it != chains.end(); ++it) {
-    const storage::ObjectId object = it->first;
-    const std::vector<const ProvenanceRecord*>* chain = &it->second;
-    results.push_back(pool->Submit([&registry, &engine, &chains, object,
-                                    chain] {
-      return VerifyOneChain(registry, engine, chains, object, *chain);
-    }));
-  }
-  for (std::future<ChainCheckResult>& result : results) {
-    merge(result.get());
-  }
 }
 
 }  // namespace provdb::provenance

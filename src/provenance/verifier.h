@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "common/thread_pool.h"
 #include "crypto/pki.h"
 #include "observability/metrics.h"
@@ -13,6 +14,7 @@
 #include "provenance/checksum.h"
 #include "provenance/record.h"
 #include "provenance/snapshot.h"
+#include "storage/tree_store.h"
 
 namespace provdb::provenance {
 
@@ -71,65 +73,92 @@ struct VerificationReport {
 
 /// Core of check 2 (§3): given per-object record chains (each sorted by
 /// seqID), recompute every checksum payload and verify every signature,
-/// appending issues and counters to `report`. Shared by the recipient-side
-/// ProvenanceVerifier and the in-place StoreAuditor.
+/// appending issues and counters to `report`. Every ProvenanceVerifier
+/// entry point runs its check 2 through here.
 ///
-/// Chains are per-object and self-contained (§3.2), so when `pool` is
-/// non-null (and has more than one worker) each chain is verified as an
-/// independent pool task. Per-chain results are merged back in ascending
-/// object-id order — and issues within a chain stay in seqID order — so
-/// the report is byte-identical to the sequential one.
-void VerifyRecordChains(
-    const crypto::ParticipantRegistry& registry, const ChecksumEngine& engine,
-    const std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>&
-        chains,
-    VerificationReport* report, ThreadPool* pool = nullptr);
+/// One call is one run: it builds one RsaSignatureVerifier per
+/// registered participant (ParticipantRegistry::MakeVerifiers), and every
+/// chain shares them read-only. Chains are per-object and self-contained
+/// (§3.2), so each is verified as one OrderedFanOut item over `pool`;
+/// per-chain results merge in ascending object-id order — and issues
+/// within a chain stay in seqID order — so the report is byte-identical
+/// to the sequential one.
+void VerifyRecordChains(const crypto::ParticipantRegistry& registry,
+                        const ChecksumEngine& engine,
+                        const RecordChains& chains, VerificationReport* report,
+                        ThreadPool* pool = nullptr);
 
-/// The data recipient's verification procedure (§3):
+/// The verification procedure (§3):
 ///   1. the data object matches the output of its most recent provenance
 ///      record, and
 ///   2. every stored checksum re-verifies from the record's input/output
 ///      states and the previous checksum(s) under the acting participant's
 ///      certified public key.
 /// Together these detect every attack in the threat model (R1–R8), as
-/// argued in §3.1.
+/// argued in §3.1. A recipient runs both over a bundle (Verify); the
+/// store runs check 2 over a pinned snapshot (VerifyStore), over one
+/// object's provenance object (VerifyObject), or both checks in place
+/// against the live tree (Audit).
+///
+/// Records are read only from a bundle value or a pinned snapshot, so no
+/// entry point races ingest, takes a store lock or blocks a writer.
+/// Audit's live `tree` must not change while the audit runs.
 class ProvenanceVerifier {
  public:
   /// `registry` resolves participant ids to CA-endorsed public keys and
   /// must outlive the verifier. With `parallelism.num_threads > 1` the
-  /// verifier owns a ThreadPool and fans per-object chain verification out
-  /// across it; the report is identical to the sequential one.
+  /// verifier owns a ThreadPool and fans per-object chain verification
+  /// and the audit's live-object sweep out across it; every report is
+  /// identical to the sequential one.
   ProvenanceVerifier(const crypto::ParticipantRegistry* registry,
                      crypto::HashAlgorithm alg = crypto::HashAlgorithm::kSha1,
                      ParallelismConfig parallelism = {});
 
-  /// Runs all checks over `bundle` and reports every issue found (the
+  /// Runs both checks over `bundle` and reports every issue found (the
   /// verifier does not stop at the first failure). [[nodiscard]]: an
   /// unread report is an undetected tamper.
-  ///
-  /// Bundles are values (built by the writer, or from a snapshot's
-  /// ExtractProvenance), so Verify never races ingest. To verify a whole
-  /// moving deployment in place, pin a StoreSnapshot and use VerifyStore
-  /// (DESIGN.md §16).
   [[nodiscard]] VerificationReport Verify(const RecipientBundle& bundle) const;
 
-  /// Check 2 over every chain in a pinned snapshot: recompute every
-  /// checksum payload and verify every signature. Safe while ingest is
-  /// live — the snapshot is an immutable batch-boundary cut, so this
-  /// takes no store lock and blocks no writer. (Check 1 needs the
-  /// back-end tree; that is StoreAuditor's job.)
+  /// Check 2 over every chain in a pinned snapshot.
   [[nodiscard]] VerificationReport VerifyStore(
       const StoreSnapshot& snapshot) const;
 
+  /// Check 2 over `subject`'s provenance object in a pinned snapshot
+  /// (StoreSnapshot::ExtractProvenance: its chain plus every aggregation
+  /// input's chain up to the matching state), grouped as Verify groups a
+  /// bundle, so a subject none of whose records claims it as output is
+  /// kMissingRecords. kNotFound when the subject has no chain.
+  [[nodiscard]] Result<VerificationReport> VerifyObject(
+      const StoreSnapshot& snapshot, storage::ObjectId subject) const;
+
+  /// In-place audit of a whole deployment: check 2 over every chain of a
+  /// pinned snapshot (TrackedDatabase::OpenSnapshot,
+  /// IngestPipeline::OpenSnapshot, ...), then check 1 applied to the live
+  /// `tree` — every live object with a chain must hash to its latest
+  /// record's output state. Chain issues come first, then live-object
+  /// issues, each in object-id order. Run it periodically (or before
+  /// exporting bundles) to catch tampering of the provenance database
+  /// itself, not just of shipped bundles.
+  [[nodiscard]] VerificationReport Audit(const StoreSnapshot& snapshot,
+                                         const storage::TreeStore& tree) const;
+
  private:
+  /// One check-2 run over `chains` under the verify.* run instruments.
+  VerificationReport VerifyChains(const RecordChains& chains) const;
+
   const crypto::ParticipantRegistry* registry_;
   ChecksumEngine engine_;
   std::unique_ptr<ThreadPool> pool_;  // null when sequential
 
   // Whole-run observability (docs/OBSERVABILITY.md); per-chain counters
-  // live inside VerifyRecordChains so the auditor shares them.
+  // live inside VerifyRecordChains. The audit.* instruments cover Audit
+  // and its live-object sweep.
   observability::Counter* runs_;
   observability::Histogram* run_latency_;
+  observability::Counter* audit_runs_;
+  observability::Counter* live_checks_;
+  observability::Counter* audit_issues_;
+  observability::Histogram* audit_latency_;
 };
 
 }  // namespace provdb::provenance

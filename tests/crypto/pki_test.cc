@@ -61,9 +61,23 @@ TEST_F(PkiTest, RegistryAcceptsValidCertificates) {
   EXPECT_TRUE(registry.Register(bob_->certificate()).ok());
   EXPECT_EQ(registry.size(), 2u);
 
-  auto key = registry.LookupKey(alice_->id());
-  ASSERT_TRUE(key.ok());
-  EXPECT_EQ(*key, alice_->public_key());
+  auto cert = registry.Lookup(alice_->id());
+  ASSERT_TRUE(cert.ok());
+  EXPECT_EQ(cert->public_key, alice_->public_key());
+}
+
+TEST_F(PkiTest, RegistryMakesOneVerifierPerParticipant) {
+  ParticipantRegistry registry(ca_->public_key());
+  ASSERT_TRUE(registry.Register(alice_->certificate()).ok());
+  ASSERT_TRUE(registry.Register(bob_->certificate()).ok());
+  auto verifiers = registry.MakeVerifiers(HashAlgorithm::kSha1);
+  ASSERT_EQ(verifiers.size(), 2u);
+
+  ByteView msg(std::string_view("signed by alice"));
+  auto sig = alice_->signer().Sign(msg);
+  ASSERT_TRUE(sig.ok());
+  EXPECT_TRUE(verifiers.at(alice_->id()).Verify(msg, *sig).ok());
+  EXPECT_FALSE(verifiers.at(bob_->id()).Verify(msg, *sig).ok());
 }
 
 TEST_F(PkiTest, RegistryRejectsForgedCertificates) {

@@ -257,6 +257,73 @@ TEST(ServerIntegrationTest, MultipleParticipantsSignTheirOwnRecords) {
   EXPECT_TRUE(summary->ok);
 }
 
+TEST(ServerIntegrationTest, VerifyObjectChecksAggregateInputs) {
+  auto pipeline = OpenPipeline(FreshDir("aggregate"));
+  auto server = StartServer(pipeline.get());
+  auto client = Connect(*server);
+
+  ASSERT_TRUE(client.Call(Insert(20, 0x20, 1))->ok());
+  ASSERT_TRUE(client.Call(Insert(21, 0x21, 2))->ok());
+  // The aggregate signs over its inputs' checksums, which a remote
+  // submitter learns from query-chain.
+  Request aggregate;
+  aggregate.op = NetOp::kSubmitRecord;
+  aggregate.submit.participant_id = 3;
+  aggregate.submit.op = OperationType::kAggregate;
+  aggregate.submit.object = 22;
+  aggregate.submit.post_hash = D(0x22);
+  aggregate.submit.aggregate_seq = 1;
+  for (ObjectId input : {ObjectId{20}, ObjectId{21}}) {
+    auto chain = client.Call(Read(NetOp::kQueryChain, input));
+    ASSERT_TRUE(chain.ok() && chain->ok());
+    auto records = DecodeChainBody(chain->body);
+    ASSERT_TRUE(records.ok());
+    ASSERT_EQ(records->size(), 1u);
+    aggregate.submit.inputs.push_back(records->back().output);
+    aggregate.submit.input_prev_checksums.push_back(records->back().checksum);
+  }
+  auto submitted = client.Call(aggregate);
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_TRUE(submitted->ok()) << submitted->message;
+
+  // Verify-object checks the aggregate's whole provenance object: its own
+  // record and both inputs' records, whose checksums it signed over.
+  auto verify = client.Call(Read(NetOp::kVerifyObject, 22));
+  ASSERT_TRUE(verify.ok() && verify->ok());
+  auto summary = DecodeVerifySummary(verify->body);
+  ASSERT_TRUE(summary.ok());
+  EXPECT_TRUE(summary->ok);
+  EXPECT_EQ(summary->records_checked, 3u);
+  EXPECT_EQ(summary->signatures_verified, 3u);
+  EXPECT_EQ(summary->issues, 0u);
+
+  // Tamper with one input's committed record. The server is stopped
+  // first so no server thread reads the record while it is rewritten.
+  server.reset();
+  size_t tampered = 0;
+  provenance::ShardedProvenanceStore* store = pipeline->mutable_store();
+  for (size_t s = 0; s < store->num_shards(); ++s) {
+    provenance::ProvenanceStore& shard = store->shard(s);
+    for (uint64_t i = 0; i < shard.record_count(); ++i) {
+      provenance::ProvenanceRecord* record = shard.mutable_record(i);
+      if (record->output.object_id == 21) {
+        record->checksum[record->checksum.size() / 2] ^= 0x40;
+        ++tampered;
+      }
+    }
+  }
+  ASSERT_EQ(tampered, 1u);
+
+  server = StartServer(pipeline.get());
+  client = Connect(*server);
+  verify = client.Call(Read(NetOp::kVerifyObject, 22));
+  ASSERT_TRUE(verify.ok() && verify->ok());
+  summary = DecodeVerifySummary(verify->body);
+  ASSERT_TRUE(summary.ok());
+  EXPECT_FALSE(summary->ok);
+  EXPECT_GE(summary->issues, 1u);
+}
+
 // -- Remote poison prevention ------------------------------------------
 
 TEST(ServerIntegrationTest, BadSubmitsRejectedTypedWithoutWedgingIngest) {
@@ -609,7 +676,9 @@ TEST(ServerOverloadTest, SaturatedAdmissionShedsTypedAndCommitsTheRest) {
   // Budget fully released once the burst is answered.
   for (const auto& [name, value] :
        observability::GlobalMetrics().Snapshot().gauges) {
-    if (name == "server.inflight.bytes") EXPECT_EQ(value, 0);
+    if (name == "server.inflight.bytes") {
+      EXPECT_EQ(value, 0);
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "observability/metrics.h"
 #include "provenance/tracked_database.h"
 #include "testing/test_pki.h"
 
@@ -227,6 +228,75 @@ TEST_F(VerifierTest, DagBundleRoundTripThroughWireVerifies) {
   ASSERT_TRUE(received.ok());
   VerificationReport report = Verify(*received);
   EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+TEST_F(VerifierTest, VerifyObjectChecksTheProvenanceObject) {
+  TrackedDatabase db;
+  auto x = db.Insert(p1(), Value::Int(1));
+  auto y = db.Insert(p2(), Value::Int(2));
+  auto agg = db.Aggregate(p1(), {*x, *y}, Value::Int(3));
+  ASSERT_TRUE(agg.ok());
+  ProvenanceVerifier verifier(&TestPki::Instance().registry());
+
+  // The aggregate's own record plus both inputs' records.
+  auto report = verifier.VerifyObject(db.OpenSnapshot(), *agg);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok()) << report->ToString();
+  EXPECT_EQ(report->records_checked, 3u);
+  EXPECT_EQ(report->signatures_verified, 3u);
+  EXPECT_EQ(verifier.VerifyObject(db.OpenSnapshot(), 424242).status().code(),
+            StatusCode::kNotFound);
+
+  // Re-attribute x's only record to another object: no signature covers
+  // an insert's object id, yet x's provenance object no longer has x.
+  for (uint64_t i = 0; i < db.provenance().record_count(); ++i) {
+    ProvenanceRecord* rec = db.mutable_provenance()->mutable_record(i);
+    if (rec->output.object_id == *x) rec->output.object_id = 999;
+  }
+  auto moved = verifier.VerifyObject(db.OpenSnapshot(), *x);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_TRUE(moved->HasIssue(IssueKind::kMissingRecords))
+      << moved->ToString();
+}
+
+uint64_t MontgomeryContextCount() {
+  return observability::GlobalMetrics()
+      .counter("crypto.bignum.montgomery_contexts")
+      ->value();
+}
+
+// A run builds one RSA verifier, and so one Montgomery context, per
+// registered participant, however many chains it verifies and on however
+// many threads; every chain shares them.
+TEST_F(VerifierTest, OneMontgomeryContextPerParticipantPerRun) {
+  const TestPki& pki = TestPki::Instance();
+  TrackedDatabase db;
+  for (size_t i = 0; i < 20; ++i) {
+    auto object = db.Insert(pki.participant(i % TestPki::kNumParticipants),
+                            Value::Int(static_cast<int64_t>(i)));
+    ASSERT_TRUE(object.ok());
+    ASSERT_TRUE(
+        db.Update(pki.participant((i + 1) % TestPki::kNumParticipants),
+                  *object, Value::Int(static_cast<int64_t>(i) + 100))
+            .ok());
+  }
+  const StoreSnapshot snapshot = db.OpenSnapshot();
+  ASSERT_GE(snapshot.AllChains().size(), 16u);
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ProvenanceVerifier verifier(&pki.registry(), crypto::HashAlgorithm::kSha1,
+                                ParallelismConfig{threads});
+    uint64_t before = MontgomeryContextCount();
+    VerificationReport verified = verifier.VerifyStore(snapshot);
+    EXPECT_EQ(MontgomeryContextCount() - before, TestPki::kNumParticipants);
+    EXPECT_TRUE(verified.ok()) << verified.ToString();
+
+    before = MontgomeryContextCount();
+    VerificationReport audited = verifier.Audit(snapshot, db.tree());
+    EXPECT_EQ(MontgomeryContextCount() - before, TestPki::kNumParticipants);
+    EXPECT_TRUE(audited.ok()) << audited.ToString();
+  }
 }
 
 }  // namespace

@@ -411,6 +411,7 @@ TEST_F(WalTest, NonCanonicalFrameLengthAtTailIsSalvaged) {
   WriteFiveRecords();
   const Bytes payload = B("evil!");
   Bytes evil = {0x85, 0x00};
+  evil.reserve(16);
   AppendBytes(&evil, payload);
   AppendFixed32(&evil, Crc32(payload));
   AppendRaw(Segment(1), evil);
@@ -427,6 +428,7 @@ TEST_F(WalTest, NonCanonicalFrameLengthInNonFinalSegmentIsCorruption) {
   WriteFiveRecords();
   const Bytes payload = B("evil!");
   Bytes evil = {0x85, 0x00};
+  evil.reserve(16);
   AppendBytes(&evil, payload);
   AppendFixed32(&evil, Crc32(payload));
   AppendRaw(Segment(1), evil);

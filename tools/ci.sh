@@ -3,8 +3,10 @@
 #
 #   release-tests  regular Release build + full ctest suite
 #   lint           provdb_lint over src/ (determinism / checked-verify rules)
-#   werror         src/ under the hardened tier: -Wconversion -Wshadow
-#                  -Wextra-semi -Werror (PROVDB_WERROR=ON)
+#   werror         every target warning-free: src/ under the hardened
+#                  tier (-Wconversion -Wshadow -Wextra-semi, PROVDB_WERROR=ON)
+#                  and tests, benches, examples and tools under -Wall
+#                  -Wextra, all with -Werror
 #   thread-safety  clang -Wthread-safety[-beta] as errors over src/
 #                  (PROVDB_THREAD_SAFETY=ON): every PROVDB_GUARDED_BY /
 #                  PROVDB_REQUIRES contract machine-checked, plus a
@@ -101,11 +103,11 @@ stage_lint() {
 }
 
 stage_werror() {
+  # PROVDB_WERROR hardens src/ only; CMAKE_CXX_FLAGS=-Werror makes a
+  # baseline warning anywhere else (tests, benches, examples) fail too.
   run cmake -S "$ROOT" -B "$OUT/werror" -DCMAKE_BUILD_TYPE=Release \
-    -DPROVDB_WERROR=ON -DPROVDB_BUILD_TESTS=OFF \
-    -DPROVDB_BUILD_BENCHMARKS=OFF -DPROVDB_BUILD_EXAMPLES=OFF
-  run cmake --build "$OUT/werror" -j "$JOBS" \
-    --target provdb_provenance provdb_workload
+    -DPROVDB_WERROR=ON -DCMAKE_CXX_FLAGS=-Werror
+  run cmake --build "$OUT/werror" -j "$JOBS"
 }
 
 stage_thread_safety() {
