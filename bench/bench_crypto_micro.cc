@@ -3,16 +3,12 @@
 // algorithms, HMAC, RSA sign/verify at several key sizes, per-node tree
 // hashing, and the end-to-end cost of producing one checksum.
 
-#include <cstdio>
-#include <cstring>
-
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 
 #include "common/rng.h"
 #include "crypto/bignum.h"
-#include "crypto/bignum_kernels.h"
 #include "crypto/hash.h"
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
@@ -94,10 +90,9 @@ void BM_RsaVerify(benchmark::State& state) {
 BENCHMARK(BM_RsaVerify)->Arg(512)->Arg(1024)->Arg(2048)
     ->Unit(benchmark::kMicrosecond);
 
-// Per-kernel ladder cost on a CRT-half-shaped problem: `bits`-bit odd
-// modulus, `bits`-bit exponent — the shape RSA signing actually runs.
-// Kernel A/B without touching the global selection (docs/CRYPTO.md).
-void BM_ModExp(benchmark::State& state, crypto::ModExpKernel kernel) {
+// Ladder cost on a CRT-half-shaped problem: `bits`-bit odd modulus,
+// `bits`-bit exponent — the shape RSA signing actually runs.
+void BM_ModExp(benchmark::State& state) {
   const size_t bits = static_cast<size_t>(state.range(0));
   Rng rng(bits);
   Bytes raw;
@@ -110,19 +105,14 @@ void BM_ModExp(benchmark::State& state, crypto::ModExpKernel kernel) {
   rng.NextBytes(&raw, bits / 8);
   crypto::BigUInt exp = crypto::BigUInt::FromBytesBigEndian(raw);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.ModExpWithKernel(base, exp, kernel));
+    benchmark::DoNotOptimize(ctx.ModExp(base, exp));
   }
 }
-BENCHMARK_CAPTURE(BM_ModExp, binary, crypto::ModExpKernel::kBinary)
-    ->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_ModExp, window4, crypto::ModExpKernel::kWindow4)
-    ->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_ModExp, window5, crypto::ModExpKernel::kWindow5)
-    ->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ModExp)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
-// Per-kernel full-width multiply at Karatsuba-relevant sizes (the sign
-// path never calls this — keygen, verify padding, and DivMod do).
-void BM_BigMul(benchmark::State& state, crypto::MulKernel kernel) {
+// Full-width multiply of two `bytes`-byte operands (the ladder never
+// calls this — keygen, CRT recombination and context set-up do).
+void BM_BigMul(benchmark::State& state) {
   const size_t bytes = static_cast<size_t>(state.range(0));
   Rng rng(bytes);
   Bytes raw;
@@ -131,13 +121,10 @@ void BM_BigMul(benchmark::State& state, crypto::MulKernel kernel) {
   rng.NextBytes(&raw, bytes);
   crypto::BigUInt b = crypto::BigUInt::FromBytesBigEndian(raw);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::BigUInt::MulWithKernel(a, b, kernel));
+    benchmark::DoNotOptimize(crypto::BigUInt::Mul(a, b));
   }
 }
-BENCHMARK_CAPTURE(BM_BigMul, schoolbook, crypto::MulKernel::kSchoolbook)
-    ->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
-BENCHMARK_CAPTURE(BM_BigMul, karatsuba, crypto::MulKernel::kKaratsuba)
-    ->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
+BENCHMARK(BM_BigMul)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
 
 void BM_HmacSignerAblation(benchmark::State& state) {
   // The symmetric alternative: ~3 orders of magnitude faster than RSA but
@@ -184,28 +171,9 @@ BENCHMARK(BM_ChecksumEndToEnd)->Unit(benchmark::kMicrosecond);
 
 // BENCHMARK_MAIN() expanded so the run can end with the standard
 // provdb metrics footer (the checksum/hashing micro-benches record into
-// the global registry like everything else), and so --kernel= can pin
-// the bignum kernel set for the whole run (same spec grammar as
-// PROVDB_BIGNUM_KERNEL; see docs/CRYPTO.md and docs/BENCHMARKS.md).
+// the global registry like everything else).
 int main(int argc, char** argv) {
   provdb::observability::InitTraceFromEnv();
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char* kFlag = "--kernel=";
-    if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
-      const char* spec = argv[i] + std::strlen(kFlag);
-      auto parsed = provdb::crypto::ParseBigNumKernelSpec(spec);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad --kernel= spec \"%s\": %s\n", spec,
-                     parsed.status().message().c_str());
-        return 1;
-      }
-      provdb::crypto::ForceBigNumKernels(parsed.value());
-      continue;  // consumed: don't hand it to google-benchmark
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "crypto/bignum_kernels.h"
 #include "observability/metrics.h"
 
 namespace provdb::crypto {
@@ -240,8 +239,8 @@ BigUInt BigUInt::Sub(const BigUInt& a, const BigUInt& b) {
   //   - rsa.cc key generation: Sub(n, 1), Sub(n, 3), Sub(p, 1), Sub(q, 1)
   //     on primes >= 3 by construction;
   //   - signer.cc RsaSigner::SignDigest CRT: Sub(s1, s2) behind an
-  //     explicit Compare, and Sub(lifted, s2_mod_p) where lifted = s1 + p
-  //     > s2_mod_p because s2_mod_p < p;
+  //     explicit Compare, and Sub(s1 + p, s2_mod_p) where s1 + p >= p >
+  //     s2_mod_p;
   //   - ModInverse below: magnitude subtraction behind an explicit
   //     Compare, and Sub(m, reduced) with reduced = old_t mod m < m.
   // MontgomeryContext does not call Sub: its conditional final
@@ -275,18 +274,24 @@ BigUInt BigUInt::Sub(const BigUInt& a, const BigUInt& b) {
 }
 
 BigUInt BigUInt::Mul(const BigUInt& a, const BigUInt& b) {
-  return MulWithKernel(a, b, SelectedBigNumKernels().mul);
-}
-
-BigUInt BigUInt::MulWithKernel(const BigUInt& a, const BigUInt& b,
-                               MulKernel kernel) {
   if (a.IsZero() || b.IsZero()) {
     return BigUInt();
   }
+  // Schoolbook: row i adds a[i] * b into out[i ..], and its carry lands
+  // in out[i + bn], which no earlier row has written.
+  const size_t bn = b.limbs_.size();
   BigUInt out;
-  out.limbs_.resize(a.limbs_.size() + b.limbs_.size());
-  MulLimbs(a.limbs_.data(), a.limbs_.size(), b.limbs_.data(),
-           b.limbs_.size(), out.limbs_.data(), kernel);
+  out.limbs_.assign(a.limbs_.size() + bn, 0);
+  for (size_t i = 0; i < a.limbs_.size(); ++i) {
+    const uint64_t ai = a.limbs_[i];
+    uint64_t carry = 0;
+    for (size_t j = 0; j < bn; ++j) {
+      uint64_t cur = out.limbs_[i + j] + ai * b.limbs_[j] + carry;
+      out.limbs_[i + j] = static_cast<uint32_t>(cur);
+      carry = cur >> 32;
+    }
+    out.limbs_[i + bn] = static_cast<uint32_t>(carry);
+  }
   out.Normalize();
   return out;
 }
@@ -564,11 +569,18 @@ std::vector<MontLimb> PackMontLimbs(const std::vector<uint32_t>& limbs,
   return out;
 }
 
+// Exponent bit length below which ModExp runs the binary ladder:
+// building the window table costs more multiplies than windowing saves
+// on a short exponent (RSA's e = 65537 is the textbook case). The cutoff
+// depends only on BitLength(exp), which the ladder's operation count
+// reveals anyway, so it leaks nothing new.
+constexpr size_t kWindowedLadderMinExpBits = 128;
+
 // Constant-time window-table row selection: touches every row and
 // accumulates the requested one through an all-ones/all-zero mask, so
 // neither memory addresses nor branches depend on the (secret) window
-// value. `rows` is at most 32 (k <= 5), so r ^ idx < 2^31 and the
-// borrow trick below is exact. See DESIGN.md §15.
+// value. `rows` is 32 (5-bit windows), so r ^ idx < 2^31 and the borrow
+// trick below is exact. See DESIGN.md §15.
 void CtSelectRow(const MontLimb* table, uint32_t rows, size_t n,
                  uint32_t idx, MontLimb* out) {
   std::fill(out, out + n, static_cast<MontLimb>(0));
@@ -706,12 +718,6 @@ void MontgomeryContext::MontMulIntoL(const MontLimb* a, const MontLimb* b,
 
 BigUInt MontgomeryContext::ModExp(const BigUInt& base,
                                   const BigUInt& exp) const {
-  return ModExpWithKernel(base, exp, SelectedBigNumKernels().mod_exp);
-}
-
-BigUInt MontgomeryContext::ModExpWithKernel(const BigUInt& base,
-                                            const BigUInt& exp,
-                                            ModExpKernel kernel) const {
   const size_t n = mont_limbs_;
 
   // All ladder state lives in flat engine-radix buffers allocated here,
@@ -736,14 +742,9 @@ BigUInt MontgomeryContext::ModExpWithKernel(const BigUInt& base,
 
   const size_t bits = exp.BitLength();
 
-  // Short exponents degrade windowed ladders to binary — see
-  // kWindowedLadderMinExpBits. exp == 0 lands there too: zero loop
-  // iterations leave result = 1 in Montgomery form.
-  const bool binary = kernel == ModExpKernel::kBinary ||
-                      bits < kWindowedLadderMinExpBits;
-
-  if (binary) {
-    // Bit-at-a-time square-and-multiply, MSB first.
+  if (bits < kWindowedLadderMinExpBits) {
+    // Bit-at-a-time square-and-multiply, MSB first. exp == 0 lands here
+    // too: zero loop iterations leave result = 1 in Montgomery form.
     std::copy(mont_r_.begin(), mont_r_.end(), result.begin());
     for (size_t i = bits; i-- > 0;) {
       MontMulIntoL(result.data(), result.data(), result.data(),
@@ -754,14 +755,14 @@ BigUInt MontgomeryContext::ModExpWithKernel(const BigUInt& base,
       }
     }
   } else {
-    // Fixed k-bit windows, MSB first: per window k squarings then one
+    // Fixed 5-bit windows, MSB first: per window k squarings then one
     // multiply by table[window]. table[0] = 1 in Montgomery form, so a
     // zero window performs the same multiply as any other — the
     // operation sequence depends only on BitLength(exp), and the table
     // row is fetched with the mask scan in CtSelectRow, never indexed
     // by the secret window value.
-    const size_t k = kernel == ModExpKernel::kWindow4 ? 4 : 5;
-    const uint32_t rows = 1u << k;
+    constexpr size_t k = 5;
+    constexpr uint32_t rows = 1u << k;
     std::vector<MontLimb> table(static_cast<size_t>(rows) * n);
     std::copy(mont_r_.begin(), mont_r_.end(), table.begin());
     std::copy(base_mont.begin(), base_mont.end(),

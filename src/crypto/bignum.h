@@ -8,7 +8,6 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
-#include "crypto/bignum_kernels.h"
 
 namespace provdb::crypto {
 
@@ -32,11 +31,9 @@ using MontLimb = uint32_t;
 /// implementation (the paper's checksum signatures use 1024-bit RSA, §5.1).
 ///
 /// Representation: little-endian vector of 32-bit limbs, normalized (no
-/// trailing zero limbs; zero is the empty vector). Multiplication and
-/// modular exponentiation route through runtime-selected kernels
-/// (bignum_kernels.h, docs/CRYPTO.md): schoolbook or Karatsuba multiply,
-/// binary or fixed-window Montgomery ladders for odd moduli. Every
-/// kernel computes the same function — selection is a speed choice only.
+/// trailing zero limbs; zero is the empty vector). Multiplication is the
+/// schoolbook product; odd-modulus exponentiation runs the Montgomery
+/// ladder of MontgomeryContext (docs/CRYPTO.md).
 class BigUInt {
  public:
   /// Zero.
@@ -99,15 +96,8 @@ class BigUInt {
   /// each site in bignum.cc / rsa.cc).
   static BigUInt Sub(const BigUInt& a, const BigUInt& b);
 
-  /// Dispatches to the process-selected multiply kernel
-  /// (SelectedBigNumKernels, docs/CRYPTO.md). All kernels produce
-  /// identical results.
+  /// Schoolbook O(n^2) product (docs/CRYPTO.md).
   static BigUInt Mul(const BigUInt& a, const BigUInt& b);
-
-  /// Mul under an explicit kernel — cross-check tests and benchmarks
-  /// compare kernels in one process without touching the global selection.
-  static BigUInt MulWithKernel(const BigUInt& a, const BigUInt& b,
-                               MulKernel kernel);
 
   /// Quotient and remainder; `divisor` must be non-zero.
   static Result<DivModResult> DivMod(const BigUInt& dividend,
@@ -164,14 +154,9 @@ class MontgomeryContext {
   const BigUInt& modulus() const { return modulus_; }
 
   /// (base ^ exp) mod m, operands in ordinary (non-Montgomery) form.
-  /// Dispatches to the process-selected ladder kernel
-  /// (SelectedBigNumKernels); all ladders produce identical results.
+  /// Fixed 5-bit windows with constant-time table selection; exponents
+  /// under 128 bits take the binary ladder instead (docs/CRYPTO.md).
   BigUInt ModExp(const BigUInt& base, const BigUInt& exp) const;
-
-  /// ModExp under an explicit ladder kernel — for kernel cross-check
-  /// tests and benchmark A/B runs.
-  BigUInt ModExpWithKernel(const BigUInt& base, const BigUInt& exp,
-                           ModExpKernel kernel) const;
 
  private:
   MontgomeryContext() = default;

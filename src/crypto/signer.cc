@@ -68,13 +68,9 @@ Result<Bytes> RsaSigner::SignDigest(const Digest& digest) const {
   if (BigUInt::Compare(s1, s2) >= 0) {
     diff = BigUInt::Sub(s1, s2);
   } else {
-    // (s1 - s2) mod p: add enough multiples of p to make it non-negative.
+    // (s1 - s2) mod p. One lift suffices: s2 mod p < p <= s1 + p.
     PROVDB_ASSIGN_OR_RETURN(BigUInt s2_mod_p, BigUInt::Mod(s2, key_.p));
-    BigUInt lifted = BigUInt::Add(s1, key_.p);
-    if (BigUInt::Compare(lifted, s2_mod_p) < 0) {
-      lifted = BigUInt::Add(lifted, key_.p);
-    }
-    diff = BigUInt::Sub(lifted, s2_mod_p);
+    diff = BigUInt::Sub(BigUInt::Add(s1, key_.p), s2_mod_p);
   }
   PROVDB_ASSIGN_OR_RETURN(BigUInt h,
                           BigUInt::Mod(BigUInt::Mul(key_.qinv, diff), key_.p));

@@ -19,6 +19,21 @@ BigUInt RandomBig(Rng* rng, size_t bytes) {
   return BigUInt::FromBytesBigEndian(raw);
 }
 
+// Square-and-multiply over Mul and Mod, LSB first: shares no code with
+// the Montgomery ladder, so it is the reference for MontgomeryContext.
+BigUInt ReferenceModExp(const BigUInt& base, const BigUInt& exp,
+                        const BigUInt& m) {
+  BigUInt acc = BigUInt::Mod(base, m).value();
+  BigUInt result = BigUInt::Mod(BigUInt(1), m).value();
+  for (size_t bit = 0; bit < exp.BitLength(); ++bit) {
+    if (exp.GetBit(bit)) {
+      result = BigUInt::Mod(BigUInt::Mul(result, acc), m).value();
+    }
+    acc = BigUInt::Mod(BigUInt::Mul(acc, acc), m).value();
+  }
+  return result;
+}
+
 TEST(BigUIntTest, ZeroProperties) {
   BigUInt zero;
   EXPECT_TRUE(zero.IsZero());
@@ -334,15 +349,14 @@ TEST(MontgomeryContextTest, RequiresOddModulus) {
   EXPECT_TRUE(MontgomeryContext::Create(BigUInt(9)).ok());
 }
 
-// Every ladder against an independent square-and-multiply over Mod, on
-// moduli of 1 to 33 32-bit limbs. An odd limb count pads the 64-bit
-// engine radix with a zero half-limb, so R_L = 2^(64 * ceil(limbs / 2))
-// is not 2^(32 * limbs) there; exponents reach past the windowed ladders'
-// binary fallback.
+// The ladder against ReferenceModExp, on moduli of 1 to 33 32-bit limbs.
+// An odd limb count pads the 64-bit engine radix with a zero half-limb,
+// so R_L = 2^(64 * ceil(limbs / 2)) is not 2^(32 * limbs) there. Exponents
+// of exactly 8 to 512 bits run both sides of the 128-bit cutoff between
+// the binary and the 5-bit-window ladder, up to RSA-1024 prime size.
 TEST(MontgomeryContextTest, ModExpMatchesGenericPath) {
   Rng rng(13);
   for (size_t limbs : {1u, 2u, 3u, 15u, 16u, 17u, 33u}) {
-    SCOPED_TRACE("modulus limbs " + std::to_string(limbs));
     Bytes raw;
     rng.NextBytes(&raw, 4 * limbs);
     raw.front() |= 0x80;  // exactly `limbs` limbs
@@ -350,24 +364,103 @@ TEST(MontgomeryContextTest, ModExpMatchesGenericPath) {
     const BigUInt m = BigUInt::FromBytesBigEndian(raw);
     auto ctx = MontgomeryContext::Create(m);
     ASSERT_TRUE(ctx.ok());
-    for (int i = 0; i < 6; ++i) {
-      BigUInt base = RandomBig(&rng, 4 * limbs + 3);
-      BigUInt exp = RandomBig(&rng, 1 + rng.NextBelow(24));
-      // Generic square-and-multiply reference.
-      BigUInt acc = BigUInt::Mod(base, m).value();
-      BigUInt expected = BigUInt::Mod(BigUInt(1), m).value();
-      for (size_t bit = 0; bit < exp.BitLength(); ++bit) {
-        if (exp.GetBit(bit)) {
-          expected = BigUInt::Mod(BigUInt::Mul(expected, acc), m).value();
-        }
-        acc = BigUInt::Mod(BigUInt::Mul(acc, acc), m).value();
+    for (size_t exp_bytes : {1u, 8u, 15u, 16u, 17u, 40u, 64u}) {
+      SCOPED_TRACE("modulus limbs " + std::to_string(limbs) +
+                   ", exponent bytes " + std::to_string(exp_bytes));
+      for (int i = 0; i < 4; ++i) {
+        BigUInt base = RandomBig(&rng, 4 * limbs + 3);  // often >= m
+        rng.NextBytes(&raw, exp_bytes);
+        raw.front() |= 0x80;  // exactly 8 * exp_bytes bits
+        const BigUInt exp = BigUInt::FromBytesBigEndian(raw);
+        EXPECT_EQ(ctx->ModExp(base, exp), ReferenceModExp(base, exp, m));
       }
-      EXPECT_EQ(ctx->ModExp(base, exp), expected);
-      for (ModExpKernel kernel : {ModExpKernel::kBinary,
-                                  ModExpKernel::kWindow4,
-                                  ModExpKernel::kWindow5}) {
-        EXPECT_EQ(ctx->ModExpWithKernel(base, exp, kernel), expected)
-            << ModExpKernelName(kernel);
+    }
+  }
+}
+
+TEST(MontgomeryContextTest, ModExpExponentZeroAndOne) {
+  Rng rng(11);
+  BigUInt m = RandomBig(&rng, 64);
+  if (!m.IsOdd()) m = BigUInt::Add(m, BigUInt(1));
+  auto ctx = MontgomeryContext::Create(m);
+  ASSERT_TRUE(ctx.ok());
+  BigUInt base = RandomBig(&rng, 48);
+  EXPECT_EQ(ctx->ModExp(base, BigUInt()), BigUInt(1));
+  EXPECT_EQ(ctx->ModExp(base, BigUInt(1)), BigUInt::Mod(base, m).value());
+}
+
+// base > m, base == m and base = 0 must all reduce correctly, under a
+// 17-bit exponent (binary ladder) and a 160-bit one (5-bit windows).
+TEST(MontgomeryContextTest, ModExpBaseNotBelowModulus) {
+  BigUInt m = FromHex("f123456789abcdef0123456789abcdef1");
+  auto ctx = MontgomeryContext::Create(m);
+  ASSERT_TRUE(ctx.ok());
+  BigUInt big_base = FromHex("ffffffffffffffffffffffffffffffffffffffff");
+  for (const BigUInt& exp :
+       {BigUInt(0x12345),
+        FromHex("c0ffee0123456789abcdef0123456789abcdef01")}) {
+    EXPECT_EQ(ctx->ModExp(big_base, exp), ReferenceModExp(big_base, exp, m));
+    EXPECT_TRUE(ctx->ModExp(m, exp).IsZero());
+    EXPECT_TRUE(ctx->ModExp(BigUInt(), exp).IsZero());
+  }
+}
+
+// The next four keep the suite names they had when the multiply and the
+// ladder were selectable kernels; each now pins the one remaining path.
+
+TEST(BigNumKernelsTest, MulKernelsHandleZeroAndOne) {
+  Rng rng(9);
+  BigUInt big = RandomBig(&rng, 192);  // 48 limbs
+  EXPECT_TRUE(BigUInt::Mul(BigUInt(), big).IsZero());
+  EXPECT_TRUE(BigUInt::Mul(big, BigUInt()).IsZero());
+  EXPECT_EQ(BigUInt::Mul(BigUInt(1), big), big);
+  EXPECT_EQ(BigUInt::Mul(big, BigUInt(1)), big);
+}
+
+// A prime 1-limb modulus, bases of up to 9 bytes (above it), and
+// exponents of up to 160 bits, mostly past the 128-bit window cutoff.
+TEST(BigNumKernelsTest, ModExpSingleLimbModulus) {
+  const BigUInt m(0xFFFFFFFBull);
+  auto ctx = MontgomeryContext::Create(m);
+  ASSERT_TRUE(ctx.ok());
+  Rng rng(13);
+  for (int i = 0; i < 20; ++i) {
+    BigUInt base = RandomBig(&rng, 9);
+    BigUInt exp = RandomBig(&rng, 20);
+    EXPECT_EQ(ctx->ModExp(base, exp), ReferenceModExp(base, exp, m)) << i;
+  }
+}
+
+// A 320-bit exponent on a 10-limb modulus: long enough to window.
+TEST(BigNumKernelsTest, ModExpLongExponentMatchesReference) {
+  Rng rng(17);
+  BigUInt m = RandomBig(&rng, 40);
+  if (!m.IsOdd()) m = BigUInt::Add(m, BigUInt(1));
+  auto ctx = MontgomeryContext::Create(m);
+  ASSERT_TRUE(ctx.ok());
+  BigUInt base = RandomBig(&rng, 40);
+  BigUInt exp = RandomBig(&rng, 40);
+  EXPECT_EQ(ctx->ModExp(base, exp), ReferenceModExp(base, exp, m));
+}
+
+// Random odd moduli of 4 to 64 bytes whose top bytes may be zero, so the
+// limb count is not fixed by the byte count, against exponents on both
+// sides of the 128-bit cutoff; bases are often >= m.
+TEST(KernelDifferentialTest, LadderKernelsAgreeOnRandomTriples) {
+  Rng rng(0xD1FF + 1);
+  for (size_t m_bytes : {4u, 5u, 12u, 33u, 64u}) {
+    for (size_t e_bytes : {1u, 8u, 15u, 16u, 17u, 40u, 64u}) {
+      for (int i = 0; i < 12; ++i) {
+        BigUInt m = RandomBig(&rng, m_bytes);
+        if (!m.IsOdd()) m = BigUInt::Add(m, BigUInt(1));
+        if (m <= BigUInt(1)) m = BigUInt(3);
+        auto ctx = MontgomeryContext::Create(m);
+        ASSERT_TRUE(ctx.ok());
+        BigUInt base = RandomBig(&rng, m_bytes + 2);
+        BigUInt exp = RandomBig(&rng, e_bytes);
+        ASSERT_EQ(ctx->ModExp(base, exp), ReferenceModExp(base, exp, m))
+            << "m_bytes=" << m_bytes << " e_bytes=" << e_bytes
+            << " iteration " << i;
       }
     }
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "observability/metrics.h"
+#include "testing/test_pki.h"
 
 namespace provdb::crypto {
 namespace {
@@ -13,6 +15,12 @@ const RsaKeyPair& SharedPair() {
     return new RsaKeyPair(GenerateRsaKeyPair(512, &rng).value());
   }();
   return *pair;
+}
+
+uint64_t MontgomeryContextCount() {
+  return observability::GlobalMetrics()
+      .counter("crypto.bignum.montgomery_contexts")
+      ->value();
 }
 
 TEST(RsaSignerTest, SignVerifyRoundTrip) {
@@ -46,6 +54,31 @@ TEST(RsaSignerTest, HashAlgorithmMustMatchBetweenSignerAndVerifier) {
   RsaSignatureVerifier wrong_alg(SharedPair().public_key,
                                  HashAlgorithm::kSha256);
   EXPECT_FALSE(wrong_alg.Verify(msg, *sig).ok());
+}
+
+TEST(RsaSignerTest, SigningTwiceReusesTheSigningContext) {
+  const auto& p = provdb::testing::TestPki::Instance().participant(0);
+  Bytes msg = {'r', 'e', 'u', 's', 'e'};
+  // Warm up so lazily built state doesn't count against the window.
+  ASSERT_TRUE(p.signer().Sign(msg).ok());
+  const uint64_t before = MontgomeryContextCount();
+  ASSERT_TRUE(p.signer().Sign(msg).ok());
+  ASSERT_TRUE(p.signer().Sign(msg).ok());
+  EXPECT_EQ(MontgomeryContextCount(), before)
+      << "RsaSigner must not re-derive Montgomery contexts per signature";
+}
+
+TEST(RsaSignatureVerifierTest, VerifyingTwiceReusesTheVerifierContext) {
+  const auto& p = provdb::testing::TestPki::Instance().participant(0);
+  Bytes msg = {'v', 'e', 'r', 'i', 'f', 'y'};
+  auto sig = p.signer().Sign(msg);
+  ASSERT_TRUE(sig.ok());
+  RsaSignatureVerifier verifier(p.public_key());
+  const uint64_t before = MontgomeryContextCount();
+  EXPECT_TRUE(verifier.Verify(msg, sig.value()).ok());
+  EXPECT_TRUE(verifier.Verify(msg, sig.value()).ok());
+  EXPECT_EQ(MontgomeryContextCount(), before)
+      << "RsaSignatureVerifier must reuse its construction-time context";
 }
 
 // A modulus that is not odd has no Montgomery context, so the verifier

@@ -1,7 +1,10 @@
 #include "provenance/verifier.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "common/varint.h"
 #include "observability/metrics.h"
 #include "provenance/tracked_database.h"
 #include "testing/test_pki.h"
@@ -193,23 +196,37 @@ TEST_F(VerifierTest, IssueKindNamesAreStable) {
             "SnapshotMalformed");
 }
 
+// The shipped snapshot keeps the subject as its root, but the child's
+// parent is an id the snapshot does not hold, so check 1 cannot hash it.
 TEST_F(VerifierTest, CorruptSnapshotFlagged) {
   TrackedDatabase db;
   auto root = db.Insert(p1(), Value::String("db"));
   auto child = db.Insert(p1(), Value::Int(1), *root);
-  (void)child;
+  ASSERT_TRUE(child.ok());
   auto bundle = db.ExportForRecipient(*root);
-  // Rebuild the snapshot with a dangling parent by deserializing a
-  // corrupted form: simplest is to re-point the root and keep the child.
+  ASSERT_TRUE(bundle.ok());
+
+  // SubtreeSnapshot wire form: root id, node count, then each node's id,
+  // parent id and canonical value.
+  const ObjectId missing = std::max(*root, *child) + 1;
+  Bytes raw;
+  AppendVarint64(&raw, *root);
+  AppendVarint64(&raw, 2);
+  AppendVarint64(&raw, *root);
+  AppendVarint64(&raw, storage::kInvalidObjectId);
+  Value::String("db").CanonicalEncode(&raw);
+  AppendVarint64(&raw, *child);
+  AppendVarint64(&raw, missing);
+  Value::Int(1).CanonicalEncode(&raw);
+  auto snapshot = SubtreeSnapshot::Deserialize(raw);
+  ASSERT_TRUE(snapshot.ok());
+
   RecipientBundle broken = *bundle;
-  broken.data.TamperRootId(999);
-  broken.data.TamperRootId(*root);  // root restored, but child parents now 999
-  // The double-rename leaves children pointing at a non-existent id only
-  // if the first rename moved them; verify the verifier reports either a
-  // malformed snapshot or a hash mismatch rather than crashing.
+  broken.data = *snapshot;
   VerificationReport report = Verify(broken);
-  (void)report;  // must not crash; outcome depends on structure
-  SUCCEED();
+  EXPECT_TRUE(report.HasIssue(IssueKind::kSnapshotMalformed))
+      << report.ToString();
+  EXPECT_FALSE(report.ok());
 }
 
 TEST_F(VerifierTest, DagBundleRoundTripThroughWireVerifies) {

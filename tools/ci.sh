@@ -44,12 +44,6 @@
 #                  checkpoints (ctest -L soak, PROVDB_SOAK_SECONDS=30),
 #                  asserting the epoch retired backlog drains to zero at
 #                  quiescence and RSS stays flat
-#   crypto         the bignum kernel sweep under strict UBSan: for every
-#                  PROVDB_BIGNUM_KERNEL= spec (each multiply x ladder
-#                  combination plus the default), run the full crypto
-#                  suite, the randomized kernel cross-checks, and the
-#                  golden-digest corpus — byte-identical signatures under
-#                  every kernel, with no UB executed (docs/CRYPTO.md)
 #   asan           ASan+UBSan over the wire-format decoder fuzz tests,
 #                  the common frame codec's unit tests (common/frame.h,
 #                  which every WAL, checkpoint and wire frame goes
@@ -76,7 +70,7 @@
 # Usage: tools/ci.sh [stage...]
 #   No arguments runs the default order:
 #     release-tests lint werror thread-safety format crash-recovery
-#     checkpoint server tsan snapshot crypto asan ubsan differential docs
+#     checkpoint server tsan snapshot asan ubsan differential docs
 #   plus tidy when PROVDB_TIDY=1 (clang-tidy may be absent, so it is
 #   opt-in). Build trees go under $PROVDB_CI_OUT (default: ./ci-out).
 set -eu
@@ -246,32 +240,6 @@ stage_soak() {
     --output-on-failure -L soak
 }
 
-stage_crypto() {
-  # The kernel-dispatch contract (docs/CRYPTO.md): selection trades speed,
-  # never results. Each spec pins a multiply+ladder combination through
-  # the same env override production honors, then runs the crypto suites
-  # and the golden-digest corpus, so a wrong carry in any kernel shows up
-  # as a digest mismatch, not just a unit-test delta. Strict UBSan
-  # (-fno-sanitize-recover) because the ladders lean on wide arithmetic
-  # where overflowed intermediates would otherwise pass silently.
-  run cmake -S "$ROOT" -B "$OUT/ubsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DPROVDB_SANITIZE=undefined -DPROVDB_BUILD_BENCHMARKS=OFF \
-    -DPROVDB_BUILD_EXAMPLES=OFF
-  run cmake --build "$OUT/ubsan" -j "$JOBS" \
-    --target crypto_test crypto_kernel_differential_test \
-    provenance_core_test
-  for SPEC in schoolbook+binary schoolbook+window5 karatsuba+binary \
-      karatsuba+window4 karatsuba+window5 default; do
-    echo "==> crypto: PROVDB_BIGNUM_KERNEL=$SPEC"
-    run env PROVDB_BIGNUM_KERNEL="$SPEC" "$OUT/ubsan/tests/crypto_test"
-    run env PROVDB_BIGNUM_KERNEL="$SPEC" \
-      "$OUT/ubsan/tests/crypto_kernel_differential_test"
-    run env PROVDB_BIGNUM_KERNEL="$SPEC" \
-      "$OUT/ubsan/tests/provenance_core_test" \
-      --gtest_filter='GoldenDigestTest.*'
-  done
-}
-
 stage_asan() {
   run cmake -S "$ROOT" -B "$OUT/asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPROVDB_SANITIZE=address -DPROVDB_BUILD_BENCHMARKS=OFF \
@@ -342,7 +310,6 @@ run_stage() {
     tsan)          stage_tsan ;;
     snapshot)      stage_snapshot ;;
     soak)          stage_soak ;;
-    crypto)        stage_crypto ;;
     asan)          stage_asan ;;
     ubsan)         stage_ubsan ;;
     differential)  stage_differential ;;
@@ -351,7 +318,7 @@ run_stage() {
     *)
       echo "tools/ci.sh: unknown stage '$1'" >&2
       echo "stages: release-tests lint werror thread-safety format" \
-        "crash-recovery checkpoint server tsan snapshot soak crypto asan" \
+        "crash-recovery checkpoint server tsan snapshot soak asan" \
         "ubsan differential docs tidy" >&2
       exit 2
       ;;
@@ -361,7 +328,7 @@ run_stage() {
 if [ "$#" -gt 0 ]; then
   STAGES="$*"
 else
-  STAGES="release-tests lint werror thread-safety format crash-recovery checkpoint server tsan snapshot crypto asan ubsan differential docs"
+  STAGES="release-tests lint werror thread-safety format crash-recovery checkpoint server tsan snapshot asan ubsan differential docs"
   if [ "${PROVDB_TIDY:-0}" = "1" ]; then
     STAGES="$STAGES tidy"
   fi
