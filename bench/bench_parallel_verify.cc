@@ -17,7 +17,6 @@
 
 #include "bench_common.h"
 #include "common/thread_pool.h"
-#include "provenance/auditor.h"
 #include "provenance/subtree_hasher.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
@@ -135,9 +134,9 @@ int Run(const Flags& flags) {
   std::string audit_baseline;
   double audit_baseline_mean = 0;
   for (int threads : thread_counts) {
-    provenance::StoreAuditor auditor(pki.registry.get(),
-                                     crypto::HashAlgorithm::kSha1,
-                                     ParallelismConfig{threads});
+    provenance::ProvenanceVerifier auditor(pki.registry.get(),
+                                           crypto::HashAlgorithm::kSha1,
+                                           ParallelismConfig{threads});
     TimedResult result;
     for (int r = 0; r < runs; ++r) {
       Stopwatch timer;

@@ -1,13 +1,19 @@
 #ifndef PROVDB_COMMON_RESULT_H_
 #define PROVDB_COMMON_RESULT_H_
 
-#include <cassert>
 #include <optional>
 #include <utility>
 
 #include "common/status.h"
 
 namespace provdb {
+
+namespace internal {
+/// Prints `status` and aborts: what `Result::value()` does on an error
+/// result, in every build type. Out of line so the check costs each
+/// accessor one compare and a cold call.
+[[noreturn]] void ResultValueFailed(const Status& status);
+}  // namespace internal
 
 /// Holds either a value of type `T` or a non-OK Status explaining why the
 /// value is absent. Mirrors absl::StatusOr / arrow::Result.
@@ -18,15 +24,17 @@ namespace provdb {
 ///
 /// Like Status, the class is [[nodiscard]]: dropping a Result on the floor
 /// silently discards both the value and the error that explains its
-/// absence.
+/// absence. Reading the value of an error result (`value()`, `*`, `->`)
+/// prints the status and aborts, in Release builds too.
 template <typename T>
 class [[nodiscard]] Result {
  public:
-  /// Constructs a failed result. `status` must not be OK.
+  /// Constructs a failed result. An OK `status` holds no value to go
+  /// with it, so it becomes an Internal error.
   Result(Status status)  // NOLINT(google-explicit-constructor)
-      : status_(std::move(status)) {
-    assert(!status_.ok() && "Result(Status) requires a non-OK status");
-  }
+      : status_(status.ok() ? Status::Internal(
+                                  "Result constructed from an OK status")
+                            : std::move(status)) {}
 
   /// Constructs a successful result holding `value`.
   Result(T value)  // NOLINT(google-explicit-constructor)
@@ -35,17 +43,17 @@ class [[nodiscard]] Result {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  /// Requires `ok()`.
+  /// Requires `ok()`; aborts with the status otherwise.
   const T& value() const& {
-    assert(ok());
+    if (!ok()) internal::ResultValueFailed(status_);
     return *value_;
   }
   T& value() & {
-    assert(ok());
+    if (!ok()) internal::ResultValueFailed(status_);
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    if (!ok()) internal::ResultValueFailed(status_);
     return std::move(*value_);
   }
 

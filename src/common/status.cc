@@ -1,5 +1,10 @@
 #include "common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
+#include "common/result.h"
+
 namespace provdb {
 
 std::string_view StatusCodeToString(StatusCode code) {
@@ -43,5 +48,15 @@ std::string Status::ToString() const {
   }
   return out;
 }
+
+namespace internal {
+
+void ResultValueFailed(const Status& status) {
+  std::fprintf(stderr, "Result::value() on an error result: %s; aborting\n",
+               status.ToString().c_str());
+  std::abort();
+}
+
+}  // namespace internal
 
 }  // namespace provdb

@@ -18,7 +18,7 @@ namespace provdb::net {
 ///   * Call() — one request, wait for its response (simple tools),
 ///   * SendRequest() xN then ReadResponse() xN — pipelining. The server
 ///     answers in request order per connection, so responses pair with
-///     requests positionally. The load generator uses this to keep many
+///     requests positionally. Closed-loop drivers use this to keep many
 ///     requests in flight per connection.
 class ProvenanceClient {
  public:

@@ -93,7 +93,7 @@ class ShardedProvenanceStore {
 
   /// Which shard owns `id` under an `num_shards`-way split.
   static size_t ShardOf(storage::ObjectId id, size_t num_shards) {
-    return static_cast<size_t>(Mix64(id) % num_shards);
+    return ShardIndex(id, num_shards);
   }
 
   /// `root/shard-NNN`, the WAL directory of shard `index`.

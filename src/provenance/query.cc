@@ -17,16 +17,17 @@ std::string LineageSummary::ToString() const {
 
 namespace {
 
-LineageSummary SummarizeRecords(const std::vector<ProvenanceRecord>& records,
-                                storage::ObjectId subject) {
+LineageSummary SummarizeRecords(
+    const std::vector<const ProvenanceRecord*>& records,
+    storage::ObjectId subject) {
   LineageSummary summary;
-  for (const ProvenanceRecord& rec : records) {
+  for (const ProvenanceRecord* rec : records) {
     ++summary.record_count;
-    summary.participants.insert(rec.participant);
-    if (rec.output.object_id != subject) {
-      summary.contributing_objects.insert(rec.output.object_id);
+    summary.participants.insert(rec->participant);
+    if (rec->output.object_id != subject) {
+      summary.contributing_objects.insert(rec->output.object_id);
     }
-    switch (rec.op) {
+    switch (rec->op) {
       case OperationType::kInsert:
         ++summary.insert_count;
         break;
@@ -37,11 +38,11 @@ LineageSummary SummarizeRecords(const std::vector<ProvenanceRecord>& records,
         ++summary.aggregate_count;
         break;
     }
-    if (rec.inherited) {
+    if (rec->inherited) {
       ++summary.inherited_count;
     }
-    if (rec.seq_id > summary.max_seq_id) {
-      summary.max_seq_id = rec.seq_id;
+    if (rec->seq_id > summary.max_seq_id) {
+      summary.max_seq_id = rec->seq_id;
     }
   }
   return summary;
@@ -51,7 +52,7 @@ LineageSummary SummarizeRecords(const std::vector<ProvenanceRecord>& records,
 
 Result<LineageSummary> SummarizeLineage(const StoreSnapshot& snapshot,
                                         storage::ObjectId subject) {
-  PROVDB_ASSIGN_OR_RETURN(std::vector<ProvenanceRecord> records,
+  PROVDB_ASSIGN_OR_RETURN(std::vector<const ProvenanceRecord*> records,
                           snapshot.ExtractProvenance(subject));
   return SummarizeRecords(records, subject);
 }
@@ -75,10 +76,10 @@ std::vector<const ProvenanceRecord*> RecordsByParticipant(
 Result<bool> ParticipantTouched(const StoreSnapshot& snapshot,
                                 storage::ObjectId subject,
                                 crypto::ParticipantId participant) {
-  PROVDB_ASSIGN_OR_RETURN(std::vector<ProvenanceRecord> records,
+  PROVDB_ASSIGN_OR_RETURN(std::vector<const ProvenanceRecord*> records,
                           snapshot.ExtractProvenance(subject));
-  for (const ProvenanceRecord& rec : records) {
-    if (rec.participant == participant) {
+  for (const ProvenanceRecord* rec : records) {
+    if (rec->participant == participant) {
       return true;
     }
   }

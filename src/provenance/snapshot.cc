@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "common/hashmix.h"
+
 namespace provdb::provenance {
 
 const ChainNode* StoreReadView::head_for(storage::ObjectId id) const {
@@ -55,7 +57,8 @@ RecordChains StoreSnapshot::AllChains() const {
 }
 
 const ChainNode* StoreSnapshot::head_for(storage::ObjectId id) const {
-  return views_.empty() ? nullptr : view_for(id).head_for(id);
+  return views_.empty() ? nullptr
+                        : views_[ShardIndex(id, views_.size())].head_for(id);
 }
 
 std::vector<const ProvenanceRecord*> StoreSnapshot::ChainRecords(
@@ -63,36 +66,26 @@ std::vector<const ProvenanceRecord*> StoreSnapshot::ChainRecords(
   return StoreReadView::ChainRecords(head_for(id));
 }
 
-Result<std::vector<ProvenanceRecord>> StoreSnapshot::ExtractProvenance(
+Result<std::vector<const ProvenanceRecord*>> StoreSnapshot::ExtractProvenance(
     storage::ObjectId subject) const {
-  return ExtractProvenanceDeep(subject, {});
-}
-
-Result<std::vector<ProvenanceRecord>> StoreSnapshot::ExtractProvenanceDeep(
-    storage::ObjectId subject,
-    const std::vector<storage::ObjectId>& descendants) const {
   if (head_for(subject) == nullptr) {
     return Status::NotFound("no provenance records for object " +
                             std::to_string(subject));
   }
-  std::vector<storage::ObjectId> seeds = descendants;
-  seeds.push_back(subject);
   std::vector<const ChainNode*> cells = CollectClosure(
-      [this](storage::ObjectId id) { return head_for(id); }, seeds);
-  std::sort(cells.begin(), cells.end(),
-            [](const ChainNode* a, const ChainNode* b) {
-              const ProvenanceRecord& x = *a->record;
-              const ProvenanceRecord& y = *b->record;
-              if (x.output.object_id != y.output.object_id) {
-                return x.output.object_id < y.output.object_id;
-              }
-              return x.seq_id < y.seq_id;
-            });
-  std::vector<ProvenanceRecord> out;
+      [this](storage::ObjectId id) { return head_for(id); }, {subject});
+  std::vector<const ProvenanceRecord*> out;
   out.reserve(cells.size());
   for (const ChainNode* cell : cells) {
-    out.push_back(*cell->record);
+    out.push_back(cell->record);
   }
+  std::sort(out.begin(), out.end(),
+            [](const ProvenanceRecord* x, const ProvenanceRecord* y) {
+              if (x->output.object_id != y->output.object_id) {
+                return x->output.object_id < y->output.object_id;
+              }
+              return x->seq_id < y->seq_id;
+            });
   return out;
 }
 

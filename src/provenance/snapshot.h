@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/epoch.h"
-#include "common/hashmix.h"
 #include "common/result.h"
 #include "provenance/chain_index.h"
 #include "provenance/record.h"
@@ -119,12 +118,6 @@ class StoreSnapshot {
 
   size_t num_shards() const { return views_.size(); }
   const StoreReadView& shard_view(size_t index) const { return views_[index]; }
-  const StoreReadView& view_for(storage::ObjectId id) const {
-    return views_[ShardOf(id)];
-  }
-  size_t ShardOf(storage::ObjectId id) const {
-    return static_cast<size_t>(Mix64(id) % views_.size());
-  }
 
   /// The epoch this snapshot is pinned at (0 for an empty snapshot).
   uint64_t epoch() const { return guard_.epoch(); }
@@ -142,17 +135,12 @@ class StoreSnapshot {
 
   /// The subject's provenance object (ProvenanceStore::ExtractProvenance
   /// over this cut): its chain plus, transitively, every aggregation
-  /// input's chain up to the matching state. Records come back in
-  /// ascending (object id, seqID) order — the canonical linear extension
-  /// of the seqID partial order, independent of the shard count.
-  Result<std::vector<ProvenanceRecord>> ExtractProvenance(
+  /// input's chain up to the matching state. The snapshot's own records
+  /// come back, uncopied, in ascending (object id, seqID) order — the
+  /// canonical linear extension of the seqID partial order, independent
+  /// of the shard count — as ChainRecords and AllChains yield them.
+  Result<std::vector<const ProvenanceRecord*>> ExtractProvenance(
       storage::ObjectId subject) const;
-
-  /// Adds the full chains of `descendants`, as
-  /// ProvenanceStore::ExtractProvenanceDeep does.
-  Result<std::vector<ProvenanceRecord>> ExtractProvenanceDeep(
-      storage::ObjectId subject,
-      const std::vector<storage::ObjectId>& descendants) const;
 
  private:
   /// Newest chain cell of `id`; null when unknown or pruned.

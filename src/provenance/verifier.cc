@@ -72,10 +72,10 @@ using VerifierMap =
 
 /// Groups `records` into per-object chains keyed by output object, each
 /// in seqID order.
-RecordChains GroupChains(const std::vector<ProvenanceRecord>& records) {
+RecordChains GroupChains(const std::vector<const ProvenanceRecord*>& records) {
   RecordChains chains;
-  for (const ProvenanceRecord& rec : records) {
-    chains[rec.output.object_id].push_back(&rec);
+  for (const ProvenanceRecord* rec : records) {
+    chains[rec->output.object_id].push_back(rec);
   }
   for (auto& [id, chain] : chains) {
     std::stable_sort(chain.begin(), chain.end(),
@@ -364,7 +364,12 @@ VerificationReport ProvenanceVerifier::Verify(
     report.issues.push_back(
         VerificationIssue{kind, object, seq, std::move(message)});
   };
-  const RecordChains chains = GroupChains(bundle.records);
+  std::vector<const ProvenanceRecord*> records;
+  records.reserve(bundle.records.size());
+  for (const ProvenanceRecord& rec : bundle.records) {
+    records.push_back(&rec);
+  }
+  const RecordChains chains = GroupChains(records);
 
   // Check 1 (§3): the shipped data matches the most recent record.
   if (bundle.data.root() != bundle.subject) {
@@ -402,7 +407,7 @@ VerificationReport ProvenanceVerifier::VerifyStore(
 
 Result<VerificationReport> ProvenanceVerifier::VerifyObject(
     const StoreSnapshot& snapshot, storage::ObjectId subject) const {
-  Result<std::vector<ProvenanceRecord>> records =
+  Result<std::vector<const ProvenanceRecord*>> records =
       snapshot.ExtractProvenance(subject);
   if (!records.ok()) {
     return Status::NotFound("no chain for object " + std::to_string(subject));

@@ -28,6 +28,12 @@ size_t ExpectedNodeCount(const std::vector<SyntheticTableSpec>& specs) {
 Result<SyntheticLayout> BuildSyntheticDatabase(
     storage::TreeStore* tree, const std::vector<SyntheticTableSpec>& specs,
     Rng* rng) {
+  for (const SyntheticTableSpec& spec : specs) {
+    if (spec.num_attributes < 1 || spec.num_rows < 0) {
+      return Status::InvalidArgument(
+          "a table needs at least one attribute and no negative row count");
+    }
+  }
   SyntheticLayout layout;
   PROVDB_ASSIGN_OR_RETURN(layout.root,
                           tree->Insert(storage::Value::String("synthetic_db")));

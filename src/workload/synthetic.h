@@ -45,7 +45,9 @@ struct SyntheticLayout {
 /// Builds a depth-4 synthetic database (root → tables → rows → integer
 /// cells) directly into `tree` (untracked: this is the initial state that
 /// exists before provenance collection begins, as in §5). Cell values are
-/// drawn from `rng`, so a fixed seed reproduces the same database.
+/// drawn from `rng`, so a fixed seed reproduces the same database. A
+/// table needs at least one attribute and no negative row count; a spec
+/// list breaking that is refused before anything is built.
 Result<SyntheticLayout> BuildSyntheticDatabase(
     storage::TreeStore* tree, const std::vector<SyntheticTableSpec>& specs,
     Rng* rng);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+
 #include "common/result.h"
 
 namespace provdb {
@@ -87,6 +91,27 @@ TEST(ResultTest, HoldsError) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(r.value_or(7), 7);
+}
+
+TEST(ResultTest, OkStatusBecomesAnInternalError) {
+  Result<int> r = Status::OK();
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(r.value_or(7), 7);
+}
+
+TEST(ResultDeathTest, ValueOfAnErrorAbortsInAllBuildTypes) {
+  // An error result holds no value: reading one prints the status and
+  // aborts in Release builds too, instead of handing back garbage.
+  Result<int> number = Status::NotFound("gone");
+  EXPECT_DEATH((void)number.value(), "NotFound: gone");
+  EXPECT_DEATH((void)*number, "NotFound: gone");
+  Result<std::string> text = Status::Corruption("torn frame");
+  EXPECT_DEATH((void)text->size(), "Corruption: torn frame");
+  EXPECT_DEATH((void)std::move(text).value(), "Corruption: torn frame");
+  const Result<std::string> unset = Status::OK();
+  EXPECT_DEATH((void)unset.value(),
+               "Internal: Result constructed from an OK status");
 }
 
 TEST(ResultTest, MoveOnlyValueSupported) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "crypto/signer.h"
-#include "provenance/auditor.h"
 #include "provenance/serialization.h"
 #include "provenance/subtree_hasher.h"
 #include "provenance/verifier.h"
@@ -98,10 +97,9 @@ void RunDifferential(uint64_t seed, size_t num_shards) {
   // (4) Identical audit verdicts against the live tree.
   auto reference_copy = OneShardCopy(reference);
   ASSERT_TRUE(reference_copy.ok()) << reference_copy.status().ToString();
-  StoreAuditor auditor(&builder.registry(), builder.algorithm());
-  VerificationReport audit_sharded = auditor.Audit(sharded, builder.tree());
+  VerificationReport audit_sharded = verifier.Audit(sharded, builder.tree());
   VerificationReport audit_ref =
-      auditor.Audit(reference_copy->OpenSnapshot(), builder.tree());
+      verifier.Audit(reference_copy->OpenSnapshot(), builder.tree());
   EXPECT_TRUE(audit_sharded.ok()) << audit_sharded.ToString();
   EXPECT_EQ(audit_sharded.ToString(), audit_ref.ToString());
 

@@ -13,8 +13,8 @@
 #include <utility>
 #include <vector>
 
-#include "provenance/auditor.h"
 #include "provenance/serialization.h"
+#include "provenance/verifier.h"
 #include "storage/env.h"
 #include "testing/differential.h"
 
@@ -60,7 +60,7 @@ bool MutationCaught(const std::vector<ProvenanceRecord>& records,
     if (!store.shard(0).AddRecord(records[i]).ok()) return true;
   }
   store.PublishAll();
-  StoreAuditor auditor(&registry, alg);
+  ProvenanceVerifier auditor(&registry, alg);
   VerificationReport report = auditor.Audit(store.OpenSnapshot(), tree);
   return !report.ok();
 }
@@ -226,10 +226,9 @@ TEST(IngestTamperMatrixTest, SnapshotHeldByAuditorDetectsEveryFieldMutation) {
   StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
   ASSERT_EQ(snapshot.record_count(), builder.requests().size());
 
-  StoreAuditor auditor(&builder.registry(), builder.algorithm());
   ProvenanceVerifier verifier(&builder.registry(), builder.algorithm());
   ASSERT_TRUE(verifier.VerifyStore(snapshot).ok());
-  ASSERT_TRUE(auditor.Audit(snapshot, builder.tree()).ok());
+  ASSERT_TRUE(verifier.Audit(snapshot, builder.tree()).ok());
 
   const std::vector<std::pair<std::string,
                               std::function<bool(ProvenanceRecord*)>>>
@@ -284,7 +283,7 @@ TEST(IngestTamperMatrixTest, SnapshotHeldByAuditorDetectsEveryFieldMutation) {
                      std::to_string(original.seq_id) + "): " + name);
         // The held snapshot reads the tampered bytes — and catches them.
         VerificationReport verify = verifier.VerifyStore(snapshot);
-        VerificationReport audit = auditor.Audit(snapshot, builder.tree());
+        VerificationReport audit = verifier.Audit(snapshot, builder.tree());
         EXPECT_TRUE(!verify.ok() || !audit.ok())
             << "in-place tampering escaped the snapshot audit";
         *live = original;
@@ -296,7 +295,7 @@ TEST(IngestTamperMatrixTest, SnapshotHeldByAuditorDetectsEveryFieldMutation) {
 
   // Restored store verifies clean again through the same held snapshot.
   EXPECT_TRUE(verifier.VerifyStore(snapshot).ok());
-  EXPECT_TRUE(auditor.Audit(snapshot, builder.tree()).ok());
+  EXPECT_TRUE(verifier.Audit(snapshot, builder.tree()).ok());
 }
 
 }  // namespace

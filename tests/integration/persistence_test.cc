@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/frame.h"
-#include "provenance/auditor.h"
 #include "provenance/checkpoint.h"
 #include "provenance/serialization.h"
 #include "provenance/tracked_database.h"
@@ -126,8 +125,7 @@ TEST_F(PersistenceTest, FullRoundTripVerifies) {
   // The restored store audits clean against the live tree.
   auto adopted = OneShardCopy(restored);
   ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
-  StoreAuditor auditor(&TestPki::Instance().registry());
-  auto audit = auditor.Audit(adopted->OpenSnapshot(), db_.tree());
+  auto audit = verifier.Audit(adopted->OpenSnapshot(), db_.tree());
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "provenance/auditor.h"
 #include "provenance/ingest_pipeline.h"
 #include "provenance/serialization.h"
 #include "provenance/tracked_database.h"
@@ -110,8 +109,7 @@ TEST(WalRecoveryTest, DurableLifecycleRoundTripVerifies) {
   // And the whole recovered store audits clean against the live tree.
   auto adopted = OneShardCopy(*restored);
   ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
-  StoreAuditor auditor(&TestPki::Instance().registry());
-  auto audit = auditor.Audit(adopted->OpenSnapshot(), db.tree());
+  auto audit = verifier.Audit(adopted->OpenSnapshot(), db.tree());
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 

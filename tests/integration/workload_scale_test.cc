@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "provenance/auditor.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
 #include "testing/test_pki.h"
@@ -43,8 +42,7 @@ class WorkloadScaleTest : public ::testing::Test {
     auto report = verifier.Verify(*bundle);
     EXPECT_TRUE(report.ok()) << report.ToString();
 
-    provenance::StoreAuditor auditor(&TestPki::Instance().registry());
-    auto audit = auditor.Audit(db_.OpenSnapshot(), db_.tree());
+    auto audit = verifier.Audit(db_.OpenSnapshot(), db_.tree());
     EXPECT_TRUE(audit.ok()) << audit.ToString();
   }
 

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "observability/metrics.h"
-#include "provenance/auditor.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
 #include "storage/env.h"
@@ -80,9 +79,9 @@ class StatsSnapshotTest : public ::testing::Test {
     provenance::ProvenanceVerifier verifier(&TestPki::Instance().registry());
     EXPECT_TRUE(verifier.Verify(*bundle).ok());
 
-    provenance::StoreAuditor auditor(&TestPki::Instance().registry(),
-                                     crypto::HashAlgorithm::kSha1,
-                                     ParallelismConfig{4});
+    provenance::ProvenanceVerifier auditor(&TestPki::Instance().registry(),
+                                           crypto::HashAlgorithm::kSha1,
+                                           ParallelismConfig{4});
     EXPECT_TRUE(auditor.Audit(db.OpenSnapshot(), db.tree()).ok());
 
     storage::WalRecoveryReport report;

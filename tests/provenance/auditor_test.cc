@@ -1,8 +1,9 @@
-#include "provenance/auditor.h"
+// The in-place store audit, ProvenanceVerifier::Audit.
 
 #include <gtest/gtest.h>
 
 #include "provenance/tracked_database.h"
+#include "provenance/verifier.h"
 #include "testing/test_pki.h"
 
 namespace provdb::provenance {
@@ -26,8 +27,8 @@ class AuditorTest : public ::testing::Test {
     return TestPki::Instance().participant(i - 1);
   }
 
-  StoreAuditor MakeAuditor() {
-    return StoreAuditor(&TestPki::Instance().registry());
+  ProvenanceVerifier MakeAuditor() {
+    return ProvenanceVerifier(&TestPki::Instance().registry());
   }
 
   TrackedDatabase db_;

@@ -247,11 +247,11 @@ TEST(GoldenDigestTest, WireFramesArePinned) {
 
   // The query's answer: the report's chain, as the server encodes it.
   net::Response chain;
-  std::vector<ProvenanceRecord> records =
+  std::vector<const ProvenanceRecord*> records =
       snapshot.ExtractProvenance(report).value();
   AppendVarint64(&chain.body, records.size());
-  for (const ProvenanceRecord& record : records) {
-    AppendLengthPrefixed(&chain.body, EncodeRecord(record));
+  for (const ProvenanceRecord* record : records) {
+    AppendLengthPrefixed(&chain.body, EncodeRecord(*record));
   }
   net::Response refusal;
   refusal.code = StatusCode::kCorruption;

@@ -364,7 +364,7 @@ TEST(IngestPipelineTest, SnapshotExtractsAcrossShardsLikeTheReference) {
     SortByObjectAndSeq(&*expected);
     ASSERT_EQ(extracted->size(), expected->size());
     for (size_t i = 0; i < expected->size(); ++i) {
-      EXPECT_EQ(EncodeRecord((*extracted)[i]), EncodeRecord((*expected)[i]));
+      EXPECT_EQ(EncodeRecord(*(*extracted)[i]), EncodeRecord((*expected)[i]));
     }
   }
 }

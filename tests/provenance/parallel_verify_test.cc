@@ -1,13 +1,12 @@
 // Determinism of the parallel verification engine: with any thread count,
-// the ProvenanceVerifier and StoreAuditor must produce reports identical
-// to the sequential path — same issues, same order, same counters — on
+// ProvenanceVerifier's Verify and Audit must produce reports identical to
+// the sequential path — same issues, same order, same counters — on
 // clean and on tampered inputs. Chains are per-object and local (§3.2),
 // which is exactly what makes this fan-out sound.
 
 #include <gtest/gtest.h>
 
 #include "provenance/attack.h"
-#include "provenance/auditor.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
 #include "testing/test_pki.h"
@@ -167,14 +166,14 @@ class ParallelAuditTest : public ::testing::Test {
   }
 
   void ExpectAllThreadCountsAgree() {
-    StoreAuditor sequential(&TestPki::Instance().registry());
+    ProvenanceVerifier sequential(&TestPki::Instance().registry());
     VerificationReport expected =
         sequential.Audit(db_.OpenSnapshot(), db_.tree());
     for (int threads : {1, 2, 4, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      StoreAuditor parallel(&TestPki::Instance().registry(),
-                            crypto::HashAlgorithm::kSha1,
-                            ParallelismConfig{threads});
+      ProvenanceVerifier parallel(&TestPki::Instance().registry(),
+                                  crypto::HashAlgorithm::kSha1,
+                                  ParallelismConfig{threads});
       ExpectReportsIdentical(expected,
                              parallel.Audit(db_.OpenSnapshot(), db_.tree()));
     }
@@ -186,16 +185,18 @@ class ParallelAuditTest : public ::testing::Test {
 };
 
 TEST_F(ParallelAuditTest, CleanStoreReportsIdentical) {
-  StoreAuditor auditor(&TestPki::Instance().registry(),
-                       crypto::HashAlgorithm::kSha1, ParallelismConfig{4});
+  ProvenanceVerifier auditor(&TestPki::Instance().registry(),
+                             crypto::HashAlgorithm::kSha1,
+                             ParallelismConfig{4});
   EXPECT_TRUE(auditor.Audit(db_.OpenSnapshot(), db_.tree()).ok());
   ExpectAllThreadCountsAgree();
 }
 
 TEST_F(ParallelAuditTest, TamperedLiveObjectReportsIdentical) {
   ASSERT_TRUE(db_.bootstrap_tree().Update(cells_[2], Value::Int(666)).ok());
-  StoreAuditor auditor(&TestPki::Instance().registry(),
-                       crypto::HashAlgorithm::kSha1, ParallelismConfig{4});
+  ProvenanceVerifier auditor(&TestPki::Instance().registry(),
+                             crypto::HashAlgorithm::kSha1,
+                             ParallelismConfig{4});
   VerificationReport report = auditor.Audit(db_.OpenSnapshot(), db_.tree());
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.HasIssue(IssueKind::kDataHashMismatch));
@@ -204,8 +205,9 @@ TEST_F(ParallelAuditTest, TamperedLiveObjectReportsIdentical) {
 
 TEST_F(ParallelAuditTest, TamperedChecksumReportsIdentical) {
   db_.mutable_provenance()->mutable_record(2)->checksum[1] ^= 0x40;
-  StoreAuditor auditor(&TestPki::Instance().registry(),
-                       crypto::HashAlgorithm::kSha1, ParallelismConfig{4});
+  ProvenanceVerifier auditor(&TestPki::Instance().registry(),
+                             crypto::HashAlgorithm::kSha1,
+                             ParallelismConfig{4});
   EXPECT_TRUE(auditor.Audit(db_.OpenSnapshot(), db_.tree())
                   .HasIssue(IssueKind::kBadSignature));
   ExpectAllThreadCountsAgree();
@@ -213,8 +215,9 @@ TEST_F(ParallelAuditTest, TamperedChecksumReportsIdentical) {
 
 TEST_F(ParallelAuditTest, AuditorReusesPoolAcrossAudits) {
   // One auditor, several audits: the owned pool must survive reuse.
-  StoreAuditor auditor(&TestPki::Instance().registry(),
-                       crypto::HashAlgorithm::kSha1, ParallelismConfig{4});
+  ProvenanceVerifier auditor(&TestPki::Instance().registry(),
+                             crypto::HashAlgorithm::kSha1,
+                             ParallelismConfig{4});
   for (int round = 0; round < 3; ++round) {
     EXPECT_TRUE(auditor.Audit(db_.OpenSnapshot(), db_.tree()).ok()) << round;
   }

@@ -10,12 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "provenance/auditor.h"
 #include "provenance/chain_index.h"
 #include "provenance/query.h"
 #include "provenance/serialization.h"
@@ -220,11 +220,46 @@ TEST(StoreSnapshotTest, SnapshotReadsMatchDirectReadsByteForByte) {
       SortByObjectAndSeq(&*expected);
       ASSERT_EQ(from_snapshot->size(), expected->size());
       for (size_t i = 0; i < from_snapshot->size(); ++i) {
-        EXPECT_EQ(EncodeRecord((*from_snapshot)[i]),
+        EXPECT_EQ(EncodeRecord(*(*from_snapshot)[i]),
                   EncodeRecord((*expected)[i]));
       }
     }
   }
+}
+
+TEST(StoreSnapshotTest, ExtractionReturnsTheSnapshotsOwnRecords) {
+  QuiescedFixture fx;
+  fx.Build(0x5A4B0004u, 2);
+  if (::testing::Test::HasFatalFailure()) return;
+  StoreSnapshot snapshot = fx.pipeline->OpenSnapshot();
+
+  size_t aggregate_closures = 0;
+  for (ObjectId id : fx.builder.tracked_objects()) {
+    SCOPED_TRACE("object " + std::to_string(id));
+    auto extracted = snapshot.ExtractProvenance(id);
+    ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
+    // The closure is a prefix of each object's chain, in (object id,
+    // seqID) order, at the addresses ChainRecords yields: no copies.
+    std::map<ObjectId, std::vector<const ProvenanceRecord*>> by_object;
+    for (const ProvenanceRecord* rec : *extracted) {
+      by_object[rec->output.object_id].push_back(rec);
+    }
+    std::vector<const ProvenanceRecord*> expected;
+    for (const auto& [object, records] : by_object) {
+      const std::vector<const ProvenanceRecord*> chain =
+          snapshot.ChainRecords(object);
+      ASSERT_LE(records.size(), chain.size()) << "object " << object;
+      expected.insert(expected.end(), chain.begin(),
+                      chain.begin() + static_cast<std::ptrdiff_t>(
+                                          records.size()));
+    }
+    EXPECT_EQ(*extracted, expected);
+    EXPECT_EQ(by_object[id], snapshot.ChainRecords(id));
+    if (by_object.size() > 1) ++aggregate_closures;
+  }
+  // The workload aggregates, so some closures span several chains.
+  EXPECT_GT(aggregate_closures, 0u);
+  EXPECT_FALSE(snapshot.ExtractProvenance(0xFFFFFFFFull).ok());
 }
 
 TEST(StoreSnapshotTest, VerifierAndAuditorAgreeOnSnapshotAndStore) {
@@ -248,11 +283,10 @@ TEST(StoreSnapshotTest, VerifierAndAuditorAgreeOnSnapshotAndStore) {
   // must not depend on the sharding.
   auto reference_copy = OneShardCopy(reference);
   ASSERT_TRUE(reference_copy.ok()) << reference_copy.status().ToString();
-  StoreAuditor auditor(&fx.builder.registry(), fx.builder.algorithm());
-  VerificationReport audit_snapshot = auditor.Audit(snapshot,
-                                                    fx.builder.tree());
+  VerificationReport audit_snapshot =
+      verifier.Audit(snapshot, fx.builder.tree());
   VerificationReport audit_store =
-      auditor.Audit(reference_copy->OpenSnapshot(), fx.builder.tree());
+      verifier.Audit(reference_copy->OpenSnapshot(), fx.builder.tree());
   EXPECT_TRUE(audit_snapshot.ok()) << audit_snapshot.ToString();
   EXPECT_EQ(audit_snapshot.ToString(), audit_store.ToString());
 }

@@ -8,7 +8,8 @@
 #                  and tests, benches, examples and tools under -Wall
 #                  -Wextra, all with -Werror
 #   thread-safety  clang -Wthread-safety[-beta] as errors over src/
-#                  (PROVDB_THREAD_SAFETY=ON): every PROVDB_GUARDED_BY /
+#                  (PROVDB_THREAD_SAFETY=ON; the provenance, workload and
+#                  net libraries): every PROVDB_GUARDED_BY /
 #                  PROVDB_REQUIRES contract machine-checked, plus a
 #                  negative control — the deliberately-racy fixture in
 #                  tests/thread_safety/ must FAIL to compile. Skipped
@@ -25,9 +26,9 @@
 #                  sweep over every mutating op of seal + segment GC
 #   server         the network provenance service under ASan+UBSan: the
 #                  wire-codec bijection suites, the loopback integration
-#                  suites (live server, pipelined clients, admission
-#                  overload), the load-generator suites, and the
-#                  every-byte-flip / every-truncation wire tamper matrix
+#                  suites (live server, pipelined and concurrent clients,
+#                  admission overload), and the every-byte-flip /
+#                  every-truncation wire tamper matrix
 #   tsan           ThreadSanitizer over the parallel verify/audit paths,
 #                  the sharded ingest pipeline's parallel signing, the
 #                  concurrent metrics-recording tests, the epoch/snapshot
@@ -126,7 +127,7 @@ stage_thread_safety() {
     -DPROVDB_BUILD_TESTS=OFF -DPROVDB_BUILD_BENCHMARKS=OFF \
     -DPROVDB_BUILD_EXAMPLES=OFF
   run cmake --build "$OUT/thread-safety" -j "$JOBS" \
-    --target provdb_provenance provdb_workload
+    --target provdb_provenance provdb_workload provdb_net
   # Negative control: the deliberately-racy fixture (an unlocked write to
   # a PROVDB_GUARDED_BY member) must FAIL to compile. If it passes, the
   # analysis is not armed and the green build above certified nothing.
@@ -192,8 +193,7 @@ stage_server() {
     -DPROVDB_SANITIZE=address -DPROVDB_BUILD_BENCHMARKS=OFF \
     -DPROVDB_BUILD_EXAMPLES=OFF
   run cmake --build "$OUT/asan" -j "$JOBS" \
-    --target net_wire_test net_server_test net_server_corruption_test \
-    workload_load_generator_test
+    --target net_wire_test net_server_test net_server_corruption_test
   run ctest --test-dir "$OUT/asan" --output-on-failure -j "$JOBS" \
     -R 'Wire|Admission|Server'
 }
@@ -208,7 +208,7 @@ stage_tsan() {
   run cmake --build "$OUT/tsan" -j "$JOBS" \
     --target common_test provenance_core_test provenance_security_test \
     provenance_ext_test provenance_ingest_test provenance_snapshot_test \
-    observability_test net_server_test workload_load_generator_test
+    observability_test net_server_test
   run ctest --test-dir "$OUT/tsan" --output-on-failure -j "$JOBS" \
     -R 'ThreadPool|Parallel|Audit|Concurrent|Ingest|Server|Epoch|Snapshot'
 }

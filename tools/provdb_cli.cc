@@ -27,7 +27,6 @@
 #include "crypto/pki.h"
 #include "observability/metrics.h"
 #include "observability/trace.h"
-#include "provenance/auditor.h"
 #include "provenance/ingest_pipeline.h"
 #include "provenance/json_export.h"
 #include "provenance/query.h"
@@ -281,9 +280,7 @@ int Stats(bool as_json) {
                                           crypto::HashAlgorithm::kSha1,
                                           ParallelismConfig{4});
   auto report = verifier.Verify(bundle);
-  provenance::StoreAuditor auditor(&registry, crypto::HashAlgorithm::kSha1,
-                                   ParallelismConfig{4});
-  auto audit = auditor.Audit(db.OpenSnapshot(), db.tree());
+  auto audit = verifier.Audit(db.OpenSnapshot(), db.tree());
 
   // Checkpoint + bounded recovery: seal a signed snapshot (rolling the
   // WAL and garbage-collecting the segments it covers), append a small
