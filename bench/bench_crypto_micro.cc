@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) of the cryptographic primitives
 // behind every checksum (§2.3/§5.1): hash throughput for the three
-// algorithms, HMAC, RSA sign/verify at several key sizes, per-node tree
-// hashing, and the end-to-end cost of producing one checksum.
+// algorithms, frame CRC-32 throughput, HMAC, RSA sign/verify at several
+// key sizes, per-node tree hashing, and the end-to-end cost of producing
+// one checksum.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "crypto/bignum.h"
 #include "crypto/hash.h"
@@ -43,6 +45,17 @@ BENCHMARK_CAPTURE(BM_Hash, sha256, HashAlgorithm::kSha256)
     ->Arg(64)->Arg(1024)->Arg(65536);
 BENCHMARK_CAPTURE(BM_Hash, md5, HashAlgorithm::kMd5)
     ->Arg(64)->Arg(1024)->Arg(65536);
+
+// The frame checksum every WAL, checkpoint and wire frame carries.
+void BM_Crc32(benchmark::State& state) {
+  Bytes payload = MakePayload(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(payload));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(65536);
 
 void BM_Hmac(benchmark::State& state) {
   Bytes key = MakePayload(20);

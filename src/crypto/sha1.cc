@@ -20,6 +20,46 @@ inline void StoreBigEndian32(uint8_t* p, uint32_t v) {
   p[3] = static_cast<uint8_t>(v);
 }
 
+/// Message word `t` (16 <= t < 80) from the 16-word ring `w`, which
+/// holds words t-16 .. t-1; the new word overwrites word t-16.
+inline uint32_t Schedule(uint32_t* w, int t) {
+  const uint32_t word = Rotl(
+      w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t & 15], 1);
+  w[t & 15] = word;
+  return word;
+}
+
+// One round of each 20-round group (FIPS 180-1). A round adds into `e`
+// and rotates `b`; instead of shifting the five words down after each
+// round, the caller passes them renamed, so round t+1 reads round t's
+// (e, a, b, c, d) as its (a, b, c, d, e) and every fifth round the names
+// line up again. R0's choice and R2's majority are the standard's
+// (b & c) | (~b & d) and (b & c) | (b & d) | (c & d) with fewer
+// operations.
+inline void R0(uint32_t a, uint32_t& b, uint32_t c, uint32_t d, uint32_t& e,
+               uint32_t w) {
+  e += Rotl(a, 5) + (d ^ (b & (c ^ d))) + 0x5A827999u + w;
+  b = Rotl(b, 30);
+}
+
+inline void R1(uint32_t a, uint32_t& b, uint32_t c, uint32_t d, uint32_t& e,
+               uint32_t w) {
+  e += Rotl(a, 5) + (b ^ c ^ d) + 0x6ED9EBA1u + w;
+  b = Rotl(b, 30);
+}
+
+inline void R2(uint32_t a, uint32_t& b, uint32_t c, uint32_t d, uint32_t& e,
+               uint32_t w) {
+  e += Rotl(a, 5) + ((b & c) | (d & (b | c))) + 0x8F1BBCDCu + w;
+  b = Rotl(b, 30);
+}
+
+inline void R3(uint32_t a, uint32_t& b, uint32_t c, uint32_t d, uint32_t& e,
+               uint32_t w) {
+  e += Rotl(a, 5) + (b ^ c ^ d) + 0xCA62C1D6u + w;
+  b = Rotl(b, 30);
+}
+
 }  // namespace
 
 void Sha1Hasher::Reset() {
@@ -86,37 +126,95 @@ Digest Sha1Hasher::Finish() {
 }
 
 void Sha1Hasher::ProcessBlock(const uint8_t* block) {
-  uint32_t w[80];
+  uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = LoadBigEndian32(block + 4 * i);
   }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = Rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
 
   uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    uint32_t temp = Rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = Rotl(b, 30);
-    b = a;
-    a = temp;
-  }
+  R0(a, b, c, d, e, w[0]);
+  R0(e, a, b, c, d, w[1]);
+  R0(d, e, a, b, c, w[2]);
+  R0(c, d, e, a, b, w[3]);
+  R0(b, c, d, e, a, w[4]);
+  R0(a, b, c, d, e, w[5]);
+  R0(e, a, b, c, d, w[6]);
+  R0(d, e, a, b, c, w[7]);
+  R0(c, d, e, a, b, w[8]);
+  R0(b, c, d, e, a, w[9]);
+  R0(a, b, c, d, e, w[10]);
+  R0(e, a, b, c, d, w[11]);
+  R0(d, e, a, b, c, w[12]);
+  R0(c, d, e, a, b, w[13]);
+  R0(b, c, d, e, a, w[14]);
+  R0(a, b, c, d, e, w[15]);
+  R0(e, a, b, c, d, Schedule(w, 16));
+  R0(d, e, a, b, c, Schedule(w, 17));
+  R0(c, d, e, a, b, Schedule(w, 18));
+  R0(b, c, d, e, a, Schedule(w, 19));
+
+  R1(a, b, c, d, e, Schedule(w, 20));
+  R1(e, a, b, c, d, Schedule(w, 21));
+  R1(d, e, a, b, c, Schedule(w, 22));
+  R1(c, d, e, a, b, Schedule(w, 23));
+  R1(b, c, d, e, a, Schedule(w, 24));
+  R1(a, b, c, d, e, Schedule(w, 25));
+  R1(e, a, b, c, d, Schedule(w, 26));
+  R1(d, e, a, b, c, Schedule(w, 27));
+  R1(c, d, e, a, b, Schedule(w, 28));
+  R1(b, c, d, e, a, Schedule(w, 29));
+  R1(a, b, c, d, e, Schedule(w, 30));
+  R1(e, a, b, c, d, Schedule(w, 31));
+  R1(d, e, a, b, c, Schedule(w, 32));
+  R1(c, d, e, a, b, Schedule(w, 33));
+  R1(b, c, d, e, a, Schedule(w, 34));
+  R1(a, b, c, d, e, Schedule(w, 35));
+  R1(e, a, b, c, d, Schedule(w, 36));
+  R1(d, e, a, b, c, Schedule(w, 37));
+  R1(c, d, e, a, b, Schedule(w, 38));
+  R1(b, c, d, e, a, Schedule(w, 39));
+
+  R2(a, b, c, d, e, Schedule(w, 40));
+  R2(e, a, b, c, d, Schedule(w, 41));
+  R2(d, e, a, b, c, Schedule(w, 42));
+  R2(c, d, e, a, b, Schedule(w, 43));
+  R2(b, c, d, e, a, Schedule(w, 44));
+  R2(a, b, c, d, e, Schedule(w, 45));
+  R2(e, a, b, c, d, Schedule(w, 46));
+  R2(d, e, a, b, c, Schedule(w, 47));
+  R2(c, d, e, a, b, Schedule(w, 48));
+  R2(b, c, d, e, a, Schedule(w, 49));
+  R2(a, b, c, d, e, Schedule(w, 50));
+  R2(e, a, b, c, d, Schedule(w, 51));
+  R2(d, e, a, b, c, Schedule(w, 52));
+  R2(c, d, e, a, b, Schedule(w, 53));
+  R2(b, c, d, e, a, Schedule(w, 54));
+  R2(a, b, c, d, e, Schedule(w, 55));
+  R2(e, a, b, c, d, Schedule(w, 56));
+  R2(d, e, a, b, c, Schedule(w, 57));
+  R2(c, d, e, a, b, Schedule(w, 58));
+  R2(b, c, d, e, a, Schedule(w, 59));
+
+  R3(a, b, c, d, e, Schedule(w, 60));
+  R3(e, a, b, c, d, Schedule(w, 61));
+  R3(d, e, a, b, c, Schedule(w, 62));
+  R3(c, d, e, a, b, Schedule(w, 63));
+  R3(b, c, d, e, a, Schedule(w, 64));
+  R3(a, b, c, d, e, Schedule(w, 65));
+  R3(e, a, b, c, d, Schedule(w, 66));
+  R3(d, e, a, b, c, Schedule(w, 67));
+  R3(c, d, e, a, b, Schedule(w, 68));
+  R3(b, c, d, e, a, Schedule(w, 69));
+  R3(a, b, c, d, e, Schedule(w, 70));
+  R3(e, a, b, c, d, Schedule(w, 71));
+  R3(d, e, a, b, c, Schedule(w, 72));
+  R3(c, d, e, a, b, Schedule(w, 73));
+  R3(b, c, d, e, a, Schedule(w, 74));
+  R3(a, b, c, d, e, Schedule(w, 75));
+  R3(e, a, b, c, d, Schedule(w, 76));
+  R3(d, e, a, b, c, Schedule(w, 77));
+  R3(c, d, e, a, b, Schedule(w, 78));
+  R3(b, c, d, e, a, Schedule(w, 79));
 
   h_[0] += a;
   h_[1] += b;

@@ -424,8 +424,7 @@ void ProvenanceServer::Execute(ExecItem item) {
   // inline commit, or a poison) may already answer it. Completions
   // answer from the front, so it is still queued exactly when the queue
   // is not empty.
-  const size_t shard = provenance::ShardedProvenanceStore::ShardOf(
-      submit.object, awaiting_.size());
+  const size_t shard = ShardIndex(submit.object, awaiting_.size());
   std::deque<Awaiting>& queue = awaiting_[shard];
   queue.push_back(Awaiting{std::move(item), 0});
   Status submitted = pipeline_->Submit(ingest, &queue.back().seq);

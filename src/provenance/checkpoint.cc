@@ -52,9 +52,14 @@ uint64_t ParseCheckpointName(const std::string& name) {
 /// length prefix keeps payload boundaries unambiguous under
 /// concatenation (two different frame sequences can never hash alike).
 void AbsorbFrame(crypto::Hasher* hasher, ByteView payload) {
-  Bytes len;
-  AppendFixed64(&len, payload.size());
-  hasher->Update(len);
+  // Little-endian, as AppendFixed64 writes it; on the stack, since a seal
+  // and a load each absorb every frame.
+  uint8_t len[8];
+  for (int i = 0; i < 8; ++i) {
+    len[i] = static_cast<uint8_t>(static_cast<uint64_t>(payload.size()) >>
+                                  (8 * i));
+  }
+  hasher->Update(ByteView(len, sizeof(len)));
   hasher->Update(payload);
 }
 

@@ -445,8 +445,7 @@ Status IngestPipeline::Submit(const IngestRequest& request, SeqId* seq_id) {
     }
   }
 
-  const size_t index =
-      ShardedProvenanceStore::ShardOf(request.object, shards_.size());
+  const size_t index = ShardIndex(request.object, shards_.size());
   Shard* shard = shards_[index].get();
   std::unique_ptr<Batch> fresh;
   Batch* batch = !shard->batches.empty() && !shard->batches.back()->closed
@@ -913,7 +912,7 @@ Result<size_t> IngestPipeline::PruneLocked(storage::ObjectId id) {
     return Status::FailedPrecondition("prune on closed ingest pipeline");
   }
   PROVDB_RETURN_IF_ERROR(DrainLocked());
-  const size_t index = ShardedProvenanceStore::ShardOf(id, shards_.size());
+  const size_t index = ShardIndex(id, shards_.size());
   Shard* shard = shards_[index].get();
   ProvenanceStore* store = &store_->shard(index);
   // Refused before anything is logged: recovery replays every marker and

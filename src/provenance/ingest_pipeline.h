@@ -76,8 +76,8 @@ Result<ProvenanceRecord> BuildSignedIngestRecord(
 
 /// N independent ProvenanceStores, one per shard; every object's records
 /// live wholly inside the shard its id mixes into. Sharding is by stable
-/// hash of the *output* object id, so the assignment is a durable
-/// on-disk contract (see common/hashmix.h).
+/// hash of the *output* object id (`ShardIndex`), so the assignment is a
+/// durable on-disk contract (see common/hashmix.h).
 ///
 /// Owns the epoch domain all its shards retire superseded index nodes
 /// through, which makes OpenSnapshot() possible: a pinned, consistent
@@ -90,11 +90,6 @@ class ShardedProvenanceStore {
 
   ShardedProvenanceStore(ShardedProvenanceStore&&) = default;
   ShardedProvenanceStore& operator=(ShardedProvenanceStore&&) = default;
-
-  /// Which shard owns `id` under an `num_shards`-way split.
-  static size_t ShardOf(storage::ObjectId id, size_t num_shards) {
-    return ShardIndex(id, num_shards);
-  }
 
   /// `root/shard-NNN`, the WAL directory of shard `index`.
   static std::string ShardDirName(const std::string& root, size_t index);
@@ -115,7 +110,7 @@ class ShardedProvenanceStore {
   ProvenanceStore& shard(size_t index) { return shards_[index]; }
   const ProvenanceStore& shard(size_t index) const { return shards_[index]; }
   ProvenanceStore& shard_for(storage::ObjectId id) {
-    return shards_[ShardOf(id, shards_.size())];
+    return shards_[ShardIndex(id, shards_.size())];
   }
 
   /// Writer-side counts: records added (pruned ones included), and live

@@ -214,7 +214,8 @@ ChainCheckResult VerifyOneChain(
     if (rec->op == OperationType::kInsert) {
       payload = engine.BuildInsertPayload(rec->output.state_hash);
     } else if (rec->op == OperationType::kUpdate) {
-      Bytes prev_checksum = prev != nullptr ? prev->checksum : Bytes{};
+      const ByteView prev_checksum =
+          prev != nullptr ? ByteView(prev->checksum) : ByteView();
       payload = engine.BuildUpdatePayload(rec->inputs[0].state_hash,
                                            rec->output.state_hash,
                                            prev_checksum);

@@ -42,6 +42,25 @@ TEST(Sha1Test, MillionAs) {
             "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
 }
 
+TEST(Sha1Test, DigestsAcrossBlockBoundariesArePinned) {
+  // Every prefix length 0..300 of a fixed pattern: zero to four whole
+  // blocks, each with a one- or two-block padding tail. One digest over
+  // all 301 digests pins them together; a wrong round function, constant
+  // or schedule word anywhere changes it.
+  std::string pattern;
+  for (int i = 0; i < 300; ++i) {
+    pattern.push_back(static_cast<char>((i * 131 + 7) & 0xFF));
+  }
+  Bytes digests;
+  for (size_t length = 0; length <= pattern.size(); ++length) {
+    Digest d = HashBytes(HashAlgorithm::kSha1,
+                         ByteView(std::string_view(pattern).substr(0, length)));
+    AppendBytes(&digests, d.view());
+  }
+  EXPECT_EQ(HashBytes(HashAlgorithm::kSha1, digests).ToHex(),
+            "e076385f2d06b3e9dc4db3c2fcf396f36cdae79e");
+}
+
 TEST(Sha256Test, FipsVectors) {
   EXPECT_EQ(
       HashHex(HashAlgorithm::kSha256, ""),

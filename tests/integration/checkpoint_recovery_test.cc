@@ -555,8 +555,7 @@ void SweepEveryMutatingOp(int signing_threads, size_t drain_every,
       ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
       std::array<uint64_t, kSweepShards> seen{};
       for (const IngestRequest& request : requests) {
-        const size_t s =
-            ShardedProvenanceStore::ShardOf(request.object, kSweepShards);
+        const size_t s = ShardIndex(request.object, kSweepShards);
         if (seen[s]++ < committed[s]) continue;  // already durable
         ASSERT_TRUE((*pipeline)->Submit(request).ok());
       }

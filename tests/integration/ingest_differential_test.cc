@@ -155,7 +155,7 @@ void RunDrainAndSealDifferential(uint64_t seed, size_t num_shards) {
   constexpr size_t kDrainEvery = 7;
   const std::vector<IngestRequest>& requests = builder.requests();
   auto shard_of = [num_shards](const IngestRequest& request) {
-    return ShardedProvenanceStore::ShardOf(request.object, num_shards);
+    return ShardIndex(request.object, num_shards);
   };
   std::set<size_t> shards_seen;
   size_t split = 0;

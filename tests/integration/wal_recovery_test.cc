@@ -484,8 +484,7 @@ void RunShardedCrashCycle(const ShardedSweepFixture& fx,
     ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
     std::array<uint64_t, kSweepShards> seen{};
     for (const IngestRequest& request : fx.requests) {
-      const size_t s =
-          ShardedProvenanceStore::ShardOf(request.object, kSweepShards);
+      const size_t s = ShardIndex(request.object, kSweepShards);
       if (seen[s]++ < durable[s]) continue;  // already recovered
       ASSERT_TRUE((*pipeline)->Submit(request).ok());
     }

@@ -168,12 +168,12 @@ TEST(BuildSignedIngestRecordTest, NonAggregateWithInputsRejected) {
 
 TEST(ShardedProvenanceStoreTest, ShardOfIsStableAndInRange) {
   for (ObjectId id = 1; id <= 200; ++id) {
-    size_t s = ShardedProvenanceStore::ShardOf(id, 4);
+    size_t s = ShardIndex(id, 4);
     EXPECT_LT(s, 4u);
-    EXPECT_EQ(s, ShardedProvenanceStore::ShardOf(id, 4)) << id;
+    EXPECT_EQ(s, ShardIndex(id, 4)) << id;
   }
   // One shard degenerates to everything-in-shard-0.
-  EXPECT_EQ(ShardedProvenanceStore::ShardOf(12345, 1), 0u);
+  EXPECT_EQ(ShardIndex(12345, 1), 0u);
 }
 
 TEST(ShardedProvenanceStoreTest, ShardDirNamesAreZeroPadded) {
@@ -208,7 +208,7 @@ TEST(IngestPipelineTest, RoutesObjectsToTheirShardAndVerifies) {
   const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
   EXPECT_EQ(snapshot.record_count(), ids.size() * 2);
   for (ObjectId id : ids) {
-    size_t s = ShardedProvenanceStore::ShardOf(id, 4);
+    size_t s = ShardIndex(id, 4);
     EXPECT_EQ(snapshot.shard_view(s).ChainRecords(id).size(), 2u);
     EXPECT_EQ(snapshot.ChainRecords(id).size(), 2u);
   }
@@ -412,7 +412,7 @@ std::unique_ptr<IngestPipeline> OpenWithEveryShardPending(
   if (!pipeline.ok()) return nullptr;
   std::vector<size_t> per_shard(kFaultShards, 0);
   for (ObjectId id = 1; ids->size() < 2 * kFaultShards; ++id) {
-    const size_t s = ShardedProvenanceStore::ShardOf(id, kFaultShards);
+    const size_t s = ShardIndex(id, kFaultShards);
     if (per_shard[s] == 2) continue;
     ++per_shard[s];
     ids->push_back(id);
@@ -448,8 +448,7 @@ TEST(IngestPipelineParallelTest, DrainSyncFailureCommitsOnlyDurableShards) {
   // batch was fsynced, so it committed and published.
   StoreSnapshot snapshot = pipeline->OpenSnapshot();
   for (ObjectId id : ids) {
-    const bool on_failed_shard =
-        ShardedProvenanceStore::ShardOf(id, kFaultShards) == failed;
+    const bool on_failed_shard = ShardIndex(id, kFaultShards) == failed;
     EXPECT_EQ(snapshot.ChainRecords(id).size(), on_failed_shard ? 0u : 1u)
         << "object " << id;
   }
@@ -625,7 +624,7 @@ TEST(IngestPipelineParallelTest, SignedBatchesBehindAFailedWriteAheadFail) {
   std::vector<ObjectId> on_shard[2];
   for (ObjectId id = 1; on_shard[0].size() < 2 || on_shard[1].size() < 2;
        ++id) {
-    std::vector<ObjectId>& ids = on_shard[ShardedProvenanceStore::ShardOf(id, 2)];
+    std::vector<ObjectId>& ids = on_shard[ShardIndex(id, 2)];
     if (ids.size() < 2) ids.push_back(id);
   }
 

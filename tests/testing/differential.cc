@@ -297,8 +297,7 @@ Status CheckSnapshotIsBatchPrefix(const provenance::StoreSnapshot& snapshot,
     }
   };
   for (uint64_t i = 0; i < requests.size(); ++i) {
-    const size_t s = provenance::ShardedProvenanceStore::ShardOf(
-        requests[i].object, num_shards);
+    const size_t s = ShardIndex(requests[i].object, num_shards);
     shard_seq[s].push_back(i);
     if (++pending[s] == max_batch_records) {
       flush(s);

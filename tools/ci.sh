@@ -51,7 +51,9 @@
 #                  through), and the snapshot read path (snapshot,
 #                  auditor, query, TrackedDatabase and deep-export
 #                  suites), whose reads hold record pointers only while
-#                  a snapshot is pinned
+#                  a snapshot is pinned, plus the CRC-32 and SHA-1
+#                  kernel tests, whose loops index tables and message
+#                  words by computed values
 #   ubsan          strict UBSan (PROVDB_SANITIZE=undefined,
 #                  -fno-sanitize-recover) over the full release-test
 #                  suite: any diagnosed undefined behavior aborts the
@@ -246,9 +248,9 @@ stage_asan() {
     -DPROVDB_BUILD_EXAMPLES=OFF
   run cmake --build "$OUT/asan" -j "$JOBS" --target provenance_property_test \
     provenance_snapshot_test provenance_ext_test provenance_tracked_test \
-    common_test
+    common_test crypto_test
   run ctest --test-dir "$OUT/asan" --output-on-failure -j "$JOBS" \
-    -R 'Decoder|Fuzz|Property|Snapshot|Auditor|Query|TrackedDatabase|DeepExport|Frame'
+    -R 'Decoder|Fuzz|Property|Snapshot|Auditor|Query|TrackedDatabase|DeepExport|Frame|Crc32|Sha1|HashStreaming'
 }
 
 stage_ubsan() {
