@@ -22,7 +22,7 @@
 #include "bench_common.h"
 #include "crypto/signer.h"
 #include "provenance/checkpoint.h"
-#include "provenance/provenance_store.h"
+#include "provenance/ingest_pipeline.h"
 #include "provenance/serialization.h"
 #include "storage/env.h"
 #include "storage/wal.h"
@@ -31,7 +31,7 @@ namespace provdb::bench {
 namespace {
 
 using provdb::provenance::CheckpointWriter;
-using provdb::provenance::ProvenanceStore;
+using provdb::provenance::ShardedProvenanceStore;
 using provdb::provenance::ProvenanceRecord;
 using storage::Env;
 using storage::WalReader;
@@ -114,30 +114,35 @@ ProvenanceRecord MakeRecord(uint64_t i) {
   return rec;
 }
 
-/// Recovers a `total`-record store whose first `total - suffix` records
-/// sit behind a sealed checkpoint. Asserts the structural invariant that
-/// makes the wall-clock shape inevitable: exactly `suffix` WAL frames
-/// are replayed, everything else loads from the snapshot.
-void RecoveryPass(Env* env, const std::string& dir, uint64_t total,
+/// Recovers a `total`-record one-shard store under `root` whose first
+/// `total - suffix` records sit behind a sealed checkpoint. Asserts the
+/// structural invariant that makes the wall-clock shape inevitable:
+/// exactly `suffix` WAL frames are replayed, everything else loads from
+/// the snapshot.
+void RecoveryPass(Env* env, const std::string& root, uint64_t total,
                   uint64_t suffix, const BenchPki& pki) {
+  OrAbort(env->CreateDir(root));
+  const std::string dir = ShardedProvenanceStore::ShardDirName(root, 0);
   CleanDir(env, dir);
   const uint64_t prefix = total - suffix;
   {
-    ProvenanceStore store;
+    ShardedProvenanceStore store(1);
     WalWriter wal = WalWriter::Open(env, dir).value();
     // Write-ahead by hand, as an ingest pipeline flush does: the record
     // frame reaches the log before the record reaches the store.
     auto add = [&](uint64_t i) {
       ProvenanceRecord rec = MakeRecord(i);
       OrAbort(wal.Append(provenance::EncodeWalRecordEntry(rec)));
-      OrAbort(store.AddRecord(std::move(rec)).status());
+      OrAbort(store.shard(0).AddRecord(std::move(rec)).status());
     };
     for (uint64_t i = 0; i < prefix; ++i) add(i);
     if (prefix > 0) {
       // Roll -> seal -> GC, the same order as IngestPipeline::CheckpointNow.
       uint64_t horizon = wal.RollSegment().value();
-      OrAbort(CheckpointWriter::Write(env, dir, store, horizon,
-                                      pki.participant->signer(),
+      store.PublishAll();
+      const provenance::StoreSnapshot snapshot = store.OpenSnapshot();
+      OrAbort(CheckpointWriter::Write(env, dir, snapshot.shard_view(0),
+                                      horizon, pki.participant->signer(),
                                       pki.participant->id()));
       OrAbort(provenance::RemoveStaleCheckpoints(env, dir, horizon));
       OrAbort(wal.GarbageCollect(horizon));
@@ -147,10 +152,13 @@ void RecoveryPass(Env* env, const std::string& dir, uint64_t total,
   }
 
   crypto::RsaSignatureVerifier verifier(pki.participant->public_key());
-  WalRecoveryReport report;
+  std::vector<WalRecoveryReport> reports;
   Stopwatch watch;
-  auto recovered = ProvenanceStore::RecoverFromWal(env, dir, &report, &verifier);
+  auto recovered =
+      ShardedProvenanceStore::Recover(env, root, 1, &reports, &verifier);
   const double seconds = watch.ElapsedSeconds();
+  const WalRecoveryReport report =
+      reports.empty() ? WalRecoveryReport() : reports[0];
   if (!recovered.ok() || recovered->record_count() != total ||
       report.records != suffix || report.checkpoint_records != prefix) {
     std::fprintf(stderr,
@@ -238,10 +246,11 @@ int Run(int argc, char** argv) {
   BenchPki pki = BenchPki::Create();
   const uint64_t kSuffixes[] = {recovery_records, recovery_records / 2,
                                 recovery_records / 10, 0};
+  const std::string recovery_root = dir + "_recovery";
   for (uint64_t suffix : kSuffixes) {
-    RecoveryPass(env, dir, recovery_records, suffix, pki);
+    RecoveryPass(env, recovery_root, recovery_records, suffix, pki);
   }
-  CleanDir(env, dir);
+  CleanDir(env, ShardedProvenanceStore::ShardDirName(recovery_root, 0));
   std::printf(
       "\nshape check: replayed frames equal the WAL suffix at every row\n"
       "(asserted), so recovery cost tracks the un-checkpointed delta, not\n"

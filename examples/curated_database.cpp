@@ -98,7 +98,8 @@ int main() {
   storage::Env* env = storage::Env::Default();
   examples::OrDie(env->CreateDir(dir));
   examples::OrDie(provenance::CheckpointWriter::Write(
-      env, dir, db.provenance(), /*wal_horizon=*/1, ada.signer(), ada.id()));
+      env, dir, db.OpenSnapshot().shard_view(0), /*wal_horizon=*/1,
+      ada.signer(), ada.id()));
   const std::string path = provenance::CheckpointFileName(dir, 1);
   std::printf("sealed %llu provenance records (%llu bytes on disk) into %s\n",
               static_cast<unsigned long long>(
@@ -107,9 +108,11 @@ int main() {
               path.c_str());
 
   crypto::RsaSignatureVerifier seal_verifier(ada.public_key());
-  auto loaded =
-      provenance::CheckpointReader::Load(env, path, seal_verifier).value();
-  const provenance::ProvenanceStore& reloaded = loaded.store;
+  provenance::ShardedProvenanceStore loaded(1);
+  examples::OrDie(provenance::CheckpointReader::Load(env, path, seal_verifier,
+                                                     &loaded.shard(0))
+                      .status());
+  const provenance::ProvenanceStore& reloaded = loaded.shard(0);
   std::printf("reloaded store: %llu records, paper-schema footprint "
               "%.1f KB\n\n",
               static_cast<unsigned long long>(reloaded.record_count()),

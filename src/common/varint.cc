@@ -57,11 +57,18 @@ Result<int64_t> VarintReader::ReadVarintSigned64() {
 }
 
 Result<Bytes> VarintReader::ReadLengthPrefixed() {
+  PROVDB_ASSIGN_OR_RETURN(ByteView field, ReadLengthPrefixedView());
+  return field.ToBytes();
+}
+
+Result<ByteView> VarintReader::ReadLengthPrefixedView() {
   PROVDB_ASSIGN_OR_RETURN(uint64_t len, ReadVarint64());
   if (len > remaining()) {
     return Status::Corruption("length-prefixed field exceeds buffer");
   }
-  return ReadRaw(static_cast<size_t>(len));
+  const ByteView field = data_.subview(pos_, static_cast<size_t>(len));
+  pos_ += static_cast<size_t>(len);
+  return field;
 }
 
 Result<Bytes> VarintReader::ReadRaw(size_t n) {

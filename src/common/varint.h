@@ -32,6 +32,8 @@ class VarintReader {
   Result<int64_t> ReadVarintSigned64();
   /// Reads a varint length followed by that many bytes.
   Result<Bytes> ReadLengthPrefixed();
+  /// The same, as a view into the reader's data.
+  Result<ByteView> ReadLengthPrefixedView();
   /// Reads exactly `n` raw bytes.
   Result<Bytes> ReadRaw(size_t n);
 

@@ -23,69 +23,81 @@ const ChainIndex::Leaf* ChainIndex::Find(const Node* root,
   return nullptr;
 }
 
-void ChainIndex::RetireOrDelete(EpochRetired* node, EpochDomain* domain) {
-  if (domain != nullptr) {
-    domain->Retire(node);
-  } else {
-    delete node;
+ChainIndex::Leaf* ChainIndex::NewLeaf(storage::ObjectId key,
+                                      const ChainNode* head, uint64_t tick) {
+  Leaf* leaf = new Leaf;
+  leaf->key = key;
+  leaf->head = head;
+  leaf->born = tick;
+  return leaf;
+}
+
+ChainIndex::Node* ChainIndex::Writable(const Node* node, uint64_t tick,
+                                       EpochDomain& domain) {
+  if (node != nullptr && node->born == tick) {
+    // Born since the last publish: no published root reaches it.
+    return const_cast<Node*>(node);
   }
+  Node* copy = new Node;
+  copy->born = tick;
+  if (node != nullptr) {
+    for (size_t i = 0; i < 16; ++i) {
+      copy->child[i] = node->child[i];
+    }
+    // Unlinked from the writer's trie; readers pinned on an older root
+    // still reach it.
+    domain.Retire(const_cast<Node*>(node));
+  }
+  return copy;
 }
 
 ChainIndex::Node* ChainIndex::BuildSplit(const Leaf* existing, Leaf* fresh,
-                                         unsigned shift) {
+                                         unsigned shift, uint64_t tick) {
   // Two distinct keys: descend until their nibbles diverge (guaranteed
   // within 64/4 = 16 levels), then hang both leaves off that node.
   Node* node = new Node;
+  node->born = tick;
   size_t a = NibbleAt(existing->key, shift);
   size_t b = NibbleAt(fresh->key, shift);
   if (a != b) {
     node->child[a] = Tag(existing);
     node->child[b] = Tag(fresh);
   } else {
-    node->child[a] = Tag(BuildSplit(existing, fresh, shift + 4));
+    node->child[a] = Tag(BuildSplit(existing, fresh, shift + 4, tick));
   }
   return node;
 }
 
-const ChainIndex::Node* ChainIndex::InsertRec(const Node* node, Leaf* leaf,
-                                              unsigned shift,
-                                              EpochDomain* domain) {
-  Node* copy = new Node;
-  if (node != nullptr) {
-    for (size_t i = 0; i < 16; ++i) {
-      copy->child[i] = node->child[i];
+ChainIndex::Node* ChainIndex::Insert(Node* root, storage::ObjectId key,
+                                     const ChainNode* head, uint64_t tick,
+                                     EpochDomain& domain) {
+  Node* const new_root = Writable(root, tick, domain);
+  Node* node = new_root;
+  for (unsigned shift = 0;; shift += 4) {
+    uintptr_t& slot = node->child[NibbleAt(key, shift)];
+    if (slot == 0) {
+      slot = Tag(NewLeaf(key, head, tick));
+      return new_root;
     }
-  }
-  const size_t idx = NibbleAt(leaf->key, shift);
-  const uintptr_t entry = copy->child[idx];
-  if (entry == 0) {
-    copy->child[idx] = Tag(leaf);
-  } else if (IsLeaf(entry)) {
-    const Leaf* existing = AsLeaf(entry);
-    if (existing->key == leaf->key) {
-      copy->child[idx] = Tag(leaf);
-      // The old leaf is unlinked from the new version; readers pinned on
-      // an older root still reach it. Its chain cells stay alive — the
-      // new leaf links to them or the caller retires them (see header).
-      RetireOrDelete(const_cast<Leaf*>(existing), domain);
-    } else {
-      copy->child[idx] = Tag(BuildSplit(existing, leaf, shift + 4));
+    if (IsLeaf(slot)) {
+      const Leaf* existing = AsLeaf(slot);
+      if (existing->key != key) {
+        slot = Tag(BuildSplit(existing, NewLeaf(key, head, tick), shift + 4,
+                              tick));
+      } else if (existing->born == tick) {
+        const_cast<Leaf*>(existing)->head = head;
+      } else {
+        // The old leaf stays readable from older roots; its chain cells
+        // stay alive (see header).
+        slot = Tag(NewLeaf(key, head, tick));
+        domain.Retire(const_cast<Leaf*>(existing));
+      }
+      return new_root;
     }
-  } else {
-    copy->child[idx] =
-        Tag(InsertRec(AsNode(entry), leaf, shift + 4, domain));
-    RetireOrDelete(const_cast<Node*>(AsNode(entry)), domain);
+    Node* child = Writable(AsNode(slot), tick, domain);
+    slot = Tag(child);
+    node = child;
   }
-  return copy;
-}
-
-const ChainIndex::Node* ChainIndex::Insert(const Node* root, Leaf* leaf,
-                                           EpochDomain* domain) {
-  const Node* new_root = InsertRec(root, leaf, 0, domain);
-  if (root != nullptr) {
-    RetireOrDelete(const_cast<Node*>(root), domain);
-  }
-  return new_root;
 }
 
 void ChainIndex::FreeAll(const Node* root) {

@@ -27,11 +27,15 @@ struct ChainNode : EpochRetired {
   uint64_t length = 0;
 };
 
-/// Immutable 16-way radix trie keyed by object id, four bits per level
-/// starting at the low nibble. The writer never mutates a reachable
-/// node: every insert path-copies from the root down and retires the
-/// replaced nodes through the store's epoch domain, so readers pinned on
-/// an older root keep a consistent view. All operations are static over
+/// 16-way radix trie keyed by object id, four bits per level starting at
+/// the low nibble. Every node records the store's publish tick it was
+/// born at. The writer never mutates a node a published root can reach:
+/// an insert updates in place only the nodes born at the current tick
+/// (created since the store's last publish), and path-copies the older
+/// ones it passes, retiring the originals through the store's epoch
+/// domain, so readers pinned on an older root keep a consistent view.
+/// A batch therefore copies each touched path once, and a store that
+/// has not published yet copies nothing. All operations are static over
 /// an explicit root — the same code serves the writer's working root and
 /// the published roots inside snapshots.
 class ChainIndex {
@@ -41,6 +45,7 @@ class ChainIndex {
   struct Leaf : EpochRetired {
     storage::ObjectId key = storage::kInvalidObjectId;
     const ChainNode* head = nullptr;
+    uint64_t born = 0;  // publish tick of its creation
   };
 
   /// Interior node. Children are tagged pointers: 0 = empty, low bit
@@ -48,19 +53,21 @@ class ChainIndex {
   /// therefore at least 8-aligned, so the low bit is free for the tag.)
   struct Node : EpochRetired {
     uintptr_t child[16] = {};
+    uint64_t born = 0;  // publish tick of its creation
   };
 
   /// The leaf for `key`, or null. Safe on any root, including null.
   static const Leaf* Find(const Node* root, storage::ObjectId key);
 
-  /// Path-copying insert-or-replace: returns the new root (never null).
-  /// Takes ownership of `leaf`. Replaced nodes (and a replaced same-key
-  /// leaf) are retired through `domain`, or deleted immediately when
-  /// `domain` is null (single-threaded store, no readers by contract).
-  /// A replaced leaf's chain cells are NOT retired — the new leaf is
-  /// expected to link to them (append) or the caller retires them
-  /// itself (prune tombstone).
-  static const Node* Insert(const Node* root, Leaf* leaf, EpochDomain* domain);
+  /// Points `key`'s leaf at `head` (null for a prune tombstone), adding
+  /// the leaf when the key is new, and returns the new root (never
+  /// null). `tick` is the store's current publish tick: nodes and leaves
+  /// born at it are updated in place, older ones on the path are copied
+  /// (born at `tick`) and retired through `domain`. A replaced leaf's
+  /// chain cells are NOT retired — `head` links to them (append) or the
+  /// caller retires them itself (prune tombstone).
+  static Node* Insert(Node* root, storage::ObjectId key, const ChainNode* head,
+                      uint64_t tick, EpochDomain& domain);
 
   /// Visits every leaf under `root` (tombstones included). Order is
   /// radix order of the reversed-nibble key — deterministic but not
@@ -106,10 +113,13 @@ class ChainIndex {
     return static_cast<size_t>((key >> shift) & 0xF);
   }
 
-  static void RetireOrDelete(EpochRetired* node, EpochDomain* domain);
-  static const Node* InsertRec(const Node* node, Leaf* leaf, unsigned shift,
-                               EpochDomain* domain);
-  static Node* BuildSplit(const Leaf* existing, Leaf* fresh, unsigned shift);
+  /// `node` itself when born at `tick`, else a copy born at `tick`
+  /// (a fresh node for null), with the original retired.
+  static Node* Writable(const Node* node, uint64_t tick, EpochDomain& domain);
+  static Leaf* NewLeaf(storage::ObjectId key, const ChainNode* head,
+                       uint64_t tick);
+  static Node* BuildSplit(const Leaf* existing, Leaf* fresh, unsigned shift,
+                          uint64_t tick);
 };
 
 /// The DAG closure of provenance extraction (§3, Figure 2), shared by the

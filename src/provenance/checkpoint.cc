@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -11,15 +10,10 @@
 #include "observability/metrics.h"
 #include "observability/trace.h"
 #include "provenance/serialization.h"
+#include "storage/wal.h"
 
 namespace provdb::provenance {
 namespace {
-
-/// The tail of one live chain as sealed into the chain-tails frame.
-struct ChainTail {
-  SeqId seq_id = 0;
-  Bytes checksum;
-};
 
 constexpr char kTmpSuffix[] = ".tmp";
 
@@ -98,24 +92,22 @@ Result<CheckpointManifest> DecodeManifest(ByteView payload) {
   return manifest;
 }
 
-/// The live records of `store` in store index order: what a checkpoint
-/// seals, in the order it seals them.
-std::vector<const ProvenanceRecord*> LiveRecords(const ProvenanceStore& store) {
+/// What a checkpoint seals of one published version, in sealing order:
+/// its live records in store index order (its live chains hold exactly
+/// the live records, since a prune drops a whole chain, and each cell
+/// carries the record's store index), and its live chain heads in
+/// ascending object id.
+struct SealedImage {
   std::vector<const ProvenanceRecord*> records;
-  records.reserve(store.live_record_count());
-  for (uint64_t i = 0; i < store.record_count(); ++i) {
-    if (!store.is_pruned(i)) records.push_back(&store.record(i));
-  }
-  return records;
-}
+  std::vector<std::pair<storage::ObjectId, const ChainNode*>> heads;
+};
 
-/// The same for a published version: its live chains hold exactly the
-/// live records (a prune drops a whole chain), and each cell carries the
-/// record's store index.
-std::vector<const ProvenanceRecord*> LiveRecords(const StoreReadView& view) {
+SealedImage CollectImage(const StoreReadView& view) {
+  SealedImage image;
   std::vector<const ChainNode*> cells;
   cells.reserve(view.live_record_count());
-  view.ForEachChain([&cells](storage::ObjectId, const ChainNode* head) {
+  view.ForEachChain([&](storage::ObjectId id, const ChainNode* head) {
+    image.heads.emplace_back(id, head);
     for (const ChainNode* cell = head; cell != nullptr; cell = cell->prev) {
       cells.push_back(cell);
     }
@@ -124,41 +116,41 @@ std::vector<const ProvenanceRecord*> LiveRecords(const StoreReadView& view) {
             [](const ChainNode* a, const ChainNode* b) {
               return a->index < b->index;
             });
-  std::vector<const ProvenanceRecord*> records;
-  records.reserve(cells.size());
-  for (const ChainNode* cell : cells) records.push_back(cell->record);
-  return records;
+  std::sort(image.heads.begin(), image.heads.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  image.records.reserve(cells.size());
+  for (const ChainNode* cell : cells) image.records.push_back(cell->record);
+  return image;
 }
 
-/// The chain tails of `records` (live, in store index order), ascending
-/// by object id — the map iteration order *is* the sealed order.
-std::map<storage::ObjectId, ChainTail> CollectChainTails(
-    const std::vector<const ProvenanceRecord*>& records) {
-  std::map<storage::ObjectId, ChainTail> tails;
-  for (const ProvenanceRecord* rec : records) {
-    // Index order is seqID order per chain, so the last record of an
-    // object seen in this scan is its tail.
-    tails[rec->output.object_id] = ChainTail{rec->seq_id, rec->checksum};
-  }
-  return tails;
-}
-
-Bytes EncodeChainTails(const std::map<storage::ObjectId, ChainTail>& tails) {
+/// The chain-tails frame: per live chain, ascending by object id, the
+/// tail seqID and tail checksum.
+Bytes EncodeChainTails(
+    const std::vector<std::pair<storage::ObjectId, const ChainNode*>>& heads) {
   Bytes out;
-  for (const auto& [object, tail] : tails) {
+  for (const auto& [object, head] : heads) {
     AppendVarint64(&out, object);
-    AppendVarint64(&out, tail.seq_id);
-    AppendLengthPrefixed(&out, tail.checksum);
+    AppendVarint64(&out, head->record->seq_id);
+    AppendLengthPrefixed(&out, head->record->checksum);
   }
   return out;
 }
 
-/// Seals `records` (live, in store index order) at `wal_horizon`; the
-/// body of both CheckpointWriter::Write overloads.
-Status WriteSealed(storage::Env* env, const std::string& dir,
-                   const std::vector<const ProvenanceRecord*>& records,
-                   uint64_t wal_horizon, const crypto::Signer& signer,
-                   uint64_t sealer_id, crypto::HashAlgorithm root_hash) {
+}  // namespace
+
+std::string CheckpointFileName(const std::string& dir, uint64_t horizon) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "checkpoint-%06llu.pvck",
+                static_cast<unsigned long long>(horizon));
+  return dir + "/" + buf;
+}
+
+Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
+                               const StoreReadView& view,
+                               uint64_t wal_horizon,
+                               const crypto::Signer& signer,
+                               uint64_t sealer_id,
+                               crypto::HashAlgorithm root_hash) {
   if (wal_horizon == 0) {
     return Status::InvalidArgument(
         "checkpoint horizon must cover at least WAL segment 1");
@@ -170,14 +162,13 @@ Status WriteSealed(storage::Env* env, const std::string& dir,
       metrics.histogram("checkpoint.write.latency_us"));
   observability::TraceSpan span("checkpoint.write");
 
-  const std::map<storage::ObjectId, ChainTail> tails =
-      CollectChainTails(records);
+  const SealedImage image = CollectImage(view);
   CheckpointManifest manifest;
   manifest.wal_horizon = wal_horizon;
   manifest.sealer = sealer_id;
   manifest.root_hash = root_hash;
-  manifest.live_records = records.size();
-  manifest.chain_count = tails.size();
+  manifest.live_records = image.records.size();
+  manifest.chain_count = image.heads.size();
 
   std::unique_ptr<crypto::Hasher> hasher = crypto::CreateHasher(root_hash);
   hasher->Reset();
@@ -205,10 +196,10 @@ Status WriteSealed(storage::Env* env, const std::string& dir,
     return chunk.size() >= kWriteChunk ? write_chunk() : Status::OK();
   };
   PROVDB_RETURN_IF_ERROR(emit(EncodeManifest(manifest)));
-  for (const ProvenanceRecord* rec : records) {
+  for (const ProvenanceRecord* rec : image.records) {
     PROVDB_RETURN_IF_ERROR(emit(EncodeRecord(*rec)));
   }
-  PROVDB_RETURN_IF_ERROR(emit(EncodeChainTails(tails)));
+  PROVDB_RETURN_IF_ERROR(emit(EncodeChainTails(image.heads)));
 
   // The seal: sign the store-level root. The signature frame itself is
   // outside the root (it cannot cover itself); its integrity comes from
@@ -230,38 +221,9 @@ Status WriteSealed(storage::Env* env, const std::string& dir,
   return Status::OK();
 }
 
-}  // namespace
-
-std::string CheckpointFileName(const std::string& dir, uint64_t horizon) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "checkpoint-%06llu.pvck",
-                static_cast<unsigned long long>(horizon));
-  return dir + "/" + buf;
-}
-
-Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
-                               const ProvenanceStore& store,
-                               uint64_t wal_horizon,
-                               const crypto::Signer& signer,
-                               uint64_t sealer_id,
-                               crypto::HashAlgorithm root_hash) {
-  return WriteSealed(env, dir, LiveRecords(store), wal_horizon, signer,
-                     sealer_id, root_hash);
-}
-
-Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
-                               const StoreReadView& view,
-                               uint64_t wal_horizon,
-                               const crypto::Signer& signer,
-                               uint64_t sealer_id,
-                               crypto::HashAlgorithm root_hash) {
-  return WriteSealed(env, dir, LiveRecords(view), wal_horizon, signer,
-                     sealer_id, root_hash);
-}
-
-Result<LoadedCheckpoint> CheckpointReader::Load(
+Result<CheckpointManifest> CheckpointReader::Load(
     storage::Env* env, const std::string& path,
-    const crypto::SignatureVerifier& verifier) {
+    const crypto::SignatureVerifier& verifier, ProvenanceStore* store) {
   observability::MetricsRegistry& metrics = observability::GlobalMetrics();
   observability::ScopedLatencyTimer timer(
       metrics.histogram("checkpoint.load.latency_us"));
@@ -333,45 +295,44 @@ Result<LoadedCheckpoint> CheckpointReader::Load(
         " does not verify: " + sealed.ToString());
   }
 
-  // Rebuild the store from the sealed records, then cross-check the
-  // rebuilt chain tails against the sealed ones — a defense-in-depth
-  // consistency check (the signature already covers both).
-  LoadedCheckpoint loaded;
-  loaded.manifest = manifest;
+  // Fill the store from the sealed records, then cross-check its chain
+  // heads against the sealed tails — a defense-in-depth consistency
+  // check (the signature already covers both). The tails must name
+  // every loaded chain once, ascending by object id, each at its head.
   for (uint64_t i = 0; i < manifest.live_records; ++i) {
     PROVDB_ASSIGN_OR_RETURN(ProvenanceRecord rec,
                             DecodeRecord(payloads[1 + i]));
-    PROVDB_RETURN_IF_ERROR(loaded.store.AddRecord(std::move(rec)).status());
-  }
-  const std::map<storage::ObjectId, ChainTail> rebuilt =
-      CollectChainTails(LiveRecords(loaded.store));
-  if (rebuilt.size() != manifest.chain_count) {
-    return Status::Corruption("checkpoint " + path + " chain count " +
-                              std::to_string(rebuilt.size()) +
-                              " does not match its manifest");
+    PROVDB_RETURN_IF_ERROR(store->AddRecord(std::move(rec)).status());
   }
   VarintReader tails_reader(payloads[payloads.size() - 2]);
-  for (const auto& [object, tail] : rebuilt) {
-    PROVDB_ASSIGN_OR_RETURN(uint64_t sealed_object,
-                            tails_reader.ReadVarint64());
-    PROVDB_ASSIGN_OR_RETURN(uint64_t sealed_seq, tails_reader.ReadVarint64());
-    PROVDB_ASSIGN_OR_RETURN(Bytes sealed_checksum,
-                            tails_reader.ReadLengthPrefixed());
-    if (sealed_object != object || sealed_seq != tail.seq_id ||
-        !ConstantTimeEqual(sealed_checksum, tail.checksum)) {
+  uint64_t listed = 0;
+  storage::ObjectId last = 0;
+  while (!tails_reader.done()) {
+    PROVDB_ASSIGN_OR_RETURN(uint64_t object, tails_reader.ReadVarint64());
+    PROVDB_ASSIGN_OR_RETURN(uint64_t seq, tails_reader.ReadVarint64());
+    PROVDB_ASSIGN_OR_RETURN(ByteView checksum,
+                            tails_reader.ReadLengthPrefixedView());
+    const Result<const ProvenanceRecord*> head = store->LatestFor(object);
+    if ((listed > 0 && object <= last) || !head.ok() ||
+        (*head)->seq_id != seq ||
+        !ConstantTimeEqual(checksum, (*head)->checksum)) {
       return Status::Corruption(
           "checkpoint " + path + " chain tail for object " +
           std::to_string(object) + " disagrees with its sealed records");
     }
+    last = object;
+    ++listed;
   }
-  if (!tails_reader.done()) {
-    return Status::Corruption("trailing bytes after checkpoint chain tails in " +
-                              path);
+  if (listed != manifest.chain_count ||
+      listed != store->live_chain_count()) {
+    return Status::Corruption("checkpoint " + path + " chain count " +
+                              std::to_string(listed) +
+                              " does not match its manifest");
   }
 
   metrics.counter("checkpoint.loads")->Increment();
   metrics.counter("checkpoint.load.records")->Add(manifest.live_records);
-  return loaded;
+  return manifest;
 }
 
 Result<uint64_t> LatestCheckpointHorizon(storage::Env* env,

@@ -61,21 +61,13 @@ std::string CheckpointFileName(const std::string& dir, uint64_t horizon);
 /// Serializes and seals checkpoints.
 class CheckpointWriter {
  public:
-  /// Writes the sealed snapshot of `store` covering WAL segments
-  /// 1..`wal_horizon` into `dir`, signing the root digest with `signer`
-  /// (recorded as participant `sealer_id`). Durable on return: the file
-  /// is fsynced before the atomic rename and the directory after it.
-  static Status Write(storage::Env* env, const std::string& dir,
-                      const ProvenanceStore& store, uint64_t wal_horizon,
-                      const crypto::Signer& signer, uint64_t sealer_id,
-                      crypto::HashAlgorithm root_hash =
-                          crypto::HashAlgorithm::kSha1);
-
-  /// The same seal written from one shard's published version, read
-  /// through `view` (whose snapshot must stay pinned for the call): the
-  /// bytes equal those of Write over the store state that version
-  /// published. This is how the ingest pipeline seals off its write
-  /// path, on another thread, while the writer keeps committing.
+  /// Writes the sealed snapshot of one shard's published version, read
+  /// through `view` (whose snapshot must stay pinned for the call),
+  /// covering WAL segments 1..`wal_horizon` into `dir`, signing the root
+  /// digest with `signer` (recorded as participant `sealer_id`). Durable
+  /// on return: the file is fsynced before the atomic rename and the
+  /// directory after it. This is how the ingest pipeline seals off its
+  /// write path, on another thread, while the writer keeps committing.
   static Status Write(storage::Env* env, const std::string& dir,
                       const StoreReadView& view, uint64_t wal_horizon,
                       const crypto::Signer& signer, uint64_t sealer_id,
@@ -83,24 +75,22 @@ class CheckpointWriter {
                           crypto::HashAlgorithm::kSha1);
 };
 
-/// A verified checkpoint: the rebuilt store plus its manifest.
-struct LoadedCheckpoint {
-  ProvenanceStore store;
-  CheckpointManifest manifest;
-};
-
 /// Loads and verifies sealed checkpoints.
 class CheckpointReader {
  public:
   /// Parses, CRC-checks, and signature-verifies the checkpoint at
-  /// `path`, then rebuilds the store and cross-checks it against the
-  /// sealed chain tails. Framing damage is kCorruption; a seal that does
-  /// not verify under `verifier` is kVerificationFailed — the checkpoint
-  /// is refused, never partially loaded.
-  static Result<LoadedCheckpoint> Load(storage::Env* env,
-                                       const std::string& path,
-                                       const crypto::SignatureVerifier&
-                                           verifier);
+  /// `path`, then adds its records to `store` — a shard that has not
+  /// been filled yet — and cross-checks the store's chain heads against
+  /// the sealed chain tails. Returns the manifest. Framing damage is
+  /// kCorruption; a seal that does not verify under `verifier` is
+  /// kVerificationFailed, and no record is added. An error after the
+  /// seal verified (sealed content that contradicts itself) leaves
+  /// `store` partly filled, and the caller discards it.
+  static Result<CheckpointManifest> Load(storage::Env* env,
+                                         const std::string& path,
+                                         const crypto::SignatureVerifier&
+                                             verifier,
+                                         ProvenanceStore* store);
 };
 
 /// Horizon of the newest checkpoint in `dir`; kNotFound when none

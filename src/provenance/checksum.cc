@@ -49,7 +49,7 @@ Bytes ChecksumEngine::BuildUpdatePayload(const crypto::Digest& in_hash,
 Bytes ChecksumEngine::BuildAggregatePayload(
     const std::vector<crypto::Digest>& input_hashes,
     const crypto::Digest& out_hash,
-    const std::vector<Bytes>& prev_checksums) const {
+    const std::vector<ByteView>& prev_checksums) const {
   payload_aggregate_->Increment();
   // h( h(A_1,v_1) | ... | h(A_n,v_n) ) — one digest summarizing all inputs.
   Bytes concat_inputs;
@@ -62,7 +62,7 @@ Bytes ChecksumEngine::BuildAggregatePayload(
   Bytes payload;
   AppendBytes(&payload, inputs_digest.view());
   AppendBytes(&payload, out_hash.view());
-  for (const Bytes& prev : prev_checksums) {
+  for (ByteView prev : prev_checksums) {
     AppendBytes(&payload, prev);
   }
   return payload;

@@ -48,12 +48,13 @@ class ChecksumEngine {
                            ByteView prev_checksum) const;
 
   /// Payload for an aggregation. `input_hashes` must follow the global
-  /// total order (ascending object id); `prev_checksums[i]` is the latest
-  /// checksum of input i (empty entries allowed for untracked inputs).
+  /// total order (ascending object id); `prev_checksums[i]` views the
+  /// latest checksum of input i (empty entries allowed for untracked
+  /// inputs).
   Bytes BuildAggregatePayload(
       const std::vector<crypto::Digest>& input_hashes,
       const crypto::Digest& out_hash,
-      const std::vector<Bytes>& prev_checksums) const;
+      const std::vector<ByteView>& prev_checksums) const;
 
   /// Signs a payload with the acting participant's signer, producing the
   /// checksum stored in the provenance record.

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/varint.h"
 #include "observability/trace.h"
 #include "provenance/checkpoint.h"
 #include "provenance/serialization.h"
@@ -117,6 +118,65 @@ void Dispatch(ThreadPool* pool, Fn&& task) {
   (void)pool->Submit(std::forward<Fn>(task));
 }
 
+/// Refills the empty shard `store` from the WAL directory `dir`: the
+/// newest sealed checkpoint, if any, then the WAL suffix past its
+/// horizon (see ShardedProvenanceStore::Recover).
+Status RecoverShard(storage::Env* env, const std::string& dir,
+                    const crypto::SignatureVerifier* checkpoint_verifier,
+                    ProvenanceStore* store,
+                    storage::WalRecoveryReport* report) {
+  storage::WalReaderOptions reader_options;
+  uint64_t checkpoint_records = 0;
+  Result<uint64_t> latest = LatestCheckpointHorizon(env, dir);
+  if (latest.ok()) {
+    if (checkpoint_verifier == nullptr) {
+      return Status::FailedPrecondition(
+          "a sealed checkpoint exists in " + dir +
+          " but no verifier was supplied to check its seal");
+    }
+    PROVDB_ASSIGN_OR_RETURN(
+        CheckpointManifest manifest,
+        CheckpointReader::Load(env, CheckpointFileName(dir, latest.value()),
+                               *checkpoint_verifier, store));
+    reader_options.checkpoint_horizon = manifest.wal_horizon;
+    checkpoint_records = manifest.live_records;
+  } else if (latest.status().code() != StatusCode::kNotFound) {
+    return latest.status();
+  }
+
+  PROVDB_ASSIGN_OR_RETURN(storage::WalReader reader,
+                          storage::WalReader::Open(env, dir, reader_options));
+  *report = reader.report();
+  report->checkpoint_horizon = reader_options.checkpoint_horizon;
+  report->checkpoint_records = checkpoint_records;
+  // Replay typed WAL entries: appends re-add, prune markers re-prune, so
+  // the store converges to the pre-crash state instead of resurrecting
+  // pruned history.
+  for (ByteView payload : reader.payloads()) {
+    if (payload.empty()) {
+      return Status::Corruption("empty WAL entry");
+    }
+    switch (payload[0]) {
+      case static_cast<uint8_t>(WalEntryType::kRecord): {
+        PROVDB_ASSIGN_OR_RETURN(ProvenanceRecord rec,
+                                DecodeRecord(payload.subview(1)));
+        PROVDB_RETURN_IF_ERROR(store->AddRecord(std::move(rec)).status());
+        break;
+      }
+      case static_cast<uint8_t>(WalEntryType::kPrune): {
+        VarintReader entry(payload.subview(1));
+        PROVDB_ASSIGN_OR_RETURN(uint64_t id, entry.ReadVarint64());
+        PROVDB_RETURN_IF_ERROR(store->PruneObject(id).status());
+        break;
+      }
+      default:
+        return Status::Corruption("unknown WAL entry type " +
+                                  std::to_string(payload[0]));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -168,14 +228,17 @@ Result<ProvenanceRecord> BuildSignedIngestRecord(
             " already has a chain");
       }
       std::vector<crypto::Digest> input_hashes;
+      std::vector<ByteView> prev_checksums;
       input_hashes.reserve(request.inputs.size());
+      prev_checksums.reserve(request.inputs.size());
       for (size_t i = 0; i < request.inputs.size(); ++i) {
         input_hashes.push_back(request.inputs[i].state_hash);
+        prev_checksums.push_back(request.input_prev_checksums[i]);
       }
       record.seq_id = request.aggregate_seq;
       record.inputs = request.inputs;
       payload = engine.BuildAggregatePayload(input_hashes, request.post_hash,
-                                             request.input_prev_checksums);
+                                             prev_checksums);
       break;
     }
   }
@@ -191,14 +254,10 @@ Result<ProvenanceRecord> BuildSignedIngestRecord(
 // ---------------------------------------------------------------------------
 
 ShardedProvenanceStore::ShardedProvenanceStore(size_t num_shards)
-    : domain_(std::make_unique<EpochDomain>()),
-      shards_(num_shards == 0 ? 1 : num_shards) {
-  AttachDomains();
-}
-
-void ShardedProvenanceStore::AttachDomains() {
-  for (ProvenanceStore& shard : shards_) {
-    shard.AttachEpochDomain(domain_.get());
+    : domain_(std::make_unique<EpochDomain>()) {
+  shards_.resize(num_shards == 0 ? 1 : num_shards);
+  for (std::unique_ptr<ProvenanceStore>& shard : shards_) {
+    shard = std::make_unique<ProvenanceStore>(*domain_);
   }
 }
 
@@ -209,15 +268,15 @@ StoreSnapshot ShardedProvenanceStore::OpenSnapshot() const {
   EpochDomain::Guard guard = domain_->Pin();
   std::vector<StoreReadView> views;
   views.reserve(shards_.size());
-  for (const ProvenanceStore& shard : shards_) {
-    views.emplace_back(shard.published_version());
+  for (const std::unique_ptr<ProvenanceStore>& shard : shards_) {
+    views.emplace_back(shard->published_version());
   }
   return StoreSnapshot(std::move(guard), std::move(views));
 }
 
 void ShardedProvenanceStore::PublishAll() {
-  for (ProvenanceStore& shard : shards_) {
-    shard.PublishSnapshot();
+  for (const std::unique_ptr<ProvenanceStore>& shard : shards_) {
+    shard->PublishSnapshot();
   }
   domain_->Collect();
 }
@@ -240,38 +299,35 @@ Result<ShardedProvenanceStore> ShardedProvenanceStore::Recover(
   for (size_t i = 0; i < num_shards; ++i) {
     const std::string dir = ShardDirName(root, i);
     storage::WalRecoveryReport report;
-    if (env->FileExists(dir)) {
-      PROVDB_ASSIGN_OR_RETURN(
-          store.shards_[i],
-          ProvenanceStore::RecoverFromWal(env, dir, &report,
-                                          checkpoint_verifier));
-    }
     // A missing directory is an empty shard: the crash may have hit
     // before this shard received its first batch.
+    if (env->FileExists(dir)) {
+      PROVDB_RETURN_IF_ERROR(RecoverShard(env, dir, checkpoint_verifier,
+                                          &store.shard(i), &report));
+    }
     if (reports != nullptr) {
       reports->push_back(report);
     }
   }
-  // Recovery built the shards domainless (RecoverFromWal returns
-  // standalone stores); re-attach and publish so snapshots opened right
-  // after recovery already see the recovered (durable) state.
-  store.AttachDomains();
+  // One publish, so snapshots opened right after recovery already see
+  // the recovered (durable) state. Until it, every index node was born
+  // at tick 0 and the refill copied and retired none.
   store.PublishAll();
   return store;
 }
 
 uint64_t ShardedProvenanceStore::record_count() const {
   uint64_t total = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    total += shards_[i].record_count();
+  for (const std::unique_ptr<ProvenanceStore>& shard : shards_) {
+    total += shard->record_count();
   }
   return total;
 }
 
 uint64_t ShardedProvenanceStore::live_record_count() const {
   uint64_t total = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    total += shards_[i].live_record_count();
+  for (const std::unique_ptr<ProvenanceStore>& shard : shards_) {
+    total += shard->live_record_count();
   }
   return total;
 }
@@ -382,15 +438,17 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Open(
           storage::WalWriter::Open(
               env, ShardedProvenanceStore::ShardDirName(root_dir, i),
               wal_options));
-      // Seed every chain tail from the recovered records so reopened
-      // chains continue exactly where the durable log left them.
-      const ProvenanceStore& store = pipeline->store_->shard(i);
-      for (uint64_t r = 0; r < store.record_count(); ++r) {
-        if (store.is_pruned(r)) continue;
-        const ProvenanceRecord& rec = store.record(r);
-        pipeline->signed_tails_[i].Set(rec.output.object_id, rec.seq_id,
-                                       rec.checksum);
-      }
+    }
+    // Seed each live chain's tail from its head, so reopened chains
+    // continue exactly where the durable log left them. Recovery
+    // published the whole recovered state.
+    const StoreSnapshot snapshot = pipeline->store_->OpenSnapshot();
+    for (size_t i = 0; i < options.num_shards; ++i) {
+      LocalChainState& tails = pipeline->signed_tails_[i];
+      snapshot.shard_view(i).ForEachChain(
+          [&tails](storage::ObjectId id, const ChainNode* head) {
+            tails.Set(id, head->record->seq_id, head->record->checksum);
+          });
     }
   }
   if (recovery_reports != nullptr) {

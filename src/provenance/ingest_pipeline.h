@@ -79,11 +79,12 @@ Result<ProvenanceRecord> BuildSignedIngestRecord(
 /// hash of the *output* object id (`ShardIndex`), so the assignment is a
 /// durable on-disk contract (see common/hashmix.h).
 ///
-/// Owns the epoch domain all its shards retire superseded index nodes
-/// through, which makes OpenSnapshot() possible: a pinned, consistent
-/// cross-shard cut readable while a single writer keeps mutating. Records
-/// are read only through such snapshots (DESIGN.md §16); the shards are
-/// exposed for the writer and for the tamper tests' adversary.
+/// Owns the epoch domain all its shards are built on and retire
+/// superseded index nodes through, which makes OpenSnapshot() possible: a
+/// pinned, consistent cross-shard cut readable while a single writer
+/// keeps mutating. Records are read only through such snapshots
+/// (DESIGN.md §16); the shards are exposed for the writer and for the
+/// tamper tests' adversary.
 class ShardedProvenanceStore {
  public:
   explicit ShardedProvenanceStore(size_t num_shards);
@@ -94,23 +95,32 @@ class ShardedProvenanceStore {
   /// `root/shard-NNN`, the WAL directory of shard `index`.
   static std::string ShardDirName(const std::string& root, size_t index);
 
-  /// Rebuilds every shard from its WAL directory under `root`. A missing
-  /// shard directory is an empty shard (the crash may have hit before its
-  /// first batch); per-shard salvage reports are appended to `reports`
-  /// when non-null, indexed by shard. Shards holding a sealed checkpoint
-  /// recover from it plus their WAL suffix; `checkpoint_verifier` checks
-  /// the seals (required once any shard has checkpointed — see
-  /// ProvenanceStore::RecoverFromWal).
+  /// Crash recovery: refills every shard in place from its WAL
+  /// directory under `root`, then publishes once. Record entries re-add
+  /// and prune markers re-prune, so pruned history stays pruned. A
+  /// missing shard directory is an empty shard (the crash may have hit
+  /// before its first batch). Per-shard salvage reports — torn-tail byte
+  /// counts, and the checkpoint the shard loaded — are appended to
+  /// `reports` when non-null, indexed by shard; corruption before a tail
+  /// fails with kCorruption (DESIGN.md §8 has the decision rule).
+  ///
+  /// Checkpoint-bounded recovery (DESIGN.md §13): a shard holding a
+  /// sealed checkpoint loads the newest one and replays only the WAL
+  /// suffix past its horizon. Its seal must verify under
+  /// `checkpoint_verifier`; a checkpoint with no verifier supplied is
+  /// kFailedPrecondition (recovering *around* an unverifiable snapshot
+  /// would silently drop its history), and a tampered one is refused
+  /// exactly like a tampered record.
   static Result<ShardedProvenanceStore> Recover(
       storage::Env* env, const std::string& root, size_t num_shards,
       std::vector<storage::WalRecoveryReport>* reports = nullptr,
       const crypto::SignatureVerifier* checkpoint_verifier = nullptr);
 
   size_t num_shards() const { return shards_.size(); }
-  ProvenanceStore& shard(size_t index) { return shards_[index]; }
-  const ProvenanceStore& shard(size_t index) const { return shards_[index]; }
+  ProvenanceStore& shard(size_t index) { return *shards_[index]; }
+  const ProvenanceStore& shard(size_t index) const { return *shards_[index]; }
   ProvenanceStore& shard_for(storage::ObjectId id) {
-    return shards_[ShardIndex(id, shards_.size())];
+    return shard(ShardIndex(id, shards_.size()));
   }
 
   /// Writer-side counts: records added (pruned ones included), and live
@@ -129,7 +139,7 @@ class ShardedProvenanceStore {
   /// nodes no snapshot can still reach (writer-side; requires the same
   /// external serialization as mutating the shards). The ingest pipeline
   /// publishes each shard batch as it commits instead; this entry
-  /// point is for recovery seeding, TrackedDatabase::OpenSnapshot, and
+  /// point is for recovery, TrackedDatabase::OpenSnapshot, and
   /// directly-driven stores (tests, tools).
   void PublishAll();
 
@@ -137,15 +147,12 @@ class ShardedProvenanceStore {
   EpochDomain* epoch_domain() const { return domain_.get(); }
 
  private:
-  /// Points every shard at domain_ — needed after recovery
-  /// move-assigns freshly recovered stores into shards_.
-  void AttachDomains();
-
   /// Declared before shards_ so it is destroyed after them: shard
   /// destructors free their live structures while retired nodes drain
-  /// in the domain's destructor.
+  /// in the domain's destructor. Both live on the heap, so a move keeps
+  /// every shard on its domain.
   std::unique_ptr<EpochDomain> domain_;
-  std::vector<ProvenanceStore> shards_;
+  std::vector<std::unique_ptr<ProvenanceStore>> shards_;
 };
 
 /// Periodic signed checkpoints (DESIGN.md §13). Inactive unless a signer
@@ -262,8 +269,8 @@ struct BatchCompletion {
 class IngestPipeline {
  public:
   /// Opens (or reopens) a pipeline rooted at `root_dir`: recovers any
-  /// existing shard directories, seeds every chain tail from the
-  /// recovered records, and starts fresh WAL segments. Per-shard salvage
+  /// existing shard directories, seeds each live chain's tail from its
+  /// recovered head, and starts fresh WAL segments. Per-shard salvage
   /// reports land in `recovery_reports` when non-null.
   static Result<std::unique_ptr<IngestPipeline>> Open(
       storage::Env* env, const std::string& root_dir, IngestOptions options,

@@ -2,71 +2,18 @@
 
 #include <algorithm>
 
-#include "common/varint.h"
-#include "provenance/checkpoint.h"
 #include "provenance/serialization.h"
 
 namespace provdb::provenance {
 
-ProvenanceStore::~ProvenanceStore() { DestroyOwned(); }
-
-ProvenanceStore::ProvenanceStore(ProvenanceStore&& other) noexcept {
-  *this = std::move(other);
-}
-
-// Moves are writer-side operations: they require quiescence on both
-// stores (no pinned reader may hold either store's versions), which
-// every caller — recovery, checkpoint load, test plumbing — satisfies.
-ProvenanceStore& ProvenanceStore::operator=(ProvenanceStore&& other) noexcept {
-  if (this == &other) {
-    return *this;
-  }
-  DestroyOwned();
-  chunks_ = std::move(other.chunks_);
-  record_count_ = other.record_count_;
-  other.record_count_ = 0;
-  pruned_ = std::move(other.pruned_);
-  chain_root_ = other.chain_root_;
-  other.chain_root_ = nullptr;
-  aggregation_input_refs_ = std::move(other.aggregation_input_refs_);
-  live_count_ = other.live_count_;
-  other.live_count_ = 0;
-  paper_schema_bytes_ = other.paper_schema_bytes_;
-  other.paper_schema_bytes_ = 0;
-  checksum_bytes_ = other.checksum_bytes_;
-  other.checksum_bytes_ = 0;
-  domain_ = other.domain_;
-  other.domain_ = nullptr;
-  published_.store(other.published_.exchange(nullptr,
-                                             std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  spare_ = other.spare_;
-  other.spare_ = nullptr;
-  dirty_ = other.dirty_;
-  other.dirty_ = false;
-  publish_tick_ = other.publish_tick_;
-  other.publish_tick_ = 0;
-  return *this;
-}
-
-void ProvenanceStore::DestroyOwned() {
+ProvenanceStore::~ProvenanceStore() {
   // The current trie (and the chain cells its live leaves reach) is
-  // owned here; every *superseded* node went through RetireOrDelete and
-  // is the domain's to free. The published version shares subtrees with
-  // the current root, so only the version object itself is deleted.
+  // owned here; every *superseded* node was retired and is the domain's
+  // to free. The published version shares subtrees with the current
+  // root, so only the version object itself is deleted.
   ChainIndex::FreeAll(chain_root_);
-  chain_root_ = nullptr;
-  delete published_.exchange(nullptr, std::memory_order_relaxed);
+  delete published_.load(std::memory_order_relaxed);
   delete spare_;
-  spare_ = nullptr;
-}
-
-void ProvenanceStore::RetireOrDelete(EpochRetired* node) {
-  if (domain_ != nullptr) {
-    domain_->Retire(node);
-  } else {
-    delete node;
-  }
 }
 
 ProvenanceRecord* ProvenanceStore::ArenaAppend(ProvenanceRecord record) {
@@ -82,22 +29,16 @@ ProvenanceRecord* ProvenanceStore::ArenaAppend(ProvenanceRecord record) {
 
 void ProvenanceStore::MarkDirty() {
   dirty_ = true;
-  if (domain_ != nullptr && spare_ == nullptr) {
+  if (spare_ == nullptr) {
     spare_ = new StoreVersion;
   }
 }
 
 void ProvenanceStore::PublishSnapshot() {
-  if (domain_ == nullptr || !dirty_) {
+  if (!dirty_) {
     return;
   }
   StoreVersion* version = spare_;
-  if (version == nullptr) {
-    // Only reachable when the state was built without a domain and the
-    // domain attached afterwards (recovery); steady-state publishes use
-    // the skeleton MarkDirty preallocated and stay allocation-free.
-    version = new StoreVersion;
-  }
   version->root = chain_root_;
   version->record_count = record_count_;
   version->live_records = live_count_;
@@ -105,13 +46,13 @@ void ProvenanceStore::PublishSnapshot() {
   StoreVersion* old =
       published_.exchange(version, std::memory_order_acq_rel);
   if (old != nullptr) {
-    domain_->Retire(old);
+    domain_.Retire(old);
   }
   spare_ = nullptr;
   dirty_ = false;
   // Readers pinning from here on synchronize with this advance and
   // therefore see `version` (or newer) — the reclamation rule's anchor.
-  domain_->Advance();
+  domain_.Advance();
 }
 
 const ChainNode* ProvenanceStore::HeadOf(storage::ObjectId id) const {
@@ -146,12 +87,11 @@ Result<uint64_t> ProvenanceStore::AddRecord(ProvenanceRecord record) {
   cell->index = index;
   cell->prev = head;
   cell->length = head != nullptr ? head->length + 1 : 1;
-  ChainIndex::Leaf* leaf = new ChainIndex::Leaf;
-  leaf->key = id;
-  leaf->head = cell;
-  chain_root_ = ChainIndex::Insert(chain_root_, leaf, domain_);
+  chain_root_ =
+      ChainIndex::Insert(chain_root_, id, cell, publish_tick_, domain_);
   pruned_.push_back(false);
   ++live_count_;
+  if (head == nullptr) ++live_chains_;
   MarkDirty();
   return index;
 }
@@ -195,14 +135,13 @@ Result<size_t> ProvenanceStore::PruneObject(storage::ObjectId id) {
   }
   // Tombstone the leaf (readers on older roots still see the chain) and
   // retire the now-unreachable cons cells behind the old head.
-  ChainIndex::Leaf* tombstone = new ChainIndex::Leaf;
-  tombstone->key = id;
-  tombstone->head = nullptr;
-  chain_root_ = ChainIndex::Insert(chain_root_, tombstone, domain_);
+  chain_root_ =
+      ChainIndex::Insert(chain_root_, id, nullptr, publish_tick_, domain_);
+  --live_chains_;
   const ChainNode* cell = head;
   while (cell != nullptr) {
     const ChainNode* prev = cell->prev;
-    RetireOrDelete(const_cast<ChainNode*>(cell));
+    domain_.Retire(const_cast<ChainNode*>(cell));
     cell = prev;
   }
   MarkDirty();
@@ -270,68 +209,6 @@ uint64_t ProvenanceStore::SerializedBytes() const {
     }
   }
   return total;
-}
-
-Result<ProvenanceStore> ProvenanceStore::RecoverFromWal(
-    storage::Env* env, const std::string& dir,
-    storage::WalRecoveryReport* report,
-    const crypto::SignatureVerifier* checkpoint_verifier) {
-  // Checkpoint-bounded recovery: rebuild from the newest sealed snapshot
-  // (if any) and replay only the WAL suffix past its horizon on top.
-  ProvenanceStore store;
-  storage::WalReaderOptions reader_options;
-  uint64_t checkpoint_records = 0;
-  Result<uint64_t> latest = LatestCheckpointHorizon(env, dir);
-  if (latest.ok()) {
-    if (checkpoint_verifier == nullptr) {
-      return Status::FailedPrecondition(
-          "a sealed checkpoint exists in " + dir +
-          " but no verifier was supplied to check its seal");
-    }
-    PROVDB_ASSIGN_OR_RETURN(
-        LoadedCheckpoint checkpoint,
-        CheckpointReader::Load(env, CheckpointFileName(dir, latest.value()),
-                               *checkpoint_verifier));
-    reader_options.checkpoint_horizon = checkpoint.manifest.wal_horizon;
-    checkpoint_records = checkpoint.manifest.live_records;
-    store = std::move(checkpoint.store);
-  } else if (latest.status().code() != StatusCode::kNotFound) {
-    return latest.status();
-  }
-
-  PROVDB_ASSIGN_OR_RETURN(storage::WalReader reader,
-                          storage::WalReader::Open(env, dir, reader_options));
-  if (report != nullptr) {
-    *report = reader.report();
-    report->checkpoint_horizon = reader_options.checkpoint_horizon;
-    report->checkpoint_records = checkpoint_records;
-  }
-  // Replay typed WAL entries: appends re-add, prune markers re-prune, so
-  // the recovered store converges to the pre-crash state instead of
-  // resurrecting pruned history.
-  for (ByteView payload : reader.payloads()) {
-    if (payload.empty()) {
-      return Status::Corruption("empty WAL entry");
-    }
-    switch (payload[0]) {
-      case static_cast<uint8_t>(WalEntryType::kRecord): {
-        PROVDB_ASSIGN_OR_RETURN(ProvenanceRecord rec,
-                                DecodeRecord(payload.subview(1)));
-        PROVDB_RETURN_IF_ERROR(store.AddRecord(std::move(rec)).status());
-        break;
-      }
-      case static_cast<uint8_t>(WalEntryType::kPrune): {
-        VarintReader entry(payload.subview(1));
-        PROVDB_ASSIGN_OR_RETURN(uint64_t id, entry.ReadVarint64());
-        PROVDB_RETURN_IF_ERROR(store.PruneObject(id).status());
-        break;
-      }
-      default:
-        return Status::Corruption("unknown WAL entry type " +
-                                  std::to_string(payload[0]));
-    }
-  }
-  return store;
 }
 
 }  // namespace provdb::provenance

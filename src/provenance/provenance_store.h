@@ -13,11 +13,6 @@
 #include "provenance/chain_index.h"
 #include "provenance/record.h"
 #include "provenance/snapshot.h"
-#include "storage/wal.h"
-
-namespace provdb::crypto {
-class SignatureVerifier;
-}  // namespace provdb::crypto
 
 namespace provdb::provenance {
 
@@ -30,33 +25,34 @@ namespace provdb::provenance {
 /// The store is in-memory only and knows nothing of durability: the
 /// ingest pipeline (ingest_pipeline.h), the one write path, logs every
 /// record and prune marker to its WAL and syncs before it mutates a
-/// store, and RecoverFromWal rebuilds a store from that log.
+/// store, and ShardedProvenanceStore::Recover refills a shard's store
+/// from that log.
 ///
 /// Concurrency model (DESIGN.md §16): the store is single-writer. Records
 /// live in chunked stable storage (a record, once added, never moves) and
-/// the per-object chain index is a copy-on-write radix trie whose
-/// replaced nodes are retired through an attached epoch domain. The
-/// writer makes its state visible to concurrent readers only at explicit
-/// PublishSnapshot() points (the ingest pipeline calls one per batch it
-/// commits, after the batch's fsync), so a published version is always
-/// an exact prefix of durable batches. Readers never touch writer state:
-/// they pin the epoch domain and traverse a published version (see
-/// StoreSnapshot), which is the only way to read records from another
-/// thread. The accessors below (record, ChainOf, LatestFor,
-/// ExtractProvenance*) are the writer reading its own state on its own
-/// thread. A store without
-/// an attached domain is a standalone one (recovery, checkpoint load,
-/// test references): it never publishes and frees superseded index
-/// nodes immediately.
+/// the per-object chain index is a radix trie that path-copies only the
+/// nodes a published root can reach, retiring the replaced ones through
+/// the store's epoch domain. The writer makes its state visible to
+/// concurrent readers only at explicit PublishSnapshot() points (the
+/// ingest pipeline calls one per batch it commits, after the batch's
+/// fsync), so a published version is always an exact prefix of durable
+/// batches. Readers never touch writer state: they pin the epoch domain
+/// and traverse a published version (see StoreSnapshot), which is the
+/// only way to read records from another thread. The accessors below
+/// (record, ChainOf, LatestFor, ExtractProvenance*) are the writer
+/// reading its own state on its own thread.
+///
+/// Every store has one lifecycle: it is built on its domain (a shard's,
+/// inside its ShardedProvenanceStore), filled in place — by recovery, a
+/// checkpoint load or the pipeline's commits — and never moved.
 class ProvenanceStore {
  public:
-  ProvenanceStore() = default;
+  /// An empty store retiring through `domain`, which must outlive it.
+  explicit ProvenanceStore(EpochDomain& domain) : domain_(domain) {}
   ~ProvenanceStore();
 
   ProvenanceStore(const ProvenanceStore&) = delete;
   ProvenanceStore& operator=(const ProvenanceStore&) = delete;
-  ProvenanceStore(ProvenanceStore&& other) noexcept;
-  ProvenanceStore& operator=(ProvenanceStore&& other) noexcept;
 
   /// Appends a record; returns its stable index. Records for the same
   /// output object must arrive in increasing seqID order (enforced).
@@ -110,26 +106,6 @@ class ProvenanceStore {
   /// frames carry.
   uint64_t SerializedBytes() const;
 
-  /// Crash recovery: replays the WAL directory at `dir` into a fresh
-  /// store — record entries re-add, prune markers re-prune, so pruned
-  /// history stays pruned after recovery. Torn-tail salvage details
-  /// (dropped byte counts) are returned through `report` when non-null;
-  /// corruption before the tail fails with kCorruption (see DESIGN.md §8
-  /// for the decision rule).
-  ///
-  /// Checkpoint-bounded recovery (DESIGN.md §13): when `dir` holds a
-  /// sealed checkpoint, the store is rebuilt from the newest one and only
-  /// the WAL suffix past its horizon is replayed — O(delta), not
-  /// O(history). The checkpoint's seal must verify under
-  /// `checkpoint_verifier`; a checkpoint with no verifier supplied is
-  /// kFailedPrecondition (recovering *around* an unverifiable snapshot
-  /// would silently drop its history), and a tampered one is refused
-  /// exactly like a tampered record.
-  static Result<ProvenanceStore> RecoverFromWal(
-      storage::Env* env, const std::string& dir,
-      storage::WalRecoveryReport* report = nullptr,
-      const crypto::SignatureVerifier* checkpoint_verifier = nullptr);
-
   /// Footnote-3 optimization: after an object is deleted, its provenance
   /// object is no longer relevant and its records may be dropped. Refuses
   /// (kFailedPrecondition, see CheckPrunable) when the object is an
@@ -151,24 +127,19 @@ class ProvenanceStore {
   /// Records currently live (record_count() minus pruned ones).
   uint64_t live_record_count() const { return live_count_; }
 
-  // --- Snapshot machinery (DESIGN.md §16) ---
+  /// Objects with a live chain.
+  uint64_t live_chain_count() const { return live_chains_; }
 
-  /// Attaches the epoch domain that retires superseded index nodes and
-  /// store versions. Set by the owning ShardedProvenanceStore; a store
-  /// without a domain frees superseded nodes immediately and never
-  /// publishes (single-threaded contract).
-  void AttachEpochDomain(EpochDomain* domain) { domain_ = domain; }
-  EpochDomain* epoch_domain() const { return domain_; }
+  // --- Snapshot machinery (DESIGN.md §16) ---
 
   /// Publishes the current state as an immutable StoreVersion and starts
   /// a new epoch. The hot-path cost is POD fills, one atomic store, one
   /// intrusive retire, and one epoch advance — zero allocation (the
   /// version skeleton is preallocated by the mutation that dirtied the
   /// store; pinned by the alloc test). Writer-side: must be externally
-  /// serialized with mutations. No-op when nothing changed or no domain
-  /// is attached. The ingest pipeline calls this once per batch it
-  /// commits after the batch's fsync, so published versions are always
-  /// durable-batch prefixes.
+  /// serialized with mutations. No-op when nothing changed. The ingest
+  /// pipeline calls this once per batch it commits after the batch's
+  /// fsync, so published versions are always durable-batch prefixes.
   void PublishSnapshot();
 
   /// Last published version (null before the first publish). Readers
@@ -198,28 +169,24 @@ class ProvenanceStore {
   /// hook itself never allocates).
   void MarkDirty();
 
-  /// Retires through the domain, or frees immediately without one.
-  void RetireOrDelete(EpochRetired* node);
-
-  /// Frees everything this store owns (current trie + chain cells,
-  /// published/spare versions). Retired nodes belong to the domain.
-  void DestroyOwned();
-
   std::vector<std::unique_ptr<Chunk>> chunks_;
   uint64_t record_count_ = 0;
   std::vector<bool> pruned_;
-  /// Copy-on-write chain index over the records (current writer root).
-  const ChainIndex::Node* chain_root_ = nullptr;
+  /// Chain index over the records (current writer root).
+  ChainIndex::Node* chain_root_ = nullptr;
   /// Objects consumed by some aggregation (prune-protected).
   std::unordered_map<storage::ObjectId, uint64_t> aggregation_input_refs_;
   uint64_t live_count_ = 0;
+  uint64_t live_chains_ = 0;
   uint64_t paper_schema_bytes_ = 0;
   uint64_t checksum_bytes_ = 0;
 
-  EpochDomain* domain_ = nullptr;  // borrowed; see AttachEpochDomain
+  EpochDomain& domain_;
   std::atomic<StoreVersion*> published_{nullptr};
   StoreVersion* spare_ = nullptr;  // preallocated next version
   bool dirty_ = false;             // writer state ahead of published_
+  /// Publishes so far. Index nodes born at this tick are not yet
+  /// reachable from a published root.
   uint64_t publish_tick_ = 0;
 };
 

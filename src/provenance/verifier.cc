@@ -223,11 +223,11 @@ ChainCheckResult VerifyOneChain(
       // Aggregate: resolve each input to the record that produced the
       // exact recorded state; its checksum is the signed "previous".
       std::vector<crypto::Digest> input_hashes;
-      std::vector<Bytes> prev_checksums;
+      std::vector<ByteView> prev_checksums;
       SeqId max_input_seq = 0;
       for (const ObjectState& input : rec->inputs) {
         input_hashes.push_back(input.state_hash);
-        Bytes resolved;
+        ByteView resolved;
         auto in_chain = chains.find(input.object_id);
         if (in_chain != chains.end()) {
           bool found = false;
@@ -252,7 +252,7 @@ ChainCheckResult VerifyOneChain(
                           "the recorded input state");
           }
         }
-        prev_checksums.push_back(std::move(resolved));
+        prev_checksums.push_back(resolved);
       }
       if (rec->seq_id != max_input_seq + 1) {
         add_issue(IssueKind::kSeqViolation, object, rec->seq_id,

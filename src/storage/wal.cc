@@ -185,16 +185,6 @@ Status WalWriter::Append(ByteView payload) {
   return Status::OK();
 }
 
-Status WalWriter::Flush() {
-  if (!poisoned_.ok()) {
-    return poisoned_;
-  }
-  if (closed_) {
-    return Status::OK();
-  }
-  return file_->Flush();
-}
-
 Status WalWriter::Sync() {
   if (!poisoned_.ok()) {
     return poisoned_;
@@ -362,18 +352,16 @@ Result<WalReader> WalReader::Open(Env* env, const std::string& dir,
       reader.report_.detail = what + ": salvaged " + path + ", dropped " +
                               std::to_string(dropped) + " byte(s) at offset " +
                               std::to_string(tear_at);
-      if (options.repair_torn_tail) {
-        if (tear_at < kFileHeaderSize) {
-          // The salvaged prefix is not even a full header: the segment
-          // holds no records. Truncating would leave a headerless file
-          // that a later recovery — once newer segments exist and it is
-          // no longer last — must reject as corrupt. Remove it instead;
-          // the next WalWriter::Open reuses its index, so no gap forms.
-          PROVDB_RETURN_IF_ERROR(env->RemoveFile(path));
-          PROVDB_RETURN_IF_ERROR(env->SyncDir(ParentDir(path)));
-        } else {
-          PROVDB_RETURN_IF_ERROR(env->TruncateFile(path, tear_at));
-        }
+      if (tear_at < kFileHeaderSize) {
+        // The salvaged prefix is not even a full header: the segment
+        // holds no records. Truncating would leave a headerless file
+        // that a later recovery — once newer segments exist and it is
+        // no longer last — must reject as corrupt. Remove it instead;
+        // the next WalWriter::Open reuses its index, so no gap forms.
+        PROVDB_RETURN_IF_ERROR(env->RemoveFile(path));
+        PROVDB_RETURN_IF_ERROR(env->SyncDir(ParentDir(path)));
+      } else {
+        PROVDB_RETURN_IF_ERROR(env->TruncateFile(path, tear_at));
       }
       return Status::OK();
     };

@@ -96,9 +96,6 @@ class WalWriter {
   /// ingest pipeline syncs each shard once per write-ahead).
   Status Append(ByteView payload);
 
-  /// Pushes buffered frames to the OS (survives process crash only).
-  Status Flush();
-
   /// Makes everything appended so far durable.
   Status Sync();
 
@@ -197,14 +194,6 @@ struct WalRecoveryReport {
 };
 
 struct WalReaderOptions {
-  /// After salvaging a torn tail, truncate it off the segment (durably)
-  /// so the next recovery — by which time a newer segment may exist and
-  /// the tear would no longer be *at* the tail — sees a clean log. A
-  /// final segment whose salvaged prefix is shorter than its header
-  /// holds no records and is removed outright rather than left behind
-  /// as a headerless (hence unrecoverable) zero-byte file.
-  bool repair_torn_tail = true;
-
   /// Segments at or below this index are checkpoint history: their
   /// records live in the sealed snapshot, so the reader skips them
   /// (they may already be garbage-collected) and replays only the
@@ -223,6 +212,13 @@ struct WalReaderOptions {
 /// malformed or CRC-failing frame *before* that point cannot be produced
 /// by an append-only crash, so it is tampering or disk rot: hard
 /// kCorruption, no salvage.
+///
+/// A salvaged tail is repaired: truncated off the segment (durably), so
+/// the next recovery — by which time a newer segment may exist and the
+/// tear would no longer be *at* the tail — sees a clean log. A final
+/// segment whose salvaged prefix is shorter than its header holds no
+/// records and is removed outright rather than left behind as a
+/// headerless (hence unrecoverable) zero-byte file.
 class WalReader {
  public:
   WalReader(WalReader&&) = default;

@@ -36,6 +36,7 @@ using provdb::testing::DurableTrackedDatabase;
 using provdb::testing::IngestWorkloadBuilder;
 using provdb::testing::OpenDurableTrackedDatabase;
 using provdb::testing::RandomDifferentialWorkload;
+using provdb::testing::RecoverOneShard;
 using provdb::testing::SubmitWithDrainCadence;
 using provdb::testing::TestPki;
 using provdb::testing::WipeIngestRoot;
@@ -103,8 +104,7 @@ TEST(CheckpointRecoveryTest, RecoveryReplaysOnlyTheSuffix) {
 
   auto verifier = SealVerifier();
   WalRecoveryReport report;
-  auto recovered = ProvenanceStore::RecoverFromWal(Env::Default(), dir,
-                                                   &report, &verifier);
+  auto recovered = RecoverOneShard(Env::Default(), root, &report, &verifier);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   // O(delta): 12 records came from the checkpoint, only the 3-record
   // suffix was replayed from WAL frames.
@@ -114,7 +114,7 @@ TEST(CheckpointRecoveryTest, RecoveryReplaysOnlyTheSuffix) {
   ASSERT_EQ(recovered->record_count(), 15u);
   // Record-for-record equality with the live store.
   for (uint64_t i = 0; i < recovered->record_count(); ++i) {
-    EXPECT_EQ(EncodeRecord(recovered->record(i)),
+    EXPECT_EQ(EncodeRecord(recovered->shard(0).record(i)),
               EncodeRecord(db.provenance().record(i)))
         << "record " << i;
   }
@@ -130,8 +130,7 @@ TEST(CheckpointRecoveryTest, CheckpointWithoutVerifierIsRefused) {
 
   // Recovering *around* an unverifiable snapshot would silently drop its
   // history — refuse instead.
-  auto recovered =
-      ProvenanceStore::RecoverFromWal(Env::Default(), ShardDir(root));
+  auto recovered = RecoverOneShard(Env::Default(), root);
   EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
 }
 
@@ -154,8 +153,7 @@ TEST(CheckpointRecoveryTest, TamperedCheckpointIsRefusedAtRecovery) {
   ASSERT_TRUE((*file)->Close().ok());
 
   auto verifier = SealVerifier();
-  auto recovered = ProvenanceStore::RecoverFromWal(
-      Env::Default(), ShardDir(root), nullptr, &verifier);
+  auto recovered = RecoverOneShard(Env::Default(), root, nullptr, &verifier);
   ASSERT_FALSE(recovered.ok());
   EXPECT_TRUE(recovered.status().code() == StatusCode::kCorruption ||
               recovered.status().code() == StatusCode::kVerificationFailed)
@@ -178,12 +176,11 @@ TEST(CheckpointRecoveryTest, PrunedHistoryStaysPrunedAcrossCheckpoint) {
   ASSERT_TRUE(db.Update(P(2), keep, Value::Int(4)).ok());
 
   auto verifier = SealVerifier();
-  auto recovered = ProvenanceStore::RecoverFromWal(
-      Env::Default(), ShardDir(root), nullptr, &verifier);
+  auto recovered = RecoverOneShard(Env::Default(), root, nullptr, &verifier);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_TRUE(recovered->ChainOf(doomed).empty())
+  EXPECT_TRUE(recovered->shard(0).ChainOf(doomed).empty())
       << "checkpoint resurrection of pruned history";
-  EXPECT_EQ(recovered->ChainOf(keep).size(), 2u);
+  EXPECT_EQ(recovered->shard(0).ChainOf(keep).size(), 2u);
 }
 
 TEST(CheckpointRecoveryTest, SecondCheckpointSupersedesTheFirst) {
@@ -214,8 +211,7 @@ TEST(CheckpointRecoveryTest, SecondCheckpointSupersedesTheFirst) {
 
   auto verifier = SealVerifier();
   WalRecoveryReport report;
-  auto recovered = ProvenanceStore::RecoverFromWal(Env::Default(), dir,
-                                                   &report, &verifier);
+  auto recovered = RecoverOneShard(Env::Default(), root, &report, &verifier);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(report.checkpoint_horizon, 2u);
   EXPECT_EQ(recovered->record_count(), 2u);
@@ -292,8 +288,7 @@ TEST(CheckpointCrashSweepTest, CrashAtEveryCheckpointAndGcOp) {
 
     auto verifier = SealVerifier();
     WalRecoveryReport report;
-    auto recovered = ProvenanceStore::RecoverFromWal(&env, ShardDir(root),
-                                                     &report, &verifier);
+    auto recovered = RecoverOneShard(&env, root, &report, &verifier);
     ASSERT_TRUE(recovered.ok())
         << "crash point must salvage or report, never fail to recover: "
         << recovered.status().ToString();
@@ -306,8 +301,8 @@ TEST(CheckpointCrashSweepTest, CrashAtEveryCheckpointAndGcOp) {
     EXPECT_LE(recovered->live_record_count(), live_at_crash);
     // Pruned history stays pruned — no checkpoint or replay path may
     // resurrect it.
-    EXPECT_TRUE(recovered->ChainOf(doomed).empty());
-    EXPECT_GE(recovered->ChainOf(keep).size(), 2u);
+    EXPECT_TRUE(recovered->shard(0).ChainOf(doomed).empty());
+    EXPECT_GE(recovered->shard(0).ChainOf(keep).size(), 2u);
   }
 }
 

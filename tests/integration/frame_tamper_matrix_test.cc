@@ -35,6 +35,7 @@ namespace provdb::provenance {
 namespace {
 
 using provdb::testing::IngestWorkloadBuilder;
+using provdb::testing::OneShardCopy;
 using provdb::testing::ReplayThroughPipeline;
 using provdb::testing::TestPki;
 using provdb::testing::WipeIngestRoot;
@@ -250,12 +251,12 @@ TEST(FrameTamperMatrixTest, WalDirectoryWrittenByThePipeline) {
   }
   ASSERT_EQ(first_payload.back(), written.size());
 
-  // Repair stays off so the reader leaves every file as it found it;
-  // WalTest covers truncating a salvaged tail.
-  storage::WalReaderOptions reader_options;
-  reader_options.repair_torn_tail = false;
+  // The reader repairs a salvaged tail: it truncates the final segment,
+  // or removes it when not even its header survived. Each row rewrites
+  // the file it mutated after reading, which restores either repair
+  // before the next row; WalTest covers the repairs themselves.
   {
-    auto pristine = storage::WalReader::Open(env, dir, reader_options);
+    auto pristine = storage::WalReader::Open(env, dir);
     ASSERT_TRUE(pristine.ok()) << pristine.status().ToString();
     ASSERT_TRUE(pristine->report().clean());
     ASSERT_TRUE(PayloadsAre(pristine->payloads(), written));
@@ -266,7 +267,7 @@ TEST(FrameTamperMatrixTest, WalDirectoryWrittenByThePipeline) {
                         const Sample& mutated) -> ::testing::AssertionResult {
     const std::string path = dir + "/" + sample[m.file].first;
     WriteFile(env, path, mutated[m.file].second);
-    auto reader = storage::WalReader::Open(env, dir, reader_options);
+    auto reader = storage::WalReader::Open(env, dir);
     WriteFile(env, path, sample[m.file].second);
 
     if (m.kind != MutationKind::kTruncate) {
@@ -335,6 +336,9 @@ TEST(FrameTamperMatrixTest, WalDirectoryWrittenByThePipeline) {
                     written.end());
     return PayloadsAre(reader->payloads(), expected);
   });
+  // Every row restored what the reader repaired, including a final
+  // segment it removed.
+  EXPECT_EQ(ReadDir(env, dir), sample);
 }
 
 // -- Checkpoint -------------------------------------------------------------
@@ -348,16 +352,22 @@ TEST(FrameTamperMatrixTest, SealedCheckpoint) {
   const std::string dir = ::testing::TempDir() + "/provdb_frame_matrix_ckpt";
   ASSERT_TRUE(env->CreateDir(dir).ok());
   const crypto::Participant& sealer = TestPki::Instance().participant(0);
-  ASSERT_TRUE(CheckpointWriter::Write(env, dir, builder.reference_store(),
-                                      /*wal_horizon=*/1, sealer.signer(),
-                                      sealer.id())
-                  .ok());
+  {
+    auto reference = OneShardCopy(builder.reference_store());
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_TRUE(CheckpointWriter::Write(
+                    env, dir, reference->OpenSnapshot().shard_view(0),
+                    /*wal_horizon=*/1, sealer.signer(), sealer.id())
+                    .ok());
+  }
   const std::string path = CheckpointFileName(dir, 1);
   const crypto::RsaSignatureVerifier verifier(sealer.public_key());
   {
-    auto pristine = CheckpointReader::Load(env, path, verifier);
+    ShardedProvenanceStore pristine_store(1);
+    auto pristine =
+        CheckpointReader::Load(env, path, verifier, &pristine_store.shard(0));
     ASSERT_TRUE(pristine.ok()) << pristine.status().ToString();
-    ASSERT_EQ(pristine->store.record_count(), builder.requests().size());
+    ASSERT_EQ(pristine_store.record_count(), builder.requests().size());
   }
 
   const Sample sample = {{"checkpoint-000001.pvck",
@@ -365,7 +375,8 @@ TEST(FrameTamperMatrixTest, SealedCheckpoint) {
   RunMatrix(sample, [&](const Mutation&,
                         const Sample& mutated) -> ::testing::AssertionResult {
     WriteFile(env, path, mutated[0].second);
-    auto loaded = CheckpointReader::Load(env, path, verifier);
+    ShardedProvenanceStore store(1);
+    auto loaded = CheckpointReader::Load(env, path, verifier, &store.shard(0));
     WriteFile(env, path, sample[0].second);
     // Framing damage is kCorruption, a seal that fails is
     // kVerificationFailed; a store is never loaded.

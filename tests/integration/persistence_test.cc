@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,15 +58,21 @@ class PersistenceTest : public ::testing::Test {
 
   /// Seals the live provenance store into the checkpoint at `path_`.
   void Seal() {
-    ASSERT_TRUE(CheckpointWriter::Write(env_, dir_, db_.provenance(),
+    ASSERT_TRUE(CheckpointWriter::Write(env_, dir_,
+                                        db_.OpenSnapshot().shard_view(0),
                                         /*wal_horizon=*/1, p(1).signer(),
                                         p(1).id())
                     .ok());
   }
 
-  Result<LoadedCheckpoint> Load() {
+  /// Loads the checkpoint at `path_` into a fresh one-shard store.
+  Result<const ProvenanceStore*> Load() {
     crypto::RsaSignatureVerifier verifier(p(1).public_key());
-    return CheckpointReader::Load(env_, path_, verifier);
+    loaded_ = std::make_unique<ShardedProvenanceStore>(1);
+    PROVDB_RETURN_IF_ERROR(
+        CheckpointReader::Load(env_, path_, verifier, &loaded_->shard(0))
+            .status());
+    return &loaded_->shard(0);
   }
 
   Bytes ReadAll() { return env_->ReadFileToBytes(path_).value(); }
@@ -104,13 +111,14 @@ class PersistenceTest : public ::testing::Test {
   ObjectId root_, row_, cell_, agg_;
   std::string dir_;
   std::string path_;
+  std::unique_ptr<ShardedProvenanceStore> loaded_;
 };
 
 TEST_F(PersistenceTest, FullRoundTripVerifies) {
   Seal();
   auto loaded = Load();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const ProvenanceStore& restored = loaded->store;
+  const ProvenanceStore& restored = **loaded;
   EXPECT_EQ(restored.record_count(), db_.provenance().record_count());
 
   // Bundle built from the restored store + a live snapshot verifies.
@@ -133,7 +141,7 @@ TEST_F(PersistenceTest, RestoredStorePreservesChainsAndAccounting) {
   Seal();
   auto loaded = Load();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const ProvenanceStore& restored = loaded->store;
+  const ProvenanceStore& restored = **loaded;
   for (ObjectId object : {root_, row_, cell_, agg_}) {
     EXPECT_EQ(restored.ChainOf(object).size(),
               db_.provenance().ChainOf(object).size())

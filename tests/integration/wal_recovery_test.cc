@@ -1,5 +1,5 @@
 // Durable lifecycle integration: TrackedDatabase -> one-shard ingest
-// pipeline WAL -> crash -> RecoverFromWal -> verification, including a
+// pipeline WAL -> crash -> recovery -> verification, including a
 // fault-injection sweep that crashes the workload at every single file
 // write.
 
@@ -25,9 +25,9 @@ namespace {
 using provdb::testing::DifferentialWorkloadOptions;
 using provdb::testing::EncodedInCommitOrder;
 using provdb::testing::IngestWorkloadBuilder;
-using provdb::testing::OneShardCopy;
 using provdb::testing::OpenDurableTrackedDatabase;
 using provdb::testing::RandomDifferentialWorkload;
+using provdb::testing::RecoverOneShard;
 using provdb::testing::SubmitWithDrainCadence;
 using provdb::testing::TestPki;
 using provdb::testing::WipeIngestRoot;
@@ -48,11 +48,6 @@ std::string FreshDir(const std::string& tag) {
   // history; every caller starts from an empty log directory.
   EXPECT_TRUE(WipeIngestRoot(Env::Default(), root).ok());
   return root;
-}
-
-/// The WAL directory of the one-shard pipeline rooted at `root`.
-std::string ShardDir(const std::string& root) {
-  return ShardedProvenanceStore::ShardDirName(root, 0);
 }
 
 /// The tracked workload every crash point is injected into: a small tree,
@@ -91,8 +86,7 @@ TEST(WalRecoveryTest, DurableLifecycleRoundTripVerifies) {
   ASSERT_TRUE(RunWorkload(db, &agg).ok());
 
   WalRecoveryReport report;
-  auto restored =
-      ProvenanceStore::RecoverFromWal(Env::Default(), ShardDir(root), &report);
+  auto restored = RecoverOneShard(Env::Default(), root, &report);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(restored->record_count(), db.provenance().record_count());
@@ -101,15 +95,13 @@ TEST(WalRecoveryTest, DurableLifecycleRoundTripVerifies) {
   RecipientBundle bundle;
   bundle.subject = agg;
   bundle.data = *SubtreeSnapshot::Capture(db.tree(), agg);
-  bundle.records = *restored->ExtractProvenance(agg);
+  bundle.records = *restored->shard(0).ExtractProvenance(agg);
   ProvenanceVerifier verifier(&TestPki::Instance().registry());
   auto verdict = verifier.Verify(bundle);
   EXPECT_TRUE(verdict.ok()) << verdict.ToString();
 
   // And the whole recovered store audits clean against the live tree.
-  auto adopted = OneShardCopy(*restored);
-  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
-  auto audit = verifier.Audit(adopted->OpenSnapshot(), db.tree());
+  auto audit = verifier.Audit(restored->OpenSnapshot(), db.tree());
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
@@ -126,8 +118,7 @@ TEST(WalRecoveryTest, EveryOperationIsDurableWhenItReturns) {
     ++checked;
     ASSERT_TRUE(env.DropUnsyncedFileData().ok());
     WalRecoveryReport report;
-    auto restored = ProvenanceStore::RecoverFromWal(&env, ShardDir(root),
-                                                    &report);
+    auto restored = RecoverOneShard(&env, root, &report);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     EXPECT_TRUE(report.clean()) << report.detail;
     // Every record any operation emitted so far, not only the committed
@@ -136,7 +127,8 @@ TEST(WalRecoveryTest, EveryOperationIsDurableWhenItReturns) {
         << "records lost to a power cut after operation " << checked;
     ASSERT_EQ(live.record_count(), durable->pipeline->submitted());
     for (uint64_t i = 0; i < live.record_count(); ++i) {
-      EXPECT_EQ(EncodeRecord(restored->record(i)), EncodeRecord(live.record(i)))
+      EXPECT_EQ(EncodeRecord(restored->shard(0).record(i)),
+                EncodeRecord(live.record(i)))
           << "record " << i << " after operation " << checked;
     }
   };
@@ -208,14 +200,15 @@ TEST(WalRecoveryTest, PruneSurvivesCrashRecovery) {
   ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
   EXPECT_GT(*dropped, 0u);
 
-  auto restored = ProvenanceStore::RecoverFromWal(Env::Default(),
-                                                  ShardDir(root));
+  auto restored = RecoverOneShard(Env::Default(), root);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->record_count(), db.provenance().record_count());
   EXPECT_EQ(restored->live_record_count(),
             db.provenance().live_record_count());
-  EXPECT_TRUE(restored->ChainOf(solo).empty()) << "prune resurrected";
-  EXPECT_TRUE(restored->ChainOf(agg).empty()) << "prune resurrected";
+  EXPECT_TRUE(restored->shard(0).ChainOf(solo).empty())
+      << "prune resurrected";
+  EXPECT_TRUE(restored->shard(0).ChainOf(agg).empty())
+      << "prune resurrected";
 }
 
 /// The paper-grade write path: one-record batches on a sequential
@@ -257,8 +250,7 @@ void CrashAtWrite(uint64_t k, bool torn, bool power_cut) {
   }
 
   WalRecoveryReport report;
-  auto restored =
-      ProvenanceStore::RecoverFromWal(&env, ShardDir(root), &report);
+  auto restored = RecoverOneShard(&env, root, &report);
   ASSERT_TRUE(restored.ok())
       << "crash point must salvage or report, never fail to recover: "
       << restored.status().ToString();
@@ -284,8 +276,7 @@ void CrashAtWrite(uint64_t k, bool torn, bool power_cut) {
     ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
     ASSERT_TRUE((*restarted)->Close().ok());
   }
-  auto restored2 =
-      ProvenanceStore::RecoverFromWal(&env, ShardDir(root), &report);
+  auto restored2 = RecoverOneShard(&env, root, &report);
   ASSERT_TRUE(restored2.ok())
       << "recovery after restart must stay clean: "
       << restored2.status().ToString();

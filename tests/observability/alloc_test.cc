@@ -3,7 +3,9 @@
 // disabled TraceSpans — must never touch the heap. The pin is a global
 // operator new/delete override counting every allocation, which is why
 // this file lives in its own test binary (observability_alloc_test): the
-// override is process-wide and would distort other suites.
+// override is process-wide and would distort other suites. The binary's
+// other file, alloc_paths_test.cc, pins allocations per record on the
+// paths that fill a provenance store.
 
 #include <atomic>
 #include <cstdlib>
@@ -22,11 +24,12 @@ namespace {
 
 std::atomic<uint64_t> g_allocations{0};
 
+}  // namespace
+
+// Also read by alloc_paths_test.cc, the other file of this binary.
 uint64_t AllocationCount() {
   return g_allocations.load(std::memory_order_relaxed);
 }
-
-}  // namespace
 
 void* operator new(size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -142,8 +145,7 @@ TEST(AllocTest, SnapshotPublishHookAllocatesNothing) {
   };
 
   EpochDomain domain;
-  ProvenanceStore store;
-  store.AttachEpochDomain(&domain);
+  ProvenanceStore store(domain);
   // Warm up: first mutation + publish build the initial version chain.
   ASSERT_TRUE(store.AddRecord(record(1, 0)).ok());
   store.PublishSnapshot();

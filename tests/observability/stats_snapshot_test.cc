@@ -84,12 +84,11 @@ class StatsSnapshotTest : public ::testing::Test {
                                            ParallelismConfig{4});
     EXPECT_TRUE(auditor.Audit(db.OpenSnapshot(), db.tree()).ok());
 
-    storage::WalRecoveryReport report;
-    auto restored = provenance::ProvenanceStore::RecoverFromWal(
-        storage::Env::Default(),
-        provenance::ShardedProvenanceStore::ShardDirName(dir, 0), &report);
+    std::vector<storage::WalRecoveryReport> reports;
+    auto restored = provenance::ShardedProvenanceStore::Recover(
+        storage::Env::Default(), dir, 1, &reports);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_TRUE(report.clean());
+    EXPECT_TRUE(reports[0].clean());
     std::filesystem::remove_all(dir);
   }
 };

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "common/crc32.h"
@@ -64,15 +65,33 @@ class CheckpointTest : public ::testing::Test {
     ASSERT_TRUE(env_->CreateDir(dir_).ok());
   }
 
-  /// A store with two chains: object 7 (insert + update) and object 9
-  /// (insert), three live records total.
-  ProvenanceStore SmallStore() {
-    ProvenanceStore store;
+  /// The fixture's one-shard store, filled with two chains: object 7
+  /// (insert + update) and object 9 (insert), three live records total.
+  ProvenanceStore& SmallStore() {
+    ProvenanceStore& store = sharded_.shard(0);
     EXPECT_TRUE(store.AddRecord(Rec(7, 0, OperationType::kInsert, 1)).ok());
     EXPECT_TRUE(store.AddRecord(Rec(7, 1, OperationType::kUpdate, 2)).ok());
     EXPECT_TRUE(store.AddRecord(Rec(9, 0, OperationType::kInsert, 3)).ok());
     return store;
   }
+
+  /// The fixture store as it stands now, published and pinned: what a
+  /// seal reads.
+  const StoreReadView& Published() {
+    sharded_.PublishAll();
+    pinned_ = sharded_.OpenSnapshot();
+    return pinned_.shard_view(0);
+  }
+
+  /// Loads the checkpoint at `path` into a fresh one-shard store,
+  /// `restored()`.
+  Result<CheckpointManifest> Load(const std::string& path,
+                                  const crypto::SignatureVerifier& verifier) {
+    restored_ = std::make_unique<ShardedProvenanceStore>(1);
+    return CheckpointReader::Load(env_, path, verifier,
+                                  &restored_->shard(0));
+  }
+  const ProvenanceStore& restored() const { return restored_->shard(0); }
 
   Bytes ReadAll(const std::string& path) {
     auto content = env_->ReadFileToBytes(path);
@@ -89,6 +108,9 @@ class CheckpointTest : public ::testing::Test {
 
   Env* env_ = nullptr;
   std::string dir_;
+  ShardedProvenanceStore sharded_{1};
+  StoreSnapshot pinned_;  // after sharded_: released before it dies
+  std::unique_ptr<ShardedProvenanceStore> restored_;
 };
 
 size_t ReadVarintAt(const Bytes& bytes, size_t* pos) {
@@ -110,7 +132,7 @@ size_t ReadVarintAt(const Bytes& bytes, size_t* pos) {
 // chains, an aggregate, and a pruned object included, in an image large
 // enough to go out in several write chunks.
 TEST_F(CheckpointTest, PinnedSnapshotSealMatchesTheSynchronousSeal) {
-  ShardedProvenanceStore sharded(1);
+  ShardedProvenanceStore& sharded = sharded_;
   ProvenanceStore& store = sharded.shard(0);
   ASSERT_TRUE(store.AddRecord(Rec(7, 0, OperationType::kInsert, 1)).ok());
   ASSERT_TRUE(store.AddRecord(Rec(13, 0, OperationType::kInsert, 2)).ok());
@@ -132,15 +154,15 @@ TEST_F(CheckpointTest, PinnedSnapshotSealMatchesTheSynchronousSeal) {
 
   constexpr uint64_t kHorizon = 4;
   const std::string path = CheckpointFileName(dir_, kHorizon);
-  ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, kHorizon, Sealer(), 1).ok());
+  ASSERT_TRUE(CheckpointWriter::Write(env_, dir_, Published(), kHorizon,
+                                      Sealer(), 1)
+                  .ok());
   const Bytes synchronous = ReadAll(path);
   EXPECT_GT(synchronous.size(), size_t{128} << 10);
   ASSERT_TRUE(env_->RemoveFile(path).ok());
 
   // Pin the published state, then keep writing: the seal must not see
   // the later records or the later prune.
-  sharded.PublishAll();
   const StoreSnapshot snapshot = sharded.OpenSnapshot();
   ASSERT_TRUE(store.AddRecord(Rec(9, 2, OperationType::kUpdate, 8)).ok());
   ASSERT_TRUE(store.AddRecord(Rec(15, 0, OperationType::kInsert, 9)).ok());
@@ -152,70 +174,68 @@ TEST_F(CheckpointTest, PinnedSnapshotSealMatchesTheSynchronousSeal) {
   EXPECT_EQ(ReadAll(path), synchronous);
 
   auto verifier = SealVerifier();
-  auto loaded = CheckpointReader::Load(env_, path, verifier);
+  auto loaded = Load(path, verifier);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->manifest.live_records, 5 + kBulk);
-  EXPECT_EQ(loaded->manifest.chain_count, 3 + kBulk);
+  EXPECT_EQ(loaded->live_records, 5 + kBulk);
+  EXPECT_EQ(loaded->chain_count, 3 + kBulk);
 }
 
 TEST_F(CheckpointTest, RoundTripRestoresStoreAndManifest) {
-  ProvenanceStore store = SmallStore();
-  ASSERT_TRUE(CheckpointWriter::Write(env_, dir_, store, /*wal_horizon=*/3,
-                                      Sealer(), /*sealer_id=*/1)
+  SmallStore();
+  ASSERT_TRUE(CheckpointWriter::Write(env_, dir_, Published(),
+                                      /*wal_horizon=*/3, Sealer(),
+                                      /*sealer_id=*/1)
                   .ok());
   ASSERT_TRUE(env_->FileExists(CheckpointFileName(dir_, 3)));
 
   auto verifier = SealVerifier();
-  auto loaded = CheckpointReader::Load(env_, CheckpointFileName(dir_, 3),
-                                       verifier);
+  auto loaded = Load(CheckpointFileName(dir_, 3), verifier);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->manifest.wal_horizon, 3u);
-  EXPECT_EQ(loaded->manifest.sealer, 1u);
-  EXPECT_EQ(loaded->manifest.live_records, 3u);
-  EXPECT_EQ(loaded->manifest.chain_count, 2u);
-  EXPECT_EQ(loaded->store.record_count(), 3u);
-  EXPECT_EQ(loaded->store.ChainOf(7), (std::vector<uint64_t>{0, 1}));
-  EXPECT_EQ(loaded->store.record(1).checksum, Bytes(128, 2));
+  EXPECT_EQ(loaded->wal_horizon, 3u);
+  EXPECT_EQ(loaded->sealer, 1u);
+  EXPECT_EQ(loaded->live_records, 3u);
+  EXPECT_EQ(loaded->chain_count, 2u);
+  EXPECT_EQ(restored().record_count(), 3u);
+  EXPECT_EQ(restored().ChainOf(7), (std::vector<uint64_t>{0, 1}));
+  EXPECT_EQ(restored().record(1).checksum, Bytes(128, 2));
 }
 
 TEST_F(CheckpointTest, EmptyStoreStillSeals) {
-  ProvenanceStore store;
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 1, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, Published(), 1, Sealer(), 1).ok());
   auto verifier = SealVerifier();
-  auto loaded =
-      CheckpointReader::Load(env_, CheckpointFileName(dir_, 1), verifier);
+  auto loaded = Load(CheckpointFileName(dir_, 1), verifier);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->store.record_count(), 0u);
-  EXPECT_EQ(loaded->manifest.chain_count, 0u);
+  EXPECT_EQ(restored().record_count(), 0u);
+  EXPECT_EQ(loaded->chain_count, 0u);
 }
 
 TEST_F(CheckpointTest, PrunedRecordsAreNotResurrected) {
-  ProvenanceStore store = SmallStore();
+  ProvenanceStore& store = SmallStore();
   ASSERT_TRUE(store.PruneObject(9).ok());
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 2, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, Published(), 2, Sealer(), 1).ok());
 
   auto verifier = SealVerifier();
-  auto loaded =
-      CheckpointReader::Load(env_, CheckpointFileName(dir_, 2), verifier);
+  auto loaded = Load(CheckpointFileName(dir_, 2), verifier);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->manifest.live_records, 2u);
-  EXPECT_EQ(loaded->store.live_record_count(), 2u);
-  EXPECT_TRUE(loaded->store.ChainOf(9).empty())
+  EXPECT_EQ(loaded->live_records, 2u);
+  EXPECT_EQ(restored().live_record_count(), 2u);
+  EXPECT_TRUE(restored().ChainOf(9).empty())
       << "pruned history must stay pruned across a checkpoint";
 }
 
 TEST_F(CheckpointTest, WriteRejectsHorizonZero) {
-  ProvenanceStore store = SmallStore();
-  EXPECT_EQ(CheckpointWriter::Write(env_, dir_, store, 0, Sealer(), 1).code(),
-            StatusCode::kInvalidArgument);
+  SmallStore();
+  EXPECT_EQ(
+      CheckpointWriter::Write(env_, dir_, Published(), 0, Sealer(), 1).code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST_F(CheckpointTest, TamperedRecordWithPatchedCrcFailsTheSeal) {
-  ProvenanceStore store = SmallStore();
+  SmallStore();
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 1, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, Published(), 1, Sealer(), 1).ok());
   const std::string path = CheckpointFileName(dir_, 1);
   Bytes content = ReadAll(path);
 
@@ -237,21 +257,20 @@ TEST_F(CheckpointTest, TamperedRecordWithPatchedCrcFailsTheSeal) {
   WriteAll(path, content);
 
   auto verifier = SealVerifier();
-  auto loaded = CheckpointReader::Load(env_, path, verifier);
+  auto loaded = Load(path, verifier);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kVerificationFailed)
       << loaded.status().ToString();
 }
 
 TEST_F(CheckpointTest, WrongKeyIsRefused) {
-  ProvenanceStore store = SmallStore();
+  SmallStore();
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 1, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, Published(), 1, Sealer(), 1).ok());
   // Participant 2's key did not seal this checkpoint.
   crypto::RsaSignatureVerifier wrong_key(
       TestPki::Instance().participant(1).public_key());
-  auto loaded =
-      CheckpointReader::Load(env_, CheckpointFileName(dir_, 1), wrong_key);
+  auto loaded = Load(CheckpointFileName(dir_, 1), wrong_key);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kVerificationFailed);
 }
@@ -260,11 +279,11 @@ TEST_F(CheckpointTest, LatestHorizonPicksNewestAndIgnoresTmp) {
   EXPECT_EQ(LatestCheckpointHorizon(env_, dir_).status().code(),
             StatusCode::kNotFound);
 
-  ProvenanceStore store = SmallStore();
+  SmallStore();
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 2, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, Published(), 2, Sealer(), 1).ok());
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 5, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, Published(), 5, Sealer(), 1).ok());
   // An in-flight .tmp (crash mid-write) must never win, whatever its
   // number claims.
   WriteAll(dir_ + "/checkpoint-000009.pvck.tmp", Bytes(8, 0xAB));
@@ -275,11 +294,11 @@ TEST_F(CheckpointTest, LatestHorizonPicksNewestAndIgnoresTmp) {
 }
 
 TEST_F(CheckpointTest, RemoveStaleKeepsTheSealAtKeepHorizon) {
-  ProvenanceStore store = SmallStore();
+  SmallStore();
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 2, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, Published(), 2, Sealer(), 1).ok());
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 5, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, Published(), 5, Sealer(), 1).ok());
   WriteAll(dir_ + "/checkpoint-000009.pvck.tmp", Bytes(8, 0xAB));
 
   ASSERT_TRUE(RemoveStaleCheckpoints(env_, dir_, 5).ok());

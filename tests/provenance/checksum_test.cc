@@ -46,7 +46,9 @@ TEST(ChecksumEngineTest, AggregatePayloadHashesInputBlock) {
   // h( h_1 | ... | h_n ) | h(B) | C_1 | ... | C_n
   ChecksumEngine engine;
   std::vector<crypto::Digest> inputs = {D(0x01), D(0x02)};
-  std::vector<Bytes> prevs = {Bytes(128, 0xAA), Bytes(128, 0xBB)};
+  const Bytes prev_a(128, 0xAA);
+  const Bytes prev_b(128, 0xBB);
+  std::vector<ByteView> prevs = {prev_a, prev_b};
   Bytes payload = engine.BuildAggregatePayload(inputs, D(0x33), prevs);
   ASSERT_EQ(payload.size(), 20 + 20 + 256u);
 
@@ -66,7 +68,7 @@ TEST(ChecksumEngineTest, AggregateOrderSensitivity) {
   // Reordering inputs changes the payload (the formula fixes the global
   // total order, so honest emitters always sort; a forged reorder breaks).
   ChecksumEngine engine;
-  std::vector<Bytes> prevs = {{}, {}};
+  std::vector<ByteView> prevs = {ByteView(), ByteView()};
   Bytes forward = engine.BuildAggregatePayload({D(1), D(2)}, D(3), prevs);
   Bytes reversed = engine.BuildAggregatePayload({D(2), D(1)}, D(3), prevs);
   EXPECT_NE(forward, reversed);

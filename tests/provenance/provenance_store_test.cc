@@ -25,7 +25,8 @@ ProvenanceRecord Rec(storage::ObjectId object, SeqId seq, OperationType op,
 }
 
 TEST(ProvenanceStoreTest, AddAndLookup) {
-  ProvenanceStore store;
+  EpochDomain domain;
+  ProvenanceStore store(domain);
   auto i0 = store.AddRecord(Rec(7, 0, OperationType::kInsert, 1));
   ASSERT_TRUE(i0.ok());
   EXPECT_EQ(*i0, 0u);
@@ -39,7 +40,8 @@ TEST(ProvenanceStoreTest, AddAndLookup) {
 }
 
 TEST(ProvenanceStoreTest, SeqMustIncreasePerObject) {
-  ProvenanceStore store;
+  EpochDomain domain;
+  ProvenanceStore store(domain);
   ASSERT_TRUE(store.AddRecord(Rec(7, 3, OperationType::kUpdate, 1)).ok());
   EXPECT_FALSE(store.AddRecord(Rec(7, 3, OperationType::kUpdate, 2)).ok());
   EXPECT_FALSE(store.AddRecord(Rec(7, 1, OperationType::kUpdate, 2)).ok());
@@ -48,13 +50,15 @@ TEST(ProvenanceStoreTest, SeqMustIncreasePerObject) {
 }
 
 TEST(ProvenanceStoreTest, LatestForUnknownObjectFails) {
-  ProvenanceStore store;
+  EpochDomain domain;
+  ProvenanceStore store(domain);
   EXPECT_FALSE(store.LatestFor(99).ok());
   EXPECT_TRUE(store.ChainOf(99).empty());
 }
 
 TEST(ProvenanceStoreTest, SpaceAccountingMatchesPaperSchema) {
-  ProvenanceStore store;
+  EpochDomain domain;
+  ProvenanceStore store(domain);
   // <SeqID, Participant, Oid, Checksum> = 12 + checksum bytes.
   store.AddRecord(Rec(1, 0, OperationType::kInsert, 1)).value();
   EXPECT_EQ(store.PaperSchemaBytes(), 12 + 128u);
@@ -64,7 +68,8 @@ TEST(ProvenanceStoreTest, SpaceAccountingMatchesPaperSchema) {
 }
 
 TEST(ProvenanceStoreTest, ExtractLinearChain) {
-  ProvenanceStore store;
+  EpochDomain domain;
+  ProvenanceStore store(domain);
   store.AddRecord(Rec(5, 0, OperationType::kInsert, 1)).value();
   store.AddRecord(Rec(5, 1, OperationType::kUpdate, 2, 1)).value();
   store.AddRecord(Rec(5, 2, OperationType::kUpdate, 3, 2)).value();
@@ -79,7 +84,8 @@ TEST(ProvenanceStoreTest, ExtractLinearChain) {
 }
 
 TEST(ProvenanceStoreTest, ExtractFollowsAggregationInputs) {
-  ProvenanceStore store;
+  EpochDomain domain;
+  ProvenanceStore store(domain);
   // A: insert(h1) -> update(h2); B: insert(h3);
   // C = aggregate(A@h2, B@h3); A updated again afterwards (h4).
   store.AddRecord(Rec(1, 0, OperationType::kInsert, 0x01)).value();
@@ -109,7 +115,8 @@ TEST(ProvenanceStoreTest, ExtractFollowsAggregationInputs) {
 }
 
 TEST(ProvenanceStoreTest, ExtractHandlesSharedHistoryDiamonds) {
-  ProvenanceStore store;
+  EpochDomain domain;
+  ProvenanceStore store(domain);
   // A feeds two aggregates B and C, which feed D: a diamond DAG. The
   // shared A-history must be included exactly once.
   store.AddRecord(Rec(1, 0, OperationType::kInsert, 0x01)).value();
@@ -140,12 +147,14 @@ TEST(ProvenanceStoreTest, ExtractHandlesSharedHistoryDiamonds) {
 }
 
 TEST(ProvenanceStoreTest, ExtractUnknownSubjectFails) {
-  ProvenanceStore store;
+  EpochDomain domain;
+  ProvenanceStore store(domain);
   EXPECT_FALSE(store.ExtractProvenance(1).ok());
 }
 
 TEST(ProvenanceStoreTest, SerializedBytesIsPositiveAndConsistent) {
-  ProvenanceStore store;
+  EpochDomain domain;
+  ProvenanceStore store(domain);
   store.AddRecord(Rec(1, 0, OperationType::kInsert, 0x01)).value();
   uint64_t one = store.SerializedBytes();
   EXPECT_GT(one, 0u);

@@ -148,14 +148,16 @@ TEST_F(QueryTest, PrunedRecordsExcludedFromPersistence) {
   storage::Env* env = storage::Env::Default();
   const std::string dir = ::testing::TempDir() + "/provdb_query_pruned";
   ASSERT_TRUE(env->CreateDir(dir).ok());
-  ASSERT_TRUE(CheckpointWriter::Write(env, dir, db_.provenance(), 1,
+  ASSERT_TRUE(CheckpointWriter::Write(env, dir,
+                                      db_.OpenSnapshot().shard_view(0), 1,
                                       p(1).signer(), p(1).id())
                   .ok());
   crypto::RsaSignatureVerifier verifier(p(1).public_key());
+  ShardedProvenanceStore restored(1);
   auto loaded = CheckpointReader::Load(env, CheckpointFileName(dir, 1),
-                                       verifier);
+                                       verifier, &restored.shard(0));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->store.record_count(),
+  EXPECT_EQ(restored.shard(0).record_count(),
             db_.provenance().live_record_count());
 }
 

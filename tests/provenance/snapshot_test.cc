@@ -69,7 +69,8 @@ std::vector<Bytes> Encode(const std::vector<const ProvenanceRecord*>& chain) {
 }
 
 // ---------------------------------------------------------------------
-// ChainIndex: the 16-way path-copying radix trie under every snapshot.
+// ChainIndex: the 16-way radix trie under every snapshot. It updates in
+// place only nodes born at the current publish tick.
 // ---------------------------------------------------------------------
 
 TEST(ChainIndexTest, FindOnEmptyTrieIsNull) {
@@ -77,7 +78,8 @@ TEST(ChainIndexTest, FindOnEmptyTrieIsNull) {
 }
 
 TEST(ChainIndexTest, InsertThenFindManyKeys) {
-  const ChainIndex::Node* root = nullptr;
+  EpochDomain domain;
+  ChainIndex::Node* root = nullptr;
   // Keys chosen to collide in low nibbles (0x10 apart) and to include
   // wide spreads, so both BuildSplit and deep descent are exercised.
   std::vector<ObjectId> keys;
@@ -86,10 +88,7 @@ TEST(ChainIndexTest, InsertThenFindManyKeys) {
     keys.push_back(0xABCD000000000000ull + i);
   }
   for (ObjectId key : keys) {
-    auto* leaf = new ChainIndex::Leaf;
-    leaf->key = key;
-    leaf->head = nullptr;
-    root = ChainIndex::Insert(root, leaf, nullptr);
+    root = ChainIndex::Insert(root, key, nullptr, /*tick=*/0, domain);
   }
   for (ObjectId key : keys) {
     const ChainIndex::Leaf* found = ChainIndex::Find(root, key);
@@ -97,40 +96,78 @@ TEST(ChainIndexTest, InsertThenFindManyKeys) {
     EXPECT_EQ(found->key, key);
   }
   EXPECT_EQ(ChainIndex::Find(root, 0xFFFFFFFFFFFFFFFFull), nullptr);
+  // Every node was born at the tick it was updated at: nothing retired.
+  EXPECT_EQ(domain.retired_pending(), 0u);
   ChainIndex::FreeAll(root);
 }
 
 TEST(ChainIndexTest, SameKeyInsertReplacesTheLeaf) {
-  const ChainIndex::Node* root = nullptr;
-  auto* first = new ChainIndex::Leaf;
-  first->key = 7;
-  first->head = nullptr;
-  root = ChainIndex::Insert(root, first, nullptr);
+  EpochDomain domain;
+  ChainIndex::Node* root =
+      ChainIndex::Insert(nullptr, 7, nullptr, /*tick=*/0, domain);
 
   auto* cell = new ChainNode;
   cell->record = nullptr;
   cell->index = 0;
   cell->prev = nullptr;
   cell->length = 1;
-  auto* second = new ChainIndex::Leaf;
-  second->key = 7;
-  second->head = cell;
-  // No domain: the replaced leaf is deleted immediately (covered by ASan).
-  root = ChainIndex::Insert(root, second, nullptr);
+  // A later tick: the leaf and the root are copied, and the originals
+  // retired into the domain, which frees them (covered by ASan).
+  root = ChainIndex::Insert(root, 7, cell, /*tick=*/1, domain);
 
   const ChainIndex::Leaf* found = ChainIndex::Find(root, 7);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->head, cell);
+  EXPECT_EQ(domain.retired_pending(), 2u);
+  ChainIndex::FreeAll(root);
+}
+
+// The rule snapshots rest on: an insert at a later tick never writes a
+// node an earlier root reaches, and at its own tick it copies each node
+// once and then updates the copy in place.
+TEST(ChainIndexTest, InsertCopiesOnlyNodesBornBeforeTheTick) {
+  EpochDomain domain;
+  ChainIndex::Node* published = nullptr;
+  for (ObjectId key = 1; key <= 64; ++key) {
+    published = ChainIndex::Insert(published, key, nullptr, 0, domain);
+  }
+  std::vector<std::pair<ObjectId, const ChainNode*>> before;
+  ChainIndex::ForEachLeaf(published, [&](const ChainIndex::Leaf& leaf) {
+    before.emplace_back(leaf.key, leaf.head);
+  });
+
+  // Chain cells as AddRecord links them; FreeAll frees them with root.
+  auto* first = new ChainNode;
+  auto* second = new ChainNode;
+  second->prev = first;
+  auto* other = new ChainNode;
+  ChainIndex::Node* root = published;
+  root = ChainIndex::Insert(root, 5, first, 1, domain);
+  ASSERT_NE(root, published);
+  const uint64_t copied = domain.retired_pending();
+  EXPECT_GT(copied, 0u);
+  // The same path again, and a new key under the copied root: in place.
+  root = ChainIndex::Insert(root, 5, second, 1, domain);
+  root = ChainIndex::Insert(root, 0x105, other, 1, domain);
+  EXPECT_EQ(domain.retired_pending(), copied);
+  EXPECT_EQ(ChainIndex::Find(root, 5)->head, second);
+  EXPECT_EQ(ChainIndex::Find(root, 0x105)->head, other);
+
+  // The earlier root still reads exactly what it held.
+  std::vector<std::pair<ObjectId, const ChainNode*>> after;
+  ChainIndex::ForEachLeaf(published, [&](const ChainIndex::Leaf& leaf) {
+    after.emplace_back(leaf.key, leaf.head);
+  });
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(ChainIndex::Find(published, 0x105), nullptr);
   ChainIndex::FreeAll(root);
 }
 
 TEST(ChainIndexTest, ForEachLeafVisitsEveryKeyOnce) {
-  const ChainIndex::Node* root = nullptr;
+  EpochDomain domain;
+  ChainIndex::Node* root = nullptr;
   for (uint64_t key = 100; key < 164; ++key) {
-    auto* leaf = new ChainIndex::Leaf;
-    leaf->key = key;
-    leaf->head = nullptr;
-    root = ChainIndex::Insert(root, leaf, nullptr);
+    root = ChainIndex::Insert(root, key, nullptr, /*tick=*/0, domain);
   }
   std::map<ObjectId, int> seen;
   ChainIndex::ForEachLeaf(root,
@@ -430,10 +467,10 @@ TEST(StoreSnapshotTest, SnapshotObservesOnlyWholeBatches) {
   ASSERT_TRUE((*pipeline)->Close().ok());
 }
 
-// A standalone store (what recovery and checkpoint load build) has no
-// epoch domain and never publishes. Adopted as a shard — domain attached
-// afterwards, then one publish, as recovery does — it reads back through
-// a snapshot exactly as its writer state.
+// A store its writer filled without publishing (as recovery and a
+// checkpoint load fill a shard) reads back through a snapshot, after one
+// publish, exactly as its writer state: here a one-shard copy of the
+// reference.
 TEST(StoreSnapshotTest, DomainlessStoreReadsThroughSnapshotOnceAdopted) {
   IngestWorkloadBuilder builder;
   ASSERT_TRUE(RandomDifferentialWorkload(&builder, 0x5A4B0006u).ok());

@@ -32,7 +32,8 @@ Status IngestWorkloadBuilder::Apply(IngestRequest request) {
   const storage::ObjectId id = record.output.object_id;
   const provenance::SeqId seq = record.seq_id;
   Bytes checksum = record.checksum;
-  PROVDB_RETURN_IF_ERROR(reference_.AddRecord(std::move(record)).status());
+  PROVDB_RETURN_IF_ERROR(
+      reference_.shard(0).AddRecord(std::move(record)).status());
   chains_.Set(id, seq, std::move(checksum));
   requests_.push_back(std::move(request));
   return Status::OK();
@@ -217,6 +218,19 @@ Result<DurableTrackedDatabase> OpenDurableTrackedDatabase(
   return durable;
 }
 
+Result<provenance::ShardedProvenanceStore> RecoverOneShard(
+    storage::Env* env, const std::string& root,
+    storage::WalRecoveryReport* report,
+    const crypto::SignatureVerifier* checkpoint_verifier) {
+  std::vector<storage::WalRecoveryReport> reports;
+  PROVDB_ASSIGN_OR_RETURN(
+      provenance::ShardedProvenanceStore store,
+      provenance::ShardedProvenanceStore::Recover(env, root, 1, &reports,
+                                                  checkpoint_verifier));
+  if (report != nullptr) *report = reports[0];
+  return store;
+}
+
 std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
 ChainsByIndex(const provenance::ProvenanceStore& store) {
   std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>> chains;
@@ -240,14 +254,12 @@ void SortByObjectAndSeq(std::vector<ProvenanceRecord>* records) {
 
 Result<provenance::ShardedProvenanceStore> OneShardCopy(
     const provenance::ProvenanceStore& store) {
-  provenance::ProvenanceStore copy;
+  provenance::ShardedProvenanceStore sharded(1);
   for (uint64_t i = 0; i < store.record_count(); ++i) {
     if (store.is_pruned(i)) continue;
-    PROVDB_RETURN_IF_ERROR(copy.AddRecord(store.record(i)).status());
+    PROVDB_RETURN_IF_ERROR(
+        sharded.shard(0).AddRecord(store.record(i)).status());
   }
-  provenance::ShardedProvenanceStore sharded(1);
-  sharded.shard(0) = std::move(copy);
-  sharded.shard(0).AttachEpochDomain(sharded.epoch_domain());
   sharded.PublishAll();
   return sharded;
 }

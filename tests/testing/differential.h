@@ -61,7 +61,7 @@ class IngestWorkloadBuilder {
     return requests_;
   }
   const provenance::ProvenanceStore& reference_store() const {
-    return reference_;
+    return reference_.shard(0);
   }
   const storage::TreeStore& tree() const { return tree_; }
   const crypto::ParticipantRegistry& registry() const {
@@ -92,7 +92,7 @@ class IngestWorkloadBuilder {
   storage::TreeStore tree_;
   provenance::SubtreeHasher hasher_;
   provenance::LocalChainState chains_;
-  provenance::ProvenanceStore reference_;
+  provenance::ShardedProvenanceStore reference_{1};
   std::vector<provenance::IngestRequest> requests_;
   std::vector<storage::ObjectId> tracked_;
 };
@@ -132,6 +132,15 @@ Result<DurableTrackedDatabase> OpenDurableTrackedDatabase(
     storage::Env* env, const std::string& root,
     const provenance::IngestOptions& options = provenance::IngestOptions());
 
+/// Recovers the one-shard store at `root` (its WAL in
+/// ShardedProvenanceStore::ShardDirName(root, 0)) through
+/// ShardedProvenanceStore::Recover, with the shard's report in `report`
+/// when non-null.
+Result<provenance::ShardedProvenanceStore> RecoverOneShard(
+    storage::Env* env, const std::string& root,
+    storage::WalRecoveryReport* report = nullptr,
+    const crypto::SignatureVerifier* checkpoint_verifier = nullptr);
+
 /// Submits `requests` in order and, when `drain_every` > 0, calls
 /// Drain() after every `drain_every` submits, so most write-aheads
 /// cover every shard at once. Stops at the
@@ -152,8 +161,8 @@ Result<std::unique_ptr<provenance::IngestPipeline>> ReplayThroughPipeline(
 
 // ---------------------------------------------------------------------
 // Reading stores in tests. Records are read through snapshots; these
-// helpers give the other side of a comparison (a standalone reference
-// read by its own writer) or package a read for comparison.
+// helpers give the other side of a comparison (a reference read by its
+// own writer) or package a read for comparison.
 // ---------------------------------------------------------------------
 
 /// `store`'s live chains built from its records in index order — the
@@ -165,10 +174,9 @@ ChainsByIndex(const provenance::ProvenanceStore& store);
 /// extraction order.
 void SortByObjectAndSeq(std::vector<provenance::ProvenanceRecord>* records);
 
-/// Copies `store`'s live records into a standalone store and adopts it as
-/// the one shard of a published sharded store, as recovery does, so a
-/// standalone store (the sequential reference, a restored store) is read
-/// through a snapshot like any other.
+/// Copies `store`'s live records into the one shard of a fresh sharded
+/// store and publishes it, so a store its writer reads (the sequential
+/// reference) is read through a snapshot like any other.
 Result<provenance::ShardedProvenanceStore> OneShardCopy(
     const provenance::ProvenanceStore& store);
 

@@ -53,7 +53,9 @@
 #                  suites), whose reads hold record pointers only while
 #                  a snapshot is pinned, plus the CRC-32 and SHA-1
 #                  kernel tests, whose loops index tables and message
-#                  words by computed values
+#                  words by computed values, and the chain-index, store
+#                  and checkpoint suites, whose inserts and in-place
+#                  loads update index nodes in place
 #   ubsan          strict UBSan (PROVDB_SANITIZE=undefined,
 #                  -fno-sanitize-recover) over the full release-test
 #                  suite: any diagnosed undefined behavior aborts the
@@ -248,9 +250,9 @@ stage_asan() {
     -DPROVDB_BUILD_EXAMPLES=OFF
   run cmake --build "$OUT/asan" -j "$JOBS" --target provenance_property_test \
     provenance_snapshot_test provenance_ext_test provenance_tracked_test \
-    common_test crypto_test
+    common_test crypto_test provenance_core_test provenance_checkpoint_test
   run ctest --test-dir "$OUT/asan" --output-on-failure -j "$JOBS" \
-    -R 'Decoder|Fuzz|Property|Snapshot|Auditor|Query|TrackedDatabase|DeepExport|Frame|Crc32|Sha1|HashStreaming'
+    -R 'Decoder|Fuzz|Property|Snapshot|Auditor|Query|TrackedDatabase|DeepExport|Frame|Crc32|Sha1|HashStreaming|ChainIndex|ProvenanceStore|Checkpoint'
 }
 
 stage_ubsan() {

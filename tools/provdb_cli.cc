@@ -295,10 +295,8 @@ int Stats(bool as_json) {
               storage::Value::Int(200 + i))
         .ok();
   }
-  auto recovered = provenance::ProvenanceStore::RecoverFromWal(
-      storage::Env::Default(),
-      provenance::ShardedProvenanceStore::ShardDirName(wal_dir.string(), 0),
-      nullptr, &seal_verifier);
+  auto recovered = provenance::ShardedProvenanceStore::Recover(
+      storage::Env::Default(), wal_dir.string(), 1, nullptr, &seal_verifier);
   std::filesystem::remove_all(wal_dir, ec);
   if (!report.ok() || !audit.ok() || !recovered.ok() ||
       recovered->record_count() != db.provenance().record_count()) {
