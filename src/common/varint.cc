@@ -71,13 +71,13 @@ Result<ByteView> VarintReader::ReadLengthPrefixedView() {
   return field;
 }
 
-Result<Bytes> VarintReader::ReadRaw(size_t n) {
+Result<ByteView> VarintReader::ReadRaw(size_t n) {
   if (n > remaining()) {
     return Status::Corruption("truncated raw field");
   }
-  Bytes out(data_.data() + pos_, data_.data() + pos_ + n);
+  const ByteView field = data_.subview(pos_, n);
   pos_ += n;
-  return out;
+  return field;
 }
 
 }  // namespace provdb

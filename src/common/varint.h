@@ -34,8 +34,8 @@ class VarintReader {
   Result<Bytes> ReadLengthPrefixed();
   /// The same, as a view into the reader's data.
   Result<ByteView> ReadLengthPrefixedView();
-  /// Reads exactly `n` raw bytes.
-  Result<Bytes> ReadRaw(size_t n);
+  /// Reads exactly `n` raw bytes, as a view into the reader's data.
+  Result<ByteView> ReadRaw(size_t n);
 
  private:
   ByteView data_;

@@ -25,8 +25,8 @@ class AdmissionController {
  public:
   /// `budget_bytes` is the global in-flight ceiling. An oversized single
   /// request (> budget on an idle server) is still refused — the bound
-  /// holds absolutely, so a budget below the frame ceiling must be paired
-  /// with a matching `max_frame_payload`.
+  /// holds absolutely, so under a budget below the frame ceiling
+  /// (kMaxFramePayload) a request larger than the budget is always shed.
   AdmissionController(uint64_t budget_bytes,
                       observability::MetricsRegistry* metrics);
 

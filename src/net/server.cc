@@ -15,6 +15,24 @@ namespace {
 /// queued, so this bounds per-tick work, not throughput.
 constexpr size_t kReadChunk = 64 * 1024;
 
+/// Ceiling for one response body (chains can outgrow request-sized
+/// frames); an over-limit chain answers kOutOfRange instead.
+constexpr size_t kMaxResponsePayload = 16u << 20;
+
+/// Per-connection ceiling on buffered outbound bytes; a peer that stops
+/// reading its responses is disconnected once it accrues this much (the
+/// admission budget bounds *charged* responses, this bounds the
+/// uncharged rejection frames a hostile peer could farm).
+constexpr size_t kMaxConnectionBuffer = 2u << 20;
+
+/// A response carrying `status`, with an empty body.
+Response ResponseOf(const Status& status) {
+  Response response;
+  response.code = status.code();
+  response.message = status.message();
+  return response;
+}
+
 }  // namespace
 
 ProvenanceServer::ProvenanceServer(
@@ -56,18 +74,19 @@ Result<std::unique_ptr<ProvenanceServer>> ProvenanceServer::Start(
   PROVDB_ASSIGN_OR_RETURN(server->listener_,
                           ListenSocket::Listen(options.port));
   PROVDB_ASSIGN_OR_RETURN(server->wake_, WakePipe::Create());
-  server->loop_pool_ = std::make_unique<ThreadPool>(1);
-  server->exec_pool_ = std::make_unique<ThreadPool>(1);
   ProvenanceServer* raw = server.get();
   // Completions must name only this server's submits: whatever an
   // earlier producer left pending commits first. A poisoned pipeline
   // answers every submit with its poison anyway.
   (void)pipeline->Drain();
+  // The wake hook runs on pipeline threads and inside the loop's own
+  // pipeline calls alike; the loop's next tick does the work.
   pipeline->SetProducerHooks(
-      [raw] { raw->OnPipelineReady(); },
+      [raw] { raw->wake_.Wake(); },
       [raw](const provenance::BatchCompletion& completion) {
         raw->OnBatchDone(completion);
       });
+  raw->loop_pool_ = std::make_unique<ThreadPool>(1);
   raw->loop_pool_->Submit([raw] { raw->PollLoop(); });
   return server;
 }
@@ -75,40 +94,18 @@ Result<std::unique_ptr<ProvenanceServer>> ProvenanceServer::Start(
 ProvenanceServer::~ProvenanceServer() { Stop(); }
 
 void ProvenanceServer::Stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  // No pipeline thread may reach this server once Stop returns.
-  pipeline_->SetProducerHooks(nullptr, nullptr);
-  {
-    MutexLock lock(&mu_);
-    stop_ = true;
-  }
+  if (loop_pool_ == nullptr || stop_.exchange(true)) return;
   wake_.Wake();
   loop_pool_->Shutdown();
-  exec_pool_->Shutdown();
+  // The loop was the only caller of the completion hook, and no pipeline
+  // thread may reach this server once Stop returns.
+  pipeline_->SetProducerHooks(nullptr, nullptr);
 }
-
-// -- Poll thread -------------------------------------------------------
 
 void ProvenanceServer::PollLoop() {
   std::vector<pollfd> fds;
   std::vector<uint64_t> fd_sessions;
-  for (;;) {
-    {
-      MutexLock lock(&mu_);
-      if (stop_) break;
-    }
-    // Deliver executor completions first: they free admission budget and
-    // may unblock response ordering.
-    std::deque<DoneItem> done;
-    {
-      MutexLock lock(&mu_);
-      done.swap(done_queue_);
-    }
-    while (!done.empty()) {
-      HandleDone(std::move(done.front()));
-      done.pop_front();
-    }
+  while (!stop_.load()) {
     // Sweep sessions that finished (or died).
     std::vector<uint64_t> doomed;
     for (const auto& [id, s] : sessions_) {
@@ -130,7 +127,9 @@ void ProvenanceServer::PollLoop() {
       fds.push_back(pollfd{s.sock.fd(), events, 0});
       fd_sessions.push_back(id);
     }
-    ::poll(fds.data(), fds.size(), options_.poll_timeout_ms);
+    // Every reason to run a tick wakes poll: a socket event, or a byte on
+    // the pipe from the pipeline or from Stop.
+    ::poll(fds.data(), fds.size(), -1);
     if (fds[1].revents != 0) wake_.DrainWakes();
     if ((fds[0].revents & POLLIN) != 0) AcceptAll();
     for (size_t i = 2; i < fds.size(); ++i) {
@@ -146,6 +145,10 @@ void ProvenanceServer::PollLoop() {
         ReadSession(s);
       }
     }
+    // Close the batches this tick's submits opened, and do the producer
+    // work a pipeline thread woke the loop for. The completions either
+    // reports answer their submits.
+    (void)pipeline_->Flush();
   }
   listener_.Close();
   std::vector<uint64_t> all;
@@ -183,18 +186,16 @@ void ProvenanceServer::ReadSession(Session* s) {
   if (io->eof) s->defunct = true;
 
   size_t offset = 0;
-  std::vector<ExecItem> enqueue;
   while (!s->closing) {
     size_t consumed = 0;
     Bytes payload;
-    auto frame =
-        TryDecodeFrame(ByteView(s->rbuf).subview(offset),
-                       options_.max_frame_payload, &consumed, &payload);
+    auto frame = TryDecodeFrame(ByteView(s->rbuf).subview(offset),
+                                kMaxFramePayload, &consumed, &payload);
     if (!frame.ok()) {
       // The stream cannot be resynchronized after a framing error:
       // answer with the typed error and close once it flushes.
       requests_corrupt_->Increment();
-      RejectNow(s, frame.status().code(), frame.status().message());
+      RejectNow(s, frame.status());
       s->closing = true;
       s->rbuf.clear();
       offset = 0;
@@ -206,49 +207,32 @@ void ProvenanceServer::ReadSession(Session* s) {
     const uint64_t charge = consumed;
     if (s->pending >= options_.max_pending_per_connection) {
       admission_.NoteShed();
-      RejectNow(s, StatusCode::kUnavailable,
-                "connection pending-request queue is full");
+      RejectNow(s, Status::Unavailable(
+                       "connection pending-request queue is full"));
       continue;
     }
     if (!admission_.Admit(charge)) {
-      RejectNow(s, StatusCode::kUnavailable,
-                "server admission budget exhausted");
+      RejectNow(s, Status::Unavailable("server admission budget exhausted"));
       continue;
     }
     auto request = DecodeRequest(payload);
     if (!request.ok()) {
       admission_.Release(charge);
       requests_corrupt_->Increment();
-      RejectNow(s, request.status().code(), request.status().message());
+      RejectNow(s, request.status());
       s->closing = true;
       s->rbuf.clear();
       offset = 0;
       break;
     }
-    ExecItem item;
-    item.session = s->id;
-    item.seq = s->next_seq++;
-    item.request = std::move(*request);
-    item.charge = charge;
-    item.arrival_micros = observability::ScopedLatencyTimer::NowMicros();
     ++s->pending;
-    enqueue.push_back(std::move(item));
+    Execute(Ticket{s->id, s->next_seq++, charge,
+                   observability::ScopedLatencyTimer::NowMicros()},
+            *request);
   }
   if (offset > 0) {
     s->rbuf.erase(s->rbuf.begin(),
                   s->rbuf.begin() + static_cast<ptrdiff_t>(offset));
-  }
-  if (!enqueue.empty()) {
-    bool kick = false;
-    {
-      MutexLock lock(&mu_);
-      for (auto& item : enqueue) exec_queue_.push_back(std::move(item));
-      if (!exec_scheduled_) {
-        exec_scheduled_ = true;
-        kick = true;
-      }
-    }
-    if (kick) exec_pool_->Submit([this] { ExecutorRun(); });
   }
 }
 
@@ -271,28 +255,6 @@ void ProvenanceServer::FlushSession(Session* s) {
   }
 }
 
-void ProvenanceServer::HandleDone(DoneItem item) {
-  auto it = sessions_.find(item.session);
-  if (it == sessions_.end()) {
-    // The connection died while its request executed; the work is done
-    // (and durable, for submits) but the answer has no recipient.
-    admission_.Release(item.charge);
-    return;
-  }
-  Session* s = &it->second;
-  --s->pending;
-  if (item.ok) {
-    requests_ok_->Increment();
-  } else {
-    requests_failed_->Increment();
-  }
-  request_latency_->Record(observability::ScopedLatencyTimer::NowMicros() -
-                           item.arrival_micros);
-  const uint64_t response_charge = item.frame.size();
-  admission_.Swap(item.charge, response_charge);
-  EmitReady(s, item.seq, std::move(item.frame), response_charge);
-}
-
 void ProvenanceServer::EmitReady(Session* s, uint64_t seq, Bytes frame,
                                  uint64_t charge) {
   s->ready.emplace(seq, ReadyResponse{std::move(frame), charge});
@@ -309,19 +271,14 @@ void ProvenanceServer::EmitReady(Session* s, uint64_t seq, Bytes frame,
   // without bound: stop reading new requests at the soft cap, drop the
   // connection outright at the hard one (soft + one maximal response —
   // a single legitimately large chain response never trips it).
-  if (s->wq_bytes > options_.max_connection_buffer) s->closing = true;
-  if (s->wq_bytes >
-      options_.max_connection_buffer + options_.max_response_payload) {
+  if (s->wq_bytes > kMaxConnectionBuffer) s->closing = true;
+  if (s->wq_bytes > kMaxConnectionBuffer + kMaxResponsePayload) {
     s->dead = true;
   }
 }
 
-void ProvenanceServer::RejectNow(Session* s, StatusCode code,
-                                 std::string message) {
-  Response response;
-  response.code = code;
-  response.message = std::move(message);
-  Bytes frame = EncodeFrame(EncodeResponse(response));
+void ProvenanceServer::RejectNow(Session* s, const Status& status) {
+  Bytes frame = EncodeFrame(EncodeResponse(ResponseOf(status)));
   requests_failed_->Increment();
   EmitReady(s, s->next_seq++, std::move(frame), 0);
 }
@@ -336,77 +293,31 @@ void ProvenanceServer::DestroySession(uint64_t id) {
   for (const auto& [seq, r] : s.ready) {
     if (r.charge > 0) admission_.Release(r.charge);
   }
-  // Charges for requests still on the executor are released when their
-  // DoneItems come back and find no session.
+  // Charges for requests still in the pipeline are released when their
+  // completions come back and find no session.
   sessions_.erase(it);
   connections_active_->Set(static_cast<int64_t>(sessions_.size()));
 }
 
-// -- Executor strand ---------------------------------------------------
-
-void ProvenanceServer::ExecutorRun() {
-  for (;;) {
-    std::deque<ExecItem> batch;
-    {
-      MutexLock lock(&mu_);
-      if (exec_queue_.empty() && !pipeline_ready_) {
-        exec_scheduled_ = false;
-        return;
-      }
-      batch.swap(exec_queue_);
-      pipeline_ready_ = false;
-    }
-    for (ExecItem& item : batch) {
-      Execute(std::move(item));
-      // Hand over the answers a completion produced on the way, so acks
-      // do not wait for the rest of the pass.
-      if (!done_.empty()) FlushDone();
-    }
-    // Keep filling the open batches while requests keep arriving (the
-    // pipeline's thresholds cap them); close them once the queue runs
-    // dry. The acks come from the completions either call reports.
-    bool dry = false;
-    {
-      MutexLock lock(&mu_);
-      dry = exec_queue_.empty();
-    }
-    (void)(dry ? pipeline_->Flush() : pipeline_->Poll());
-    FlushDone();
-  }
-}
-
-void ProvenanceServer::Respond(const ExecItem& item,
-                               const Response& response) {
-  DoneItem done;
-  done.session = item.session;
-  done.seq = item.seq;
-  done.charge = item.charge;
-  done.arrival_micros = item.arrival_micros;
-  done.ok = response.ok();
-  done.frame = EncodeFrame(EncodeResponse(response));
-  done_.push_back(std::move(done));
-}
-
-void ProvenanceServer::Execute(ExecItem item) {
+void ProvenanceServer::Execute(const Ticket& ticket,
+                               const Request& request) {
   observability::TraceSpan span("server.request");
-  if (item.request.op != NetOp::kSubmitRecord) {
+  if (request.op != NetOp::kSubmitRecord) {
     // A read observes everything submitted before it: the Drain makes
     // those submits durable, and their completions answer them first.
     (void)pipeline_->Drain();
-    Respond(item, ExecuteRead(item.request));
+    Respond(ticket, ExecuteRead(request));
     return;
   }
   // The pipeline checks the request's shape and chain at Submit and
   // refuses a bad one without buffering it, so no remote request can
   // poison ingest for everyone. Only the participant is ours to map.
-  const SubmitRequest& submit = item.request.submit;
+  const SubmitRequest& submit = request.submit;
   auto participant = participants_.find(submit.participant_id);
   if (participant == participants_.end()) {
-    Response response;
-    response.code = StatusCode::kNotFound;
-    response.message =
-        "unknown participant id " + std::to_string(submit.participant_id);
-    Respond(item, response);
+    Respond(ticket, ResponseOf(Status::NotFound(
+                        "unknown participant id " +
+                        std::to_string(submit.participant_id))));
     return;
   }
   provenance::IngestRequest ingest;
@@ -426,14 +337,11 @@ void ProvenanceServer::Execute(ExecItem item) {
   // is not empty.
   const size_t shard = ShardIndex(submit.object, awaiting_.size());
   std::deque<Awaiting>& queue = awaiting_[shard];
-  queue.push_back(Awaiting{std::move(item), 0});
+  queue.push_back(Awaiting{ticket, 0});
   Status submitted = pipeline_->Submit(ingest, &queue.back().seq);
   if (!submitted.ok() && !queue.empty()) {
     // Refused: no completion will ever name it.
-    Response response;
-    response.code = submitted.code();
-    response.message = submitted.message();
-    Respond(queue.back().item, response);
+    Respond(queue.back().ticket, ResponseOf(submitted));
     queue.pop_back();
   }
 }
@@ -443,31 +351,38 @@ void ProvenanceServer::OnBatchDone(
   std::deque<Awaiting>& queue = awaiting_[completion.shard];
   for (size_t i = 0; i < completion.records && !queue.empty(); ++i) {
     const Awaiting& awaiting = queue.front();
-    Response response;
+    Response response = ResponseOf(completion.status);
     if (completion.status.ok()) {
       AppendVarint64(&response.body, awaiting.seq);
       records_committed_->Increment();
-    } else {
-      response.code = completion.status.code();
-      response.message = completion.status.message();
     }
-    Respond(awaiting.item, response);
+    Respond(awaiting.ticket, response);
     queue.pop_front();
   }
 }
 
-void ProvenanceServer::OnPipelineReady() {
-  bool kick = false;
-  {
-    MutexLock lock(&mu_);
-    if (stop_) return;
-    pipeline_ready_ = true;
-    if (!exec_scheduled_) {
-      exec_scheduled_ = true;
-      kick = true;
-    }
+void ProvenanceServer::Respond(const Ticket& ticket,
+                               const Response& response) {
+  auto it = sessions_.find(ticket.session);
+  if (it == sessions_.end()) {
+    // The connection died while its request executed; the work is done
+    // (and durable, for submits) but the answer has no recipient.
+    admission_.Release(ticket.charge);
+    return;
   }
-  if (kick) exec_pool_->Submit([this] { ExecutorRun(); });
+  Session* s = &it->second;
+  --s->pending;
+  if (response.ok()) {
+    requests_ok_->Increment();
+  } else {
+    requests_failed_->Increment();
+  }
+  request_latency_->Record(observability::ScopedLatencyTimer::NowMicros() -
+                           ticket.arrival_micros);
+  Bytes frame = EncodeFrame(EncodeResponse(response));
+  const uint64_t response_charge = frame.size();
+  admission_.Swap(ticket.charge, response_charge);
+  EmitReady(s, ticket.seq, std::move(frame), response_charge);
 }
 
 Response ProvenanceServer::ExecuteRead(const Request& request) {
@@ -492,7 +407,7 @@ Response ProvenanceServer::ExecuteRead(const Request& request) {
       for (const auto* record : records) {
         AppendLengthPrefixed(&body, provenance::EncodeRecord(*record));
       }
-      if (body.size() > options_.max_response_payload) {
+      if (body.size() > kMaxResponsePayload) {
         response.code = StatusCode::kOutOfRange;
         response.message = "chain exceeds the response size ceiling";
         break;
@@ -504,8 +419,7 @@ Response ProvenanceServer::ExecuteRead(const Request& request) {
       Result<provenance::VerificationReport> report = verifier_.VerifyObject(
           pipeline_->OpenSnapshot(), request.object);
       if (!report.ok()) {
-        response.code = report.status().code();
-        response.message = report.status().message();
+        response = ResponseOf(report.status());
         break;
       }
       VerifySummary summary;
@@ -527,16 +441,6 @@ Response ProvenanceServer::ExecuteRead(const Request& request) {
       break;
   }
   return response;
-}
-
-void ProvenanceServer::FlushDone() {
-  if (done_.empty()) return;
-  {
-    MutexLock lock(&mu_);
-    for (DoneItem& item : done_) done_queue_.push_back(std::move(item));
-  }
-  done_.clear();
-  wake_.Wake();
 }
 
 }  // namespace provdb::net

@@ -40,14 +40,14 @@ Bytes EncodeSubmitBody(const SubmitRequest& submit) {
 Result<SubmitRequest> DecodeSubmitBody(VarintReader* reader) {
   SubmitRequest submit;
   PROVDB_ASSIGN_OR_RETURN(submit.participant_id, reader->ReadVarint64());
-  PROVDB_ASSIGN_OR_RETURN(Bytes op_byte, reader->ReadRaw(1));
+  PROVDB_ASSIGN_OR_RETURN(ByteView op_byte, reader->ReadRaw(1));
   if (op_byte[0] > static_cast<uint8_t>(
                        provenance::OperationType::kAggregate)) {
     return Status::Corruption("unknown operation type in submit request");
   }
   submit.op = static_cast<provenance::OperationType>(op_byte[0]);
   PROVDB_ASSIGN_OR_RETURN(submit.object, reader->ReadVarint64());
-  PROVDB_ASSIGN_OR_RETURN(Bytes flags, reader->ReadRaw(1));
+  PROVDB_ASSIGN_OR_RETURN(ByteView flags, reader->ReadRaw(1));
   if ((flags[0] & ~uint8_t{0x03}) != 0) {
     return Status::Corruption("unknown flag bits in submit request");
   }
@@ -115,11 +115,11 @@ Bytes EncodeRequest(const Request& request) {
 
 Result<Request> DecodeRequest(ByteView payload) {
   VarintReader reader(payload);
-  PROVDB_ASSIGN_OR_RETURN(Bytes version, reader.ReadRaw(1));
+  PROVDB_ASSIGN_OR_RETURN(ByteView version, reader.ReadRaw(1));
   if (version[0] != kWireVersion) {
     return Status::Corruption("unsupported wire version");
   }
-  PROVDB_ASSIGN_OR_RETURN(Bytes op_byte, reader.ReadRaw(1));
+  PROVDB_ASSIGN_OR_RETURN(ByteView op_byte, reader.ReadRaw(1));
   if (op_byte[0] < static_cast<uint8_t>(NetOp::kSubmitRecord) ||
       op_byte[0] > static_cast<uint8_t>(NetOp::kStats)) {
     return Status::Corruption("unknown request op");
@@ -156,11 +156,11 @@ Bytes EncodeResponse(const Response& response) {
 
 Result<Response> DecodeResponse(ByteView payload) {
   VarintReader reader(payload);
-  PROVDB_ASSIGN_OR_RETURN(Bytes version, reader.ReadRaw(1));
+  PROVDB_ASSIGN_OR_RETURN(ByteView version, reader.ReadRaw(1));
   if (version[0] != kWireVersion) {
     return Status::Corruption("unsupported wire version");
   }
-  PROVDB_ASSIGN_OR_RETURN(Bytes code, reader.ReadRaw(1));
+  PROVDB_ASSIGN_OR_RETURN(ByteView code, reader.ReadRaw(1));
   if (code[0] > kMaxStatusCode) {
     return Status::Corruption("unknown status code in response");
   }
@@ -191,7 +191,7 @@ Result<VerifySummary> DecodeVerifySummary(ByteView body) {
   PROVDB_ASSIGN_OR_RETURN(summary.signatures_verified,
                           reader.ReadVarint64());
   PROVDB_ASSIGN_OR_RETURN(summary.issues, reader.ReadVarint64());
-  PROVDB_ASSIGN_OR_RETURN(Bytes ok_byte, reader.ReadRaw(1));
+  PROVDB_ASSIGN_OR_RETURN(ByteView ok_byte, reader.ReadRaw(1));
   if (ok_byte[0] > 1) {
     return Status::Corruption("verify summary ok flag out of range");
   }

@@ -38,10 +38,10 @@ namespace provdb::net {
 /// Protocol version carried in every payload.
 inline constexpr uint8_t kWireVersion = 1;
 
-/// Default ceiling for a frame payload (1 MiB). Generous for any request
+/// Ceiling for a request frame payload (1 MiB). Generous for any request
 /// this protocol defines; response frames carrying large chains may
-/// legitimately exceed it, so servers and clients take the bound as an
-/// option rather than a constant.
+/// legitimately exceed it, so the server bounds responses separately and
+/// the client takes its response bound as an argument.
 inline constexpr size_t kMaxFramePayload = 1u << 20;
 
 /// Request operations.

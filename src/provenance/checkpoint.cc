@@ -70,7 +70,7 @@ Bytes EncodeManifest(const CheckpointManifest& manifest) {
 
 Result<CheckpointManifest> DecodeManifest(ByteView payload) {
   VarintReader reader(payload);
-  PROVDB_ASSIGN_OR_RETURN(Bytes version, reader.ReadRaw(1));
+  PROVDB_ASSIGN_OR_RETURN(ByteView version, reader.ReadRaw(1));
   if (version[0] != kCheckpointVersion) {
     return Status::Corruption("unsupported checkpoint version " +
                               std::to_string(version[0]));

@@ -177,6 +177,62 @@ Status RecoverShard(storage::Env* env, const std::string& dir,
   return Status::OK();
 }
 
+/// Refuses a root written with more than `num_shards` shards: its shard
+/// directories past the count would go unread, and their history would
+/// be lost. An empty one holds no history.
+Status CheckNoShardPast(storage::Env* env, const std::string& root,
+                        size_t num_shards) {
+  if (!env->FileExists(root)) return Status::OK();
+  PROVDB_ASSIGN_OR_RETURN(std::vector<std::string> entries,
+                          env->ListDir(root));
+  const std::string prefix = "shard-";
+  for (const std::string& entry : entries) {
+    if (entry.size() <= prefix.size() || entry.rfind(prefix, 0) != 0) {
+      continue;
+    }
+    size_t index = 0;
+    bool numbered = true;
+    for (size_t i = prefix.size(); i < entry.size() && numbered; ++i) {
+      numbered = entry[i] >= '0' && entry[i] <= '9';
+      index = index * 10 + static_cast<size_t>(entry[i] - '0');
+    }
+    if (!numbered || index < num_shards) continue;
+    PROVDB_ASSIGN_OR_RETURN(std::vector<std::string> files,
+                            env->ListDir(root + "/" + entry));
+    if (!files.empty()) {
+      return Status::FailedPrecondition(
+          root + "/" + entry + " lies past the " +
+          std::to_string(num_shards) +
+          " shards recovery was asked for: the root was written with "
+          "more shards");
+    }
+  }
+  return Status::OK();
+}
+
+/// Refuses a recovered chain on a shard its object does not route to: the
+/// root was written with another shard count, and the object's next
+/// record would start a second chain on its own shard.
+Status CheckRouting(const ShardedProvenanceStore& store) {
+  const size_t num_shards = store.num_shards();
+  const StoreSnapshot snapshot = store.OpenSnapshot();
+  for (size_t i = 0; i < num_shards; ++i) {
+    std::optional<storage::ObjectId> misrouted;
+    snapshot.shard_view(i).ForEachChain(
+        [&](storage::ObjectId id, const ChainNode*) {
+          if (!misrouted && ShardIndex(id, num_shards) != i) misrouted = id;
+        });
+    if (misrouted) {
+      return Status::FailedPrecondition(
+          "object " + std::to_string(*misrouted) + " recovered on shard " +
+          std::to_string(i) + " of " + std::to_string(num_shards) +
+          " routes to another: the root was written with another shard "
+          "count");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -295,6 +351,7 @@ Result<ShardedProvenanceStore> ShardedProvenanceStore::Recover(
   if (num_shards == 0) {
     return Status::InvalidArgument("num_shards must be at least 1");
   }
+  PROVDB_RETURN_IF_ERROR(CheckNoShardPast(env, root, num_shards));
   ShardedProvenanceStore store(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     const std::string dir = ShardDirName(root, i);
@@ -313,6 +370,7 @@ Result<ShardedProvenanceStore> ShardedProvenanceStore::Recover(
   // the recovered (durable) state. Until it, every index node was born
   // at tick 0 and the refill copied and retired none.
   store.PublishAll();
+  PROVDB_RETURN_IF_ERROR(CheckRouting(store));
   return store;
 }
 

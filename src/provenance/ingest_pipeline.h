@@ -104,6 +104,11 @@ class ShardedProvenanceStore {
   /// `reports` when non-null, indexed by shard; corruption before a tail
   /// fails with kCorruption (DESIGN.md §8 has the decision rule).
   ///
+  /// A root written with another shard count is kFailedPrecondition,
+  /// since recovering it would drop or fork history: a shard directory
+  /// at or past `num_shards` that holds any file, or a recovered chain
+  /// whose object routes to another shard.
+  ///
   /// Checkpoint-bounded recovery (DESIGN.md §13): a shard holding a
   /// sealed checkpoint loads the newest one and replays only the WAL
   /// suffix past its horizon. Its seal must verify under
@@ -249,7 +254,8 @@ struct BatchCompletion {
 /// pipeline, never on a pipeline thread: Submit, Flush, Drain and Poll
 /// do whatever is ready, and Drain waits until everything submitted is
 /// committed. A producer that does not block in Drain — the server's
-/// executor strand — installs a wake hook and calls Poll when woken. A
+/// poll loop — installs a wake hook, and calls Flush or Poll when
+/// woken. A
 /// sequential pipeline (no pool) runs the same steps inline, and a
 /// memory-only one (OpenInMemory) skips the write-ahead.
 ///

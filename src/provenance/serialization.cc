@@ -10,7 +10,7 @@ constexpr uint8_t kRecordFormatVersion = 1;
 
 /// Reads a one-byte flag; the encoder writes only 0 and 1.
 Result<bool> ReadFlag(VarintReader* reader, const char* field) {
-  PROVDB_ASSIGN_OR_RETURN(Bytes raw, reader->ReadRaw(1));
+  PROVDB_ASSIGN_OR_RETURN(ByteView raw, reader->ReadRaw(1));
   if (raw[0] > 1) {
     return Status::Corruption(std::string(field) + " flag out of range");
   }
@@ -20,7 +20,7 @@ Result<bool> ReadFlag(VarintReader* reader, const char* field) {
 }  // namespace
 
 Result<crypto::Digest> ReadDigest(VarintReader* reader) {
-  PROVDB_ASSIGN_OR_RETURN(Bytes raw, reader->ReadLengthPrefixed());
+  PROVDB_ASSIGN_OR_RETURN(ByteView raw, reader->ReadLengthPrefixedView());
   if (raw.size() > crypto::Digest::kMaxSize) {
     return Status::Corruption("digest field exceeds digest width");
   }
@@ -60,7 +60,7 @@ Result<ProvenanceRecord> DecodeRecord(ByteView data) {
 
   PROVDB_ASSIGN_OR_RETURN(record.seq_id, reader.ReadVarint64());
   PROVDB_ASSIGN_OR_RETURN(record.participant, reader.ReadVarint64());
-  PROVDB_ASSIGN_OR_RETURN(Bytes op_raw, reader.ReadRaw(1));
+  PROVDB_ASSIGN_OR_RETURN(ByteView op_raw, reader.ReadRaw(1));
   if (op_raw[0] > static_cast<uint8_t>(OperationType::kAggregate)) {
     return Status::Corruption("invalid operation type tag");
   }

@@ -48,7 +48,7 @@ Result<Value> Value::CanonicalDecode(ByteView data, size_t* consumed) {
       break;
     }
     case ValueType::kDouble: {
-      PROVDB_ASSIGN_OR_RETURN(Bytes raw, reader.ReadRaw(8));
+      PROVDB_ASSIGN_OR_RETURN(ByteView raw, reader.ReadRaw(8));
       uint64_t bits = ReadFixed64(raw, 0);
       double d;
       std::memcpy(&d, &bits, sizeof(d));

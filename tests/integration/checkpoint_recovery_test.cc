@@ -573,7 +573,7 @@ TEST(CheckpointedIngestCrashSweepTest, PooledDrainsCrashAtEveryMutatingOp) {
   SweepEveryMutatingOp(/*signing_threads=*/4, /*drain_every=*/4, "pooled");
 }
 
-/// Drives `pipeline` the way the server's strand does: Submit each
+/// Drives `pipeline` the way the server's poll loop does: Submit each
 /// request, close the open batches (Flush) after every third, Poll in
 /// between, and count the records each OK completion acknowledges. An
 /// aggregate goes in behind a Drain, since a wire client learns its

@@ -188,7 +188,7 @@ TEST_F(ServerCorruptionTest, GarbageAfterValidFrameRejectsOnlyTheGarbage) {
 
 TEST_F(ServerCorruptionTest, OversizedLengthPrefixClosesImmediately) {
   Bytes raw;
-  AppendVarint64(&raw, (64u << 20));  // far over max_frame_payload
+  AppendVarint64(&raw, (64u << 20));  // far over kMaxFramePayload
   const size_t committed = DrainTamperedExchange(*server_, raw);
   EXPECT_EQ(committed, 0u);
   ExpectStoreUntouched();

@@ -4,7 +4,11 @@
 // able to wedge the pipeline), and the admission-control overload
 // contract — saturated budgets shed with typed kUnavailable while every
 // *accepted* record stays durable and byte-identical to what a direct
-// IngestPipeline ingest of the same accepted set produces.
+// IngestPipeline ingest of the same accepted set produces. Most run over
+// a sequential pipeline, whose batches complete inside the server's own
+// calls; the ServerPooledTest variants run the same bodies over the
+// pooled, sealing pipeline perfbench's ingest_wire runs, where every ack
+// waits for the pipeline's wake hook.
 
 #include "net/server.h"
 
@@ -46,8 +50,22 @@ crypto::Digest D(uint8_t tag) {
   return crypto::Digest::FromBytes(ByteView(b.data(), b.size()));
 }
 
-std::string FreshDir(const std::string& tag) {
-  std::string root = ::testing::TempDir() + "/provdb_server_" + tag;
+/// The pipeline behind a server test.
+enum class Behind {
+  /// No pipeline threads: every step runs inline, so the Flush that ends
+  /// each loop tick completes its batches inside the call.
+  kSequential,
+  /// The pipeline perfbench's ingest_wire runs: records sign on 4
+  /// threads, each shard's fsync runs on an I/O thread, and a seal runs
+  /// every few records per shard. Batches complete after the loop moved
+  /// on, so every ack waits for the wake hook.
+  kPooled,
+};
+
+std::string FreshDir(const std::string& tag,
+                     Behind behind = Behind::kSequential) {
+  std::string root = ::testing::TempDir() + "/provdb_server_" +
+                     (behind == Behind::kPooled ? "pooled_" : "") + tag;
   auto shards = Env::Default()->ListDir(root);
   if (shards.ok()) {
     for (const std::string& shard : *shards) {
@@ -70,8 +88,35 @@ std::map<crypto::ParticipantId, const crypto::Participant*> Participants() {
   return out;
 }
 
-std::unique_ptr<IngestPipeline> OpenPipeline(const std::string& root,
-                                             size_t shards = 2) {
+/// Verifies the seals of a pooled pipeline's checkpoints on reopen.
+const crypto::SignatureVerifier& SealVerifier() {
+  static const crypto::RsaSignatureVerifier* verifier =
+      new crypto::RsaSignatureVerifier(P(0).public_key());
+  return *verifier;
+}
+
+/// A pooled pipeline (see Behind::kPooled) over `env`.
+std::unique_ptr<IngestPipeline> OpenPooledPipeline(Env* env,
+                                                   const std::string& root,
+                                                   size_t shards) {
+  IngestOptions options;
+  options.num_shards = shards;
+  options.signing.num_threads = 4;
+  options.checkpoint.every_records = 3;
+  options.checkpoint.signer = &P(0).signer();
+  options.checkpoint.sealer_id = P(0).id();
+  options.checkpoint.verifier = &SealVerifier();
+  auto pipeline = IngestPipeline::Open(env, root, options);
+  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  return std::move(pipeline).value();
+}
+
+std::unique_ptr<IngestPipeline> OpenPipeline(
+    const std::string& root, size_t shards = 2,
+    Behind behind = Behind::kSequential) {
+  if (behind == Behind::kPooled) {
+    return OpenPooledPipeline(Env::Default(), root, shards);
+  }
   IngestOptions options;
   options.num_shards = shards;
   auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
@@ -164,10 +209,9 @@ std::vector<Bytes> FlattenStore(const IngestPipeline& pipeline) {
 /// resulting store to be byte-identical to `served`'s — the wire path
 /// must add nothing, lose nothing, and change nothing.
 void ExpectByteIdenticalToDirectIngest(
-    const std::string& tag, const std::vector<SubmitRequest>& accepted,
+    const std::string& root, const std::vector<SubmitRequest>& accepted,
     const IngestPipeline& served, size_t shards) {
-  std::unique_ptr<IngestPipeline> direct =
-      OpenPipeline(FreshDir(tag), shards);
+  std::unique_ptr<IngestPipeline> direct = OpenPipeline(root, shards);
   for (const SubmitRequest& submit : accepted) {
     ASSERT_TRUE(direct->Submit(ToIngestRequest(submit)).ok());
   }
@@ -177,8 +221,8 @@ void ExpectByteIdenticalToDirectIngest(
 
 // -- Basic ops ---------------------------------------------------------
 
-TEST(ServerIntegrationTest, InsertUpdateQueryVerifyStats) {
-  auto pipeline = OpenPipeline(FreshDir("basic"));
+void InsertUpdateQueryVerifyStats(Behind behind) {
+  auto pipeline = OpenPipeline(FreshDir("basic", behind), 2, behind);
   auto server = StartServer(pipeline.get());
   auto client = Connect(*server);
 
@@ -221,6 +265,14 @@ TEST(ServerIntegrationTest, InsertUpdateQueryVerifyStats) {
   ASSERT_TRUE(stats->ok());
   const std::string json(stats->body.begin(), stats->body.end());
   EXPECT_NE(json.find("server.requests.received"), std::string::npos);
+}
+
+TEST(ServerIntegrationTest, InsertUpdateQueryVerifyStats) {
+  InsertUpdateQueryVerifyStats(Behind::kSequential);
+}
+
+TEST(ServerPooledTest, InsertUpdateQueryVerifyStats) {
+  InsertUpdateQueryVerifyStats(Behind::kPooled);
 }
 
 TEST(ServerIntegrationTest, UnknownObjectAnswersNotFound) {
@@ -337,7 +389,7 @@ TEST(ServerIntegrationTest, BadSubmitsRejectedTypedWithoutWedgingIngest) {
   ASSERT_TRUE(client.Call(Insert(5, 0x50))->ok());
 
   // Each of these would poison the pipeline if it reached a flush; the
-  // executor must reject them up front with the right typed error.
+  // server must reject them up front with the right typed error.
   auto duplicate = client.Call(Insert(5, 0x51));
   ASSERT_TRUE(duplicate.ok());
   EXPECT_EQ(duplicate->code, StatusCode::kFailedPrecondition);
@@ -392,8 +444,8 @@ TEST(ServerIntegrationTest, BadSubmitsRejectedTypedWithoutWedgingIngest) {
 
 // -- Ordering and restarts ---------------------------------------------
 
-TEST(ServerIntegrationTest, PipelinedResponsesArriveInRequestOrder) {
-  auto pipeline = OpenPipeline(FreshDir("pipelined"));
+void PipelinedResponsesArriveInRequestOrder(Behind behind) {
+  auto pipeline = OpenPipeline(FreshDir("pipelined", behind), 2, behind);
   auto server = StartServer(pipeline.get());
   auto client = Connect(*server);
 
@@ -423,20 +475,15 @@ TEST(ServerIntegrationTest, PipelinedResponsesArriveInRequestOrder) {
   EXPECT_EQ((*records)[0].output.object_id, 100u);
 }
 
-// -- Acks follow durability --------------------------------------------
-
-/// A pipeline behind the server that signs on a pool, so acks come from
-/// completions that land after the strand moved on.
-std::unique_ptr<IngestPipeline> OpenPooledPipeline(Env* env,
-                                                   const std::string& root,
-                                                   size_t shards) {
-  IngestOptions options;
-  options.num_shards = shards;
-  options.signing.num_threads = 4;
-  auto pipeline = IngestPipeline::Open(env, root, options);
-  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  return std::move(pipeline).value();
+TEST(ServerIntegrationTest, PipelinedResponsesArriveInRequestOrder) {
+  PipelinedResponsesArriveInRequestOrder(Behind::kSequential);
 }
+
+TEST(ServerPooledTest, PipelinedResponsesArriveInRequestOrder) {
+  PipelinedResponsesArriveInRequestOrder(Behind::kPooled);
+}
+
+// -- Acks follow durability --------------------------------------------
 
 TEST(ServerIntegrationTest, FailedFsyncAnswersEverySubmitWithTheError) {
   storage::FaultInjectionEnv env(Env::Default());
@@ -511,9 +558,9 @@ TEST(ServerIntegrationTest, ReadsAfterPipelinedSubmitsSeeThem) {
   EXPECT_EQ(records->size(), 1u);
 }
 
-TEST(ServerIntegrationTest, ChainTailsSeededAcrossServerRestart) {
-  auto root = FreshDir("restart");
-  auto pipeline = OpenPipeline(root);
+void ChainTailsSeededAcrossServerRestart(Behind behind) {
+  auto root = FreshDir("restart", behind);
+  auto pipeline = OpenPipeline(root, 2, behind);
   auto server = StartServer(pipeline.get());
   {
     auto client = Connect(*server);
@@ -534,8 +581,16 @@ TEST(ServerIntegrationTest, ChainTailsSeededAcrossServerRestart) {
   EXPECT_EQ(SeqOf(*update), 1u);
 }
 
-TEST(ServerIntegrationTest, ConcurrentConnectionsAllCommit) {
-  auto pipeline = OpenPipeline(FreshDir("conns"));
+TEST(ServerIntegrationTest, ChainTailsSeededAcrossServerRestart) {
+  ChainTailsSeededAcrossServerRestart(Behind::kSequential);
+}
+
+TEST(ServerPooledTest, ChainTailsSeededAcrossServerRestart) {
+  ChainTailsSeededAcrossServerRestart(Behind::kPooled);
+}
+
+void ConcurrentConnectionsAllCommit(Behind behind) {
+  auto pipeline = OpenPipeline(FreshDir("conns", behind), 2, behind);
   auto server = StartServer(pipeline.get());
 
   constexpr size_t kClients = 4;
@@ -575,14 +630,22 @@ TEST(ServerIntegrationTest, ConcurrentConnectionsAllCommit) {
   EXPECT_EQ(verification.records_checked, acked);
 }
 
+TEST(ServerIntegrationTest, ConcurrentConnectionsAllCommit) {
+  ConcurrentConnectionsAllCommit(Behind::kSequential);
+}
+
+TEST(ServerPooledTest, ConcurrentConnectionsAllCommit) {
+  ConcurrentConnectionsAllCommit(Behind::kPooled);
+}
+
 // Closed-loop clients on their own threads, each driving its own slice
 // of objects through insert-then-update chains with one request in
 // flight per object: every request is acked, and the store afterward
 // holds exactly the acked records as signature-valid, linked chains.
-// Suite named Server* so the TSan stage covers the client threads
-// racing the server's poll and executor threads.
-TEST(ServerLoadGeneratorTest, UnconstrainedRunAcceptsEverythingVerified) {
-  auto pipeline = OpenPipeline(FreshDir("loadgen_clean"));
+// Suites named Server* so the TSan stage covers the client threads
+// racing the server's poll thread and, pooled, the pipeline's threads.
+void UnconstrainedRunAcceptsEverythingVerified(Behind behind) {
+  auto pipeline = OpenPipeline(FreshDir("loadgen_clean", behind), 2, behind);
   auto server = StartServer(pipeline.get());
 
   constexpr size_t kClients = 4;
@@ -632,12 +695,20 @@ TEST(ServerLoadGeneratorTest, UnconstrainedRunAcceptsEverythingVerified) {
   EXPECT_EQ(verification.records_checked, acked.load());
 }
 
+TEST(ServerLoadGeneratorTest, UnconstrainedRunAcceptsEverythingVerified) {
+  UnconstrainedRunAcceptsEverythingVerified(Behind::kSequential);
+}
+
+TEST(ServerPooledTest, UnconstrainedRunAcceptsEverythingVerified) {
+  UnconstrainedRunAcceptsEverythingVerified(Behind::kPooled);
+}
+
 // -- The write-ahead + differential contract ---------------------------
 
-TEST(ServerIntegrationTest, AcceptedRecordsByteIdenticalToDirectIngest) {
+void AcceptedRecordsByteIdenticalToDirectIngest(Behind behind) {
   const size_t kShards = 2;
-  auto root = FreshDir("diff_server");
-  auto pipeline = OpenPipeline(root, kShards);
+  auto root = FreshDir("diff_server", behind);
+  auto pipeline = OpenPipeline(root, kShards, behind);
   auto server = StartServer(pipeline.get());
   auto client = Connect(*server);
 
@@ -666,23 +737,31 @@ TEST(ServerIntegrationTest, AcceptedRecordsByteIdenticalToDirectIngest) {
   ASSERT_TRUE(pipeline->Drain().ok());
   ASSERT_EQ(pipeline->OpenSnapshot().record_count(), accepted.size());
 
-  ExpectByteIdenticalToDirectIngest("diff_direct", accepted, *pipeline,
-                                    kShards);
+  ExpectByteIdenticalToDirectIngest(FreshDir("diff_direct", behind),
+                                    accepted, *pipeline, kShards);
 
   // And the accepted set is *durable*: a recovery-path reopen of the same
   // root must reconstruct the identical store.
   std::vector<Bytes> before = FlattenStore(*pipeline);
   pipeline.reset();
-  auto reopened = OpenPipeline(root, kShards);
+  auto reopened = OpenPipeline(root, kShards, behind);
   EXPECT_EQ(FlattenStore(*reopened), before);
+}
+
+TEST(ServerIntegrationTest, AcceptedRecordsByteIdenticalToDirectIngest) {
+  AcceptedRecordsByteIdenticalToDirectIngest(Behind::kSequential);
+}
+
+TEST(ServerPooledTest, AcceptedRecordsByteIdenticalToDirectIngest) {
+  AcceptedRecordsByteIdenticalToDirectIngest(Behind::kPooled);
 }
 
 // -- Overload ----------------------------------------------------------
 
-TEST(ServerOverloadTest, SaturatedAdmissionShedsTypedAndCommitsTheRest) {
+void SaturatedAdmissionShedsTypedAndCommitsTheRest(Behind behind) {
   const size_t kShards = 2;
-  auto root = FreshDir("overload");
-  auto pipeline = OpenPipeline(root, kShards);
+  auto root = FreshDir("overload", behind);
+  auto pipeline = OpenPipeline(root, kShards, behind);
 
   ServerOptions options;
   // A budget of a couple of frames and a tiny pending queue: a 64-deep
@@ -740,8 +819,8 @@ TEST(ServerOverloadTest, SaturatedAdmissionShedsTypedAndCommitsTheRest) {
   // Exactly the accepted set committed — nothing shed leaked in, nothing
   // accepted got lost — and its bytes match a direct ingest replay.
   ASSERT_EQ(pipeline->OpenSnapshot().record_count(), accepted.size());
-  ExpectByteIdenticalToDirectIngest("overload_direct", accepted, *pipeline,
-                                    kShards);
+  ExpectByteIdenticalToDirectIngest(FreshDir("overload_direct", behind),
+                                    accepted, *pipeline, kShards);
 
   // Budget fully released once the burst is answered.
   for (const auto& [name, value] :
@@ -750,6 +829,14 @@ TEST(ServerOverloadTest, SaturatedAdmissionShedsTypedAndCommitsTheRest) {
       EXPECT_EQ(value, 0);
     }
   }
+}
+
+TEST(ServerOverloadTest, SaturatedAdmissionShedsTypedAndCommitsTheRest) {
+  SaturatedAdmissionShedsTypedAndCommitsTheRest(Behind::kSequential);
+}
+
+TEST(ServerPooledTest, SaturatedAdmissionShedsTypedAndCommitsTheRest) {
+  SaturatedAdmissionShedsTypedAndCommitsTheRest(Behind::kPooled);
 }
 
 }  // namespace

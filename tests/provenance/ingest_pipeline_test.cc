@@ -328,6 +328,59 @@ TEST(IngestPipelineTest, ReopenContinuesChainsFromRecoveredTails) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+/// Writes 16 objects over 4 shards at `root` and closes the pipeline.
+void WriteFourShardStore(const std::string& root) {
+  IngestOptions options;
+  options.num_shards = 4;
+  auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  for (ObjectId id = 1; id <= 16; ++id) {
+    ASSERT_TRUE(
+        (*pipeline)->Submit(Insert(id, static_cast<uint8_t>(id))).ok());
+  }
+  ASSERT_TRUE((*pipeline)->Close().ok());
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  for (size_t s = 0; s < 4; ++s) {
+    ASSERT_GT(snapshot.shard_view(s).record_count(), 0u) << "shard " << s;
+  }
+}
+
+/// Reopening `root` with `shards` is refused, through Open and Recover
+/// alike, and the root still recovers whole with its own 4 shards.
+void ExpectReopenWithShardsRefused(const std::string& root, size_t shards) {
+  IngestOptions options;
+  options.num_shards = shards;
+  auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
+  EXPECT_EQ(pipeline.status().code(), StatusCode::kFailedPrecondition)
+      << pipeline.status().ToString();
+  auto recovered =
+      ShardedProvenanceStore::Recover(Env::Default(), root, shards);
+  EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition)
+      << recovered.status().ToString();
+  auto whole = ShardedProvenanceStore::Recover(Env::Default(), root, 4);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole->record_count(), 16u);
+}
+
+// With 2 shards, shard-002 and shard-003 would go unread: their records
+// would be lost, and their objects would accept a second insert.
+TEST(IngestPipelineTest, ReopenWithFewerShardsIsRefused) {
+  const std::string root = FreshDir("shards_4_to_2");
+  WriteFourShardStore(root);
+  if (::testing::Test::HasFatalFailure()) return;
+  ExpectReopenWithShardsRefused(root, 2);
+}
+
+// With 8 shards every directory is read, but an object whose id mixes
+// to shard 4 to 7 has its chain on a shard it no longer routes to: it
+// would accept a second insert on its new shard.
+TEST(IngestPipelineTest, ReopenWithMoreShardsIsRefused) {
+  const std::string root = FreshDir("shards_4_to_8");
+  WriteFourShardStore(root);
+  if (::testing::Test::HasFatalFailure()) return;
+  ExpectReopenWithShardsRefused(root, 8);
+}
+
 // A snapshot of a three-shard pipeline holds every record and extracts
 // every provenance object, aggregate inputs on other shards included,
 // exactly as the sequential reference store does, in (object id, seqID)

@@ -32,8 +32,9 @@
 #   tsan           ThreadSanitizer over the parallel verify/audit paths,
 #                  the sharded ingest pipeline's parallel signing, the
 #                  concurrent metrics-recording tests, the epoch/snapshot
-#                  suites, and the network server's poll/executor/
-#                  multi-client thread soup (the Server* suites)
+#                  suites, and the network server's poll thread racing
+#                  its clients and the pipeline's threads (the Server*
+#                  suites, the corruption matrix's live server included)
 #   snapshot       the epoch-based snapshot read path (DESIGN.md §16)
 #                  under TSan: the epoch-domain reader/writer/reclaimer
 #                  stress suites, the snapshot byte-equality suites, and
@@ -212,7 +213,7 @@ stage_tsan() {
   run cmake --build "$OUT/tsan" -j "$JOBS" \
     --target common_test provenance_core_test provenance_security_test \
     provenance_ext_test provenance_ingest_test provenance_snapshot_test \
-    observability_test net_server_test
+    observability_test net_server_test net_server_corruption_test
   run ctest --test-dir "$OUT/tsan" --output-on-failure -j "$JOBS" \
     -R 'ThreadPool|Parallel|Audit|Concurrent|Ingest|Server|Epoch|Snapshot'
 }
