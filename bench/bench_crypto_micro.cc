@@ -140,12 +140,14 @@ void BM_BigMul(benchmark::State& state) {
 BENCHMARK(BM_BigMul)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
 
 void BM_HmacSignerAblation(benchmark::State& state) {
-  // The symmetric alternative: ~3 orders of magnitude faster than RSA but
-  // forfeits non-repudiation (R8).
-  crypto::HmacSigner signer(MakePayload(32));
+  // The symmetric alternative: an HMAC over the same payload is ~3 orders
+  // of magnitude faster than RSA but forfeits non-repudiation (R8), since
+  // every holder of the key can forge.
+  Bytes key = MakePayload(32);
   Bytes payload = MakePayload(168);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(signer.Sign(payload));
+    benchmark::DoNotOptimize(
+        crypto::HmacCompute(HashAlgorithm::kSha1, key, payload));
   }
 }
 BENCHMARK(BM_HmacSignerAblation);
@@ -174,7 +176,8 @@ void BM_ChecksumEndToEnd(benchmark::State& state) {
   Bytes prev = MakePayload(128);
   for (auto _ : state) {
     Bytes payload = engine.BuildUpdatePayload(in, out, prev);
-    benchmark::DoNotOptimize(engine.SignPayload(signer, payload));
+    benchmark::DoNotOptimize(engine.SignPayload(
+        signer, provenance::OperationType::kUpdate, payload));
   }
 }
 BENCHMARK(BM_ChecksumEndToEnd)->Unit(benchmark::kMicrosecond);

@@ -54,7 +54,7 @@ int Run(int argc, char** argv) {
 
   BenchPki pki = BenchPki::Create();
   ChecksumEngine engine;
-  const crypto::Signer& signer = pki.participant->signer();
+  const crypto::RsaSigner& signer = pki.participant->signer();
 
   // ---- Part 1: serialized critical-section time ---------------------
   // Local chains: the only shared state is the per-object tail; distinct

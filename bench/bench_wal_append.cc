@@ -11,31 +11,18 @@
 // one appended fails the bench — a throughput number for a log that does
 // not recover is worthless.
 
-// A second pass measures checkpoint-bounded recovery (DESIGN.md §13):
-// the same store is recovered behind checkpoints taken at different
-// points, and the bench asserts the replayed WAL suffix shrinks with the
-// checkpoint horizon — recovery cost is O(suffix), not O(history).
-
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "crypto/signer.h"
-#include "provenance/checkpoint.h"
-#include "provenance/ingest_pipeline.h"
-#include "provenance/serialization.h"
 #include "storage/env.h"
 #include "storage/wal.h"
 
 namespace provdb::bench {
 namespace {
 
-using provdb::provenance::CheckpointWriter;
-using provdb::provenance::ShardedProvenanceStore;
-using provdb::provenance::ProvenanceRecord;
 using storage::Env;
 using storage::WalReader;
-using storage::WalRecoveryReport;
 using storage::WalWriter;
 
 struct ModeResult {
@@ -100,84 +87,6 @@ void CleanDir(Env* env, const std::string& dir) {
   }
 }
 
-/// A synthetic single-record chain (no RSA signing — the pass measures
-/// log replay and snapshot load, not signature cost).
-ProvenanceRecord MakeRecord(uint64_t i) {
-  ProvenanceRecord rec;
-  rec.seq_id = 0;
-  rec.participant = 1;
-  rec.op = provenance::OperationType::kInsert;
-  rec.output = provenance::ObjectState{
-      static_cast<storage::ObjectId>(i + 1),
-      crypto::Digest::FromBytes(Bytes(20, static_cast<uint8_t>(i)))};
-  rec.checksum = Bytes(128, static_cast<uint8_t>(i * 7 + 1));
-  return rec;
-}
-
-/// Recovers a `total`-record one-shard store under `root` whose first
-/// `total - suffix` records sit behind a sealed checkpoint. Asserts the
-/// structural invariant that makes the wall-clock shape inevitable:
-/// exactly `suffix` WAL frames are replayed, everything else loads from
-/// the snapshot.
-void RecoveryPass(Env* env, const std::string& root, uint64_t total,
-                  uint64_t suffix, const BenchPki& pki) {
-  OrAbort(env->CreateDir(root));
-  const std::string dir = ShardedProvenanceStore::ShardDirName(root, 0);
-  CleanDir(env, dir);
-  const uint64_t prefix = total - suffix;
-  {
-    ShardedProvenanceStore store(1);
-    WalWriter wal = WalWriter::Open(env, dir).value();
-    // Write-ahead by hand, as an ingest pipeline flush does: the record
-    // frame reaches the log before the record reaches the store.
-    auto add = [&](uint64_t i) {
-      ProvenanceRecord rec = MakeRecord(i);
-      OrAbort(wal.Append(provenance::EncodeWalRecordEntry(rec)));
-      OrAbort(store.shard(0).AddRecord(std::move(rec)).status());
-    };
-    for (uint64_t i = 0; i < prefix; ++i) add(i);
-    if (prefix > 0) {
-      // Roll -> seal -> GC, the same order as IngestPipeline::CheckpointNow.
-      uint64_t horizon = wal.RollSegment().value();
-      store.PublishAll();
-      const provenance::StoreSnapshot snapshot = store.OpenSnapshot();
-      OrAbort(CheckpointWriter::Write(env, dir, snapshot.shard_view(0),
-                                      horizon, pki.participant->signer(),
-                                      pki.participant->id()));
-      OrAbort(provenance::RemoveStaleCheckpoints(env, dir, horizon));
-      OrAbort(wal.GarbageCollect(horizon));
-    }
-    for (uint64_t i = prefix; i < total; ++i) add(i);
-    OrAbort(wal.Close());
-  }
-
-  crypto::RsaSignatureVerifier verifier(pki.participant->public_key());
-  std::vector<WalRecoveryReport> reports;
-  Stopwatch watch;
-  auto recovered =
-      ShardedProvenanceStore::Recover(env, root, 1, &reports, &verifier);
-  const double seconds = watch.ElapsedSeconds();
-  const WalRecoveryReport report =
-      reports.empty() ? WalRecoveryReport() : reports[0];
-  if (!recovered.ok() || recovered->record_count() != total ||
-      report.records != suffix || report.checkpoint_records != prefix) {
-    std::fprintf(stderr,
-                 "FATAL: recovery pass (suffix %llu): %s — recovered %llu "
-                 "records, replayed %llu frames, %llu from checkpoint\n",
-                 static_cast<unsigned long long>(suffix),
-                 recovered.status().ToString().c_str(),
-                 static_cast<unsigned long long>(
-                     recovered.ok() ? recovered->record_count() : 0),
-                 static_cast<unsigned long long>(report.records),
-                 static_cast<unsigned long long>(report.checkpoint_records));
-    std::abort();
-  }
-  std::printf("%14llu %14llu %14llu %10.4f\n",
-              static_cast<unsigned long long>(prefix),
-              static_cast<unsigned long long>(suffix),
-              static_cast<unsigned long long>(report.records), seconds);
-}
-
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
   const size_t records = static_cast<size_t>(flags.GetInt("records", 20000));
@@ -231,30 +140,6 @@ int Run(int argc, char** argv) {
       "fsync cost is amortized; sync-every-append pays one fsync per\n"
       "record and bounds loss to zero acknowledged records, group commit\n"
       "bounds loss to one batch. every mode's log passed the verify pass.\n");
-
-  // Checkpoint-bounded recovery: same total history, shrinking WAL
-  // suffix behind a sealed checkpoint. The replayed-frames column is
-  // asserted equal to the suffix — the structural proof that recovery is
-  // O(delta) — and the seconds column shows the wall-clock consequence.
-  const uint64_t recovery_records =
-      static_cast<uint64_t>(flags.GetInt("recovery_records", 6000));
-  std::printf(
-      "\ncheckpoint-bounded recovery (%llu records total, DESIGN.md §13)\n",
-      static_cast<unsigned long long>(recovery_records));
-  std::printf("%14s %14s %14s %10s\n", "in checkpoint", "wal suffix",
-              "replayed", "seconds");
-  BenchPki pki = BenchPki::Create();
-  const uint64_t kSuffixes[] = {recovery_records, recovery_records / 2,
-                                recovery_records / 10, 0};
-  const std::string recovery_root = dir + "_recovery";
-  for (uint64_t suffix : kSuffixes) {
-    RecoveryPass(env, recovery_root, recovery_records, suffix, pki);
-  }
-  CleanDir(env, ShardedProvenanceStore::ShardDirName(recovery_root, 0));
-  std::printf(
-      "\nshape check: replayed frames equal the WAL suffix at every row\n"
-      "(asserted), so recovery cost tracks the un-checkpointed delta, not\n"
-      "total history; the full-suffix row is the old bounded-only cost.\n");
   return 0;
 }
 

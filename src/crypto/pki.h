@@ -103,7 +103,7 @@ class Participant {
   const std::string& name() const { return name_; }
   const ParticipantCertificate& certificate() const { return certificate_; }
   const RsaPublicKey& public_key() const { return certificate_.public_key; }
-  const Signer& signer() const { return *signer_; }
+  const RsaSigner& signer() const { return *signer_; }
 
  private:
   Participant(ParticipantId id, std::string name,

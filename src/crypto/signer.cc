@@ -1,9 +1,5 @@
 #include "crypto/signer.h"
 
-#include <string>
-
-#include "crypto/hmac.h"
-
 namespace provdb::crypto {
 
 namespace {
@@ -79,15 +75,6 @@ Result<Bytes> RsaSigner::SignDigest(const Digest& digest) const {
   return s.ToBytesBigEndianPadded(k);
 }
 
-size_t RsaSigner::signature_size() const {
-  return public_key_.ModulusBytes();
-}
-
-std::string RsaSigner::scheme_name() const {
-  return "RSA-" + std::to_string(public_key_.n.BitLength()) + "/" +
-         std::string(HashAlgorithmName(alg_));
-}
-
 RsaSignatureVerifier::RsaSignatureVerifier(RsaPublicKey key,
                                            HashAlgorithm alg)
     : key_(std::move(key)), alg_(alg) {
@@ -125,22 +112,6 @@ Status RsaSignatureVerifier::VerifyDigest(const Digest& digest,
   }
   if (!ConstantTimeEqual(em_or.value(), expected_or.value())) {
     return Status::VerificationFailed("signature does not match digest");
-  }
-  return Status::OK();
-}
-
-Result<Bytes> HmacSigner::Sign(ByteView message) const {
-  return HmacCompute(alg_, key_, message).ToBytes();
-}
-
-std::string HmacSigner::scheme_name() const {
-  return "HMAC/" + std::string(HashAlgorithmName(alg_));
-}
-
-Status HmacSigner::Verify(ByteView message, ByteView signature) const {
-  Digest expected = HmacCompute(alg_, key_, message);
-  if (!ConstantTimeEqual(expected.view(), signature)) {
-    return Status::VerificationFailed("HMAC mismatch");
   }
   return Status::OK();
 }

@@ -1,9 +1,8 @@
 #ifndef PROVDB_CRYPTO_SIGNER_H_
 #define PROVDB_CRYPTO_SIGNER_H_
 
-#include <memory>
 #include <optional>
-#include <string_view>
+#include <utility>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -12,54 +11,26 @@
 
 namespace provdb::crypto {
 
-/// Produces signatures over arbitrary messages (hash-then-sign). The
-/// checksum scheme signs the concatenation `h(in)|h(out)|C_prev` with the
-/// acting participant's key — this is `S_SK_p(...)` in the paper (§2.3).
-class Signer {
- public:
-  virtual ~Signer() = default;
-
-  /// Signs `message`. The returned signature has `signature_size()` bytes.
-  virtual Result<Bytes> Sign(ByteView message) const = 0;
-
-  /// Signature length in bytes (128 for RSA-1024, as in the paper).
-  virtual size_t signature_size() const = 0;
-
-  /// Human-readable scheme name, e.g. "RSA-1024/SHA-1".
-  virtual std::string scheme_name() const = 0;
-};
-
-/// Checks signatures produced by a matching Signer.
-class SignatureVerifier {
- public:
-  virtual ~SignatureVerifier() = default;
-
-  /// OK when `signature` is a valid signature of `message`;
-  /// kVerificationFailed otherwise.
-  virtual Status Verify(ByteView message, ByteView signature) const = 0;
-};
-
-/// RSA hash-then-sign signer. Owns the key's two CRT prime contexts,
-/// built once in Create and reused for every signature: checksum
-/// generation signs thousands of records per complex operation.
-class RsaSigner final : public Signer {
+/// RSA hash-then-sign signer: a participant's `S_SK_p(...)` (§2.3), the
+/// checksum scheme's signature over `h(in)|h(out)|C_prev`. Owns the key's
+/// two CRT prime contexts, built once in Create and reused for every
+/// signature: checksum generation signs thousands of records per complex
+/// operation.
+class RsaSigner {
  public:
   static Result<RsaSigner> Create(const RsaPrivateKey& key,
                                   HashAlgorithm alg = HashAlgorithm::kSha1);
 
   /// SignDigest of the message's hash under the signer's algorithm.
-  Result<Bytes> Sign(ByteView message) const override;
+  Result<Bytes> Sign(ByteView message) const;
 
   /// Signs a digest: PKCS#1 v1.5-style encoding
   /// `0x00 01 FF..FF 00 <alg-tag byte> <digest>` under the signer's
   /// algorithm tag, then RSA-CRT private-key exponentiation. (The tag is
   /// a 1-byte stand-in for the ASN.1 DigestInfo header of full PKCS#1;
-  /// the security argument is unchanged.) The result is exactly
-  /// signature_size() long.
+  /// the security argument is unchanged.) The result is exactly the
+  /// modulus width long (128 bytes for RSA-1024, as in the paper).
   Result<Bytes> SignDigest(const Digest& digest) const;
-
-  size_t signature_size() const override;
-  std::string scheme_name() const override;
 
   const RsaPublicKey& public_key() const { return public_key_; }
 
@@ -80,13 +51,15 @@ class RsaSigner final : public Signer {
 /// the key's modulus once at construction and reuses it for every call
 /// (chain verification checks one signature per record under the same
 /// handful of keys).
-class RsaSignatureVerifier final : public SignatureVerifier {
+class RsaSignatureVerifier {
  public:
   RsaSignatureVerifier(RsaPublicKey key,
                        HashAlgorithm alg = HashAlgorithm::kSha1);
 
-  /// VerifyDigest of the message's hash under the verifier's algorithm.
-  Status Verify(ByteView message, ByteView signature) const override;
+  /// VerifyDigest of the message's hash under the verifier's algorithm:
+  /// OK when `signature` is a valid signature of `message`,
+  /// kVerificationFailed otherwise.
+  Status Verify(ByteView message, ByteView signature) const;
 
   /// OK when `signature` is RsaSigner::SignDigest of `digest` under this
   /// key and the verifier's algorithm tag; kVerificationFailed otherwise.
@@ -98,25 +71,6 @@ class RsaSignatureVerifier final : public SignatureVerifier {
   // nullopt for a modulus that is not odd, which no RSA key has: every
   // signature is then refused.
   std::optional<MontgomeryContext> n_ctx_;
-};
-
-/// Symmetric HMAC "signer" for the ablation benchmarks: roughly three
-/// orders of magnitude faster than RSA but sacrifices non-repudiation (R8)
-/// because every holder of the key can forge. Implements both interfaces.
-class HmacSigner final : public Signer, public SignatureVerifier {
- public:
-  HmacSigner(Bytes key, HashAlgorithm alg = HashAlgorithm::kSha1)
-      : key_(std::move(key)), alg_(alg) {}
-
-  Result<Bytes> Sign(ByteView message) const override;
-  size_t signature_size() const override { return HashDigestSize(alg_); }
-  std::string scheme_name() const override;
-
-  Status Verify(ByteView message, ByteView signature) const override;
-
- private:
-  Bytes key_;
-  HashAlgorithm alg_;
 };
 
 }  // namespace provdb::crypto

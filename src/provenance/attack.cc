@@ -62,10 +62,10 @@ Status InsertForgedRecord(RecipientBundle* bundle,
   forged.op = OperationType::kUpdate;
   forged.inputs.push_back(ObjectState{victim_object, fake_pre});
   forged.output = ObjectState{victim_object, fake_post};
-  Bytes payload =
-      engine.BuildUpdatePayload(fake_pre, fake_post, prev_checksum);
-  PROVDB_ASSIGN_OR_RETURN(forged.checksum,
-                          engine.SignPayload(attacker.signer(), payload));
+  PROVDB_ASSIGN_OR_RETURN(
+      forged.checksum,
+      engine.SignPayload(attacker.signer(), forged.op,
+                         engine.BuildPayload(forged, {prev_checksum})));
 
   // Renumber existing records at seq_id and above to make room.
   for (ProvenanceRecord& rec : bundle->records) {

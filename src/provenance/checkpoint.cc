@@ -148,7 +148,7 @@ std::string CheckpointFileName(const std::string& dir, uint64_t horizon) {
 Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
                                const StoreReadView& view,
                                uint64_t wal_horizon,
-                               const crypto::Signer& signer,
+                               const crypto::RsaSigner& signer,
                                uint64_t sealer_id,
                                crypto::HashAlgorithm root_hash) {
   if (wal_horizon == 0) {
@@ -223,7 +223,7 @@ Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
 
 Result<CheckpointManifest> CheckpointReader::Load(
     storage::Env* env, const std::string& path,
-    const crypto::SignatureVerifier& verifier, ProvenanceStore* store) {
+    const crypto::RsaSignatureVerifier& verifier, ProvenanceStore* store) {
   observability::MetricsRegistry& metrics = observability::GlobalMetrics();
   observability::ScopedLatencyTimer timer(
       metrics.histogram("checkpoint.load.latency_us"));

@@ -70,7 +70,7 @@ class CheckpointWriter {
   /// write path, on another thread, while the writer keeps committing.
   static Status Write(storage::Env* env, const std::string& dir,
                       const StoreReadView& view, uint64_t wal_horizon,
-                      const crypto::Signer& signer, uint64_t sealer_id,
+                      const crypto::RsaSigner& signer, uint64_t sealer_id,
                       crypto::HashAlgorithm root_hash =
                           crypto::HashAlgorithm::kSha1);
 };
@@ -86,11 +86,9 @@ class CheckpointReader {
   /// kVerificationFailed, and no record is added. An error after the
   /// seal verified (sealed content that contradicts itself) leaves
   /// `store` partly filled, and the caller discards it.
-  static Result<CheckpointManifest> Load(storage::Env* env,
-                                         const std::string& path,
-                                         const crypto::SignatureVerifier&
-                                             verifier,
-                                         ProvenanceStore* store);
+  static Result<CheckpointManifest> Load(
+      storage::Env* env, const std::string& path,
+      const crypto::RsaSignatureVerifier& verifier, ProvenanceStore* store);
 };
 
 /// Horizon of the newest checkpoint in `dir`; kNotFound when none

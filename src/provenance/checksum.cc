@@ -17,16 +17,49 @@ ChecksumEngine::ChecksumEngine(crypto::HashAlgorithm alg)
       sign_latency_(observability::GlobalMetrics().histogram(
           "checksum.sign.latency_us")) {}
 
-Result<Bytes> ChecksumEngine::SignPayload(const crypto::Signer& signer,
+Result<Bytes> ChecksumEngine::SignPayload(const crypto::RsaSigner& signer,
+                                          OperationType op,
                                           ByteView payload) const {
   observability::ScopedLatencyTimer timer(sign_latency_);
   observability::TraceSpan span("checksum.sign");
   sign_count_->Increment();
+  switch (op) {
+    case OperationType::kInsert:
+      payload_insert_->Increment();
+      break;
+    case OperationType::kUpdate:
+      payload_update_->Increment();
+      break;
+    case OperationType::kAggregate:
+      payload_aggregate_->Increment();
+      break;
+  }
   return signer.Sign(payload);
 }
 
+Bytes ChecksumEngine::BuildPayload(
+    const ProvenanceRecord& record,
+    const std::vector<ByteView>& prev_checksums) const {
+  switch (record.op) {
+    case OperationType::kInsert:
+      return BuildInsertPayload(record.output.state_hash);
+    case OperationType::kUpdate:
+      return BuildUpdatePayload(record.inputs[0].state_hash,
+                                record.output.state_hash, prev_checksums[0]);
+    case OperationType::kAggregate: {
+      std::vector<crypto::Digest> input_hashes;
+      input_hashes.reserve(record.inputs.size());
+      for (const ObjectState& input : record.inputs) {
+        input_hashes.push_back(input.state_hash);
+      }
+      return BuildAggregatePayload(input_hashes, record.output.state_hash,
+                                   prev_checksums);
+    }
+  }
+  return Bytes();
+}
+
 Bytes ChecksumEngine::BuildInsertPayload(const crypto::Digest& out_hash) const {
-  payload_insert_->Increment();
   // 0 | h(A, val) | 0 — the input slot is a digest-width zero block; the
   // previous-checksum slot is empty (there is no previous checksum).
   Bytes payload(crypto::HashDigestSize(alg_), 0);
@@ -37,7 +70,6 @@ Bytes ChecksumEngine::BuildInsertPayload(const crypto::Digest& out_hash) const {
 Bytes ChecksumEngine::BuildUpdatePayload(const crypto::Digest& in_hash,
                                          const crypto::Digest& out_hash,
                                          ByteView prev_checksum) const {
-  payload_update_->Increment();
   Bytes payload;
   payload.reserve(in_hash.size() + out_hash.size() + prev_checksum.size());
   AppendBytes(&payload, in_hash.view());
@@ -50,7 +82,6 @@ Bytes ChecksumEngine::BuildAggregatePayload(
     const std::vector<crypto::Digest>& input_hashes,
     const crypto::Digest& out_hash,
     const std::vector<ByteView>& prev_checksums) const {
-  payload_aggregate_->Increment();
   // h( h(A_1,v_1) | ... | h(A_n,v_n) ) — one digest summarizing all inputs.
   Bytes concat_inputs;
   concat_inputs.reserve(input_hashes.size() * crypto::HashDigestSize(alg_));

@@ -9,6 +9,7 @@
 #include "crypto/hash.h"
 #include "crypto/signer.h"
 #include "observability/metrics.h"
+#include "provenance/record.h"
 
 namespace provdb::provenance {
 
@@ -56,17 +57,27 @@ class ChecksumEngine {
       const crypto::Digest& out_hash,
       const std::vector<ByteView>& prev_checksums) const;
 
-  /// Signs a payload with the acting participant's signer, producing the
-  /// checksum stored in the provenance record.
-  Result<Bytes> SignPayload(const crypto::Signer& signer,
+  /// The payload `record` is signed over: its operation picks the
+  /// builder above. `prev_checksums[i]` views the previous checksum of
+  /// `record.inputs[i]` (empty at the collection epoch, or for an
+  /// untracked aggregate input), so an insert passes none. The record
+  /// must be well formed: an update has exactly one input, and an
+  /// aggregate at least one, each with a previous-checksum entry. Both the
+  /// signing site and the verifier build payloads only through here.
+  Bytes BuildPayload(const ProvenanceRecord& record,
+                     const std::vector<ByteView>& prev_checksums) const;
+
+  /// Signs the payload of an `op` record with the acting participant's
+  /// signer, producing the checksum stored in the provenance record.
+  Result<Bytes> SignPayload(const crypto::RsaSigner& signer, OperationType op,
                             ByteView payload) const;
 
  private:
   crypto::HashAlgorithm alg_;
 
-  // Per-op-type payload builds and signing cost (docs/OBSERVABILITY.md).
-  // In the protocol every built payload is signed exactly once, so these
-  // counters double as per-op-type sign counts.
+  // Per-op-type sign counts and signing cost (docs/OBSERVABILITY.md).
+  // Counted where a payload is signed, not where it is built: the
+  // verifier rebuilds every payload, and signs none.
   observability::Counter* payload_insert_;
   observability::Counter* payload_update_;
   observability::Counter* payload_aggregate_;

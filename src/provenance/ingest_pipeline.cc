@@ -63,6 +63,8 @@ Status ValidateRequest(const IngestRequest& request) {
 /// The seq id `request` gets on top of its object's chain, whose newest
 /// seq id is `tail` (empty when the object has no chain). Inserts and
 /// aggregates start a chain, so onto an existing one they are refused.
+/// The one copy of this rule: Submit checks a request against its lane's
+/// tail with it, and BuildSignedIngestRecord numbers the signed record.
 Result<SeqId> NextSeqId(const IngestRequest& request,
                         std::optional<SeqId> tail) {
   switch (request.op) {
@@ -122,7 +124,7 @@ void Dispatch(ThreadPool* pool, Fn&& task) {
 /// newest sealed checkpoint, if any, then the WAL suffix past its
 /// horizon (see ShardedProvenanceStore::Recover).
 Status RecoverShard(storage::Env* env, const std::string& dir,
-                    const crypto::SignatureVerifier* checkpoint_verifier,
+                    const crypto::RsaSignatureVerifier* checkpoint_verifier,
                     ProvenanceStore* store,
                     storage::WalRecoveryReport* report) {
   storage::WalReaderOptions reader_options;
@@ -245,6 +247,10 @@ Result<ProvenanceRecord> BuildSignedIngestRecord(
   PROVDB_RETURN_IF_ERROR(ValidateRequest(request));
 
   ProvenanceRecord record;
+  PROVDB_ASSIGN_OR_RETURN(
+      record.seq_id,
+      NextSeqId(request, tail.exists ? std::optional<SeqId>(tail.seq_id)
+                                     : std::nullopt));
   record.participant = request.participant->id();
   record.op = request.op;
   record.inherited = request.inherited;
@@ -254,54 +260,25 @@ Result<ProvenanceRecord> BuildSignedIngestRecord(
     record.has_output_snapshot = true;
   }
 
-  Bytes payload;
-  switch (request.op) {
-    case OperationType::kInsert: {
-      if (tail.exists) {
-        return Status::FailedPrecondition(
-            "insert for object " + std::to_string(request.object) +
-            " which already has a chain");
-      }
-      record.seq_id = 0;
-      payload = engine.BuildInsertPayload(request.post_hash);
-      break;
-    }
-    case OperationType::kUpdate: {
-      // Bootstrap objects (no chain yet) start at seq 0 with an empty
-      // previous-checksum slot, matching TrackedDatabase::EmitRecord.
-      record.seq_id = tail.exists ? tail.seq_id + 1 : 0;
-      crypto::Digest in_hash =
-          request.has_pre_hash ? request.pre_hash : crypto::Digest();
-      record.inputs.push_back(ObjectState{request.object, in_hash});
-      payload = engine.BuildUpdatePayload(in_hash, request.post_hash,
-                                          tail.checksum);
-      break;
-    }
-    case OperationType::kAggregate: {
-      if (tail.exists) {
-        return Status::FailedPrecondition(
-            "aggregate output object " + std::to_string(request.object) +
-            " already has a chain");
-      }
-      std::vector<crypto::Digest> input_hashes;
-      std::vector<ByteView> prev_checksums;
-      input_hashes.reserve(request.inputs.size());
-      prev_checksums.reserve(request.inputs.size());
-      for (size_t i = 0; i < request.inputs.size(); ++i) {
-        input_hashes.push_back(request.inputs[i].state_hash);
-        prev_checksums.push_back(request.input_prev_checksums[i]);
-      }
-      record.seq_id = request.aggregate_seq;
-      record.inputs = request.inputs;
-      payload = engine.BuildAggregatePayload(input_hashes, request.post_hash,
-                                             prev_checksums);
-      break;
-    }
+  // An update's one input is its own object before the operation; a
+  // bootstrap object (no chain yet) signs an empty previous checksum,
+  // matching the verifier's reading of a chain's first record.
+  std::vector<ByteView> prev_checksums;
+  if (request.op == OperationType::kUpdate) {
+    record.inputs.push_back(ObjectState{
+        request.object,
+        request.has_pre_hash ? request.pre_hash : crypto::Digest()});
+    prev_checksums.push_back(tail.checksum);
+  } else if (request.op == OperationType::kAggregate) {
+    record.inputs = request.inputs;
+    prev_checksums.assign(request.input_prev_checksums.begin(),
+                          request.input_prev_checksums.end());
   }
 
   PROVDB_ASSIGN_OR_RETURN(
       record.checksum,
-      engine.SignPayload(request.participant->signer(), payload));
+      engine.SignPayload(request.participant->signer(), record.op,
+                         engine.BuildPayload(record, prev_checksums)));
   return record;
 }
 
@@ -347,7 +324,7 @@ std::string ShardedProvenanceStore::ShardDirName(const std::string& root,
 Result<ShardedProvenanceStore> ShardedProvenanceStore::Recover(
     storage::Env* env, const std::string& root, size_t num_shards,
     std::vector<storage::WalRecoveryReport>* reports,
-    const crypto::SignatureVerifier* checkpoint_verifier) {
+    const crypto::RsaSignatureVerifier* checkpoint_verifier) {
   if (num_shards == 0) {
     return Status::InvalidArgument("num_shards must be at least 1");
   }

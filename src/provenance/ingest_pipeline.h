@@ -119,7 +119,7 @@ class ShardedProvenanceStore {
   static Result<ShardedProvenanceStore> Recover(
       storage::Env* env, const std::string& root, size_t num_shards,
       std::vector<storage::WalRecoveryReport>* reports = nullptr,
-      const crypto::SignatureVerifier* checkpoint_verifier = nullptr);
+      const crypto::RsaSignatureVerifier* checkpoint_verifier = nullptr);
 
   size_t num_shards() const { return shards_.size(); }
   ProvenanceStore& shard(size_t index) { return *shards_[index]; }
@@ -171,10 +171,10 @@ struct CheckpointPolicy {
   uint64_t every_records = 0;
   /// Seals each checkpoint's root digest (borrowed; must outlive the
   /// pipeline). Recorded in the manifest as participant `sealer_id`.
-  const crypto::Signer* signer = nullptr;
+  const crypto::RsaSigner* signer = nullptr;
   uint64_t sealer_id = 0;
   /// Verifies existing checkpoint seals during Open recovery (borrowed).
-  const crypto::SignatureVerifier* verifier = nullptr;
+  const crypto::RsaSignatureVerifier* verifier = nullptr;
 
   bool enabled() const {
     return signer != nullptr && every_records > 0;

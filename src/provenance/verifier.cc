@@ -134,6 +134,9 @@ ChainCheckResult VerifyOneChain(
   };
 
   const ProvenanceRecord* prev = nullptr;
+  // Reused across the chain's records, so rebuilding payloads allocates
+  // no vector per record.
+  std::vector<ByteView> prev_checksums;
   for (const ProvenanceRecord* rec : chain) {
     ++report.records_checked;
 
@@ -210,23 +213,15 @@ ChainCheckResult VerifyOneChain(
     }
 
     // -- Checksum payload reconstruction -----------------------------
-    Bytes payload;
-    if (rec->op == OperationType::kInsert) {
-      payload = engine.BuildInsertPayload(rec->output.state_hash);
-    } else if (rec->op == OperationType::kUpdate) {
-      const ByteView prev_checksum =
-          prev != nullptr ? ByteView(prev->checksum) : ByteView();
-      payload = engine.BuildUpdatePayload(rec->inputs[0].state_hash,
-                                           rec->output.state_hash,
-                                           prev_checksum);
-    } else {
-      // Aggregate: resolve each input to the record that produced the
-      // exact recorded state; its checksum is the signed "previous".
-      std::vector<crypto::Digest> input_hashes;
-      std::vector<ByteView> prev_checksums;
+    prev_checksums.clear();
+    if (rec->op == OperationType::kUpdate) {
+      prev_checksums.push_back(prev != nullptr ? ByteView(prev->checksum)
+                                               : ByteView());
+    } else if (rec->op == OperationType::kAggregate) {
+      // Resolve each input to the record that produced the exact
+      // recorded state; its checksum is the signed "previous".
       SeqId max_input_seq = 0;
       for (const ObjectState& input : rec->inputs) {
-        input_hashes.push_back(input.state_hash);
         ByteView resolved;
         auto in_chain = chains.find(input.object_id);
         if (in_chain != chains.end()) {
@@ -259,9 +254,8 @@ ChainCheckResult VerifyOneChain(
                   "aggregate seqID must be 1 + max input seqID (" +
                       std::to_string(max_input_seq) + ")");
       }
-      payload = engine.BuildAggregatePayload(
-          input_hashes, rec->output.state_hash, prev_checksums);
     }
+    const Bytes payload = engine.BuildPayload(*rec, prev_checksums);
 
     // -- Signature (R1, R8) ------------------------------------------
     auto verifier = verifiers.find(rec->participant);

@@ -31,17 +31,10 @@ TEST(RsaSignerTest, SignVerifyRoundTrip) {
   ByteView msg(std::string_view("the message"));
   auto sig = signer->Sign(msg);
   ASSERT_TRUE(sig.ok());
-  EXPECT_EQ(sig->size(), signer->signature_size());
+  EXPECT_EQ(sig->size(), SharedPair().public_key.ModulusBytes());
   EXPECT_TRUE(verifier.Verify(msg, *sig).ok());
   EXPECT_FALSE(
       verifier.Verify(ByteView(std::string_view("another")), *sig).ok());
-}
-
-TEST(RsaSignerTest, SchemeNameDescribesKeyAndHash) {
-  auto signer = RsaSigner::Create(SharedPair().private_key,
-                                  HashAlgorithm::kSha256);
-  ASSERT_TRUE(signer.ok());
-  EXPECT_EQ(signer->scheme_name(), "RSA-512/SHA-256");
 }
 
 TEST(RsaSignerTest, HashAlgorithmMustMatchBetweenSignerAndVerifier) {
@@ -107,45 +100,6 @@ TEST(RsaSignatureVerifierTest, EvenModulusRefusesEverySignature) {
   const Status status = RsaSignatureVerifier(even).Verify(msg, *even_sig);
   EXPECT_EQ(status.code(), StatusCode::kVerificationFailed)
       << status.ToString();
-}
-
-TEST(HmacSignerTest, SymmetricRoundTrip) {
-  Bytes key = {1, 2, 3, 4, 5};
-  HmacSigner signer(key);
-  ByteView msg(std::string_view("payload"));
-  auto mac = signer.Sign(msg);
-  ASSERT_TRUE(mac.ok());
-  EXPECT_EQ(mac->size(), 20u);  // SHA-1 width
-  EXPECT_TRUE(signer.Verify(msg, *mac).ok());
-  EXPECT_FALSE(
-      signer.Verify(ByteView(std::string_view("other")), *mac).ok());
-}
-
-TEST(HmacSignerTest, DifferentKeysCannotVerify) {
-  HmacSigner a(Bytes{1, 2, 3});
-  HmacSigner b(Bytes{1, 2, 4});
-  ByteView msg(std::string_view("payload"));
-  auto mac = a.Sign(msg);
-  ASSERT_TRUE(mac.ok());
-  EXPECT_FALSE(b.Verify(msg, *mac).ok());
-}
-
-TEST(HmacSignerTest, SchemeName) {
-  HmacSigner signer(Bytes{1}, HashAlgorithm::kSha256);
-  EXPECT_EQ(signer.scheme_name(), "HMAC/SHA-256");
-  EXPECT_EQ(signer.signature_size(), 32u);
-}
-
-TEST(SignerTest, PolymorphicUseThroughBaseInterface) {
-  auto rsa = RsaSigner::Create(SharedPair().private_key);
-  ASSERT_TRUE(rsa.ok());
-  HmacSigner hmac(Bytes{9, 9, 9});
-  std::vector<const Signer*> signers = {&rsa.value(), &hmac};
-  for (const Signer* s : signers) {
-    auto sig = s->Sign(ByteView(std::string_view("poly")));
-    ASSERT_TRUE(sig.ok());
-    EXPECT_EQ(sig->size(), s->signature_size());
-  }
 }
 
 }  // namespace

@@ -314,7 +314,7 @@ TEST(CheckpointCrashSweepTest, CrashAtEveryCheckpointAndGcOp) {
 constexpr size_t kSweepShards = 2;
 
 IngestOptions CheckpointedIngestOptions(
-    const crypto::SignatureVerifier* verifier) {
+    const crypto::RsaSignatureVerifier* verifier) {
   IngestOptions options;
   options.num_shards = kSweepShards;
   options.max_batch_records = 3;

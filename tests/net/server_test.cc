@@ -89,7 +89,7 @@ std::map<crypto::ParticipantId, const crypto::Participant*> Participants() {
 }
 
 /// Verifies the seals of a pooled pipeline's checkpoints on reopen.
-const crypto::SignatureVerifier& SealVerifier() {
+const crypto::RsaSignatureVerifier& SealVerifier() {
   static const crypto::RsaSignatureVerifier* verifier =
       new crypto::RsaSignatureVerifier(P(0).public_key());
   return *verifier;

@@ -41,7 +41,7 @@ ProvenanceRecord Rec(storage::ObjectId object, SeqId seq, OperationType op,
   return rec;
 }
 
-const crypto::Signer& Sealer() {
+const crypto::RsaSigner& Sealer() {
   return TestPki::Instance().participant(0).signer();
 }
 
@@ -86,7 +86,7 @@ class CheckpointTest : public ::testing::Test {
   /// Loads the checkpoint at `path` into a fresh one-shard store,
   /// `restored()`.
   Result<CheckpointManifest> Load(const std::string& path,
-                                  const crypto::SignatureVerifier& verifier) {
+                                  const crypto::RsaSignatureVerifier& verifier) {
     restored_ = std::make_unique<ShardedProvenanceStore>(1);
     return CheckpointReader::Load(env_, path, verifier,
                                   &restored_->shard(0));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "observability/metrics.h"
+#include "provenance/ingest_pipeline.h"
+#include "provenance/verifier.h"
 #include "testing/test_pki.h"
 
 namespace provdb::provenance {
@@ -91,7 +94,8 @@ TEST(ChecksumEngineTest, SignedPayloadVerifiesUnderSigner) {
   const auto& pki = TestPki::Instance();
   ChecksumEngine engine;
   Bytes payload = engine.BuildUpdatePayload(D(1), D(2), Bytes(64, 0x0F));
-  auto checksum = engine.SignPayload(pki.participant(0).signer(), payload);
+  auto checksum = engine.SignPayload(pki.participant(0).signer(),
+                                     OperationType::kUpdate, payload);
   ASSERT_TRUE(checksum.ok());
 
   crypto::RsaSignatureVerifier verifier(pki.participant(0).public_key());
@@ -108,6 +112,72 @@ TEST(ChecksumEngineTest, AlgorithmWidthsPropagate) {
       sha256.BuildInsertPayload(crypto::Digest::FromBytes(raw));
   EXPECT_EQ(payload.size(), 64u);  // 32-byte zero block + 32-byte hash
   EXPECT_EQ(sha256.algorithm(), crypto::HashAlgorithm::kSha256);
+}
+
+uint64_t Counter(const char* name) {
+  return observability::GlobalMetrics().counter(name)->value();
+}
+
+// The checksum.payload.* counters are per-operation sign counts: ingest
+// moves them by exactly checksum.sign.count, and verification, which
+// rebuilds every payload but signs none, leaves them alone.
+TEST(ChecksumEngineTest, PayloadCountersCountSignaturesNotRebuilds) {
+  const char* const kPayloadCounters[] = {"checksum.payload.insert",
+                                          "checksum.payload.update",
+                                          "checksum.payload.aggregate"};
+  auto payload_counts = [&] {
+    std::vector<uint64_t> counts;
+    for (const char* name : kPayloadCounters) counts.push_back(Counter(name));
+    return counts;
+  };
+  const crypto::Participant& p = TestPki::Instance().participant(0);
+  auto pipeline = IngestPipeline::OpenInMemory(IngestOptions());
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+
+  const std::vector<uint64_t> before_ingest = payload_counts();
+  const uint64_t signs_before = Counter("checksum.sign.count");
+  for (storage::ObjectId id = 1; id <= 2; ++id) {
+    IngestRequest insert;
+    insert.op = OperationType::kInsert;
+    insert.object = id;
+    insert.post_hash = D(static_cast<uint8_t>(id));
+    insert.participant = &p;
+    ASSERT_TRUE((*pipeline)->Submit(insert).ok());
+  }
+  IngestRequest update;
+  update.op = OperationType::kUpdate;
+  update.object = 1;
+  update.pre_hash = D(1);
+  update.has_pre_hash = true;
+  update.post_hash = D(0x11);
+  update.participant = &p;
+  ASSERT_TRUE((*pipeline)->Submit(update).ok());
+  // Inputs with no chain in the store (untracked) sign empty previous
+  // checksums, and the aggregate starts at seqID 1.
+  IngestRequest aggregate;
+  aggregate.op = OperationType::kAggregate;
+  aggregate.object = 3;
+  aggregate.post_hash = D(0x33);
+  aggregate.inputs = {ObjectState{10, D(0x10)}, ObjectState{11, D(0x11)}};
+  aggregate.input_prev_checksums = {Bytes{}, Bytes{}};
+  aggregate.aggregate_seq = 1;
+  aggregate.participant = &p;
+  ASSERT_TRUE((*pipeline)->Submit(aggregate).ok());
+  ASSERT_TRUE((*pipeline)->Drain().ok());
+
+  const std::vector<uint64_t> after_ingest = payload_counts();
+  EXPECT_EQ(after_ingest[0] - before_ingest[0], 2u);
+  EXPECT_EQ(after_ingest[1] - before_ingest[1], 1u);
+  EXPECT_EQ(after_ingest[2] - before_ingest[2], 1u);
+  EXPECT_EQ(Counter("checksum.sign.count") - signs_before, 2u + 1u + 1u);
+
+  ProvenanceVerifier verifier(&TestPki::Instance().registry());
+  const VerificationReport report =
+      verifier.VerifyStore((*pipeline)->OpenSnapshot());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(report.records_checked, 4u);
+  EXPECT_EQ(payload_counts(), after_ingest);
+  ASSERT_TRUE((*pipeline)->Close().ok());
 }
 
 }  // namespace

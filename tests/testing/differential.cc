@@ -221,7 +221,7 @@ Result<DurableTrackedDatabase> OpenDurableTrackedDatabase(
 Result<provenance::ShardedProvenanceStore> RecoverOneShard(
     storage::Env* env, const std::string& root,
     storage::WalRecoveryReport* report,
-    const crypto::SignatureVerifier* checkpoint_verifier) {
+    const crypto::RsaSignatureVerifier* checkpoint_verifier) {
   std::vector<storage::WalRecoveryReport> reports;
   PROVDB_ASSIGN_OR_RETURN(
       provenance::ShardedProvenanceStore store,

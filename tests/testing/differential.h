@@ -139,7 +139,7 @@ Result<DurableTrackedDatabase> OpenDurableTrackedDatabase(
 Result<provenance::ShardedProvenanceStore> RecoverOneShard(
     storage::Env* env, const std::string& root,
     storage::WalRecoveryReport* report = nullptr,
-    const crypto::SignatureVerifier* checkpoint_verifier = nullptr);
+    const crypto::RsaSignatureVerifier* checkpoint_verifier = nullptr);
 
 /// Submits `requests` in order and, when `drain_every` > 0, calls
 /// Drain() after every `drain_every` submits, so most write-aheads
